@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .core import (
     ActionSpace,
     AggregativeGame,
-    BudgetedGame,
     SybilCost,
     SybilStrategy,
     SybilVerdict,
@@ -39,7 +38,6 @@ from .equilibrium import (
 __all__ = [
     "ActionSpace",
     "AggregativeGame",
-    "BudgetedGame",
     "DiscreteMixedEquilibrium",
     "SybilCost",
     "SybilStrategy",

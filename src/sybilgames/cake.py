@@ -277,7 +277,7 @@ def check_fairness(
         own[:, i] = coins * values[i, transcript.assignments[:, i]]
     own_means = own.mean(axis=0)
     own_se = own.std(axis=0, ddof=1) / np.sqrt(runs)
-    alpha = float(np.min(own_means + z * own_se))
+    alpha = float(np.min(own_means - z * own_se))
     envy_free = True
     for i in range(n):
         for j in range(n):

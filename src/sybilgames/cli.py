@@ -19,7 +19,7 @@ from .cake import PiecewiseMeasure, measure_value, run_monte_carlo
 from .commitment import (
     CommitmentInstance,
     cfmm_commitment_instance,
-    commitment_best_response,
+    commitment_deviation,
     cournot_commitment_instance,
     cournot_game,
     exponential_commitment_instance,
@@ -69,7 +69,6 @@ def _emit_csv(out: Optional[str], subcommand: str, params: dict, header: Sequenc
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
-    parser.add_argument("--format", type=str, default="csv", choices=["csv"])
 
 
 def build_parser() -> _Parser:
@@ -179,20 +178,20 @@ def _run_verify(args) -> None:
     _emit_csv(args.out, "verify", params, ["game", "foreign", "verdict", "mine", "gain"], rows)
 
 
-def _tent_welfare(R: float, K: float, eps: float, n: int) -> float:
-    if n == 1:
-        return R  # a lone player plays the peak and keeps the whole curve value
-    return tent_equilibrium(TentFunction(R, K, eps), n).welfare
-
-
-def _run_rdm(args) -> None:
+def _welfare_rows(args) -> tuple[float, list]:
+    """Tent half-width and the (n, r_max, dsic welfare, tent welfare) rows of `rdm` and `fig1`."""
     eps = args.eps if args.eps is not None else args.K / 100.0
     curve = dominant_strategy_prorata(args.R, args.K)
     rows = []
     for n in range(1, args.n_max + 1):
-        rows.append(
-            (n, max_sybilproof_reward(n, args.R), curve.welfare(n), _tent_welfare(args.R, args.K, eps, n))
-        )
+        # a lone player plays the tent's peak and keeps the whole curve value
+        tent = args.R if n == 1 else tent_equilibrium(TentFunction(args.R, args.K, eps), n).welfare
+        rows.append((n, max_sybilproof_reward(n, args.R), curve.welfare(n), tent))
+    return eps, rows
+
+
+def _run_rdm(args) -> None:
+    eps, rows = _welfare_rows(args)
     params = dict(R=args.R, K=args.K, eps=eps, n_max=args.n_max, seed=args.seed)
     _emit_csv(args.out, "rdm", params, ["n", "r_max", "welfare_dsic", "welfare_tent"], rows)
 
@@ -264,14 +263,8 @@ def _commit_rows(inst: CommitmentInstance, n_max: int, x_max: int):
     for n in range(1, n_max + 1):
         eq_payoff = inst.oracle.payoff(n)
         commit2 = 2.0 * inst.oracle.payoff(n + 1)
-        best_x, best_value = commitment_best_response(inst, n - 1, x_max)
-        solo = inst.attacker_value(1, n - 1)
-        if best_x == 1 and all(
-            solo - inst.attacker_value(x, n - 1) > 1e-12 for x in range(2, x_max + 1)
-        ):
-            verdict = "scp"
-        else:
-            verdict = f"counterexample(foreign={n - 1};x={best_x})"
+        x = commitment_deviation(inst, n - 1, x_max)
+        verdict = "scp" if x is None else f"counterexample(foreign={n - 1};x={x})"
         rows.append((n, eq_payoff, commit2, verdict))
     return rows
 
@@ -300,17 +293,7 @@ def _run_poa(args) -> None:
 
 def _run_fig(args) -> None:
     if args.which == "fig1":
-        eps = args.eps if args.eps is not None else args.K / 100.0
-        curve = dominant_strategy_prorata(args.R, args.K)
-        rows = [
-            (
-                n,
-                max_sybilproof_reward(n, args.R),
-                curve.welfare(n),
-                _tent_welfare(args.R, args.K, eps, n),
-            )
-            for n in range(1, args.n_max + 1)
-        ]
+        eps, rows = _welfare_rows(args)
         params = dict(which="fig1", R=args.R, K=args.K, eps=eps, n_max=args.n_max, seed=args.seed)
         _emit_csv(
             args.out, "fig", params, ["n", "rmax_welfare", "dsic_welfare", "tent_welfare"], rows

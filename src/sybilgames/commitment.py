@@ -44,12 +44,7 @@ class CommitmentInstance:
 
     oracle: EqPayoffOracle
     cost: SybilCost
-    n_players: int = 2
     gross: Optional[Callable[[int, int], float]] = None
-
-    def __post_init__(self):
-        if self.n_players < 1:
-            raise DomainError("need at least one player")
 
     def attacker_value(self, x: int, foreign: int) -> float:
         if x < 1 or foreign < 0:
@@ -77,23 +72,28 @@ class ScpVerdict:
         return self.scp
 
 
-def scp_check(
-    inst: CommitmentInstance,
-    foreign_max: int = 20,
-    x_max: int = 32,
-    tol: float = SCP_MARGIN_TOL,
-) -> ScpVerdict:
-    """Commitment-proofness: one identity must beat every x >= 2 by more than tol,
-    for every foreign identity count up to foreign_max."""
-    if foreign_max < 0 or x_max < 1:
-        raise DomainError("bounds must be nonnegative (and x_max >= 1)")
+def commitment_deviation(inst: CommitmentInstance, foreign: int, x_max: int) -> Optional[int]:
+    """Best x in 2..x_max unless one identity beats every such x by more than SCP_MARGIN_TOL.
+
+    Returns None when committing one identity is strictly dominant against
+    ``foreign`` other identities; ties among deviations go to the smaller x.
+    """
+    if x_max < 2:
+        raise DomainError("need x_max >= 2: no multi-identity deviation to check")
+    solo = inst.attacker_value(1, foreign)
+    best_x, best_value = integer_argmax(lambda x: inst.attacker_value(x, foreign), 2, x_max)
+    return None if solo - best_value > SCP_MARGIN_TOL else best_x
+
+
+def scp_check(inst: CommitmentInstance, foreign_max: int = 20, x_max: int = 32) -> ScpVerdict:
+    """Commitment-proofness: one identity must beat every x in 2..x_max by more
+    than SCP_MARGIN_TOL, for every foreign identity count up to foreign_max."""
+    if foreign_max < 0:
+        raise DomainError("foreign_max must be nonnegative")
     for foreign in range(foreign_max + 1):
-        solo = inst.attacker_value(1, foreign)
-        best_x, best_value = integer_argmax(
-            lambda x: inst.attacker_value(x, foreign), 2, max(2, x_max)
-        )
-        if best_value > solo - tol:
-            return ScpVerdict(False, foreign=foreign, x=best_x)
+        x = commitment_deviation(inst, foreign, x_max)
+        if x is not None:
+            return ScpVerdict(False, foreign=foreign, x=x)
     return ScpVerdict(True)
 
 

@@ -18,9 +18,12 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedOperationError
+from .numerics import _rescan_window
 
 #: Minimum strictly-profitable gain; absorbs floating-point noise.
 SYBIL_TOL = 1e-9
+#: Local refinement rounds around a continuous-grid candidate, a tenth of the step each.
+REFINE_ROUNDS = 3
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -104,10 +107,6 @@ class AggregativeGame:
             if self.phi(0.0, y) != 0.0:
                 raise DomainError("phi(0, y) must be exactly zero (inactive identities earn zero)")
 
-    @property
-    def monoid_sum(self) -> bool:
-        return self.merge is not None
-
     def aggregate_others(self, actions: Sequence[float]) -> float:
         if self.aggregation == MERGE_SUM:
             return float(sum(actions))
@@ -130,17 +129,16 @@ class SybilCost:
     """
 
     cost: Callable[[float, float], float]
-    linear_c: Optional[float] = None
 
     @staticmethod
     def zero() -> "SybilCost":
-        return SybilCost(cost=lambda x, y: 0.0, linear_c=0.0)
+        return SybilCost(cost=lambda x, y: 0.0)
 
     @staticmethod
     def linear(c: float) -> "SybilCost":
         if c < 0.0:
             raise DomainError("identity cost must be nonnegative")
-        return SybilCost(cost=lambda x, y: c * x, linear_c=c)
+        return SybilCost(cost=lambda x, y: c * x)
 
     @staticmethod
     def prohibitive() -> "SybilCost":
@@ -167,21 +165,6 @@ class SybilStrategy:
 
     def __len__(self) -> int:
         return len(self.actions)
-
-
-@dataclass(frozen=True)
-class BudgetedGame:
-    """Game plus a cap on the sum of a player's own actions across identities."""
-
-    base: AggregativeGame
-    budget: float
-
-    def __post_init__(self):
-        if self.budget < 0.0:
-            raise DomainError("budget must be nonnegative")
-
-    def admissible(self, strategy: SybilStrategy) -> bool:
-        return sum(strategy.actions) <= self.budget + 1e-12 * max(1.0, self.budget)
 
 
 def _check_actions(game: AggregativeGame, actions: Sequence[float], label: str, positive: bool):
@@ -223,8 +206,6 @@ def merged_payoff(
     This is the single-identity comparator the proofness check measures against;
     when a cost is supplied the single identity still pays ``cost(1, len(foreign))``.
     """
-    if not game.monoid_sum:
-        raise UnsupportedOperationError(f"game {game.name!r} does not support merging identities")
     _check_actions(game, mine.actions, "own", positive=True)
     _check_actions(game, foreign, "foreign", positive=False)
     merged = game.merge_own(mine.actions)
@@ -255,14 +236,13 @@ def verify_sybilproof(
     tol: float = SYBIL_TOL,
     search_upper: Optional[float] = None,
     budget: Optional[float] = None,
-    refine_rounds: int = 3,
 ) -> SybilVerdict:
     """Exhaustively search multi-identity deviations against each foreign profile.
 
     Grid-valued strategies with 2..max_identities identities are compared against
     the merged single-identity play; the first strictly profitable one (gain
     beyond ``tol``) is returned.  Continuous grids get local refinement around
-    the best candidate (``refine_rounds`` rounds, a tenth of the step each).
+    the best candidate (``REFINE_ROUNDS`` rounds, a tenth of the step each).
     """
     if max_identities < 2:
         raise DomainError("max_identities must be at least 2")
@@ -287,10 +267,10 @@ def verify_sybilproof(
                 if g > best_gain:
                     best_gain, best_actions = g, actions
                 if g > tol:
-                    best_gain, best_actions = _refine(gain_of, actions, profile, game, refine_rounds)
+                    best_gain, best_actions = _refine(gain_of, actions, profile, game.space)
                     return SybilVerdict(False, SybilStrategy(best_actions), profile, best_gain)
         if best_actions is not None and game.space.kind == CONTINUOUS:
-            best_gain, best_actions = _refine(gain_of, best_actions, profile, game, refine_rounds)
+            best_gain, best_actions = _refine(gain_of, best_actions, profile, game.space)
             if best_gain > tol:
                 return SybilVerdict(False, SybilStrategy(best_actions), profile, best_gain)
     return SybilVerdict(True)
@@ -339,24 +319,26 @@ def reward_share_game(
     return prorata_game(lambda s: R - c * s, space, name="reward-share")
 
 
-def _refine(gain_of, actions, profile, game, rounds):
-    """Coordinate-wise local refinement of a candidate deviation on continuous spaces."""
+def _refine(gain_of, actions, profile, space):
+    """Coordinate-wise local refinement of a candidate deviation on continuous spaces.
+
+    Each round rescans every identity's action in turn with one
+    :func:`~sybilgames.numerics._rescan_window` round, holding the others fixed.
+    """
     actions = tuple(actions)
     best = gain_of(actions, profile)
-    if game.space.kind != CONTINUOUS:
+    if space.kind != CONTINUOUS:
         return best, actions
-    step = game.space.grid_step
-    for _ in range(rounds):
-        fine = step / 10.0
+    hi = space.upper if space.upper is not None else math.inf
+    step = space.grid_step
+    for _ in range(REFINE_ROUNDS):
         for j in range(len(actions)):
-            base = actions[j]
-            for k in range(-10, 11):
-                cand = base + k * fine
-                if cand <= 0.0 or not game.space.admissible(cand):
-                    continue
-                trial = tuple(sorted(actions[:j] + (cand,) + actions[j + 1 :]))
-                g = gain_of(trial, profile)
-                if g > best:
-                    best, actions = g, trial
-        step = fine
+            rest = actions[:j] + actions[j + 1 :]
+
+            def gain_at(a, rest=rest):
+                return gain_of(tuple(sorted(rest + (a,))), profile) if a > 0.0 else -math.inf
+
+            a, best = _rescan_window(gain_at, space.lower, hi, actions[j], best, step, 1)
+            actions = tuple(sorted(rest + (a,)))
+        step /= 10.0
     return best, actions

@@ -17,6 +17,8 @@ from .errors import DomainError, NumericError
 from .numerics import bisect_root, grid_argmax
 
 FD_STEP = 1e-6
+BRD_MAX_ITER = 500
+BRD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,6 @@ def concave_prorata_equilibrium(
     f: Callable[[float], float],
     n: int,
     fprime: Optional[Callable[[float], float]] = None,
-    q_hi: Optional[float] = None,
 ) -> SymmetricEquilibrium:
     """Symmetric equilibrium of the pro-rata game with curve f.
 
@@ -173,10 +174,9 @@ def concave_prorata_equilibrium(
     def condition(q: float) -> float:
         return (n - 1) * f(q) + q * df(q)
 
-    hi = q_hi if q_hi is not None else 1.0
-    if q_hi is None:
-        while condition(hi) > 0.0 and hi < 1e12:
-            hi *= 2.0
+    hi = 1.0
+    while condition(hi) > 0.0 and hi < 1e12:
+        hi *= 2.0
     if condition(hi) > 0.0:
         raise NumericError("no interior equilibrium: first-order condition stays positive")
     lo = hi
@@ -191,16 +191,7 @@ def concave_prorata_equilibrium(
     return SymmetricEquilibrium(q / n, payoff, n, f(q))
 
 
-def best_response_dynamics(
-    game: AggregativeGame,
-    n: int,
-    x0: Optional[float] = None,
-    damping: Optional[float] = None,
-    search_upper: Optional[float] = None,
-    refine_rounds: int = 5,
-    max_iter: int = 500,
-    tol: float = 1e-11,
-) -> SymmetricEquilibrium:
+def best_response_dynamics(game: AggregativeGame, n: int, refine_rounds: int = 5) -> SymmetricEquilibrium:
     """Damped simultaneous best-response iteration to a symmetric fixed point.
 
     Plain best-response dynamics oscillate whenever the response slope is below
@@ -210,10 +201,10 @@ def best_response_dynamics(
     if n < 1:
         raise DomainError("need n >= 1")
     space = game.space
-    upper = search_upper if search_upper is not None else space.upper
+    upper = space.upper
     if upper is None:
         raise NumericError("best-response dynamics need a bounded search interval")
-    gamma = damping if damping is not None else 1.0 / n
+    gamma = 1.0 / n
 
     def others(x: float) -> float:
         return game.aggregate_others([x] * (n - 1))
@@ -222,12 +213,12 @@ def best_response_dynamics(
         x, _ = grid_argmax(lambda a: game.phi(a, y), space.lower, upper, space.grid_step, refine_rounds)
         return x
 
-    x = x0 if x0 is not None else 0.5 * (space.lower + upper) / n
+    x = 0.5 * (space.lower + upper) / n
     scale = max(1.0, upper)
     # the refined grid argmax resolves responses no finer than this
     resolution = space.grid_step / 10.0**refine_rounds
-    threshold = max(tol * scale, resolution)
-    for _ in range(max_iter):
+    threshold = max(BRD_TOL * scale, resolution)
+    for _ in range(BRD_MAX_ITER):
         nxt = (1.0 - gamma) * x + gamma * response(others(x))
         if abs(nxt - x) <= threshold:
             x = nxt
@@ -239,22 +230,17 @@ def best_response_dynamics(
     return SymmetricEquilibrium(x, payoff, n, n * payoff)
 
 
-def grid_welfare_optimum(game: AggregativeGame, n: int, search_upper: Optional[float] = None) -> float:
+def grid_welfare_optimum(game: AggregativeGame, n: int) -> float:
     """Supremum of total welfare over symmetric grid profiles, at grid resolution."""
     best = -math.inf
-    for a in game.space.grid(search_upper):
+    for a in game.space.grid():
         a = float(a)
         best = max(best, n * game.phi(a, game.aggregate_others([a] * (n - 1))))
     return best
 
 
-def price_of_anarchy(
-    game: AggregativeGame,
-    n: int,
-    eq_welfare: float,
-    search_upper: Optional[float] = None,
-) -> float:
+def price_of_anarchy(game: AggregativeGame, n: int, eq_welfare: float) -> float:
     """Ratio of the grid welfare optimum to the given equilibrium welfare."""
     if eq_welfare <= 0.0:
         raise DomainError("price of anarchy is undefined for nonpositive equilibrium welfare")
-    return grid_welfare_optimum(game, n, search_upper) / eq_welfare
+    return grid_welfare_optimum(game, n) / eq_welfare

@@ -94,7 +94,13 @@ def grid_argmax(
         v = f(x)
         if v > best_v:
             best_x, best_v = x, v
-    for _ in range(refine_rounds):
+    return _rescan_window(f, lo, hi, best_x, best_v, step, refine_rounds)
+
+
+def _rescan_window(f, lo, hi, best_x, best_v, step, rounds):
+    """Refine a best point: each round rescans [best_x - step, best_x + step] (clipped
+    to [lo, hi]) at a tenth of the step; ties move toward the smaller argument."""
+    for _ in range(rounds):
         window_lo = max(lo, best_x - step)
         window_hi = min(hi, best_x + step)
         step /= 10.0

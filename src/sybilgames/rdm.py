@@ -18,8 +18,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import CONTINUOUS, ActionSpace, AggregativeGame, prorata_game
-from .equilibrium import SymmetricEquilibrium, best_response_dynamics, grid_argmax
+from .equilibrium import SymmetricEquilibrium, best_response_dynamics
 from .errors import DomainError, NumericError
+from .numerics import grid_argmax
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .numerics import adaptive_simpson, grid_argmax
 QUAD_TOL = 1e-10
 QUAD_MAX_DEPTH = 40
 SYBIL_GAIN_TOL = 1e-9
+MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,9 @@ def beta22_values() -> ValueDistribution:
         return np.where(inside, 6.0 * x * (1.0 - x), 0.0)
 
     def quantile(u):
+        # the root in [0, 1] of the cubic 3x^2 - 2x^3 = u
         u = np.asarray(u, dtype=float)
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(60):  # bisection; cdf is monotone on [0, 1]
-            mid = 0.5 * (lo + hi)
-            below = mid * mid * (3.0 - 2.0 * mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return 0.5 - np.sin(np.arcsin(1.0 - 2.0 * u) / 3.0)
 
     return ValueDistribution("beta22", cdf, pdf, 1.0, quantile)
 
@@ -185,20 +180,9 @@ def second_price_outcome(
     return winner, price
 
 
-def ring_transfer(
-    v: float,
-    cfg: RingConfig,
-    dist: ValueDistribution,
-    variant: str = "ic",
-    tol: float = QUAD_TOL,
-    max_depth: int = QUAD_MAX_DEPTH,
-) -> float:
-    """Winner's payment at bid v, by adaptive Simpson quadrature.
-
-    The default schedule is the incentive-compatible one for cfg.n reports;
-    ``variant="legacy"`` evaluates the older form
-    (n-1) F(v)^(-n) * integral_r^v (x-r) F(x)^(n-1) f(x) dx + r instead.
-    """
+def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
+    """Winner's payment at bid v under the incentive-compatible schedule for
+    cfg.n reports, by adaptive Simpson quadrature."""
     r = cfg.reserve
     if v < r:
         raise DomainError("transfer is defined for bids at or above the reserve")
@@ -208,16 +192,9 @@ def ring_transfer(
     if Fv <= 0.0:
         raise SingularScaleError("cdf vanishes at the evaluation point")
     n = cfg.n
-    if variant == "legacy":
-        integral = adaptive_simpson(
-            lambda x: (x - r) * float(dist.cdf(x)) ** (n - 1) * float(dist.pdf(x)), r, v, tol, max_depth
-        )
-        return (n - 1) * Fv ** (-n) * integral + r
-    if variant != "ic":
-        raise DomainError(f"unknown transfer variant {variant!r}")
     l = cfg.share_exponent(n)
     integral = adaptive_simpson(
-        lambda u: (n - 1) * u * float(dist.cdf(u)) ** (n - 2 + l) * float(dist.pdf(u)), r, v, tol, max_depth
+        lambda u: (n - 1) * u * float(dist.cdf(u)) ** (n - 2 + l) * float(dist.pdf(u)), r, v, QUAD_TOL, QUAD_MAX_DEPTH
     )
     boundary = r * float(dist.cdf(r)) ** (n + l - 1)
     return Fv ** (-(n + l - 1)) * (integral + boundary)
@@ -232,12 +209,11 @@ class RingModel:
     since a member running m identities faces the (n+m-1)-report schedule.
     """
 
-    def __init__(self, dist: ValueDistribution, cfg: RingConfig, cells: int = 2048):
+    def __init__(self, dist: ValueDistribution, cfg: RingConfig):
         self.dist = dist
         self.cfg = cfg
-        self.cells = cells
         lo, hi = cfg.reserve, dist.v_h
-        self.nodes = np.linspace(lo, hi, cells + 1)
+        self.nodes = np.linspace(lo, hi, MODEL_CELLS + 1)
         self.mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         self._F_nodes = np.asarray(dist.cdf(self.nodes), dtype=float)
         self._f_nodes = np.asarray(dist.pdf(self.nodes), dtype=float)
@@ -299,23 +275,18 @@ class RingModel:
         share_term = m * gamma * float(loser(np.clip(w, r, dist.v_h)))
         return win_term + share_term
 
-    def expected_profit(self, m: int = 1, tol: float = QUAD_TOL) -> float:
+    def expected_profit(self, m: int = 1) -> float:
         """Registration-stage expected payoff of running m identities, truthful bidding."""
         return adaptive_simpson(
             lambda v: self.payoff(v, v, m) * float(self.dist.pdf(v)),
             self.cfg.reserve,
             self.dist.v_h,
-            tol,
+            QUAD_TOL,
             QUAD_MAX_DEPTH,
         )
 
 
-def ring_member_payoff(w: float, v: float, m: int, cfg: RingConfig, dist: ValueDistribution) -> float:
-    """Expected payoff with valuation v, bid w, and m registered identities."""
-    return RingModel(dist, cfg).payoff(w, v, m)
-
-
-def expected_order_stat(dist: ValueDistribution, n: int, which: int, tol: float = QUAD_TOL) -> float:
+def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
     """E of the highest (which=1) or second-highest (which=2) of n i.i.d. draws."""
     if n < 1 or which not in (1, 2) or (which == 2 and n < 2):
         raise DomainError("order statistic out of range")
@@ -325,7 +296,7 @@ def expected_order_stat(dist: ValueDistribution, n: int, which: int, tol: float 
         integrand = lambda u: (
             u * n * (n - 1) * float(dist.cdf(u)) ** (n - 2) * (1.0 - float(dist.cdf(u))) * float(dist.pdf(u))
         )
-    return adaptive_simpson(integrand, 0.0, dist.v_h, tol, QUAD_MAX_DEPTH)
+    return adaptive_simpson(integrand, 0.0, dist.v_h, QUAD_TOL, QUAD_MAX_DEPTH)
 
 
 def efficient_ring_loser_share(

@@ -197,6 +197,12 @@ def test_check_fairness_five_players_alpha():
     assert report.alpha_proportional == pytest.approx(1.0 / 16.0, abs=0.005)
 
 
+def test_check_fairness_alpha_is_a_lower_confidence_bound():
+    transcript = run_monte_carlo([UNIFORM] * 3, 10_000, seed=4)
+    report = check_fairness(transcript, [UNIFORM] * 3)
+    assert report.alpha_proportional < min(report.own_value_means)
+
+
 def test_check_fairness_requires_power():
     transcript = run_monte_carlo([UNIFORM] * 3, 100, seed=0)
     with pytest.raises(StatisticalPowerError):

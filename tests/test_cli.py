@@ -42,6 +42,13 @@ def test_fig1_reference_rows(tmp_path):
     assert float(by_n[4][1]) == pytest.approx(5.0)
 
 
+def test_fig1_rows_are_the_rdm_table(tmp_path):
+    argv = ["--R", "7.5", "--K", "2", "--n-max", "5"]
+    assert run_cli(["rdm"] + argv + ["--out", str(tmp_path / "rdm.csv")]) == 0
+    assert run_cli(["fig", "--which", "fig1"] + argv + ["--out", str(tmp_path / "fig1.csv")]) == 0
+    assert read_rows(tmp_path / "fig1.csv")[2] == read_rows(tmp_path / "rdm.csv")[2]
+
+
 def test_fig2_has_a_profitable_crossing(tmp_path):
     out = tmp_path / "fig2.csv"
     assert run_cli(["fig", "--which", "fig2", "--n-max", "10", "--out", str(out)]) == 0
@@ -121,6 +128,8 @@ def test_ring_csv_columns(tmp_path):
         ["ring", "--n", "3", "--theta-grid", "4", "--samples", "5000", "--seed", "5"],
         ["commit", "--instance", "exp", "--n-max", "8"],
         ["fig", "--which", "fig2", "--n-max", "6"],
+        ["fig", "--which", "fig1", "--R", "10", "--n-max", "6"],
+        ["verify", "--game", "prorata", "--max-identities", "3"],
     ],
 )
 def test_reruns_are_byte_identical(tmp_path, argv):
@@ -153,6 +162,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 def test_invalid_parameter_exits_one(tmp_path):
     # an eps outside (0, K) violates the tent's domain
     assert run_cli(["rdm", "--R", "10", "--eps", "5.0", "--n-max", "3"]) == 1
+    # one identity has no deviation to compare against (Cournot pays at x = 2)
+    assert run_cli(["commit", "--instance", "cournot", "--x-max", "1"]) == 1
 
 
 def test_unwritable_output_exits_one(tmp_path):

@@ -8,6 +8,7 @@ from sybilgames.commitment import (
     cfmm_commitment_instance,
     cfmm_curve,
     commitment_best_response,
+    commitment_deviation,
     commitment_welfare_cap,
     cournot_commitment_instance,
     cournot_oracle,
@@ -54,6 +55,16 @@ def test_scp_verdicts():
     verdict = scp_check(cournot_commitment_instance(1.0, 0.0), foreign_max=10)
     assert not verdict.scp
     assert (verdict.foreign, verdict.x) == (1, 2)
+    # at zero cost two identities exactly tie with one: the named deviation is x = 2, never x = 1
+    shrunk = rmax_commitment_instance(10.0, 0.0)
+    verdict = scp_check(shrunk, foreign_max=3)
+    assert (verdict.scp, verdict.foreign, verdict.x) == (False, 0, 2)
+    assert commitment_deviation(shrunk, 0, 32) == 2
+
+
+def test_scp_check_needs_a_deviation_to_check():
+    with pytest.raises(DomainError):
+        scp_check(cournot_commitment_instance(1.0, 0.0), x_max=1)
 
 
 def test_prohibitive_cost_makes_any_instance_scp():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sybilgames.core import (
     ActionSpace,
     AggregativeGame,
-    BudgetedGame,
     CONTINUOUS,
     INTEGER,
     SybilCost,
@@ -148,6 +147,20 @@ def test_verifier_soundness_of_counterexamples():
     assert regain > 1e-9
 
 
+def test_refined_continuous_counterexample_recomputes_and_beats_the_grid():
+    # sqrt(a) + sqrt(b) > sqrt(a + b): every split pays, and refinement climbs past the first grid split
+    game = AggregativeGame(
+        phi=lambda x, y: math.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt"
+    )
+    verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[0.5]])
+    assert not verdict.proof
+    regain = sybil_payoff(game, SybilCost.zero(), verdict.mine, verdict.foreign) - merged_payoff(
+        game, verdict.mine, verdict.foreign, SybilCost.zero()
+    )
+    assert regain == verdict.gain
+    assert verdict.gain > 2.0 * math.sqrt(0.1) - math.sqrt(0.2)
+
+
 def test_prohibitive_cost_turns_every_game_proof():
     for game in (headcount_reward_game(10.0), reward_share_game(10.0, 1.0, grid_step=0.5)):
         verdict = verify_sybilproof(game, SybilCost.prohibitive(), 3, [[1.0], []])
@@ -164,10 +177,7 @@ def test_verifier_needs_bounded_grid():
 
 def test_budget_restricts_deviations():
     game = headcount_reward_game(10.0)
-    budgeted = BudgetedGame(game, budget=1.0)
-    assert budgeted.admissible(SybilStrategy([1.0]))
-    assert not budgeted.admissible(SybilStrategy([1.0, 1.0]))
-    verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[1, 1, 1]], budget=budgeted.budget)
+    verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[1, 1, 1]], budget=1.0)
     assert verdict.proof  # the profitable two-head deviation is over budget
 
 

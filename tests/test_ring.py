@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import central_diff, midpoint_quad
+from oracles import central_diff
 from sybilgames.errors import DomainError, SingularScaleError
 from sybilgames.ring import (
     RingModel,
@@ -13,7 +13,6 @@ from sybilgames.ring import (
     efficient_ring_loser_share,
     expected_order_stat,
     opt_ring_search,
-    ring_member_payoff,
     ring_transfer,
     second_price_outcome,
     truncated_exponential_values,
@@ -30,7 +29,7 @@ def test_distribution_invariants(dist):
     for x in np.linspace(0.05, 0.95, 10) * dist.v_h:
         fd = central_diff(lambda t: float(dist.cdf(t)), float(x), h=1e-6)
         assert fd == pytest.approx(float(dist.pdf(x)), abs=1e-6 + 1e-4 * abs(fd))
-    u = np.linspace(0.01, 0.99, 25)
+    u = np.concatenate(([0.0, 0.5, 1.0], np.linspace(0.01, 0.99, 25)))
     assert np.allclose(dist.cdf(dist.quantile(u)), u, atol=1e-9)
 
 
@@ -97,13 +96,6 @@ def test_transfer_singular_scale():
         ring_transfer(0.3, constant_share_config(0.0, 2), shifted)
 
 
-def test_transfer_legacy_variant_matches_quadrature_oracle():
-    cfg = constant_share_config(0.5, 3, reserve=0.1)
-    v = 0.8
-    oracle = 2.0 * v ** (-3) * midpoint_quad(lambda x: (x - 0.1) * x * x, 0.1, v) + 0.1
-    assert ring_transfer(v, cfg, UNIFORM, variant="legacy") == pytest.approx(oracle, abs=1e-6)
-
-
 def test_transfer_share_exponent_closed_form():
     # uniform with constant share theta: T(v) = (n-1) v / (n + theta)
     theta, n = 0.5, 3
@@ -134,13 +126,13 @@ def test_model_spline_agrees_with_adaptive_quadrature():
 
 def test_member_payoff_reference_points():
     # no shares, one identity, top valuation: classic conditional profit
-    cfg = constant_share_config(0.0, 2)
-    assert ring_member_payoff(1.0, 1.0, 1, cfg, UNIFORM) == pytest.approx(0.5, abs=1e-9)
+    model = RingModel(UNIFORM, constant_share_config(0.0, 2))
+    assert model.payoff(1.0, 1.0, 1) == pytest.approx(0.5, abs=1e-9)
     # a zero bid never wins: only the loser-share stream remains
     theta, n = 0.5, 3
-    cfg = constant_share_config(theta, n)
+    model = RingModel(UNIFORM, constant_share_config(theta, n))
     expected_shares = 2.0 * theta / (3.0 * (3.0 + theta))
-    assert ring_member_payoff(0.0, 0.7, 1, cfg, UNIFORM) == pytest.approx(expected_shares, abs=1e-9)
+    assert model.payoff(0.0, 0.7, 1) == pytest.approx(expected_shares, abs=1e-9)
 
 
 def test_member_payoff_closed_form_uniform_three():
@@ -157,8 +149,7 @@ def test_member_payoff_closed_form_uniform_three():
 def test_truthful_bidding_is_optimal_on_a_refined_grid():
     from sybilgames.numerics import grid_argmax
 
-    cfg = RingConfig = constant_share_config(0.5, 3)  # g(k) = 1/(2(k-1))
-    model = RingModel(UNIFORM, cfg)
+    model = RingModel(UNIFORM, constant_share_config(0.5, 3))  # g(k) = 1/(2(k-1))
     v = 0.7
     best_w, _ = grid_argmax(lambda w: model.payoff(w, v, 1), 0.0, 1.0, 0.005, refine_rounds=4)
     assert best_w == pytest.approx(v, abs=1e-3)
