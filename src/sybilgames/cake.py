@@ -7,9 +7,13 @@ burn everything otherwise.  Each identity's expected value is 1 / 2^(n-1)
 whatever it declares, and reporting k identities against y others is worth
 k / 2^(y+k-1), which never beats a single report.
 
-Randomness contract: one PCG64 generator per run, seeded explicitly; the
-permutation is Fisher-Yates on that stream and the coin consumes exactly one
-uniform draw after it.
+Randomness contract: a batch of ``runs`` mechanism runs draws from one
+``numpy.random.Generator(PCG64(seed))``.  It first shuffles every row of a
+``(runs, n)`` table of slice indices with ``Generator.permuted`` (one uniform
+permutation per run), then draws one ``runs``-long uniform vector; run r keeps
+its allocation when its uniform is below n / 2^(n-1).  A single mechanism run
+is run 0 of a one-run batch, so the same seed, declarations and run count give
+the same transcript.
 """
 
 from __future__ import annotations
@@ -169,25 +173,13 @@ def coin_probability(n: int) -> float:
     return n / 2.0 ** (n - 1)
 
 
-def _draw_assignment(n: int, rng: np.random.Generator) -> tuple[list[int], bool]:
-    """Fisher-Yates permutation on the seeded stream, then one coin draw."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    kept = rng.random() < coin_probability(n)
-    return perm, kept
-
-
 def run_mechanism(declared: Sequence[PiecewiseMeasure], seed: int) -> Allocation:
-    """One mechanism run: exact partition, uniform shuffle, biased keep/burn coin."""
-    n = len(declared)
-    partition = exact_partition(declared, n)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm, kept = _draw_assignment(n, rng)
-    if kept:
-        return Allocation(tuple(partition[perm[i]] for i in range(n)), COIN_KEPT)
-    return Allocation(tuple(EMPTY_SLICE for _ in range(n)), COIN_BURNED)
+    """One mechanism run: run 0 of a one-run :func:`run_monte_carlo` batch."""
+    transcript = run_monte_carlo(declared, 1, seed)
+    if transcript.coins[0]:
+        slices = tuple(transcript.partition[j] for j in transcript.assignments[0])
+        return Allocation(slices, COIN_KEPT)
+    return Allocation(tuple(EMPTY_SLICE for _ in range(transcript.n)), COIN_BURNED)
 
 
 def expected_truthful_value(n: int) -> float:
@@ -206,13 +198,17 @@ def sybil_deviation_value(k: int, y: int) -> float:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Batch of mechanism runs; run r used seed base_seed + r."""
+    """Batch of mechanism runs drawn from one generator seeded with ``seed``.
+
+    Row r of ``assignments`` is run r's permutation and ``coins[r]`` its keep
+    coin; see the module docstring for the order of the draws.
+    """
 
     declared: tuple[PiecewiseMeasure, ...]
     partition: tuple[Slice, ...]
     assignments: np.ndarray  # (runs, n) slice index handed to each identity
     coins: np.ndarray  # (runs,) True where the allocation was kept
-    base_seed: int
+    seed: int
 
     @property
     def n(self) -> int:
@@ -224,18 +220,14 @@ class Transcript:
 
 
 def run_monte_carlo(declared: Sequence[PiecewiseMeasure], runs: int, seed: int) -> Transcript:
-    """Replay the mechanism ``runs`` times with per-run seeds seed, seed+1, ..."""
+    """Replay the mechanism ``runs`` times: all permutations, then all coins, from one stream."""
     if runs < 1:
         raise DomainError("need at least one run")
     n = len(declared)
     partition = tuple(exact_partition(declared, n))
-    assignments = np.empty((runs, n), dtype=np.int64)
-    coins = np.empty(runs, dtype=bool)
-    for r in range(runs):
-        rng = np.random.Generator(np.random.PCG64(seed + r))
-        perm, kept = _draw_assignment(n, rng)
-        assignments[r] = perm
-        coins[r] = kept
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assignments = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (runs, 1)), axis=1)
+    coins = rng.random(runs) < coin_probability(n)
     return Transcript(tuple(declared), partition, assignments, coins, seed)
 
 

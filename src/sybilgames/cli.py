@@ -51,14 +51,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_csv(out: Optional[str], subcommand: str, params: dict, header: Sequence[str], rows) -> None:
+def _format_rows(rows) -> list[str]:
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _emit_csv(
+    out: Optional[str], subcommand: str, params: dict, header: Sequence[str], lines: Sequence[str]
+) -> None:
+    """Write the '#' config line, the header and the already formatted body lines."""
     config = " ".join(
         [f"artifact={ARTIFACT}", f"subcommand={subcommand}"]
         + [f"{key}={_fmt(val)}" for key, val in sorted(params.items())]
     )
-    lines = ["# " + config, ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(["# " + config, ",".join(header), *lines]) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -80,6 +85,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", choices=["headcount", "prorata", "cournot"], default="headcount")
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--c", type=float, default=0.0, help="per-identity cost")
+    p.add_argument("--stake-cost", type=float, default=1.0, help="prorata stake cost inside phi (> 0)")
     p.add_argument("--beta", type=float, default=1.0, help="Cournot demand intercept net of cost")
     p.add_argument("--foreign", action="append", default=None, help="comma list, repeatable")
     p.add_argument("--max-identities", type=int, default=2)
@@ -146,12 +152,14 @@ def _parse_profile(text: str) -> tuple[float, ...]:
 
 
 def _run_verify(args) -> None:
+    if not args.stake_cost > 0.0:
+        raise UsageError("--stake-cost must be > 0")
     cost = SybilCost.linear(args.c) if args.c > 0.0 else SybilCost.zero()
     if args.game == "headcount":
         game = headcount_reward_game(args.R)
         default_profiles = ["1,1,1"]
     elif args.game == "prorata":
-        game = reward_share_game(args.R, max(args.c, 1.0), grid_step=args.grid_step or 0.5)
+        game = reward_share_game(args.R, args.stake_cost, grid_step=args.grid_step or 0.5)
         default_profiles = ["2.5,2.5"]
     else:
         game = cournot_game(args.beta, grid_step=args.grid_step or 0.05)
@@ -172,10 +180,13 @@ def _run_verify(args) -> None:
             )
         )
     params = dict(
-        game=args.game, R=args.R, c=args.c, beta=args.beta, max_identities=args.max_identities,
+        game=args.game, R=args.R, c=args.c, stake_cost=args.stake_cost, beta=args.beta,
+        max_identities=args.max_identities,
         profiles=";".join("|".join(repr(a) for a in p) for p in profiles), seed=args.seed,
     )
-    _emit_csv(args.out, "verify", params, ["game", "foreign", "verdict", "mine", "gain"], rows)
+    _emit_csv(
+        args.out, "verify", params, ["game", "foreign", "verdict", "mine", "gain"], _format_rows(rows)
+    )
 
 
 def _welfare_rows(args) -> tuple[float, list]:
@@ -193,7 +204,9 @@ def _welfare_rows(args) -> tuple[float, list]:
 def _run_rdm(args) -> None:
     eps, rows = _welfare_rows(args)
     params = dict(R=args.R, K=args.K, eps=eps, n_max=args.n_max, seed=args.seed)
-    _emit_csv(args.out, "rdm", params, ["n", "r_max", "welfare_dsic", "welfare_tent"], rows)
+    _emit_csv(
+        args.out, "rdm", params, ["n", "r_max", "welfare_dsic", "welfare_tent"], _format_rows(rows)
+    )
 
 
 def _load_measures(path: str) -> list[PiecewiseMeasure]:
@@ -216,17 +229,21 @@ def _run_cake(args) -> None:
         declared = [PiecewiseMeasure.uniform() for _ in range(args.n)]
     n = len(declared)
     transcript = run_monte_carlo(declared, args.samples, args.seed)
-    values = [
-        [measure_value(declared[i], transcript.partition[j]) for j in range(n)] for i in range(n)
-    ]
-    rows = []
-    for r in range(transcript.runs):
-        kept = bool(transcript.coins[r])
-        for i in range(n):
-            value = values[i][transcript.assignments[r, i]] if kept else 0.0
-            rows.append((r, i, value, int(kept)))
+    # suffix[i, j] is the ",identity,value,coin" tail of identity i's row when it
+    # holds slice j; column n is the burned row, whose value is 0.0
+    suffix = np.array(
+        [
+            [f",{i},{_fmt(measure_value(declared[i], s))},1" for s in transcript.partition]
+            + [f",{i},{_fmt(0.0)},0"]
+            for i in range(n)
+        ],
+        dtype=object,
+    )
+    codes = np.where(transcript.coins[:, None], transcript.assignments, n)
+    prefix = np.repeat(np.array([str(r) for r in range(transcript.runs)], dtype=object), n)
+    lines = (prefix + suffix[np.arange(n), codes].ravel()).tolist()
     params = dict(n=n, samples=args.samples, seed=args.seed, measures=args.measures or "uniform")
-    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], rows)
+    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], lines)
 
 
 def _run_ring(args) -> None:
@@ -242,7 +259,8 @@ def _run_ring(args) -> None:
         best_theta=result.best_theta,
     )
     _emit_csv(
-        args.out, "ring", params, ["theta", "truthful_ok", "sybilproof_ok", "welfare", "baseline"], rows
+        args.out, "ring", params, ["theta", "truthful_ok", "sybilproof_ok", "welfare", "baseline"],
+        _format_rows(rows),
     )
 
 
@@ -277,7 +295,9 @@ def _run_commit(args) -> None:
         alpha=args.alpha, c_prod=args.c_prod,
         reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price,
     )
-    _emit_csv(args.out, "commit", params, ["n", "eq_payoff", "commit2_payoff", "scp_verdict"], rows)
+    _emit_csv(
+        args.out, "commit", params, ["n", "eq_payoff", "commit2_payoff", "scp_verdict"], _format_rows(rows)
+    )
 
 
 def _run_poa(args) -> None:
@@ -288,7 +308,7 @@ def _run_poa(args) -> None:
         w_opt = grid_welfare_optimum(game, n)
         rows.append((n, eq.welfare, w_opt, w_opt / eq.welfare))
     params = dict(R=args.R, c=args.c, n_max=args.n_max, grid_step=args.grid_step, seed=args.seed)
-    _emit_csv(args.out, "poa", params, ["n", "eq_welfare", "w_opt", "poa"], rows)
+    _emit_csv(args.out, "poa", params, ["n", "eq_welfare", "w_opt", "poa"], _format_rows(rows))
 
 
 def _run_fig(args) -> None:
@@ -296,7 +316,8 @@ def _run_fig(args) -> None:
         eps, rows = _welfare_rows(args)
         params = dict(which="fig1", R=args.R, K=args.K, eps=eps, n_max=args.n_max, seed=args.seed)
         _emit_csv(
-            args.out, "fig", params, ["n", "rmax_welfare", "dsic_welfare", "tent_welfare"], rows
+            args.out, "fig", params, ["n", "rmax_welfare", "dsic_welfare", "tent_welfare"],
+            _format_rows(rows),
         )
         return
     inst = cfmm_commitment_instance(args.reserve_a, args.reserve_b, args.price)
@@ -307,7 +328,9 @@ def _run_fig(args) -> None:
         which="fig2", reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price,
         n_max=args.n_max, seed=args.seed,
     )
-    _emit_csv(args.out, "fig", params, ["n", "eq_payoff", "sybil_commit_payoff"], rows)
+    _emit_csv(
+        args.out, "fig", params, ["n", "eq_payoff", "sybil_commit_payoff"], _format_rows(rows)
+    )
 
 
 _HANDLERS = {

@@ -53,7 +53,11 @@ def bisect_root(
     max_iter: int = BISECT_MAX_ITER,
     residual: float = BISECT_RESIDUAL,
 ) -> float:
-    """Bisection root of f on [lo, hi]; requires a sign change on the bracket."""
+    """Bisection root of f on [lo, hi]; requires a sign change on the bracket.
+
+    Raises :class:`NumericError` when ``max_iter`` halvings meet neither the
+    residual test nor the bracket-width test.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -70,7 +74,7 @@ def bisect_root(
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    raise NumericError(f"bisection unresolved after {max_iter} iterations on [{lo}, {hi}]")
 
 
 def grid_argmax(

@@ -123,6 +123,36 @@ def test_allocation_frequency_matches_coin():
     assert transcript.coins.mean() == pytest.approx(0.5, abs=0.015)
 
 
+def test_permutations_are_uniform():
+    runs = 60_000
+    transcript = run_monte_carlo([UNIFORM] * 3, runs, seed=12)
+    perms, counts = np.unique(transcript.assignments, axis=0, return_counts=True)
+    assert len(perms) == 6
+    expected = runs / 6.0
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2 < 25.74  # chi-square, 5 degrees of freedom, p = 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_keep_rate_within_four_standard_errors(n):
+    runs = 20_000
+    transcript = run_monte_carlo([UNIFORM] * n, runs, seed=100 + n)
+    p = coin_probability(n)
+    se = np.sqrt(p * (1.0 - p) / runs)
+    assert abs(transcript.coins.mean() - p) <= 4.0 * se
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_run_mechanism_is_run_zero_of_a_one_run_batch(seed):
+    declared = [UNIFORM, LEFT_HEAVY, UNIFORM, LEFT_HEAVY]
+    alloc = run_mechanism(declared, seed)
+    transcript = run_monte_carlo(declared, 1, seed)
+    assert alloc.coin == (COIN_KEPT if transcript.coins[0] else COIN_BURNED)
+    if transcript.coins[0]:
+        assert alloc.slices == tuple(transcript.partition[j] for j in transcript.assignments[0])
+
+
 def test_expected_truthful_value_formula():
     assert expected_truthful_value(1) == 1.0
     assert expected_truthful_value(3) == 0.25

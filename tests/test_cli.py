@@ -3,6 +3,8 @@ import math
 import pytest
 
 from sybilgames import cli
+from sybilgames.cake import measure_value, run_monte_carlo
+from sybilgames.core import SybilCost, reward_share_game, verify_sybilproof
 from sybilgames.errors import InvariantViolation, NumericError
 
 
@@ -76,6 +78,27 @@ def test_cake_measures_file(tmp_path):
     assert len(rows) == 100  # 50 runs x 2 identities
 
 
+def test_cake_body_matches_per_cell_rendering(tmp_path):
+    measures = tmp_path / "measures.txt"
+    measures.write_text("0 1 1\n0 2 0.5 0 1\n0 0.5 0.3 1.75 0.7 0.5 1\n")
+    out = tmp_path / "cake.csv"
+    argv = ["cake", "--measures", str(measures), "--samples", "40", "--seed", "3", "--out", str(out)]
+    assert run_cli(argv) == 0
+    declared = cli._load_measures(str(measures))
+    transcript = run_monte_carlo(declared, 40, 3)
+    assert not transcript.coins.all()
+    rows = []
+    for r in range(transcript.runs):
+        kept = bool(transcript.coins[r])
+        for i in range(transcript.n):
+            slice_ = transcript.partition[transcript.assignments[r, i]]
+            value = measure_value(declared[i], slice_) if kept else 0.0
+            rows.append((r, i, value, int(kept)))
+    assert len({row[2] for row in rows if row[3]}) > 1  # float values, not all exactly 1/n
+    reference = "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert out.read_text().split("\n", 2)[2] == reference
+
+
 def test_commit_cournot_counterexample_column(tmp_path):
     out = tmp_path / "commit.csv"
     assert run_cli(["commit", "--instance", "cournot", "--c", "0", "--n-max", "10", "--out", str(out)]) == 0
@@ -102,6 +125,17 @@ def test_verify_headcount(tmp_path):
     _, _, rows = read_rows(out)
     assert rows[0][2] == "counterexample"
     assert float(rows[0][4]) == pytest.approx(1.5)
+
+
+def test_verify_prorata_identity_cost_leaves_stake_cost_alone(tmp_path):
+    out = tmp_path / "verify.csv"
+    assert run_cli(["verify", "--game", "prorata", "--c", "0.5", "--out", str(out)]) == 0
+    config, _, rows = read_rows(out)
+    assert "c=0.5" in config.split() and "stake_cost=1.0" in config.split()
+    game = reward_share_game(10.0, 1.0, grid_step=0.5)
+    verdict = verify_sybilproof(game, SybilCost.linear(0.5), 2, [(2.5, 2.5)])
+    assert rows[0][2] == ("proof" if verdict.proof else "counterexample")
+    assert float(rows[0][4]) == (0.0 if verdict.proof else verdict.gain)
 
 
 def test_ring_csv_columns(tmp_path):
@@ -156,6 +190,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 1
     assert run_cli(["rdm", "--R", "ten"]) == 1
     assert run_cli(["commit", "--instance", "trivial", "--c", "0"]) == 1
+    assert run_cli(["verify", "--game", "prorata", "--stake-cost", "0"]) == 1
+    assert run_cli(["verify", "--game", "prorata", "--stake-cost", "-1"]) == 1
     capsys.readouterr()
 
 

@@ -32,6 +32,11 @@ def test_bisect_root_requires_sign_change():
         bisect_root(lambda x: x**2 + 1.0, -1.0, 1.0)
 
 
+def test_bisect_root_raises_when_iterations_run_out():
+    with pytest.raises(NumericError):
+        bisect_root(lambda x: x**2 - 2.0, 0.0, 2.0, max_iter=3)
+
+
 def test_grid_argmax_refines_to_interior_peak():
     x, v = grid_argmax(lambda x: -(x - 0.3123) ** 2, 0.0, 1.0, 0.1, refine_rounds=4)
     assert x == pytest.approx(0.3123, abs=1e-4)
