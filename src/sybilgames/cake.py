@@ -198,7 +198,7 @@ def sybil_deviation_value(k: int, y: int) -> float:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Batch of mechanism runs drawn from one generator seeded with ``seed``.
+    """Batch of mechanism runs drawn from one seeded generator.
 
     Row r of ``assignments`` is run r's permutation and ``coins[r]`` its keep
     coin; see the module docstring for the order of the draws.
@@ -208,7 +208,6 @@ class Transcript:
     partition: tuple[Slice, ...]
     assignments: np.ndarray  # (runs, n) slice index handed to each identity
     coins: np.ndarray  # (runs,) True where the allocation was kept
-    seed: int
 
     @property
     def n(self) -> int:
@@ -228,7 +227,7 @@ def run_monte_carlo(declared: Sequence[PiecewiseMeasure], runs: int, seed: int) 
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (runs, 1)), axis=1)
     coins = rng.random(runs) < coin_probability(n)
-    return Transcript(tuple(declared), partition, assignments, coins, seed)
+    return Transcript(tuple(declared), partition, assignments, coins)
 
 
 @dataclass(frozen=True)

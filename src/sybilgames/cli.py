@@ -85,7 +85,6 @@ def build_parser() -> _Parser:
     p.add_argument("--game", choices=["headcount", "prorata", "cournot"], default="headcount")
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--c", type=float, default=0.0, help="per-identity cost")
-    p.add_argument("--stake-cost", type=float, default=1.0, help="prorata stake cost inside phi (> 0)")
     p.add_argument("--beta", type=float, default=1.0, help="Cournot demand intercept net of cost")
     p.add_argument("--foreign", action="append", default=None, help="comma list, repeatable")
     p.add_argument("--max-identities", type=int, default=2)
@@ -127,7 +126,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("poa", help="price-of-anarchy sweep of the reward game")
     _add_common(p)
     p.add_argument("--R", type=float, default=10.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=1.0, help="unit stake cost")
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--grid-step", type=float, default=0.01)
 
@@ -152,14 +151,12 @@ def _parse_profile(text: str) -> tuple[float, ...]:
 
 
 def _run_verify(args) -> None:
-    if not args.stake_cost > 0.0:
-        raise UsageError("--stake-cost must be > 0")
     cost = SybilCost.linear(args.c) if args.c > 0.0 else SybilCost.zero()
     if args.game == "headcount":
         game = headcount_reward_game(args.R)
         default_profiles = ["1,1,1"]
     elif args.game == "prorata":
-        game = reward_share_game(args.R, args.stake_cost, grid_step=args.grid_step or 0.5)
+        game = reward_share_game(args.R, 1.0, grid_step=args.grid_step or 0.5)
         default_profiles = ["2.5,2.5"]
     else:
         game = cournot_game(args.beta, grid_step=args.grid_step or 0.05)
@@ -180,8 +177,7 @@ def _run_verify(args) -> None:
             )
         )
     params = dict(
-        game=args.game, R=args.R, c=args.c, stake_cost=args.stake_cost, beta=args.beta,
-        max_identities=args.max_identities,
+        game=args.game, R=args.R, c=args.c, beta=args.beta, max_identities=args.max_identities,
         profiles=";".join("|".join(repr(a) for a in p) for p in profiles), seed=args.seed,
     )
     _emit_csv(

@@ -127,13 +127,22 @@ def test_verify_headcount(tmp_path):
     assert float(rows[0][4]) == pytest.approx(1.5)
 
 
-def test_verify_prorata_identity_cost_leaves_stake_cost_alone(tmp_path):
+def test_verify_prorata_identity_cost_leaves_stake_cost_alone(tmp_path, monkeypatch):
+    # with --c above 1, a stake cost taken from --c would differ from 1.0
+    stake_costs = []
+
+    def recording_game(R, stake_cost, **kwargs):
+        stake_costs.append(stake_cost)
+        return reward_share_game(R, stake_cost, **kwargs)
+
+    monkeypatch.setattr(cli, "reward_share_game", recording_game)
     out = tmp_path / "verify.csv"
-    assert run_cli(["verify", "--game", "prorata", "--c", "0.5", "--out", str(out)]) == 0
+    assert run_cli(["verify", "--game", "prorata", "--c", "2", "--out", str(out)]) == 0
+    assert stake_costs == [1.0]
     config, _, rows = read_rows(out)
-    assert "c=0.5" in config.split() and "stake_cost=1.0" in config.split()
+    assert "c=2.0" in config.split()
     game = reward_share_game(10.0, 1.0, grid_step=0.5)
-    verdict = verify_sybilproof(game, SybilCost.linear(0.5), 2, [(2.5, 2.5)])
+    verdict = verify_sybilproof(game, SybilCost.linear(2.0), 2, [(2.5, 2.5)])
     assert rows[0][2] == ("proof" if verdict.proof else "counterexample")
     assert float(rows[0][4]) == (0.0 if verdict.proof else verdict.gain)
 
@@ -190,8 +199,6 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 1
     assert run_cli(["rdm", "--R", "ten"]) == 1
     assert run_cli(["commit", "--instance", "trivial", "--c", "0"]) == 1
-    assert run_cli(["verify", "--game", "prorata", "--stake-cost", "0"]) == 1
-    assert run_cli(["verify", "--game", "prorata", "--stake-cost", "-1"]) == 1
     capsys.readouterr()
 
 
