@@ -10,12 +10,18 @@ computed by quadrature of
     T(v) = F(v)^(-(k + l - 1)) * integral_r^v (k-1) u F(u)^(k-2+l) f(u) du,
     l = (k - 1) g(k),
 
-plus the boundary mass r F(r)^(k+l-1) so that T(r) = r.  Because the ring
-center only observes the registered count, every schedule is indexed by k; a
-member registering m identities faces the (n+m-1)-report schedule, collects m
-loser shares when losing and nets back its own m-1 shares when winning.  The
-identity-splitting check therefore compares expected profits across m at the
-registration stage.
+plus the boundary mass r F(r)^(k+l-1) so that T(r) = r.  Every integral here
+goes through the composite-Simpson rule of :mod:`sybilgames.numerics`: single
+integrals through the checked ``integrate`` (4096 cells, raising
+``NumericError`` when its error estimate exceeds 1e-10 of the integral of the
+integrand's absolute value), schedules through ``cumulative_simpson`` on
+RingModel's grid.
+
+Because the ring center only observes the registered count, every schedule is
+indexed by k; a member registering m identities faces the (n+m-1)-report
+schedule, collects m loser shares when losing and nets back its own m-1 shares
+when winning.  The identity-splitting check therefore compares expected profits
+across m at the registration stage.
 """
 
 from __future__ import annotations
@@ -29,10 +35,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InvariantViolation, SingularScaleError
-from .numerics import adaptive_simpson, grid_argmax
+from .numerics import cumulative_simpson, grid_argmax, integrate
 
-QUAD_TOL = 1e-10
-QUAD_MAX_DEPTH = 40
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
 
@@ -182,7 +186,13 @@ def second_price_outcome(
 
 def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     """Winner's payment at bid v under the incentive-compatible schedule for
-    cfg.n reports, by adaptive Simpson quadrature."""
+    cfg.n reports.
+
+    The integral over [reserve, v] is ``numerics.integrate``: 4096 Simpson cells
+    spanning [reserve, v], error tolerance 1e-10 relative to the integral itself
+    (the integrand is nonnegative), so dividing by F(v)^(n+l-1) keeps the
+    tolerance relative.  Density features narrower than (v - reserve)/8192 go unseen.
+    """
     r = cfg.reserve
     if v < r:
         raise DomainError("transfer is defined for bids at or above the reserve")
@@ -193,9 +203,7 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
         raise SingularScaleError("cdf vanishes at the evaluation point")
     n = cfg.n
     l = cfg.share_exponent(n)
-    integral = adaptive_simpson(
-        lambda u: (n - 1) * u * float(dist.cdf(u)) ** (n - 2 + l) * float(dist.pdf(u)), r, v, QUAD_TOL, QUAD_MAX_DEPTH
-    )
+    integral = integrate(lambda u: (n - 1) * u * dist.cdf(u) ** (n - 2 + l) * dist.pdf(u), r, v)
     boundary = r * float(dist.cdf(r)) ** (n + l - 1)
     return Fv ** (-(n + l - 1)) * (integral + boundary)
 
@@ -203,48 +211,42 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
 class RingModel:
     """Dense-grid evaluation kernel for one (distribution, ring) pair.
 
-    Transfer schedules and loser-share integrals are precomputed on a fine grid
-    by composite Simpson and interpolated with cubic splines, so member payoffs
-    cost O(1) after setup.  Schedules for every registered count are cached,
-    since a member running m identities faces the (n+m-1)-report schedule.
+    Transfer schedules and loser-share integrals are running composite-Simpson
+    integrals on one interleaved grid of 2 MODEL_CELLS + 1 points over
+    [reserve, v_h] (cell nodes at even indices, midpoints at odd ones),
+    interpolated with cubic splines through the nodes, so member payoffs cost
+    O(1) after setup.  Schedules for every registered count are cached, since a
+    member running m identities faces the (n+m-1)-report schedule.
     """
 
     def __init__(self, dist: ValueDistribution, cfg: RingConfig):
         self.dist = dist
         self.cfg = cfg
         lo, hi = cfg.reserve, dist.v_h
-        self.nodes = np.linspace(lo, hi, MODEL_CELLS + 1)
-        self.mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        self._F_nodes = np.asarray(dist.cdf(self.nodes), dtype=float)
-        self._f_nodes = np.asarray(dist.pdf(self.nodes), dtype=float)
-        self._F_mids = np.asarray(dist.cdf(self.mids), dtype=float)
-        self._f_mids = np.asarray(dist.pdf(self.mids), dtype=float)
+        self.grid = np.linspace(lo, hi, 2 * MODEL_CELLS + 1)
+        self._h = (hi - lo) / (2 * MODEL_CELLS)
+        self._F = np.asarray(dist.cdf(self.grid), dtype=float)
+        self._f = np.asarray(dist.pdf(self.grid), dtype=float)
         self._schedules: dict[int, tuple[CubicSpline, CubicSpline]] = {}
-
-    def _cumulative(self, y_nodes: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
-        h = np.diff(self.nodes)
-        cells = h / 6.0 * (y_nodes[:-1] + 4.0 * y_mids + y_nodes[1:])
-        return np.concatenate(([0.0], np.cumsum(cells)))
 
     def _schedule(self, k: int) -> tuple[CubicSpline, CubicSpline]:
         if k not in self._schedules:
             r = self.cfg.reserve
             l = self.cfg.share_exponent(k)
-            power = k - 2 + l
-            g_nodes = (k - 1) * self.nodes * self._F_nodes**power * self._f_nodes
-            g_mids = (k - 1) * self.mids * self._F_mids**power * self._f_mids
-            cumulative = self._cumulative(g_nodes, g_mids)
-            boundary = r * float(self._F_nodes[0]) ** (k + l - 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_nodes = (cumulative + boundary) * self._F_nodes ** (-(k + l - 1))
-            t_nodes = np.where(self._F_nodes > 0.0, t_nodes, r)
-            transfer = CubicSpline(self.nodes, t_nodes)
+            x, F, f, h = self.grid, self._F, self._f, self._h
+            nodes, F_nodes = x[::2], F[::2]
+            cumulative = cumulative_simpson((k - 1) * x * F ** (k - 2 + l) * f, h)
+            t_nodes = np.full_like(nodes, r)
+            positive = F_nodes > 0.0
+            boundary = r * float(F_nodes[0]) ** (k + l - 1)
+            t_nodes[positive] = (cumulative[positive] + boundary) * F_nodes[positive] ** (-(k + l - 1))
+            transfer = CubicSpline(nodes, t_nodes)
+            t = np.empty_like(x)
+            t[::2], t[1::2] = t_nodes, transfer(x[1::2])
             n = self.cfg.n
-            z_nodes = (t_nodes - r) * (n - 1) * self._F_nodes ** (n - 2) * self._f_nodes
-            z_mids = (transfer(self.mids) - r) * (n - 1) * self._F_mids ** (n - 2) * self._f_mids
-            z_cumulative = self._cumulative(z_nodes, z_mids)
-            from_top = z_cumulative[-1] - z_cumulative
-            self._schedules[k] = (transfer, CubicSpline(self.nodes, from_top))
+            shares = cumulative_simpson((t - r) * (n - 1) * F ** (n - 2) * f, h)
+            from_top = shares[-1] - shares
+            self._schedules[k] = (transfer, CubicSpline(nodes, from_top))
         return self._schedules[k]
 
     def transfer(self, v, k: Optional[int] = None):
@@ -252,12 +254,13 @@ class RingModel:
         spline, _ = self._schedule(k if k is not None else self.cfg.n)
         return spline(v)
 
-    def payoff(self, w: float, v: float, m: int = 1) -> float:
+    def payoff(self, w, v, m: int = 1):
         """Expected payoff of a member with valuation v bidding w and running m identities.
 
         The m-1 extra identities register and bid at the reserve; all identities
         collect the loser share g(n+m-1) when a rival wins, and the winner nets
-        back its own extras' shares.
+        back its own extras' shares.  w and v broadcast as arrays; scalar input
+        gives a float.
         """
         if m < 1:
             raise DomainError("need at least one identity")
@@ -266,24 +269,17 @@ class RingModel:
         gamma = cfg.g(k)
         transfer, loser = self._schedule(k)
         r = cfg.reserve
-        Fw = float(dist.cdf(w))
-        win_prob = Fw ** (cfg.n - 1)
-        win_term = 0.0
-        if win_prob > 0.0 and w >= r:
-            tw = float(transfer(w))
-            win_term = (v - tw + (m - 1) * gamma * (tw - r)) * win_prob
-        share_term = m * gamma * float(loser(np.clip(w, r, dist.v_h)))
-        return win_term + share_term
+        w = np.asarray(w, dtype=float)
+        win_prob = dist.cdf(w) ** (cfg.n - 1)
+        tw = transfer(w)
+        win = (v - tw + (m - 1) * gamma * (tw - r)) * win_prob
+        win_term = np.where((win_prob > 0.0) & (w >= r), win, 0.0)
+        total = win_term + m * gamma * loser(np.clip(w, r, dist.v_h))
+        return float(total) if total.ndim == 0 else total
 
     def expected_profit(self, m: int = 1) -> float:
         """Registration-stage expected payoff of running m identities, truthful bidding."""
-        return adaptive_simpson(
-            lambda v: self.payoff(v, v, m) * float(self.dist.pdf(v)),
-            self.cfg.reserve,
-            self.dist.v_h,
-            QUAD_TOL,
-            QUAD_MAX_DEPTH,
-        )
+        return integrate(lambda v: self.payoff(v, v, m) * self.dist.pdf(v), self.cfg.reserve, self.dist.v_h)
 
 
 def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
@@ -291,12 +287,10 @@ def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
     if n < 1 or which not in (1, 2) or (which == 2 and n < 2):
         raise DomainError("order statistic out of range")
     if which == 1:
-        integrand = lambda u: u * n * float(dist.cdf(u)) ** (n - 1) * float(dist.pdf(u))
+        integrand = lambda u: u * n * dist.cdf(u) ** (n - 1) * dist.pdf(u)
     else:
-        integrand = lambda u: (
-            u * n * (n - 1) * float(dist.cdf(u)) ** (n - 2) * (1.0 - float(dist.cdf(u))) * float(dist.pdf(u))
-        )
-    return adaptive_simpson(integrand, 0.0, dist.v_h, QUAD_TOL, QUAD_MAX_DEPTH)
+        integrand = lambda u: u * n * (n - 1) * dist.cdf(u) ** (n - 2) * (1.0 - dist.cdf(u)) * dist.pdf(u)
+    return integrate(integrand, 0.0, dist.v_h)
 
 
 def efficient_ring_loser_share(
@@ -314,30 +308,15 @@ def efficient_ring_loser_share(
         raise DomainError("need n >= 2")
     r = reserve
     if top_value is None:
-        surplus = adaptive_simpson(
-            lambda u: (u - r)
-            * n
-            * (n - 1)
-            * float(dist.cdf(u)) ** (n - 2)
-            * (1.0 - float(dist.cdf(u)))
-            * float(dist.pdf(u)),
-            r,
-            dist.v_h,
-            QUAD_TOL,
-            QUAD_MAX_DEPTH,
+        surplus = integrate(
+            lambda u: (u - r) * n * (n - 1) * dist.cdf(u) ** (n - 2) * (1.0 - dist.cdf(u)) * dist.pdf(u), r, dist.v_h
         )
         return max(0.0, surplus) / n
     t = top_value
     Ft = float(dist.cdf(t))
     if Ft <= 0.0:
         return 0.0
-    conditional = adaptive_simpson(
-        lambda u: (u - r) * (n - 1) * float(dist.cdf(u)) ** (n - 2) * float(dist.pdf(u)),
-        r,
-        t,
-        QUAD_TOL,
-        QUAD_MAX_DEPTH,
-    )
+    conditional = integrate(lambda u: (u - r) * (n - 1) * dist.cdf(u) ** (n - 2) * dist.pdf(u), r, t)
     return max(0.0, conditional / Ft ** (n - 1)) / n
 
 

@@ -98,10 +98,10 @@ def test_transfer_singular_scale():
 
 def test_transfer_share_exponent_closed_form():
     # uniform with constant share theta: T(v) = (n-1) v / (n + theta)
-    theta, n = 0.5, 3
-    cfg = constant_share_config(theta, n)
-    for v in (0.2, 0.6, 1.0):
-        assert ring_transfer(v, cfg, UNIFORM) == pytest.approx(2.0 * v / (3.0 + theta), abs=1e-9)
+    cases = [(3, 0.5, v) for v in (0.2, 0.6, 1.0)] + [(6, 1.0, 0.05), (6, 0.5, 0.1)]
+    for n, theta, v in cases:
+        cfg = constant_share_config(theta, n)
+        assert ring_transfer(v, cfg, UNIFORM) == pytest.approx((n - 1) * v / (n + theta), abs=1e-9)
 
 
 def test_transfer_is_conditional_second_highest_when_shares_are_zero():
@@ -114,7 +114,7 @@ def test_transfer_is_conditional_second_highest_when_shares_are_zero():
     assert ring_transfer(v, cfg, UNIFORM) == pytest.approx(mc, abs=0.01)
 
 
-def test_model_spline_agrees_with_adaptive_quadrature():
+def test_model_spline_agrees_with_transfer_quadrature():
     for theta, n in ((0.0, 2), (0.5, 3), (1.0, 5)):
         cfg = constant_share_config(theta, n)
         model = RingModel(UNIFORM, cfg)
@@ -133,6 +133,17 @@ def test_member_payoff_reference_points():
     model = RingModel(UNIFORM, constant_share_config(theta, n))
     expected_shares = 2.0 * theta / (3.0 * (3.0 + theta))
     assert model.payoff(0.0, 0.7, 1) == pytest.approx(expected_shares, abs=1e-9)
+
+
+def test_member_payoff_on_arrays_matches_scalar_calls():
+    model = RingModel(beta22_values(), constant_share_config(0.4, 3))
+    bids = np.linspace(0.0, 1.0, 23)
+    values = np.linspace(0.9, 0.1, 23)
+    for m in (1, 2):
+        array_payoffs = model.payoff(bids, values, m)
+        scalar_payoffs = [model.payoff(float(w), float(v), m) for w, v in zip(bids, values)]
+        assert isinstance(scalar_payoffs[0], float)
+        assert array_payoffs.tolist() == scalar_payoffs
 
 
 def test_member_payoff_closed_form_uniform_three():
@@ -232,8 +243,8 @@ def test_opt_ring_search_falls_back_when_nothing_passes():
 
 def test_registration_stage_profits_match_closed_form():
     # E[pi(m)] = (1 + 3 m theta) / (4 (m + 2 + theta)) for uniform, n = 3
-    theta = 0.1
-    model = RingModel(UNIFORM, constant_share_config(theta, 3))
-    for m in (1, 2, 3, 4):
-        closed = (1.0 + 3.0 * m * theta) / (4.0 * (m + 2.0 + theta))
-        assert model.expected_profit(m) == pytest.approx(closed, abs=1e-8)
+    for theta in (0.1, 0.5, 1.0):
+        model = RingModel(UNIFORM, constant_share_config(theta, 3))
+        for m in (1, 2, 3, 4):
+            closed = (1.0 + 3.0 * m * theta) / (4.0 * (m + 2.0 + theta))
+            assert model.expected_profit(m) == pytest.approx(closed, abs=1e-8)
