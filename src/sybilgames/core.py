@@ -24,9 +24,24 @@ from .numerics import _rescan_window
 SYBIL_TOL = 1e-9
 #: Local refinement rounds around a continuous-grid candidate, a tenth of the step each.
 REFINE_ROUNDS = 3
+#: Multisets per array scan in :func:`verify_sybilproof`; bounds the scan's memory.
+VERIFY_CHUNK = 4096
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
+
+
+def _left_sum(values):
+    """``0.0 + v0 + v1 + ...`` in order, on floats or elementwise on arrays.
+
+    Every sum of actions in this module is this fold, so the array scan of
+    :func:`verify_sybilproof` rounds exactly as the scalar payoffs do (and
+    Python 3.12's compensated ``sum`` cannot make them differ).
+    """
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,11 @@ class AggregativeGame:
     player's own identities into one action for the single-identity comparator
     (duplicated bids collapse under max; split stakes add up), or None when the
     game has no such rule.
+
+    ``phi`` must be a pure function of two Python floats, defined on the whole
+    search grid: :func:`verify_sybilproof` calls it once per identity per
+    candidate split (plus once for the merged comparator), column by column
+    over chunks of ``VERIFY_CHUNK`` candidates, not in enumeration order.
     """
 
     phi: Callable[[float, float], float]
@@ -109,12 +129,12 @@ class AggregativeGame:
 
     def aggregate_others(self, actions: Sequence[float]) -> float:
         if self.aggregation == MERGE_SUM:
-            return float(sum(actions))
+            return float(_left_sum(actions))
         return float(max(actions)) if actions else 0.0
 
     def merge_own(self, actions: Sequence[float]) -> float:
         if self.merge == MERGE_SUM:
-            return float(sum(actions))
+            return float(_left_sum(actions))
         if self.merge == MERGE_MAX:
             return float(max(actions)) if actions else 0.0
         raise UnsupportedOperationError(f"game {self.name!r} has no merge rule")
@@ -191,7 +211,9 @@ def sybil_payoff(
     """
     _check_actions(game, mine.actions, "own", positive=True)
     _check_actions(game, foreign, "foreign", positive=False)
-    total = sum(game.phi(a, _others_aggregate(game, mine.actions, foreign, j)) for j, a in enumerate(mine.actions))
+    total = _left_sum(
+        game.phi(a, _others_aggregate(game, mine.actions, foreign, j)) for j, a in enumerate(mine.actions)
+    )
     return total - cost(len(mine), len(foreign))
 
 
@@ -217,15 +239,86 @@ def merged_payoff(
 
 @dataclass(frozen=True)
 class SybilVerdict:
-    """Outcome of the deviation search: a proof at grid resolution or a counterexample."""
+    """Outcome of the deviation search and the bounds it searched within.
+
+    A counterexample carries the first strictly profitable split (refined on
+    continuous spaces) in ``mine``, ``foreign`` and ``gain``.  A proof carries
+    the best deviation it found, with ``gain <= tol``; ``mine`` stays None and
+    ``gain`` -inf when a budget excluded every split.  ``candidates`` counts the
+    grid multisets scanned (over-budget ones too), up to and including a
+    counterexample's hit.
+    """
 
     proof: bool
     mine: Optional[SybilStrategy] = None
     foreign: Optional[tuple[float, ...]] = None
     gain: float = 0.0
+    candidates: int = 0
+    grid_step: Optional[float] = None
+    max_identities: int = 0
+    tol: float = SYBIL_TOL
 
     def __bool__(self) -> bool:
         return self.proof
+
+
+def _index_chunks(n_points: int, m: int):
+    """Rows of ``combinations_with_replacement(range(n_points), m)``, ``VERIFY_CHUNK`` at a time."""
+    stream = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n_points), m))
+    while True:
+        flat = np.fromiter(itertools.islice(stream, VERIFY_CHUNK * m), dtype=np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, m)
+
+
+def _others_columns(game: AggregativeGame, profile: tuple[float, ...], columns: list) -> np.ndarray:
+    """Row-wise ``game.aggregate_others(profile + one entry of each column)``, folded in that order."""
+    rest = [*profile, *columns]
+    if game.aggregation == MERGE_SUM:
+        return _left_sum(rest)
+    acc = rest[0]
+    for c in rest[1:]:
+        acc = np.where(c > acc, c, acc)  # as in max(), the first of equal values stays
+    return acc
+
+
+def _grid_gains(
+    game: AggregativeGame,
+    cost: SybilCost,
+    actions: np.ndarray,
+    profile: tuple[float, ...],
+    limit: Optional[float],
+) -> np.ndarray:
+    """``sybil_payoff - merged_payoff`` of every row of the (k, m) array ``actions``.
+
+    The same float operations run in the same order as in the scalar payoffs, so
+    each entry equals the scalar gain bit for bit; rows whose sum exceeds
+    ``limit`` get -inf, and phi is not called on them.
+    """
+    if limit is not None:
+        keep = ~(_left_sum(actions.T) > limit)
+        gains = np.full(len(actions), -math.inf)
+        if keep.any():
+            gains[keep] = _grid_gains(game, cost, actions[keep], profile, None)
+        return gains
+    k, m = actions.shape
+    columns = list(actions.T)
+    if game.merge == MERGE_SUM:
+        merged = _left_sum(columns)
+    elif game.merge == MERGE_MAX:
+        merged = actions.max(axis=1)
+    else:
+        raise UnsupportedOperationError(f"game {game.name!r} has no merge rule")
+    phi = game.phi
+    total = 0.0
+    for j in range(m):
+        others = _others_columns(game, profile, columns[:j] + columns[j + 1 :])
+        total = total + np.fromiter(map(phi, columns[j].tolist(), others.tolist()), float, k)
+    y = game.aggregate_others(list(profile))
+    merged_value = np.fromiter(map(phi, merged.tolist(), itertools.repeat(y, k)), float, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
+        return (total - cost(m, len(profile))) - (merged_value - cost(1, len(profile)))
 
 
 def verify_sybilproof(
@@ -241,39 +334,70 @@ def verify_sybilproof(
 
     Grid-valued strategies with 2..max_identities identities are compared against
     the merged single-identity play; the first strictly profitable one (gain
-    beyond ``tol``) is returned.  Continuous grids get local refinement around
-    the best candidate (``REFINE_ROUNDS`` rounds, a tenth of the step each).
+    beyond ``tol``) is returned.  Enumeration order is foreign profiles as
+    given, then fewest identities, then sorted action tuples in lexicographic
+    order.  Continuous grids get local refinement around the returned candidate
+    (``REFINE_ROUNDS`` rounds, a tenth of the step each); on a proof, around
+    each profile's best one.  Splits whose action total exceeds ``budget`` are
+    skipped.
+
+    Each identity count is scanned as arrays of ``VERIFY_CHUNK`` (4,096)
+    candidates: ``phi`` is called once per identity per candidate, on Python
+    floats, column by column, and once per candidate for the merged
+    comparator, so it must be a pure function defined on the whole grid.  The
+    gains equal ``sybil_payoff - merged_payoff`` bit for bit, NaN gains never
+    count as profitable or best, and the verdict names the same split as a
+    scalar loop over the same order would.
     """
     if max_identities < 2:
         raise DomainError("max_identities must be at least 2")
-    grid = [float(a) for a in game.space.grid(search_upper) if a > 0.0]
-    if not grid:
+    grid = game.space.grid(search_upper)
+    grid = grid[grid > 0.0]
+    if not grid.size:
         raise ConfigurationError("search grid contains no positive actions")
+    _check_actions(game, grid.tolist(), "own", positive=True)
+    limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
 
     def gain_of(actions: tuple[float, ...], profile: Sequence[float]) -> float:
-        if budget is not None and sum(actions) > budget + 1e-12 * max(1.0, budget):
+        if limit is not None and _left_sum(actions) > limit:
             return -math.inf
         strategy = SybilStrategy(actions)
         return sybil_payoff(game, cost, strategy, profile) - merged_payoff(game, strategy, profile, cost)
 
+    candidates = 0
+
+    def verdict(proof, actions, profile, gain):
+        return SybilVerdict(
+            proof, None if actions is None else SybilStrategy(actions), profile, gain, candidates,
+            game.space.grid_step if game.space.kind == CONTINUOUS else 1.0, max_identities, tol,
+        )
+
+    top_gain, top_actions, top_profile = -math.inf, None, None
     for profile in foreign_profiles:
         profile = tuple(float(a) for a in profile)
         _check_actions(game, profile, "foreign", positive=False)
         best_gain = -math.inf
         best_actions: Optional[tuple[float, ...]] = None
         for m in range(2, max_identities + 1):
-            for actions in itertools.combinations_with_replacement(grid, m):
-                g = gain_of(actions, profile)
-                if g > best_gain:
-                    best_gain, best_actions = g, actions
-                if g > tol:
-                    best_gain, best_actions = _refine(gain_of, actions, profile, game.space)
-                    return SybilVerdict(False, SybilStrategy(best_actions), profile, best_gain)
+            for rows in _index_chunks(len(grid), m):
+                actions = grid[rows]
+                gains = _grid_gains(game, cost, actions, profile, limit)
+                hits = np.flatnonzero(gains > tol)
+                if hits.size:
+                    candidates += int(hits[0]) + 1
+                    gain, mine = _refine(gain_of, tuple(actions[hits[0]].tolist()), profile, game.space)
+                    return verdict(False, mine, profile, gain)
+                candidates += len(rows)
+                i = int(np.argmax(np.where(np.isnan(gains), -math.inf, gains)))
+                if gains[i] > best_gain:
+                    best_gain, best_actions = float(gains[i]), tuple(actions[i].tolist())
         if best_actions is not None and game.space.kind == CONTINUOUS:
             best_gain, best_actions = _refine(gain_of, best_actions, profile, game.space)
             if best_gain > tol:
-                return SybilVerdict(False, SybilStrategy(best_actions), profile, best_gain)
-    return SybilVerdict(True)
+                return verdict(False, best_actions, profile, best_gain)
+        if best_gain > top_gain:
+            top_gain, top_actions, top_profile = best_gain, best_actions, profile
+    return verdict(True, top_actions, top_profile, top_gain)
 
 
 def prorata_game(f: Callable[[float], float], space: ActionSpace, name: str = "prorata") -> AggregativeGame:

@@ -29,13 +29,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import cumulative_simpson, grid_argmax, integrate
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
@@ -231,6 +233,9 @@ class RingModel:
 
     def _schedule(self, k: int) -> tuple[CubicSpline, CubicSpline]:
         if k not in self._schedules:
+            # imported here: loading scipy takes longer than a whole cake or verify run
+            from scipy.interpolate import CubicSpline
+
             r = self.cfg.reserve
             l = self.cfg.share_exponent(k)
             x, F, f, h = self.grid, self._F, self._f, self._h

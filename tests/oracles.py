@@ -3,6 +3,7 @@ finite differences that deliberately avoid the package's own numeric kernels."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +42,35 @@ def midpoint_quad(f, a: float, b: float, n: int = 20001) -> float:
     xs = np.linspace(a, b, n + 1)
     mids = 0.5 * (xs[:-1] + xs[1:])
     return float(np.sum([f(float(m)) for m in mids]) * (b - a) / n)
+
+
+def first_profitable_split(game, cost, max_identities, profiles, tol, budget=None):
+    """Scalar split search: (profitable, actions, profile, gain, multisets scanned).
+
+    One ``sybil_payoff - merged_payoff`` call per grid multiset, in the order
+    profiles, identity count, then ``combinations_with_replacement``.  The first
+    gain above ``tol`` is returned; otherwise the first largest gain (NaN never
+    wins), or ``(False, None, None, -inf, count)`` when a budget excluded all.
+    """
+    from sybilgames.core import SybilStrategy, merged_payoff, sybil_payoff
+
+    grid = [float(a) for a in game.space.grid() if a > 0.0]
+    best = (False, None, None, -math.inf)
+    scanned = 0
+    for profile in profiles:
+        profile = tuple(float(a) for a in profile)
+        for m in range(2, max_identities + 1):
+            for actions in itertools.combinations_with_replacement(grid, m):
+                scanned += 1
+                if budget is not None and sum(actions) > budget + 1e-12 * max(1.0, budget):
+                    continue
+                mine = SybilStrategy(actions)
+                gain = sybil_payoff(game, cost, mine, profile) - merged_payoff(game, mine, profile, cost)
+                if gain > tol:
+                    return True, actions, profile, gain, scanned
+                if gain > best[3]:
+                    best = (False, actions, profile, gain)
+    return best + (scanned,)
 
 
 def central_diff(f, x: float, h: float = 1e-4) -> float:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sybilgames
 from sybilgames import cli
 from sybilgames.cake import measure_value, run_monte_carlo
 from sybilgames.core import SybilCost, reward_share_game, verify_sybilproof
@@ -125,6 +130,25 @@ def test_verify_headcount(tmp_path):
     _, _, rows = read_rows(out)
     assert rows[0][2] == "counterexample"
     assert float(rows[0][4]) == pytest.approx(1.5)
+
+
+def test_cake_and_verify_never_load_scipy(tmp_path):
+    # scipy is only needed for ring splines; a fresh interpreter shows whether anything else loads it
+    script = (
+        "import sys\n"
+        "from sybilgames import cli\n"
+        "assert cli.main(['verify', '--game', 'headcount', '--foreign', '1,1,1', '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(['cake', '--n', '3', '--samples', '100', '--out', sys.argv[2]]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(sybilgames.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "verify.csv"), str(tmp_path / "cake.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_prorata_identity_cost_leaves_stake_cost_alone(tmp_path, monkeypatch):

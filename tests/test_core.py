@@ -1,14 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import first_profitable_split
+from sybilgames import core
 from sybilgames.core import (
     ActionSpace,
     AggregativeGame,
     CONTINUOUS,
     INTEGER,
+    MERGE_MAX,
+    SYBIL_TOL,
+    VERIFY_CHUNK,
     SybilCost,
     SybilStrategy,
     headcount_reward_game,
@@ -20,6 +26,7 @@ from sybilgames.core import (
 )
 from sybilgames.commitment import cournot_game
 from sybilgames.errors import ConfigurationError, DomainError, UnsupportedOperationError
+from sybilgames.ring import second_price_game
 
 
 def test_action_space_validation():
@@ -179,6 +186,28 @@ def test_budget_restricts_deviations():
     game = headcount_reward_game(10.0)
     verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[1, 1, 1]], budget=1.0)
     assert verdict.proof  # the profitable two-head deviation is over budget
+    # no split was within budget, so the proof names no deviation
+    assert (verdict.mine, verdict.foreign, verdict.gain, verdict.candidates) == (None, None, -math.inf, 1)
+
+
+def test_proof_verdict_states_its_bounds_and_best_deviation():
+    game = reward_share_game(10.0, 1.0, grid_step=0.5)
+    verdict = verify_sybilproof(game, SybilCost.zero(), 3, [[2.5, 2.5], [1.0]])
+    assert verdict.proof
+    assert (verdict.grid_step, verdict.max_identities, verdict.tol) == (0.5, 3, SYBIL_TOL)
+    # 20 positive grid points: 210 pairs and 1540 triples per profile
+    assert verdict.candidates == 2 * (math.comb(21, 2) + math.comb(22, 3))
+    assert verdict.foreign in ((2.5, 2.5), (1.0,))
+    regain = sybil_payoff(game, SybilCost.zero(), verdict.mine, verdict.foreign) - merged_payoff(
+        game, verdict.mine, verdict.foreign, SybilCost.zero()
+    )
+    assert regain == verdict.gain <= SYBIL_TOL
+
+
+def test_counterexample_verdict_counts_candidates_up_to_its_hit():
+    verdict = verify_sybilproof(headcount_reward_game(10.0), SybilCost.linear(0.1), 3, [[1, 1, 1]])
+    assert not verdict.proof
+    assert (verdict.candidates, verdict.grid_step, verdict.max_identities, verdict.tol) == (1, 1.0, 3, SYBIL_TOL)
 
 
 def test_zero_at_zero_holds_for_registered_games():
@@ -230,3 +259,95 @@ def test_negative_cost_rejected():
     bad = SybilCost(cost=lambda x, y: -1.0)
     with pytest.raises(DomainError):
         bad(1, 0)
+
+
+def _nan_below(x, y):
+    # undefined on the low end of the grid: those splits never count as profitable or best
+    if x == 0.0:
+        return 0.0
+    if x < 0.35:
+        return math.nan
+    return math.sqrt(x) * (3.0 - y) / 3.0
+
+
+NAN_GAME = AggregativeGame(phi=_nan_below, space=ActionSpace(CONTINUOUS, 0.0, 2.0, 0.1), name="nan-below")
+# a split pays only once both identities reach 61, at enumeration index 4230 > VERIFY_CHUNK
+TOP_HEAVY = AggregativeGame(
+    phi=lambda x, y: x if x >= 61.0 else 0.0,
+    space=ActionSpace(INTEGER, 0.0, 100.0),
+    merge=MERGE_MAX,
+    name="top-heavy",
+)
+ORACLE_CASES = {
+    "prorata": (reward_share_game(10.0, 1.0, grid_step=0.5), SybilCost.zero(), 3, [[2.5, 2.5], [1.0]], None),
+    "prorata-linear-budget": (reward_share_game(10.0, 1.0, grid_step=0.5), SybilCost.linear(0.1), 3, [[2.5]], 3.0),
+    "cournot": (cournot_game(1.0, grid_step=0.05), SybilCost.zero(), 3, [[1.0 / 3.0]], None),
+    "cournot-linear-budget": (cournot_game(1.0, grid_step=0.05), SybilCost.linear(0.01), 2, [[0.2, 0.3]], 0.5),
+    "headcount": (headcount_reward_game(10.0), SybilCost.linear(0.1), 3, [[1, 1, 1]], None),
+    "headcount-over-budget": (headcount_reward_game(10.0), SybilCost.zero(), 3, [[1, 1, 1]], 1.0),
+    "second-price": (second_price_game(0.8, grid_step=0.1), SybilCost.zero(), 3, [[0.4], []], None),
+    "nan-proof": (NAN_GAME, SybilCost.zero(), 2, [[1.0, 1.0]], None),
+    "nan-counterexample": (NAN_GAME, SybilCost.zero(), 3, [[1.0, 1.0], [0.5]], None),
+    "chunk-boundary": (TOP_HEAVY, SybilCost.zero(), 2, [[1.0]], None),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_verifier_pick_and_verdict_equal_the_scalar_oracle(case, monkeypatch):
+    game, cost, max_identities, profiles, budget = case
+    profitable, actions, profile, gain, scanned = first_profitable_split(
+        game, cost, max_identities, profiles, SYBIL_TOL, budget
+    )
+    picks = []
+
+    def unrefined(gain_of, actions, profile, space):
+        picks.append((actions, profile))
+        return gain_of(actions, profile), tuple(actions)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_refine", unrefined)
+        pick = verify_sybilproof(game, cost, max_identities, profiles, budget=budget)
+    assert (not pick.proof, pick.mine and pick.mine.actions, pick.foreign, pick.gain, pick.candidates) == (
+        profitable, actions, profile, gain, scanned,
+    )
+    if profitable:
+        assert picks[-1] == (actions, profile)
+
+    verdict = verify_sybilproof(game, cost, max_identities, profiles, budget=budget)
+    assert (verdict.proof, verdict.candidates) == (pick.proof, scanned)
+    if verdict.mine is None:
+        assert verdict.gain == -math.inf
+        return
+    regain = sybil_payoff(game, cost, verdict.mine, verdict.foreign) - merged_payoff(
+        game, verdict.mine, verdict.foreign, cost
+    )
+    assert regain == verdict.gain >= gain
+    if game.space.kind == INTEGER:
+        assert verdict == pick
+    elif profitable:
+        def gain_of(actions, profile):
+            mine = SybilStrategy(actions)
+            return sybil_payoff(game, cost, mine, profile) - merged_payoff(game, mine, profile, cost)
+
+        assert (verdict.gain, verdict.mine.actions) == core._refine(gain_of, actions, profile, game.space)
+    if game is TOP_HEAVY:  # the hit lies past the first chunk
+        assert scanned == 4231 > VERIFY_CHUNK
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_grid_gains_equal_scalar_gains_bit_for_bit(case):
+    game, cost, max_identities, profiles, budget = case
+    grid = [float(a) for a in game.space.grid() if a > 0.0]
+    limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
+    for profile in profiles:
+        profile = tuple(float(a) for a in profile)
+        for m in range(2, max_identities + 1):
+            rows = list(itertools.combinations_with_replacement(grid, m))
+            expected = [
+                -math.inf if limit is not None and sum(a) > limit
+                else sybil_payoff(game, cost, SybilStrategy(a), profile)
+                - merged_payoff(game, SybilStrategy(a), profile, cost)
+                for a in rows
+            ]
+            got = core._grid_gains(game, cost, np.array(rows), profile, limit)
+            np.testing.assert_array_equal(got, np.array(expected))
