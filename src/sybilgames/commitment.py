@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .core import ActionSpace, AggregativeGame, CONTINUOUS, SybilCost
 from .equilibrium import concave_prorata_equilibrium
 from .errors import DomainError
-from .numerics import integer_argmax
+from .numerics import first_max
 
 SCP_MARGIN_TOL = 1e-12
 
@@ -56,10 +56,12 @@ class CommitmentInstance:
 def commitment_best_response(
     inst: CommitmentInstance, foreign_identities: int, x_max: int = 32
 ) -> tuple[int, float]:
-    """Exhaustive integer argmax of the commitment payoff; ties break toward fewer identities."""
+    """Exhaustive argmax of the commitment payoff; ties break toward fewer identities, NaN never wins."""
     if x_max < 1:
         raise DomainError("need x_max >= 1")
-    return integer_argmax(lambda x: inst.attacker_value(x, foreign_identities), 1, x_max)
+    values = [inst.attacker_value(x, foreign_identities) for x in range(1, x_max + 1)]
+    i = first_max(values)
+    return 1 + i, values[i]
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,14 @@ def commitment_deviation(inst: CommitmentInstance, foreign: int, x_max: int) -> 
     """Best x in 2..x_max unless one identity beats every such x by more than SCP_MARGIN_TOL.
 
     Returns None when committing one identity is strictly dominant against
-    ``foreign`` other identities; ties among deviations go to the smaller x.
+    ``foreign`` other identities; ties among deviations go to the smaller x, NaN never wins.
     """
     if x_max < 2:
         raise DomainError("need x_max >= 2: no multi-identity deviation to check")
     solo = inst.attacker_value(1, foreign)
-    best_x, best_value = integer_argmax(lambda x: inst.attacker_value(x, foreign), 2, x_max)
-    return None if solo - best_value > SCP_MARGIN_TOL else best_x
+    values = [inst.attacker_value(x, foreign) for x in range(2, x_max + 1)]
+    i = first_max(values)
+    return None if solo - values[i] > SCP_MARGIN_TOL else 2 + i
 
 
 def scp_check(inst: CommitmentInstance, foreign_max: int = 20, x_max: int = 32) -> ScpVerdict:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedOperationError
-from .numerics import _rescan_window
+from .numerics import first_max, refine_argmax
 
 #: Minimum strictly-profitable gain; absorbs floating-point noise.
 SYBIL_TOL = 1e-9
@@ -109,7 +109,8 @@ class AggregativeGame:
     ``phi`` must be a pure function of two Python floats, defined on the whole
     search grid: :func:`verify_sybilproof` calls it once per identity per
     candidate split (plus once for the merged comparator), column by column
-    over chunks of ``VERIFY_CHUNK`` candidates, not in enumeration order.
+    over chunks of ``VERIFY_CHUNK`` candidates (refinement windows too), not in
+    enumeration order, so phi is only ever called column-wise on Python floats.
     """
 
     phi: Callable[[float, float], float]
@@ -344,10 +345,11 @@ def verify_sybilproof(
     Each identity count is scanned as arrays of ``VERIFY_CHUNK`` (4,096)
     candidates: ``phi`` is called once per identity per candidate, on Python
     floats, column by column, and once per candidate for the merged
-    comparator, so it must be a pure function defined on the whole grid.  The
-    gains equal ``sybil_payoff - merged_payoff`` bit for bit, NaN gains never
-    count as profitable or best, and the verdict names the same split as a
-    scalar loop over the same order would.
+    comparator, so it must be a pure function defined on the whole grid;
+    refinement scores each identity's window as :func:`_grid_gains` rows too.
+    The gains equal ``sybil_payoff - merged_payoff`` bit for bit, NaN gains
+    never count as profitable or best (the first maximum wins), and the
+    verdict names the same split as a scalar loop over the same order would.
     """
     if max_identities < 2:
         raise DomainError("max_identities must be at least 2")
@@ -357,13 +359,6 @@ def verify_sybilproof(
         raise ConfigurationError("search grid contains no positive actions")
     _check_actions(game, grid.tolist(), "own", positive=True)
     limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
-
-    def gain_of(actions: tuple[float, ...], profile: Sequence[float]) -> float:
-        if limit is not None and _left_sum(actions) > limit:
-            return -math.inf
-        strategy = SybilStrategy(actions)
-        return sybil_payoff(game, cost, strategy, profile) - merged_payoff(game, strategy, profile, cost)
-
     candidates = 0
 
     def verdict(proof, actions, profile, gain):
@@ -384,15 +379,18 @@ def verify_sybilproof(
                 gains = _grid_gains(game, cost, actions, profile, limit)
                 hits = np.flatnonzero(gains > tol)
                 if hits.size:
-                    candidates += int(hits[0]) + 1
-                    gain, mine = _refine(gain_of, tuple(actions[hits[0]].tolist()), profile, game.space)
+                    i = int(hits[0])
+                    candidates += i + 1
+                    gain, mine = _refine(game, cost, tuple(actions[i].tolist()), float(gains[i]), profile, limit)
                     return verdict(False, mine, profile, gain)
                 candidates += len(rows)
-                i = int(np.argmax(np.where(np.isnan(gains), -math.inf, gains)))
+                if np.isnan(gains).all():
+                    continue
+                i = first_max(gains)
                 if gains[i] > best_gain:
                     best_gain, best_actions = float(gains[i]), tuple(actions[i].tolist())
         if best_actions is not None and game.space.kind == CONTINUOUS:
-            best_gain, best_actions = _refine(gain_of, best_actions, profile, game.space)
+            best_gain, best_actions = _refine(game, cost, best_actions, best_gain, profile, limit)
             if best_gain > tol:
                 return verdict(False, best_actions, profile, best_gain)
         if best_gain > top_gain:
@@ -443,26 +441,31 @@ def reward_share_game(
     return prorata_game(lambda s: R - c * s, space, name="reward-share")
 
 
-def _refine(gain_of, actions, profile, space):
+def _refine(game, cost, actions, gain, profile, limit):
     """Coordinate-wise local refinement of a candidate deviation on continuous spaces.
 
     Each round rescans every identity's action in turn with one
-    :func:`~sybilgames.numerics._rescan_window` round, holding the others fixed.
+    :func:`~sybilgames.numerics.refine_argmax` round, holding the others fixed;
+    the window's splits are sorted rows of :func:`_grid_gains`, and actions <= 0 score -inf.
     """
-    actions = tuple(actions)
-    best = gain_of(actions, profile)
+    space = game.space
     if space.kind != CONTINUOUS:
-        return best, actions
+        return gain, actions
     hi = space.upper if space.upper is not None else math.inf
     step = space.grid_step
     for _ in range(REFINE_ROUNDS):
         for j in range(len(actions)):
             rest = actions[:j] + actions[j + 1 :]
 
-            def gain_at(a, rest=rest):
-                return gain_of(tuple(sorted(rest + (a,))), profile) if a > 0.0 else -math.inf
+            def gains_at(a, rest=rest):
+                rows = np.sort(np.column_stack([np.tile(rest, (len(a), 1)), a]), axis=1)
+                gains = np.full(len(a), -math.inf)
+                positive = a > 0.0
+                gains[positive] = _grid_gains(game, cost, rows[positive], profile, limit)
+                return gains
 
-            a, best = _rescan_window(gain_at, space.lower, hi, actions[j], best, step, 1)
+            a, gain = refine_argmax(gains_at, space.lower, hi, actions[j], gain, step, 1)
             actions = tuple(sorted(rest + (a,)))
         step /= 10.0
-    return best, actions
+    _check_actions(game, actions, "own", positive=True)
+    return gain, actions

@@ -14,11 +14,12 @@ from typing import Callable, Optional
 
 from .core import AggregativeGame
 from .errors import DomainError, NumericError
-from .numerics import bisect_root, grid_argmax
+from .numerics import bisect_root, first_max, grid_argmax
 
 FD_STEP = 1e-6
 BRD_MAX_ITER = 500
 BRD_TOL = 1e-11
+BRD_REFINE_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,8 @@ def mixed_deviation_gain(
     value_of_mix = eq.p * reward_game_expected_payoff(eq.low, eq.low, eq.p, eq.n, R, c) + (
         1.0 - eq.p
     ) * reward_game_expected_payoff(eq.high, eq.low, eq.p, eq.n, R, c)
-    best = max(
-        reward_game_expected_payoff(x, eq.low, eq.p, eq.n, R, c) for x in range(0, x_max + 1)
-    )
-    return best - value_of_mix
+    values = [reward_game_expected_payoff(x, eq.low, eq.p, eq.n, R, c) for x in range(0, x_max + 1)]
+    return values[first_max(values)] - value_of_mix
 
 
 def reward_game_mixed_equilibrium(R: float, c: float, n: int) -> DiscreteMixedEquilibrium:
@@ -191,7 +190,13 @@ def concave_prorata_equilibrium(
     return SymmetricEquilibrium(q / n, payoff, n, f(q))
 
 
-def best_response_dynamics(game: AggregativeGame, n: int, refine_rounds: int = 5) -> SymmetricEquilibrium:
+def grid_best_response(game: AggregativeGame, y: float) -> float:
+    """Refined grid argmax of phi(., y), called on Python floats, on the game's bounded action space."""
+    values = lambda a: [game.phi(x, y) for x in a.tolist()]
+    return grid_argmax(values, game.space.lower, game.space.upper, game.space.grid_step, BRD_REFINE_ROUNDS)[0]
+
+
+def best_response_dynamics(game: AggregativeGame, n: int) -> SymmetricEquilibrium:
     """Damped simultaneous best-response iteration to a symmetric fixed point.
 
     Plain best-response dynamics oscillate whenever the response slope is below
@@ -209,17 +214,13 @@ def best_response_dynamics(game: AggregativeGame, n: int, refine_rounds: int = 5
     def others(x: float) -> float:
         return game.aggregate_others([x] * (n - 1))
 
-    def response(y: float) -> float:
-        x, _ = grid_argmax(lambda a: game.phi(a, y), space.lower, upper, space.grid_step, refine_rounds)
-        return x
-
     x = 0.5 * (space.lower + upper) / n
     scale = max(1.0, upper)
     # the refined grid argmax resolves responses no finer than this
-    resolution = space.grid_step / 10.0**refine_rounds
+    resolution = space.grid_step / 10.0**BRD_REFINE_ROUNDS
     threshold = max(BRD_TOL * scale, resolution)
     for _ in range(BRD_MAX_ITER):
-        nxt = (1.0 - gamma) * x + gamma * response(others(x))
+        nxt = (1.0 - gamma) * x + gamma * grid_best_response(game, others(x))
         if abs(nxt - x) <= threshold:
             x = nxt
             break
@@ -232,11 +233,8 @@ def best_response_dynamics(game: AggregativeGame, n: int, refine_rounds: int = 5
 
 def grid_welfare_optimum(game: AggregativeGame, n: int) -> float:
     """Supremum of total welfare over symmetric grid profiles, at grid resolution."""
-    best = -math.inf
-    for a in game.space.grid():
-        a = float(a)
-        best = max(best, n * game.phi(a, game.aggregate_others([a] * (n - 1))))
-    return best
+    values = [n * game.phi(a, game.aggregate_others([a] * (n - 1))) for a in game.space.grid().tolist()]
+    return values[first_max(values)]
 
 
 def price_of_anarchy(game: AggregativeGame, n: int, eq_welfare: float) -> float:

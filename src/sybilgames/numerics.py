@@ -8,6 +8,11 @@ of |f|).
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.
+
+Every maximisation takes the first maximum and never NaN (:func:`first_max`).
+:func:`grid_argmax` calls a vectorised f 1 + rounds times (the coarse grid, then each
+:func:`refine_argmax` window) at running sums, the points of a scalar ``x += step``
+loop, and raises :class:`NumericError` when every grid value is NaN.
 """
 
 from __future__ import annotations
@@ -90,52 +95,52 @@ def bisect_root(
     raise NumericError(f"bisection unresolved after {max_iter} iterations on [{lo}, {hi}]")
 
 
-def grid_argmax(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    step: float,
-    refine_rounds: int = 3,
-) -> tuple[float, float]:
-    """Maximise f on [lo, hi]: uniform grid plus local refinement around the best point.
+def first_max(values) -> int:
+    """Index of the first largest value; NaN never wins, and all-NaN raises :class:`NumericError`."""
+    values = np.asarray(values, dtype=float)
+    numbers = values[~np.isnan(values)]
+    if not numbers.size:
+        raise NumericError("no value to maximise: every value is NaN")
+    return int(np.argmax(values == numbers.max()))
 
-    Each refinement round rescans a +/- one-step window at a tenth of the step.
-    Ties break toward the smaller argument, which keeps results deterministic.
+
+def _running(start: float, step: float, stop: float) -> np.ndarray:
+    """start, start + step, ... through the first term past stop: the floats of repeated ``x += step``."""
+    terms = np.full(max(int((stop - start) / step), 0) + 3, step)
+    terms[0] = start
+    return np.add.accumulate(terms)
+
+
+def grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int) -> tuple[float, float]:
+    """(x, f(x)) maximising a vectorised f on [lo, hi]: one call on the grid lo, lo + step, ...
+    (the last point clipped to hi), then ``refine_rounds`` rounds of :func:`refine_argmax`.
+
+    The first maximum wins, so ties go to the smaller x; NaN never wins, and a
+    grid whose every value is NaN raises :class:`NumericError`.
     """
     if step <= 0.0:
         raise NumericError("grid step must be positive")
-    best_x, best_v = lo, f(lo)
-    x = lo
-    while x < hi - 1e-15 * max(1.0, abs(hi)):
-        x = min(x + step, hi)
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    return _rescan_window(f, lo, hi, best_x, best_v, step, refine_rounds)
+    stop = hi - 1e-15 * max(1.0, abs(hi))
+    x = _running(lo, step, stop)
+    x = x[: 1 + np.count_nonzero(x < stop)]
+    x[1:] = np.minimum(x[1:], hi)
+    values = np.asarray(f(x), dtype=float)
+    i = first_max(values)
+    return refine_argmax(f, lo, hi, x[i], values[i], step, refine_rounds)
 
 
-def _rescan_window(f, lo, hi, best_x, best_v, step, rounds):
-    """Refine a best point: each round rescans [best_x - step, best_x + step] (clipped
-    to [lo, hi]) at a tenth of the step; ties move toward the smaller argument."""
+def refine_argmax(f, lo: float, hi: float, x: float, v: float, step: float, rounds: int) -> tuple[float, float]:
+    """Refine a best point x, v = f(x): each round calls the vectorised f once on
+    [x - step, x + step] clipped to [lo, hi] at a tenth of the step, and moves to the
+    first maximum of the window and the incumbent in x order (NaN never wins)."""
     for _ in range(rounds):
-        window_lo = max(lo, best_x - step)
-        window_hi = min(hi, best_x + step)
+        window_lo, window_hi = max(lo, x - step), min(hi, x + step)
         step /= 10.0
-        x = window_lo
-        while x <= window_hi + 1e-15 * max(1.0, abs(window_hi)):
-            v = f(x)
-            if v > best_v or (v == best_v and x < best_x):
-                best_x, best_v = x, v
-            x += step
-    return best_x, best_v
-
-
-def integer_argmax(f: Callable[[int], float], lo: int, hi: int) -> tuple[int, float]:
-    """Exhaustive argmax over integers in [lo, hi]; ties break toward smaller values."""
-    best_x = lo
-    best_v = f(lo)
-    for x in range(lo + 1, hi + 1):
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+        stop = window_hi + 1e-15 * max(1.0, abs(window_hi))
+        xs = _running(window_lo, step, stop)
+        xs = xs[xs <= stop]
+        at = int(np.searchsorted(xs, x))  # in x order, so the first maximum has the smallest x
+        values = np.insert(np.asarray(f(xs), dtype=float), at, v)
+        i = first_max(values)
+        x, v = np.insert(xs, at, x)[i], values[i]
+    return float(x), float(v)

@@ -18,9 +18,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import CONTINUOUS, ActionSpace, AggregativeGame, prorata_game
-from .equilibrium import SymmetricEquilibrium, best_response_dynamics
+from .equilibrium import SymmetricEquilibrium, best_response_dynamics, grid_best_response
 from .errors import DomainError, NumericError
-from .numerics import grid_argmax
 
 
 @dataclass(frozen=True)
@@ -180,14 +179,8 @@ def tent_equilibrium(tent: TentFunction, n: int) -> SymmetricEquilibrium:
     if tent.peak < q < K:
         eq = SymmetricEquilibrium(q / n, tent(q) / n, n, tent(q))
     else:
-        eq = best_response_dynamics(game, n, refine_rounds=6)
-    response, _ = grid_argmax(
-        lambda x: game.phi(x, (n - 1) * eq.per_player_action),
-        0.0,
-        K,
-        game.space.grid_step,
-        refine_rounds=6,
-    )
+        eq = best_response_dynamics(game, n)
+    response = grid_best_response(game, (n - 1) * eq.per_player_action)
     if abs(response - eq.per_player_action) > 1e-4 * K:
         raise NumericError("tent equilibrium failed the best-response validation")
     return eq

@@ -375,14 +375,11 @@ def opt_ring_search(
     for theta in thetas:
         cfg = constant_share_config(theta, n, reserve)
         model = RingModel(dist, cfg)
-        truthful_ok = True
-        for v in check_values:
-            best_w, _ = grid_argmax(
-                lambda w: model.payoff(w, v, 1), reserve, dist.v_h, dist.v_h / 200.0, refine_rounds=4
-            )
-            if abs(best_w - v) > 2e-3 * dist.v_h:
-                truthful_ok = False
-                break
+        truthful_ok = all(
+            abs(grid_argmax(lambda w: model.payoff(w, v, 1), reserve, dist.v_h, dist.v_h / 200.0, 4)[0] - v)
+            <= 2e-3 * dist.v_h
+            for v in check_values
+        )
         profit_one = model.expected_profit(1)
         sybilproof_ok = all(
             model.expected_profit(m) <= profit_one + SYBIL_GAIN_TOL for m in range(2, m_max + 1)

@@ -37,6 +37,61 @@ def grid_search_max(f, lo: float, hi: float, step: float) -> float:
     return float(xs[int(np.argmax(values))])
 
 
+def scalar_grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int):
+    """One scalar f call per grid point: the coarse ``x += step`` loop (last point
+    clipped to hi, first maximum wins), then ``refine_rounds`` window rescans.
+
+    NaN handling is not part of the oracle: a NaN best value is never replaced.
+    """
+    best_x, best_v = lo, f(lo)
+    x = lo
+    while x < hi - 1e-15 * max(1.0, abs(hi)):
+        x = min(x + step, hi)
+        v = f(x)
+        if v > best_v:
+            best_x, best_v = x, v
+    return _scalar_window(f, lo, hi, best_x, best_v, step, refine_rounds)
+
+
+def _scalar_window(f, lo, hi, best_x, best_v, step, rounds):
+    """Each round rescans [best_x - step, best_x + step] (clipped to [lo, hi]) at a
+    tenth of the step; ties move toward the smaller argument."""
+    for _ in range(rounds):
+        window_lo = max(lo, best_x - step)
+        window_hi = min(hi, best_x + step)
+        step /= 10.0
+        x = window_lo
+        while x <= window_hi + 1e-15 * max(1.0, abs(window_hi)):
+            v = f(x)
+            if v > best_v or (v == best_v and x < best_x):
+                best_x, best_v = x, v
+            x += step
+    return best_x, best_v
+
+
+def scalar_refine(gain_of, actions, profile, space):
+    """Coordinate-wise refinement of a split with one scalar ``gain_of(actions, profile)``
+    call per window point: ``core.REFINE_ROUNDS`` rounds, each rescanning every
+    identity's action in turn with one window round, holding the others fixed."""
+    from sybilgames.core import REFINE_ROUNDS
+
+    actions = tuple(actions)
+    best = gain_of(actions, profile)
+    hi = space.upper if space.upper is not None else math.inf
+    step = space.grid_step
+    for _ in range(REFINE_ROUNDS):
+        for j in range(len(actions)):
+            rest = actions[:j] + actions[j + 1 :]
+
+            def gain_at(a, rest=rest):
+                return gain_of(tuple(sorted(rest + (a,))), profile) if a > 0.0 else -math.inf
+
+            a, best = _scalar_window(gain_at, space.lower, hi, actions[j], best, step, 1)
+            actions = tuple(sorted(rest + (a,)))
+        step /= 10.0
+    return best, actions
+
+
 def midpoint_quad(f, a: float, b: float, n: int = 20001) -> float:
     """Composite midpoint rule; slow but structurally unlike adaptive Simpson."""
     xs = np.linspace(a, b, n + 1)

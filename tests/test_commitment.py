@@ -19,7 +19,7 @@ from sybilgames.commitment import (
 )
 from sybilgames.core import SybilCost
 from sybilgames.commitment import CommitmentInstance, EqPayoffOracle
-from sybilgames.errors import DomainError
+from sybilgames.errors import DomainError, NumericError
 from sybilgames.rdm import max_sybilproof_reward
 
 COURNOT_SPLIT_THRESHOLD = 0.125 - 1.0 / 9.0  # gain of the two-identity commitment at foreign=1
@@ -47,6 +47,19 @@ def test_exponential_instance_single_identity_everywhere():
         x_star, value = commitment_best_response(inst, k, 32)
         assert x_star == 1
         assert value == pytest.approx(math.exp(-(1 + k)), abs=1e-15)
+
+
+def test_a_nan_commitment_value_is_never_the_best_deviation():
+    # x e^(-x) peaks at one identity; the NaN at x = 2 must not read as a profitable deviation
+    oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 2 else math.exp(-n), welfare=lambda n: 0.0)
+    inst = CommitmentInstance(oracle=oracle, cost=SybilCost.zero())
+    assert commitment_deviation(inst, 0, 8) is None
+    assert commitment_best_response(inst, 0, 8) == (1, math.exp(-1))
+    undefined = CommitmentInstance(
+        oracle=EqPayoffOracle(payoff=lambda n: math.nan, welfare=lambda n: 0.0), cost=SybilCost.zero()
+    )
+    with pytest.raises(NumericError):
+        commitment_deviation(undefined, 0, 8)
 
 
 def test_scp_verdicts():

@@ -1,11 +1,13 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import first_profitable_split
+from oracles import first_profitable_split, scalar_refine
 from sybilgames import core
 from sybilgames.core import (
     ActionSpace,
@@ -271,6 +273,8 @@ def _nan_below(x, y):
 
 
 NAN_GAME = AggregativeGame(phi=_nan_below, space=ActionSpace(CONTINUOUS, 0.0, 2.0, 0.1), name="nan-below")
+# every split pays and more pays more, so refinement presses against a budget
+SQRT_GAME = AggregativeGame(phi=lambda x, y: math.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt")
 # a split pays only once both identities reach 61, at enumeration index 4230 > VERIFY_CHUNK
 TOP_HEAVY = AggregativeGame(
     phi=lambda x, y: x if x >= 61.0 else 0.0,
@@ -289,6 +293,7 @@ ORACLE_CASES = {
     "nan-proof": (NAN_GAME, SybilCost.zero(), 2, [[1.0, 1.0]], None),
     "nan-counterexample": (NAN_GAME, SybilCost.zero(), 3, [[1.0, 1.0], [0.5]], None),
     "chunk-boundary": (TOP_HEAVY, SybilCost.zero(), 2, [[1.0]], None),
+    "refined-to-budget": (SQRT_GAME, SybilCost.zero(), 2, [[0.5]], 0.25),
 }
 
 
@@ -300,9 +305,9 @@ def test_verifier_pick_and_verdict_equal_the_scalar_oracle(case, monkeypatch):
     )
     picks = []
 
-    def unrefined(gain_of, actions, profile, space):
+    def unrefined(game, cost, actions, gain, profile, limit):
         picks.append((actions, profile))
-        return gain_of(actions, profile), tuple(actions)
+        return gain, actions
 
     with monkeypatch.context() as patch:
         patch.setattr(core, "_refine", unrefined)
@@ -324,12 +329,16 @@ def test_verifier_pick_and_verdict_equal_the_scalar_oracle(case, monkeypatch):
     assert regain == verdict.gain >= gain
     if game.space.kind == INTEGER:
         assert verdict == pick
-    elif profitable:
+    elif profitable or len(profiles) == 1:  # the refined split is the oracle's pick, refined
+        limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
+
         def gain_of(actions, profile):
+            if limit is not None and functools.reduce(operator.add, actions, 0.0) > limit:
+                return -math.inf
             mine = SybilStrategy(actions)
             return sybil_payoff(game, cost, mine, profile) - merged_payoff(game, mine, profile, cost)
 
-        assert (verdict.gain, verdict.mine.actions) == core._refine(gain_of, actions, profile, game.space)
+        assert (verdict.gain, verdict.mine.actions) == scalar_refine(gain_of, actions, profile, game.space)
     if game is TOP_HEAVY:  # the hit lies past the first chunk
         assert scanned == 4231 > VERIFY_CHUNK
 

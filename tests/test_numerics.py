@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import midpoint_quad
+from oracles import midpoint_quad, scalar_grid_argmax
+from sybilgames.equilibrium import BRD_REFINE_ROUNDS, grid_best_response
 from sybilgames.errors import NumericError
-from sybilgames.numerics import bisect_root, grid_argmax, integer_argmax, integrate
+from sybilgames.numerics import bisect_root, first_max, grid_argmax, integrate
+from sybilgames.rdm import TentFunction, tent_game
+from sybilgames.ring import DISTRIBUTIONS, RingModel, constant_share_config
 
 
 def test_integrate_polynomials_exact():
@@ -76,10 +79,76 @@ def test_grid_argmax_refines_to_interior_peak():
 
 
 def test_grid_argmax_ties_break_low():
-    x, _ = grid_argmax(lambda x: 1.0, 0.0, 1.0, 0.25, refine_rounds=1)
+    x, _ = grid_argmax(lambda x: np.ones_like(x), 0.0, 1.0, 0.25, refine_rounds=1)
     assert x == 0.0
 
 
-def test_integer_argmax():
-    assert integer_argmax(lambda x: -abs(x - 3), 0, 10) == (3, 0)
-    assert integer_argmax(lambda x: 1.0, 1, 5) == (1, 1.0)
+def test_first_max_takes_the_first_maximum_and_never_nan():
+    assert first_max([-3.0, 0.0, 2.0, 2.0, 1.0]) == 2
+    assert first_max([math.nan, 1.0, math.nan, 1.0]) == 1
+    assert first_max([math.nan, -math.inf, math.nan]) == 1
+    assert first_max([-0.0, 0.0]) == 0
+    with pytest.raises(NumericError):
+        first_max([math.nan, math.nan])
+
+
+def test_grid_argmax_nan_at_the_lower_bound_never_wins():
+    x, v = grid_argmax(lambda x: np.where(x == 0.0, np.nan, -((x - 0.5) ** 2)), 0.0, 1.0, 0.1, 2)
+    assert x == pytest.approx(0.5, abs=1e-12)
+    assert v == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(NumericError):
+        grid_argmax(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0, 0.1, 2)
+
+
+def test_grid_argmax_calls_f_once_per_grid():
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return -np.abs(x - 0.3123)
+
+    grid_argmax(f, 0.0, 1.0, 0.1, 3)
+    assert sizes == [11, 21, 21, 21]
+
+
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("theta", [0.0, 0.35, 0.7, 1.0])
+def test_grid_argmax_equals_the_scalar_oracle_on_ring_payoffs(dist, theta):
+    values = DISTRIBUTIONS[dist]()
+    model = RingModel(values, constant_share_config(theta, 3))
+    for q in (0.35, 0.6, 0.85):
+        v = float(values.quantile(q))
+        args = (0.0, values.v_h, values.v_h / 200.0, 4)
+        assert grid_argmax(lambda w: model.payoff(w, v, 1), *args) == scalar_grid_argmax(
+            lambda w: model.payoff(w, v, 1), *args
+        )
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+@pytest.mark.parametrize("y", [0.0, 0.2, 0.71, 3.0])
+def test_tent_best_response_equals_the_scalar_oracle(eps, y):
+    game = tent_game(TentFunction(10.0, 1.0, eps))
+    space = game.space
+    x, _ = scalar_grid_argmax(
+        lambda a: game.phi(a, y), space.lower, space.upper, space.grid_step, BRD_REFINE_ROUNDS
+    )
+    assert grid_best_response(game, y) == x
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, step",
+    [
+        (lambda x: np.ones_like(x), 0.0, 1.0, 0.25),  # ties everywhere
+        (lambda x: np.minimum(x, 0.5), 0.0, 1.0, 0.1),  # a plateau from 0.5 on
+        (lambda x: np.floor(4.0 * x), 0.0, 1.0, 0.1),  # steps: ties inside every window
+        (lambda x: -x, 0.0, 1.0, 0.1),  # windows clipped at lo
+        (lambda x: x, 0.0, 1.03, 0.1),  # hi off the grid: windows clipped at hi
+        (lambda x: -((x - 1.0299) ** 2), 0.2, 1.03, 0.1),
+        (lambda x: np.sin(7.0 * x), 0.3, 2.0, 0.07),
+    ],
+)
+def test_grid_argmax_equals_the_scalar_oracle_on_ties_and_clipped_windows(f, lo, hi, step):
+    for rounds in (0, 1, 4):
+        x, v = grid_argmax(f, lo, hi, step, rounds)
+        expected_x, expected_v = scalar_grid_argmax(lambda a: float(f(np.float64(a))), lo, hi, step, rounds)
+        assert (x, v) == (expected_x, expected_v)
