@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .core import ActionSpace, AggregativeGame, CONTINUOUS, SybilCost
 from .equilibrium import concave_prorata_equilibrium
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .numerics import first_max
 
 SCP_MARGIN_TOL = 1e-12
@@ -79,10 +79,13 @@ def commitment_deviation(inst: CommitmentInstance, foreign: int, x_max: int) -> 
 
     Returns None when committing one identity is strictly dominant against
     ``foreign`` other identities; ties among deviations go to the smaller x, NaN never wins.
+    A NaN one-identity value raises :class:`NumericError`: nothing can be compared with it.
     """
     if x_max < 2:
         raise DomainError("need x_max >= 2: no multi-identity deviation to check")
     solo = inst.attacker_value(1, foreign)
+    if math.isnan(solo):
+        raise NumericError(f"the one-identity value is NaN against {foreign} foreign identities")
     values = [inst.attacker_value(x, foreign) for x in range(2, x_max + 1)]
     i = first_max(values)
     return None if solo - values[i] > SCP_MARGIN_TOL else 2 + i

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UnsupportedOperationError
+from .errors import ConfigurationError, DomainError, NumericError, UnsupportedOperationError
 from .numerics import first_max, refine_argmax
 
 #: Minimum strictly-profitable gain; absorbs floating-point noise.
@@ -350,6 +350,9 @@ def verify_sybilproof(
     The gains equal ``sybil_payoff - merged_payoff`` bit for bit, NaN gains
     never count as profitable or best (the first maximum wins), and the
     verdict names the same split as a scalar loop over the same order would.
+    A foreign profile against which every scanned gain is NaN raises
+    :class:`NumericError`; a budget that excludes every split (gains of -inf)
+    still gives a proof with no best deviation.
     """
     if max_identities < 2:
         raise DomainError("max_identities must be at least 2")
@@ -373,6 +376,7 @@ def verify_sybilproof(
         _check_actions(game, profile, "foreign", positive=False)
         best_gain = -math.inf
         best_actions: Optional[tuple[float, ...]] = None
+        scanned_a_number = False
         for m in range(2, max_identities + 1):
             for rows in _index_chunks(len(grid), m):
                 actions = grid[rows]
@@ -386,9 +390,12 @@ def verify_sybilproof(
                 candidates += len(rows)
                 if np.isnan(gains).all():
                     continue
+                scanned_a_number = True
                 i = first_max(gains)
                 if gains[i] > best_gain:
                     best_gain, best_actions = float(gains[i]), tuple(actions[i].tolist())
+        if not scanned_a_number:
+            raise NumericError(f"every split's gain is NaN against foreign profile {profile}")
         if best_actions is not None and game.space.kind == CONTINUOUS:
             best_gain, best_actions = _refine(game, cost, best_actions, best_gain, profile, limit)
             if best_gain > tol:

@@ -362,14 +362,28 @@ def opt_ring_search(
     welfare is estimated by Monte Carlo on draws shared across thetas.  Among
     passing thetas the one with the highest welfare wins; it must strictly beat
     the theta = 0 baseline E[v(1) - v(2)].
+
+    The top draws are sorted once per search, and each theta's transfer spline
+    is evaluated on that sorted order (scipy's interval search then walks
+    forward instead of bisecting per point) and scattered back.  The welfare
+    sums run in draw order, so the bytes do not depend on the evaluation order.
+    Needs ``samples >= 2`` (the standard error uses ddof = 1) and at least one
+    theta; otherwise raises ``DomainError``.
     """
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, 21)
     thetas = [float(t) for t in thetas]
+    if not thetas:
+        raise DomainError("need at least one theta")
+    if samples < 2:
+        raise DomainError("need at least two samples for the welfare standard error")
     baseline = expected_order_stat(dist, n, 1) - expected_order_stat(dist, n, 2)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = dist.sample(rng, (samples, n))
     top = draws.max(axis=1)
+    order = np.argsort(top)
+    sorted_top = top[order]
+    transfer_top = np.empty_like(top)
     check_values = [float(dist.quantile(q)) for q in (0.35, 0.6, 0.85)]
     rows = []
     for theta in thetas:
@@ -384,7 +398,8 @@ def opt_ring_search(
         sybilproof_ok = all(
             model.expected_profit(m) <= profit_one + SYBIL_GAIN_TOL for m in range(2, m_max + 1)
         )
-        payouts = top - (1.0 - cfg.share_exponent(n)) * (np.asarray(model.transfer(top)) - reserve) - reserve
+        transfer_top[order] = model.transfer(sorted_top)
+        payouts = top - (1.0 - cfg.share_exponent(n)) * (transfer_top - reserve) - reserve
         welfare = float(payouts.mean())
         welfare_se = float(payouts.std(ddof=1) / math.sqrt(samples))
         rows.append(OptRingRow(theta, truthful_ok, sybilproof_ok, welfare, welfare_se, baseline))

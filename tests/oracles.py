@@ -128,6 +128,22 @@ def first_profitable_split(game, cost, max_identities, profiles, tol, budget=Non
     return best + (scanned,)
 
 
+def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
+    """(welfare, welfare_se) of one constant-share ring as ``opt_ring_search`` computed it
+    before sorting its draws: the transfer spline evaluated on the top draws in draw order."""
+    from sybilgames.ring import RingModel, constant_share_config
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = dist.sample(rng, (samples, n))
+    top = draws.max(axis=1)
+    cfg = constant_share_config(theta, n, reserve)
+    model = RingModel(dist, cfg)
+    payouts = top - (1.0 - cfg.share_exponent(n)) * (np.asarray(model.transfer(top)) - reserve) - reserve
+    welfare = float(payouts.mean())
+    welfare_se = float(payouts.std(ddof=1) / math.sqrt(samples))
+    return welfare, welfare_se
+
+
 def central_diff(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -231,6 +231,9 @@ def test_invalid_parameter_exits_one(tmp_path):
     assert run_cli(["rdm", "--R", "10", "--eps", "5.0", "--n-max", "3"]) == 1
     # one identity has no deviation to compare against (Cournot pays at x = 2)
     assert run_cli(["commit", "--instance", "cournot", "--x-max", "1"]) == 1
+    # the welfare standard error needs two draws; an empty theta grid has nothing to search
+    assert run_cli(["ring", "--n", "3", "--theta-grid", "3", "--samples", "0", "--out", str(tmp_path / "r.csv")]) == 1
+    assert run_cli(["ring", "--n", "3", "--theta-grid", "0", "--samples", "100", "--out", str(tmp_path / "r.csv")]) == 1
 
 
 def test_unwritable_output_exits_one(tmp_path):

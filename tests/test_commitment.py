@@ -62,6 +62,15 @@ def test_a_nan_commitment_value_is_never_the_best_deviation():
         commitment_deviation(undefined, 0, 8)
 
 
+def test_a_nan_one_identity_value_raises_instead_of_reading_as_beaten():
+    oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 1 else -1.0, welfare=lambda n: 0.0)
+    inst = CommitmentInstance(oracle=oracle, cost=SybilCost.zero())
+    with pytest.raises(NumericError):
+        commitment_deviation(inst, 0, 8)
+    with pytest.raises(NumericError):
+        scp_check(inst, foreign_max=3)
+
+
 def test_scp_verdicts():
     assert scp_check(exponential_commitment_instance(), foreign_max=20).scp
     assert scp_check(trivial_commitment_instance(1.0), foreign_max=10).scp

@@ -27,7 +27,7 @@ from sybilgames.core import (
     verify_sybilproof,
 )
 from sybilgames.commitment import cournot_game
-from sybilgames.errors import ConfigurationError, DomainError, UnsupportedOperationError
+from sybilgames.errors import ConfigurationError, DomainError, NumericError, UnsupportedOperationError
 from sybilgames.ring import second_price_game
 
 
@@ -190,6 +190,23 @@ def test_budget_restricts_deviations():
     assert verdict.proof  # the profitable two-head deviation is over budget
     # no split was within budget, so the proof names no deviation
     assert (verdict.mine, verdict.foreign, verdict.gain, verdict.candidates) == (None, None, -math.inf, 1)
+
+
+def test_a_game_undefined_on_every_split_raises_instead_of_proving():
+    undefined = AggregativeGame(
+        phi=lambda x, y: 0.0 if x == 0.0 else math.nan, space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="nan"
+    )
+    with pytest.raises(NumericError):
+        verify_sybilproof(undefined, SybilCost.zero(), 3, [[0.5]])
+    # defined against the first profile, undefined on every split against the second
+    crowded = AggregativeGame(
+        phi=lambda x, y: 0.0 if x == 0.0 else (math.nan if y >= 3.5 else -x),
+        space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.5),
+        name="nan-when-crowded",
+    )
+    assert verify_sybilproof(crowded, SybilCost.zero(), 3, [[1.0]]).proof
+    with pytest.raises(NumericError):
+        verify_sybilproof(crowded, SybilCost.zero(), 3, [[1.0], [1.0, 1.0, 1.0, 1.0]])
 
 
 def test_proof_verdict_states_its_bounds_and_best_deviation():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import central_diff
+from oracles import central_diff, unsorted_ring_welfare
 from sybilgames.errors import DomainError, SingularScaleError
 from sybilgames.ring import (
     RingModel,
@@ -248,3 +248,30 @@ def test_registration_stage_profits_match_closed_form():
         for m in (1, 2, 3, 4):
             closed = (1.0 + 3.0 * m * theta) / (4.0 * (m + 2.0 + theta))
             assert model.expected_profit(m) == pytest.approx(closed, abs=1e-8)
+
+
+@pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("reserve", [0.0, 0.1])
+def test_sorted_evaluation_welfare_equals_the_unsorted_oracle(dist, seed, reserve):
+    thetas = [0.0, 0.35, 1.0]
+    result = opt_ring_search(dist, 3, thetas, samples=5_000, seed=seed, reserve=reserve)
+    for theta, row in zip(thetas, result.rows):
+        assert (row.welfare, row.welfare_se) == unsorted_ring_welfare(dist, 3, theta, 5_000, seed, reserve)
+
+
+def test_transfer_on_a_permuted_array_is_the_permuted_transfer():
+    rng = np.random.default_rng(3)
+    model = RingModel(beta22_values(), constant_share_config(0.4, 3, reserve=0.05))
+    nodes = model.grid[::2]
+    x = np.concatenate((nodes[::7], nodes[[0, 5, 5, -1, -1]], rng.random(500) * 0.95 + 0.05, [0.5, 0.5, 0.5]))
+    perm = rng.permutation(x.size)
+    assert np.array_equal(model.transfer(x[perm]), model.transfer(x)[perm])
+    order = np.argsort(x)
+    assert np.array_equal(model.transfer(x[order]), model.transfer(x)[order])
+
+
+@pytest.mark.parametrize("kwargs", [dict(samples=1), dict(samples=0), dict(thetas=[])])
+def test_opt_ring_search_rejects_too_few_samples_or_thetas(kwargs):
+    with pytest.raises(DomainError):
+        opt_ring_search(UNIFORM, 3, **{"thetas": [0.0], "samples": 100, **kwargs})
