@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .core import ActionSpace, AggregativeGame, CONTINUOUS, SybilCost
 from .equilibrium import concave_prorata_equilibrium
 from .errors import DomainError, NumericError
@@ -120,8 +122,12 @@ def cournot_game(beta: float, upper: Optional[float] = None, grid_step: float = 
             return 0.0
         return x * (beta - x - y)
 
+    def phi_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.where(x == 0.0, 0.0, x * (beta - x - y))
+
     space = ActionSpace(CONTINUOUS, 0.0, hi, grid_step)
-    return AggregativeGame(phi=phi, space=space, name="cournot")
+    return AggregativeGame(phi=phi, space=space, name="cournot", phi_array=phi_array)
 
 
 def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:

@@ -24,8 +24,11 @@ from .numerics import first_max, refine_argmax
 SYBIL_TOL = 1e-9
 #: Local refinement rounds around a continuous-grid candidate, a tenth of the step each.
 REFINE_ROUNDS = 3
-#: Multisets per array scan in :func:`verify_sybilproof`; bounds the scan's memory.
+#: Fewest multisets per array scan in :func:`verify_sybilproof` (all but the last block).
 VERIFY_CHUNK = 4096
+#: Most pairs a block takes from one prefix at a time: blocks stay under
+#: ``VERIFY_CHUNK + VERIFY_PIECE`` rows, small enough to stay in cache.
+VERIFY_PIECE = 16384
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -107,10 +110,22 @@ class AggregativeGame:
     game has no such rule.
 
     ``phi`` must be a pure function of two Python floats, defined on the whole
-    search grid: :func:`verify_sybilproof` calls it once per identity per
-    candidate split (plus once for the merged comparator), column by column
-    over chunks of ``VERIFY_CHUNK`` candidates (refinement windows too), not in
-    enumeration order, so phi is only ever called column-wise on Python floats.
+    search grid.  ``phi_array``, when given, is the same function applied
+    elementwise to two float64 arrays of one shape, and must equal ``phi`` bit
+    for bit: the same float operations in the same order, with
+    ``np.where(x == 0.0, 0.0, ...)`` for the inactive branch and no warnings.
+    IEEE ``+``, ``-``, ``*`` and ``/`` round alike on arrays and Python floats,
+    but numpy's ``exp``, ``log`` and ``pow`` are not guaranteed to match libm,
+    so a game built on them should declare no ``phi_array`` unless its
+    verdicts are only compared at ``tol``.
+
+    :func:`verify_sybilproof` scores splits a block of candidates at a time
+    through :func:`_grid_gains`: with ``phi_array``, one array call per
+    identity column and one for the merged comparator; without it, ``phi`` is
+    mapped over the column's Python floats (the merged comparator once per
+    distinct merged action), never in enumeration order.  The scalar payoffs
+    (:func:`sybil_payoff`, :func:`merged_payoff` and the equilibrium and
+    commitment code) only ever call ``phi``.
     """
 
     phi: Callable[[float, float], float]
@@ -118,15 +133,18 @@ class AggregativeGame:
     aggregation: str = MERGE_SUM
     merge: Optional[str] = MERGE_SUM
     name: str = "game"
+    phi_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.aggregation not in (MERGE_SUM, MERGE_MAX):
             raise DomainError(f"unknown aggregation rule {self.aggregation!r}")
         if self.merge not in (MERGE_SUM, MERGE_MAX, None):
             raise DomainError(f"unknown merge rule {self.merge!r}")
-        for y in (0.0, 1.0, 3.7):
-            if self.phi(0.0, y) != 0.0:
-                raise DomainError("phi(0, y) must be exactly zero (inactive identities earn zero)")
+        ys = (0.0, 1.0, 3.7)
+        if any(self.phi(0.0, y) != 0.0 for y in ys) or (
+            self.phi_array is not None and np.any(self.phi_array(np.zeros(len(ys)), np.array(ys)) != 0.0)
+        ):
+            raise DomainError("phi(0, y) must be exactly zero (inactive identities earn zero)")
 
     def aggregate_others(self, actions: Sequence[float]) -> float:
         if self.aggregation == MERGE_SUM:
@@ -263,14 +281,38 @@ class SybilVerdict:
         return self.proof
 
 
-def _index_chunks(n_points: int, m: int):
-    """Rows of ``combinations_with_replacement(range(n_points), m)``, ``VERIFY_CHUNK`` at a time."""
-    stream = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n_points), m))
-    while True:
-        flat = np.fromiter(itertools.islice(stream, VERIFY_CHUNK * m), dtype=np.intp)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, m)
+def _multiset_blocks(values: np.ndarray, m: int):
+    """Rows of ``combinations_with_replacement(values, m)`` in that order, for m >= 2.
+
+    Each (m - 2)-prefix from itertools is broadcast against the pairs of
+    ``np.triu_indices(len(values))`` (cached once per call) whose first index is
+    at least the prefix's last index: a contiguous suffix, since the pairs are
+    in lexicographic order.  That suffix is taken ``VERIFY_PIECE`` pairs at a
+    time and consecutive pieces are joined until they reach ``VERIFY_CHUNK``
+    rows, so every yielded (k, m) array but the last has
+    ``VERIFY_CHUNK <= k < VERIFY_CHUNK + VERIFY_PIECE`` rows.  The arrays are
+    column-major, so each identity's column is contiguous.
+    """
+    n = len(values)
+    first, second = np.triu_indices(n)
+    first, second = values[first], values[second]
+    # the pairs whose first index is s start at s n - s (s - 1) / 2
+    starts = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+    pending, count = [], 0
+    for prefix in itertools.combinations_with_replacement(range(n), m - 2):
+        for lo in range(starts[prefix[-1]] if prefix else 0, len(first), VERIFY_PIECE):
+            hi = min(lo + VERIFY_PIECE, len(first))
+            columns = np.empty((m, hi - lo), dtype=values.dtype)
+            columns[: m - 2] = values[list(prefix), None]
+            columns[m - 2] = first[lo:hi]
+            columns[m - 1] = second[lo:hi]
+            pending.append(columns)
+            count += hi - lo
+            if count >= VERIFY_CHUNK:
+                yield (pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)).T
+                pending, count = [], 0
+    if pending:
+        yield np.concatenate(pending, axis=1).T
 
 
 def _others_columns(game: AggregativeGame, profile: tuple[float, ...], columns: list) -> np.ndarray:
@@ -284,6 +326,13 @@ def _others_columns(game: AggregativeGame, profile: tuple[float, ...], columns: 
     return acc
 
 
+def _phi_columns(game: AggregativeGame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``phi`` at each pair of the float64 arrays x and y: one ``phi_array`` call, or ``phi`` on Python floats."""
+    if game.phi_array is not None:
+        return game.phi_array(x, y)
+    return np.fromiter(map(game.phi, x.tolist(), y.tolist()), float, len(x))
+
+
 def _grid_gains(
     game: AggregativeGame,
     cost: SybilCost,
@@ -295,7 +344,11 @@ def _grid_gains(
 
     The same float operations run in the same order as in the scalar payoffs, so
     each entry equals the scalar gain bit for bit; rows whose sum exceeds
-    ``limit`` get -inf, and phi is not called on them.
+    ``limit`` get -inf, and phi is not called on them.  A game with
+    ``phi_array`` costs m + 1 array calls of length k.  Otherwise ``phi`` runs
+    on Python floats: k calls per identity column, and one per distinct merged
+    action for the comparator (``phi`` is pure, so gathering the distinct
+    values changes no bit).
     """
     if limit is not None:
         keep = ~(_left_sum(actions.T) > limit)
@@ -311,13 +364,16 @@ def _grid_gains(
         merged = actions.max(axis=1)
     else:
         raise UnsupportedOperationError(f"game {game.name!r} has no merge rule")
-    phi = game.phi
     total = 0.0
     for j in range(m):
         others = _others_columns(game, profile, columns[:j] + columns[j + 1 :])
-        total = total + np.fromiter(map(phi, columns[j].tolist(), others.tolist()), float, k)
+        total = total + _phi_columns(game, columns[j], others)
     y = game.aggregate_others(list(profile))
-    merged_value = np.fromiter(map(phi, merged.tolist(), itertools.repeat(y, k)), float, k)
+    if game.phi_array is not None:
+        merged_value = game.phi_array(merged, np.full(k, y))
+    else:
+        distinct, at = np.unique(merged, return_inverse=True)
+        merged_value = _phi_columns(game, distinct, np.full(len(distinct), y))[at]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         return (total - cost(m, len(profile))) - (merged_value - cost(1, len(profile)))
 
@@ -342,11 +398,15 @@ def verify_sybilproof(
     each profile's best one.  Splits whose action total exceeds ``budget`` are
     skipped.
 
-    Each identity count is scanned as arrays of ``VERIFY_CHUNK`` (4,096)
-    candidates: ``phi`` is called once per identity per candidate, on Python
-    floats, column by column, and once per candidate for the merged
-    comparator, so it must be a pure function defined on the whole grid;
-    refinement scores each identity's window as :func:`_grid_gains` rows too.
+    Each identity count is scanned in blocks of ``VERIFY_CHUNK`` (4,096) to
+    ``VERIFY_CHUNK + VERIFY_PIECE`` (20,480) candidates from
+    :func:`_multiset_blocks`, scored by :func:`_grid_gains`: m + 1 array calls
+    per block when the game declares ``phi_array``, otherwise ``phi`` once per
+    identity per candidate on Python floats plus once per distinct merged
+    action, so ``phi`` must be a pure function defined on the whole grid.  The
+    scan holds the grid's n (n + 1) / 2 pairs as two float columns (8 MB at
+    1,000 grid points) besides one block.  Refinement scores each identity's
+    window as :func:`_grid_gains` rows too.
     The gains equal ``sybil_payoff - merged_payoff`` bit for bit, NaN gains
     never count as profitable or best (the first maximum wins), and the
     verdict names the same split as a scalar loop over the same order would.
@@ -378,8 +438,7 @@ def verify_sybilproof(
         best_actions: Optional[tuple[float, ...]] = None
         scanned_a_number = False
         for m in range(2, max_identities + 1):
-            for rows in _index_chunks(len(grid), m):
-                actions = grid[rows]
+            for actions in _multiset_blocks(grid, m):
                 gains = _grid_gains(game, cost, actions, profile, limit)
                 hits = np.flatnonzero(gains > tol)
                 if hits.size:
@@ -387,7 +446,7 @@ def verify_sybilproof(
                     candidates += i + 1
                     gain, mine = _refine(game, cost, tuple(actions[i].tolist()), float(gains[i]), profile, limit)
                     return verdict(False, mine, profile, gain)
-                candidates += len(rows)
+                candidates += len(actions)
                 if np.isnan(gains).all():
                     continue
                 scanned_a_number = True
@@ -405,11 +464,18 @@ def verify_sybilproof(
     return verdict(True, top_actions, top_profile, top_gain)
 
 
-def prorata_game(f: Callable[[float], float], space: ActionSpace, name: str = "prorata") -> AggregativeGame:
+def prorata_game(
+    f: Callable[[float], float],
+    space: ActionSpace,
+    name: str = "prorata",
+    f_array: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> AggregativeGame:
     """Game paying each identity its stake's share of f(total stake).
 
     Splitting a stake across identities is payoff-neutral here, which is what
-    makes the whole family immune to identity splitting.
+    makes the whole family immune to identity splitting.  ``f_array``, when
+    given, is f applied elementwise to a float64 array, bit-equal to f; the
+    game then declares a ``phi_array``.
     """
 
     def phi(x: float, y: float) -> float:
@@ -418,7 +484,14 @@ def prorata_game(f: Callable[[float], float], space: ActionSpace, name: str = "p
         total = x + y
         return x / total * f(total)
 
-    return AggregativeGame(phi=phi, space=space, merge=MERGE_SUM, name=name)
+    def phi_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):  # 0/0 on inactive entries; the where discards it
+            total = x + y
+            return np.where(x == 0.0, 0.0, x / total * f_array(total))
+
+    return AggregativeGame(
+        phi=phi, space=space, merge=MERGE_SUM, name=name, phi_array=None if f_array is None else phi_array
+    )
 
 
 def headcount_reward_game(R: float) -> AggregativeGame:
@@ -433,9 +506,13 @@ def headcount_reward_game(R: float) -> AggregativeGame:
             return 0.0
         return R * x / (x + y)
 
+    def phi_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.where(x == 0.0, 0.0, R * x / (x + y))
+
     space = ActionSpace(INTEGER, lower=0.0, upper=1.0, grid_step=1.0)
     return AggregativeGame(
-        phi=phi, space=space, aggregation=MERGE_SUM, merge=MERGE_MAX, name="headcount-reward"
+        phi=phi, space=space, aggregation=MERGE_SUM, merge=MERGE_MAX, name="headcount-reward", phi_array=phi_array
     )
 
 
@@ -445,7 +522,11 @@ def reward_share_game(
     """Continuous stake game paying R * own/(own+others) - c * own."""
     hi = upper if upper is not None else R / c
     space = ActionSpace(CONTINUOUS, lower=0.0, upper=hi, grid_step=grid_step)
-    return prorata_game(lambda s: R - c * s, space, name="reward-share")
+
+    def f(s):  # arithmetic only, so the same function on floats and on arrays
+        return R - c * s
+
+    return prorata_game(f, space, name="reward-share", f_array=f)
 
 
 def _refine(game, cost, actions, gain, profile, limit):

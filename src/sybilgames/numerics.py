@@ -98,6 +98,8 @@ def bisect_root(
 def first_max(values) -> int:
     """Index of the first largest value; NaN never wins, and all-NaN raises :class:`NumericError`."""
     values = np.asarray(values, dtype=float)
+    if values.size and not np.isnan(values.max()):  # no NaN, so argmax is the first maximum
+        return int(np.argmax(values))
     numbers = values[~np.isnan(values)]
     if not numbers.size:
         raise NumericError("no value to maximise: every value is NaN")

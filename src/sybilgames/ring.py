@@ -159,9 +159,14 @@ def second_price_game(valuation: float, v_h: float = 1.0, reserve: float = 0.0, 
             return valuation - max(others_top, reserve)
         return 0.0
 
+    def phi_array(b: np.ndarray, others_top: np.ndarray) -> np.ndarray:
+        wins = (b != 0.0) & (b > others_top) & (b >= reserve)
+        with np.errstate(all="ignore"):  # max() keeps others_top unless reserve is larger
+            return np.where(wins, valuation - np.where(reserve > others_top, reserve, others_top), 0.0)
+
     space = ActionSpace(CONTINUOUS, 0.0, v_h, grid_step)
     return AggregativeGame(
-        phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price"
+        phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price", phi_array=phi_array
     )
 
 
@@ -367,6 +372,8 @@ def opt_ring_search(
     is evaluated on that sorted order (scipy's interval search then walks
     forward instead of bisecting per point) and scattered back.  The welfare
     sums run in draw order, so the bytes do not depend on the evaluation order.
+    A draw whose top value is below the reserve sells nothing and pays every
+    member 0; the spline's extrapolation below its first node is discarded.
     Needs ``samples >= 2`` (the standard error uses ddof = 1) and at least one
     theta; otherwise raises ``DomainError``.
     """
@@ -399,7 +406,8 @@ def opt_ring_search(
             model.expected_profit(m) <= profit_one + SYBIL_GAIN_TOL for m in range(2, m_max + 1)
         )
         transfer_top[order] = model.transfer(sorted_top)
-        payouts = top - (1.0 - cfg.share_exponent(n)) * (transfer_top - reserve) - reserve
+        paid = top - (1.0 - cfg.share_exponent(n)) * (transfer_top - reserve) - reserve
+        payouts = np.where(top >= reserve, paid, 0.0)  # below the reserve nothing is sold
         welfare = float(payouts.mean())
         welfare_se = float(payouts.std(ddof=1) / math.sqrt(samples))
         rows.append(OptRingRow(theta, truthful_ok, sybilproof_ok, welfare, welfare_se, baseline))

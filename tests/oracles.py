@@ -130,7 +130,8 @@ def first_profitable_split(game, cost, max_identities, profiles, tol, budget=Non
 
 def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
     """(welfare, welfare_se) of one constant-share ring as ``opt_ring_search`` computed it
-    before sorting its draws: the transfer spline evaluated on the top draws in draw order."""
+    before sorting its draws: the transfer spline evaluated on the top draws in draw order,
+    and nothing paid on draws below the reserve."""
     from sybilgames.ring import RingModel, constant_share_config
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -138,7 +139,8 @@ def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
     top = draws.max(axis=1)
     cfg = constant_share_config(theta, n, reserve)
     model = RingModel(dist, cfg)
-    payouts = top - (1.0 - cfg.share_exponent(n)) * (np.asarray(model.transfer(top)) - reserve) - reserve
+    paid = top - (1.0 - cfg.share_exponent(n)) * (np.asarray(model.transfer(top)) - reserve) - reserve
+    payouts = np.where(top >= reserve, paid, 0.0)
     welfare = float(payouts.mean())
     welfare_se = float(payouts.std(ddof=1) / math.sqrt(samples))
     return welfare, welfare_se

@@ -310,6 +310,17 @@ ORACLE_CASES = {
     "nan-proof": (NAN_GAME, SybilCost.zero(), 2, [[1.0, 1.0]], None),
     "nan-counterexample": (NAN_GAME, SybilCost.zero(), 3, [[1.0, 1.0], [0.5]], None),
     "chunk-boundary": (TOP_HEAVY, SybilCost.zero(), 2, [[1.0]], None),
+    "reward-share-c0": (
+        reward_share_game(10.0, 0.0, upper=2.0, grid_step=0.1), SybilCost.zero(), 3, [[0.5, 0.7]], None
+    ),
+    "reward-share-c0.5": (reward_share_game(1.0, 0.5, grid_step=0.1), SybilCost.linear(0.01), 3, [[0.3]], None),
+    "cournot-0.01-foreign-0.05": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.05]], None),
+    "cournot-0.01-foreign-0.95": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.95]], None),
+    # no phi_array: phi on Python floats, the merged comparator once per distinct total
+    "prorata-scalar-phi": (
+        prorata_game(lambda s: 10.0 - s, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
+        SybilCost.zero(), 3, [[1.0, 2.0]], None,
+    ),
     "refined-to-budget": (SQRT_GAME, SybilCost.zero(), 2, [[0.5]], 0.25),
 }
 
@@ -377,3 +388,60 @@ def test_grid_gains_equal_scalar_gains_bit_for_bit(case):
             ]
             got = core._grid_gains(game, cost, np.array(rows), profile, limit)
             np.testing.assert_array_equal(got, np.array(expected))
+
+
+# the built-in games on their CLI grids (0 included) against foreign aggregates 0,
+# the CLI profile sums and every sum or max of two grid points
+ARRAY_GAMES = {
+    "reward-share": (reward_share_game(10.0, 1.0, grid_step=0.1), [5.0, 2.5]),
+    "reward-share-c0": (reward_share_game(10.0, 0.0, upper=2.0, grid_step=0.1), [1.2]),
+    "cournot": (cournot_game(1.0, grid_step=0.01), [1.0 / 3.0, 0.05, 0.95]),
+    "headcount": (headcount_reward_game(10.0), [3.0]),
+    "second-price": (second_price_game(0.8, grid_step=0.05), [0.4]),
+    "second-price-reserve": (second_price_game(0.8, reserve=0.3, grid_step=0.05), [0.4, 0.3]),
+}
+
+
+@pytest.mark.parametrize("game, profile_aggregates", ARRAY_GAMES.values(), ids=ARRAY_GAMES.keys())
+def test_phi_array_equals_phi_bit_for_bit(game, profile_aggregates):
+    grid = game.space.grid()
+    pair = game.aggregate_others
+    ys = sorted({0.0, *profile_aggregates, *(pair([float(a), float(b)]) for a in grid for b in grid)})
+    x, y = (v.ravel() for v in np.meshgrid(grid, np.array(ys)))
+    expected = np.array([game.phi(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    got = game.phi_array(x, y)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_zero_at_zero_enforced_for_phi_array():
+    space = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1)
+    with pytest.raises(DomainError):
+        AggregativeGame(phi=lambda x, y: 0.0 if x == 0.0 else x, space=space, phi_array=lambda x, y: x + 1.0)
+
+
+def test_scalar_phi_runs_once_per_identity_and_once_per_distinct_merged_total():
+    calls = []
+
+    def f(total):
+        calls.append(total)
+        return 10.0 - total
+
+    game = prorata_game(f, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5))
+    assert game.phi_array is None
+    grid = [float(a) for a in game.space.grid() if a > 0.0]
+    rows = np.array(list(itertools.combinations_with_replacement(grid, 3)))
+    calls.clear()
+    core._grid_gains(game, SybilCost.zero(), rows, (2.5, 2.5), None)  # values: the prorata-scalar-phi case
+    merged = {functools.reduce(operator.add, row, 0.0) for row in rows.tolist()}
+    assert len(calls) == 3 * len(rows) + len(merged) and len(merged) < len(rows) / 5
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (7, 3), (6, 4), (3, 5), (100, 3), (200, 2)])
+def test_multiset_blocks_enumerate_combinations_in_order(n, m):
+    blocks = list(core._multiset_blocks(np.arange(n, dtype=np.intp), m))
+    expected = np.array(list(itertools.combinations_with_replacement(range(n), m)), dtype=np.intp)
+    np.testing.assert_array_equal(np.concatenate(blocks), expected)
+    assert all(block.dtype == np.intp and block.shape[1] == m for block in blocks)
+    assert all(len(block) >= VERIFY_CHUNK for block in blocks[:-1])
+    assert all(len(block) < VERIFY_CHUNK + core.VERIFY_PIECE for block in blocks)

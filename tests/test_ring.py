@@ -260,6 +260,14 @@ def test_sorted_evaluation_welfare_equals_the_unsorted_oracle(dist, seed, reserv
         assert (row.welfare, row.welfare_se) == unsorted_ring_welfare(dist, 3, theta, 5_000, seed, reserve)
 
 
+def test_welfare_pays_nothing_on_draws_below_the_reserve():
+    # theta = 0 keeps the whole surplus: E[(v(1) - max(v(2), r))+] = 11/64 for uniform, n = 3, r = 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the 0.35 check value lies below the reserve
+        row = opt_ring_search(UNIFORM, 3, [0.0], samples=100_000, seed=0, reserve=0.5).rows[0]
+    assert abs(row.welfare - 11.0 / 64.0) <= 4.0 * row.welfare_se
+
+
 def test_transfer_on_a_permuted_array_is_the_permuted_transfer():
     rng = np.random.default_rng(3)
     model = RingModel(beta22_values(), constant_share_config(0.4, 3, reserve=0.05))
