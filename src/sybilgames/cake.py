@@ -26,6 +26,8 @@ import numpy as np
 from .errors import DomainError, MalformedSliceError, StatisticalPowerError
 
 MERGE_EPS = 1e-15
+FAIRNESS_MIN_RUNS = 10_000  # fewest transcript runs check_fairness accepts
+FAIRNESS_Z = 3.0  # standard errors check_fairness allows its estimates
 
 COIN_KEPT = "kept"
 COIN_BURNED = "burned"
@@ -238,22 +240,18 @@ class FairnessReport:
     own_value_means: tuple[float, ...]
 
 
-def check_fairness(
-    transcript: Transcript,
-    true_measures: Sequence[PiecewiseMeasure],
-    min_runs: int = 10_000,
-    z: float = 3.0,
-) -> FairnessReport:
-    """Estimate the fairness guarantees from a Monte Carlo transcript.
+def check_fairness(transcript: Transcript, true_measures: Sequence[PiecewiseMeasure]) -> FairnessReport:
+    """Estimate the fairness guarantees from a Monte Carlo transcript of at least
+    ``FAIRNESS_MIN_RUNS`` runs (fewer raise :class:`StatisticalPowerError`).
 
     ``alpha_proportional`` is the largest alpha every player's empirical mean own
-    value still clears after a z-sigma allowance; envy-freeness compares each
-    pair's own-vs-other value difference against its paired standard error;
-    ``non_wasteful`` requires every run to hand out slices covering the cake.
+    value still clears after a ``FAIRNESS_Z``-sigma allowance; envy-freeness compares
+    each pair's own-vs-other value difference against ``FAIRNESS_Z`` paired standard
+    errors; ``non_wasteful`` requires every run to hand out slices covering the cake.
     """
-    if transcript.runs < min_runs:
+    if transcript.runs < FAIRNESS_MIN_RUNS:
         raise StatisticalPowerError(
-            f"need at least {min_runs} runs for fairness estimates, got {transcript.runs}"
+            f"need at least {FAIRNESS_MIN_RUNS} runs for fairness estimates, got {transcript.runs}"
         )
     n = transcript.n
     if len(true_measures) != n:
@@ -268,7 +266,7 @@ def check_fairness(
         own[:, i] = coins * values[i, transcript.assignments[:, i]]
     own_means = own.mean(axis=0)
     own_se = own.std(axis=0, ddof=1) / np.sqrt(runs)
-    alpha = float(np.min(own_means - z * own_se))
+    alpha = float(np.min(own_means - FAIRNESS_Z * own_se))
     envy_free = True
     for i in range(n):
         for j in range(n):
@@ -276,7 +274,7 @@ def check_fairness(
                 continue
             diff = own[:, i] - coins * values[i, transcript.assignments[:, j]]
             se = diff.std(ddof=1) / np.sqrt(runs)
-            if diff.mean() < -z * se - 1e-12:
+            if diff.mean() < -FAIRNESS_Z * se - 1e-12:
                 envy_free = False
     covered = abs(sum(s.length for s in transcript.partition) - 1.0) <= 1e-9
     non_wasteful = bool(transcript.coins.all()) and covered

@@ -272,20 +272,18 @@ def _commit_instance(args) -> CommitmentInstance:
     return trivial_commitment_instance(args.c)
 
 
-def _commit_rows(inst: CommitmentInstance, n_max: int, x_max: int):
-    rows = []
-    for n in range(1, n_max + 1):
-        eq_payoff = inst.oracle.payoff(n)
-        commit2 = 2.0 * inst.oracle.payoff(n + 1)
-        x = commitment_deviation(inst, n - 1, x_max)
-        verdict = "scp" if x is None else f"counterexample(foreign={n - 1};x={x})"
-        rows.append((n, eq_payoff, commit2, verdict))
-    return rows
+def _payoff_rows(inst: CommitmentInstance, n_max: int) -> list:
+    """The (n, eq_payoff, 2 payoff(n + 1)) rows of `fig2`, which are also `commit`'s first three columns."""
+    return [(n, inst.oracle.payoff(n), 2.0 * inst.oracle.payoff(n + 1)) for n in range(1, n_max + 1)]
 
 
 def _run_commit(args) -> None:
     inst = _commit_instance(args)
-    rows = _commit_rows(inst, args.n_max, args.x_max)
+    rows = []
+    for n, eq_payoff, commit2 in _payoff_rows(inst, args.n_max):
+        x = commitment_deviation(inst, n - 1, args.x_max)
+        verdict = "scp" if x is None else f"counterexample(foreign={n - 1};x={x})"
+        rows.append((n, eq_payoff, commit2, verdict))
     params = dict(
         instance=args.instance, c=args.c, n_max=args.n_max, x_max=args.x_max, seed=args.seed,
         alpha=args.alpha, c_prod=args.c_prod,
@@ -317,9 +315,7 @@ def _run_fig(args) -> None:
         )
         return
     inst = cfmm_commitment_instance(args.reserve_a, args.reserve_b, args.price)
-    rows = [
-        (n, inst.oracle.payoff(n), 2.0 * inst.oracle.payoff(n + 1)) for n in range(1, args.n_max + 1)
-    ]
+    rows = _payoff_rows(inst, args.n_max)
     params = dict(
         which="fig2", reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price,
         n_max=args.n_max, seed=args.seed,

@@ -28,11 +28,13 @@ SCP_MARGIN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EqPayoffOracle:
-    """Per-player payoff and welfare at the symmetric equilibrium of the n-player game."""
+    """Per-player payoff at the symmetric equilibrium of the n-player game."""
 
     payoff: Callable[[int], float]
-    welfare: Callable[[int], float]
-    name: str = "oracle"
+
+    def welfare(self, n: int) -> float:
+        """Equilibrium welfare: n times the per-player payoff."""
+        return n * self.payoff(n)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:
     def payoff(n: int) -> float:
         return beta * beta / (n + 1) ** 2
 
-    return EqPayoffOracle(payoff=payoff, welfare=lambda n: n * payoff(n), name="cournot")
+    return EqPayoffOracle(payoff)
 
 
 def cfmm_curve(reserve_a: float, reserve_b: float, ext_price: float):
@@ -162,7 +164,7 @@ def cfmm_arbitrage_oracle(reserve_a: float, reserve_b: float, ext_price: float) 
     f, fprime = cfmm_curve(reserve_a, reserve_b, ext_price)
     if not reserve_b / reserve_a > ext_price:
         warnings.warn("no arbitrage at these reserves and price; payoffs are zero")
-        return EqPayoffOracle(payoff=lambda n: 0.0, welfare=lambda n: 0.0, name="cfmm")
+        return EqPayoffOracle(lambda n: 0.0)
     cache: dict[int, float] = {}
 
     def payoff(n: int) -> float:
@@ -170,7 +172,7 @@ def cfmm_arbitrage_oracle(reserve_a: float, reserve_b: float, ext_price: float) 
             cache[n] = concave_prorata_equilibrium(f, n, fprime).per_player_payoff
         return cache[n]
 
-    return EqPayoffOracle(payoff=payoff, welfare=lambda n: n * payoff(n), name="cfmm")
+    return EqPayoffOracle(payoff)
 
 
 def exponential_commitment_instance() -> CommitmentInstance:
@@ -179,11 +181,7 @@ def exponential_commitment_instance() -> CommitmentInstance:
     Per-identity equilibrium payoff is 2 e^(-n) and the identity cost is
     x e^(-(x + foreign)), so the attacker nets x e^(-(x+foreign)), maximal at x = 1.
     """
-    oracle = EqPayoffOracle(
-        payoff=lambda n: 2.0 * math.exp(-n),
-        welfare=lambda n: n * 2.0 * math.exp(-n),
-        name="exponential",
-    )
+    oracle = EqPayoffOracle(lambda n: 2.0 * math.exp(-n))
     cost = SybilCost(cost=lambda x, y: x * math.exp(-(x + y)))
     return CommitmentInstance(oracle=oracle, cost=cost)
 
@@ -193,9 +191,7 @@ def trivial_commitment_instance(c: float) -> CommitmentInstance:
     identities it commits, so extras only ever add cost."""
     if c <= 0.0:
         raise DomainError("need c > 0")
-    oracle = EqPayoffOracle(
-        payoff=lambda n: 1.5 * c, welfare=lambda n: n * 1.5 * c, name="constant-pot"
-    )
+    oracle = EqPayoffOracle(lambda n: 1.5 * c)
     return CommitmentInstance(
         oracle=oracle, cost=SybilCost.linear(c), gross=lambda x, foreign: 1.5 * c
     )
@@ -220,9 +216,5 @@ def rmax_commitment_instance(R: float, identity_cost: float) -> CommitmentInstan
     positive cost makes single reporting strictly dominant."""
     if R <= 0.0:
         raise DomainError("need R > 0")
-    oracle = EqPayoffOracle(
-        payoff=lambda n: R / 2.0 ** (n - 1),
-        welfare=lambda n: n * R / 2.0 ** (n - 1),
-        name="shrunk-reward",
-    )
+    oracle = EqPayoffOracle(lambda n: R / 2.0 ** (n - 1))
     return CommitmentInstance(oracle=oracle, cost=SybilCost.linear(identity_cost))

@@ -119,13 +119,12 @@ class AggregativeGame:
     so a game built on them should declare no ``phi_array`` unless its
     verdicts are only compared at ``tol``.
 
-    :func:`verify_sybilproof` scores splits a block of candidates at a time
-    through :func:`_grid_gains`: with ``phi_array``, one array call per
-    identity column and one for the merged comparator; without it, ``phi`` is
-    mapped over the column's Python floats (the merged comparator once per
-    distinct merged action), never in enumeration order.  The scalar payoffs
-    (:func:`sybil_payoff`, :func:`merged_payoff` and the equilibrium and
-    commitment code) only ever call ``phi``.
+    Array code evaluates the game through :meth:`phi_values` and
+    :meth:`aggregate_values`: :func:`verify_sybilproof` scores a block of
+    splits at a time (one call per identity column and one for the merged
+    comparator, never in enumeration order), and the equilibrium grid scans
+    score a whole grid per call.  The scalar payoffs (:func:`sybil_payoff`,
+    :func:`merged_payoff` and the commitment code) only ever call ``phi``.
     """
 
     phi: Callable[[float, float], float]
@@ -157,6 +156,25 @@ class AggregativeGame:
         if self.merge == MERGE_MAX:
             return float(max(actions)) if actions else 0.0
         raise UnsupportedOperationError(f"game {self.name!r} has no merge rule")
+
+    def phi_values(self, x: np.ndarray, y) -> np.ndarray:
+        """``phi`` at each entry of the 1-D float64 array x, against y (an equal-length array or
+        a float): one ``phi_array`` call, or ``phi`` mapped over the pairs as Python floats."""
+        if np.ndim(y) == 0:
+            y = np.full(len(x), y, dtype=float)
+        if self.phi_array is not None:
+            return self.phi_array(x, y)
+        return np.fromiter(map(self.phi, x.tolist(), y.tolist()), float, len(x))
+
+    def aggregate_values(self, values: Sequence):
+        """Elementwise :meth:`aggregate_others` of floats and equal-shape arrays, folded in
+        order (0.0 for an empty list): the left sum, or a running max keeping the first of equal values."""
+        if self.aggregation == MERGE_SUM:
+            return _left_sum(values)
+        acc = values[0] if values else 0.0
+        for v in values[1:]:
+            acc = np.where(v > acc, v, acc)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -315,24 +333,6 @@ def _multiset_blocks(values: np.ndarray, m: int):
         yield np.concatenate(pending, axis=1).T
 
 
-def _others_columns(game: AggregativeGame, profile: tuple[float, ...], columns: list) -> np.ndarray:
-    """Row-wise ``game.aggregate_others(profile + one entry of each column)``, folded in that order."""
-    rest = [*profile, *columns]
-    if game.aggregation == MERGE_SUM:
-        return _left_sum(rest)
-    acc = rest[0]
-    for c in rest[1:]:
-        acc = np.where(c > acc, c, acc)  # as in max(), the first of equal values stays
-    return acc
-
-
-def _phi_columns(game: AggregativeGame, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``phi`` at each pair of the float64 arrays x and y: one ``phi_array`` call, or ``phi`` on Python floats."""
-    if game.phi_array is not None:
-        return game.phi_array(x, y)
-    return np.fromiter(map(game.phi, x.tolist(), y.tolist()), float, len(x))
-
-
 def _grid_gains(
     game: AggregativeGame,
     cost: SybilCost,
@@ -356,7 +356,7 @@ def _grid_gains(
         if keep.any():
             gains[keep] = _grid_gains(game, cost, actions[keep], profile, None)
         return gains
-    k, m = actions.shape
+    m = actions.shape[1]
     columns = list(actions.T)
     if game.merge == MERGE_SUM:
         merged = _left_sum(columns)
@@ -366,14 +366,14 @@ def _grid_gains(
         raise UnsupportedOperationError(f"game {game.name!r} has no merge rule")
     total = 0.0
     for j in range(m):
-        others = _others_columns(game, profile, columns[:j] + columns[j + 1 :])
-        total = total + _phi_columns(game, columns[j], others)
+        others = game.aggregate_values([*profile, *columns[:j], *columns[j + 1 :]])
+        total = total + game.phi_values(columns[j], others)
     y = game.aggregate_others(list(profile))
     if game.phi_array is not None:
-        merged_value = game.phi_array(merged, np.full(k, y))
+        merged_value = game.phi_values(merged, y)
     else:
         distinct, at = np.unique(merged, return_inverse=True)
-        merged_value = _phi_columns(game, distinct, np.full(len(distinct), y))[at]
+        merged_value = game.phi_values(distinct, y)[at]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         return (total - cost(m, len(profile))) - (merged_value - cost(1, len(profile)))
 
@@ -519,7 +519,9 @@ def headcount_reward_game(R: float) -> AggregativeGame:
 def reward_share_game(
     R: float, c: float, upper: Optional[float] = None, grid_step: float = 0.01
 ) -> AggregativeGame:
-    """Continuous stake game paying R * own/(own+others) - c * own."""
+    """Continuous stake game paying R * own/(own+others) - c * own, on [0, R/c] unless ``upper`` is given."""
+    if upper is None and not c > 0.0:
+        raise DomainError(f"stake cost c = {c} gives no action bound R/c: pass an explicit upper bound")
     hi = upper if upper is not None else R / c
     space = ActionSpace(CONTINUOUS, lower=0.0, upper=hi, grid_step=grid_step)
 

@@ -191,8 +191,9 @@ def concave_prorata_equilibrium(
 
 
 def grid_best_response(game: AggregativeGame, y: float) -> float:
-    """Refined grid argmax of phi(., y), called on Python floats, on the game's bounded action space."""
-    values = lambda a: [game.phi(x, y) for x in a.tolist()]
+    """Refined grid argmax of phi(., y) on the game's bounded action space, scoring the
+    coarse grid and each refinement window with one :meth:`~AggregativeGame.phi_values` call."""
+    values = lambda a: game.phi_values(a, y)
     return grid_argmax(values, game.space.lower, game.space.upper, game.space.grid_step, BRD_REFINE_ROUNDS)[0]
 
 
@@ -232,9 +233,11 @@ def best_response_dynamics(game: AggregativeGame, n: int) -> SymmetricEquilibriu
 
 
 def grid_welfare_optimum(game: AggregativeGame, n: int) -> float:
-    """Supremum of total welfare over symmetric grid profiles, at grid resolution."""
-    values = [n * game.phi(a, game.aggregate_others([a] * (n - 1))) for a in game.space.grid().tolist()]
-    return values[first_max(values)]
+    """Supremum of total welfare over symmetric grid profiles, at grid resolution, scored by one
+    :meth:`~AggregativeGame.phi_values` call on the whole grid."""
+    a = game.space.grid()
+    values = n * game.phi_values(a, game.aggregate_values([a] * (n - 1)))
+    return float(values[first_max(values)])
 
 
 def price_of_anarchy(game: AggregativeGame, n: int, eq_welfare: float) -> float:

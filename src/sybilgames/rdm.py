@@ -194,10 +194,7 @@ def nondivisible_lottery(n: int, seed_or_rng: Union[int, np.random.Generator]) -
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.Generator(
-        np.random.PCG64(seed_or_rng)
-    )
-    u = rng.random()
+    u = np.random.default_rng(seed_or_rng).random()
     slot = int(u * 2.0 ** (n - 1))
     return slot if slot < n else None
 

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
+RING_MAX_IDENTITIES = 4  # most identities opt_ring_search's splitting check registers
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,7 @@ def second_price_outcome(
     """Winner (uniform tie-break) and price of a sealed-bid second-price auction."""
     if len(bids) == 0:
         raise DomainError("need at least one bid")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.Generator(
-        np.random.PCG64(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     top = max(bids)
     if top < reserve:
         return None, 0.0
@@ -355,15 +354,15 @@ def opt_ring_search(
     thetas: Optional[Iterable[float]] = None,
     samples: int = 100_000,
     seed: int = 0,
-    m_max: int = 4,
     reserve: float = 0.0,
 ) -> OptRingResult:
     """Search the constant-share family g(k) = theta/(k-1) for profitable rings
     that survive truthfulness and identity-splitting checks.
 
     For each theta: (i) truthful bidding must be the grid argmax of the member
-    payoff at sampled valuations, (ii) the registration-stage expected profit
-    must be maximal at one identity (m up to m_max), and (iii) expected member
+    payoff at the 0.35, 0.6 and 0.85 quantiles of the valuation conditioned on
+    v >= reserve, (ii) the registration-stage expected profit must be maximal
+    at one identity (m up to ``RING_MAX_IDENTITIES``), and (iii) expected member
     welfare is estimated by Monte Carlo on draws shared across thetas.  Among
     passing thetas the one with the highest welfare wins; it must strictly beat
     the theta = 0 baseline E[v(1) - v(2)].
@@ -391,7 +390,8 @@ def opt_ring_search(
     order = np.argsort(top)
     sorted_top = top[order]
     transfer_top = np.empty_like(top)
-    check_values = [float(dist.quantile(q)) for q in (0.35, 0.6, 0.85)]
+    F_reserve = float(dist.cdf(reserve))
+    check_values = [float(dist.quantile(F_reserve + q * (1.0 - F_reserve))) for q in (0.35, 0.6, 0.85)]
     rows = []
     for theta in thetas:
         cfg = constant_share_config(theta, n, reserve)
@@ -403,7 +403,7 @@ def opt_ring_search(
         )
         profit_one = model.expected_profit(1)
         sybilproof_ok = all(
-            model.expected_profit(m) <= profit_one + SYBIL_GAIN_TOL for m in range(2, m_max + 1)
+            model.expected_profit(m) <= profit_one + SYBIL_GAIN_TOL for m in range(2, RING_MAX_IDENTITIES + 1)
         )
         transfer_top[order] = model.transfer(sorted_top)
         paid = top - (1.0 - cfg.share_exponent(n)) * (transfer_top - reserve) - reserve

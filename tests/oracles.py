@@ -92,6 +92,13 @@ def scalar_refine(gain_of, actions, profile, space):
     return best, actions
 
 
+def per_point_welfare_optimum(game, n: int) -> float:
+    """Grid welfare optimum with one scalar ``phi`` call per grid point: the symmetric
+    profile's n-fold payoff at each action of ``game.space.grid()``, first maximum wins."""
+    values = [n * game.phi(a, game.aggregate_others([a] * (n - 1))) for a in game.space.grid().tolist()]
+    return values[int(np.argmax(values))]
+
+
 def midpoint_quad(f, a: float, b: float, n: int = 20001) -> float:
     """Composite midpoint rule; slow but structurally unlike adaptive Simpson."""
     xs = np.linspace(a, b, n + 1)

@@ -65,6 +65,15 @@ def test_fig2_has_a_profitable_crossing(tmp_path):
     assert gains[0] < 0.0 < max(gains)
 
 
+def test_fig2_rows_are_the_first_commit_columns(tmp_path):
+    argv = ["--reserve-a", "80", "--reserve-b", "100", "--price", "0.6", "--n-max", "7"]
+    assert run_cli(["fig", "--which", "fig2"] + argv + ["--out", str(tmp_path / "fig2.csv")]) == 0
+    assert run_cli(["commit", "--instance", "cfmm"] + argv + ["--out", str(tmp_path / "commit.csv")]) == 0
+    commit_rows = read_rows(tmp_path / "commit.csv")[2]
+    assert read_rows(tmp_path / "fig2.csv")[2] == [row[:3] for row in commit_rows]
+    assert len(commit_rows) == 7
+
+
 def test_cake_allocation_frequency(tmp_path):
     out = tmp_path / "cake.csv"
     assert run_cli(["cake", "--n", "4", "--samples", "20000", "--seed", "7", "--out", str(out)]) == 0
@@ -234,6 +243,8 @@ def test_invalid_parameter_exits_one(tmp_path):
     # the welfare standard error needs two draws; an empty theta grid has nothing to search
     assert run_cli(["ring", "--n", "3", "--theta-grid", "3", "--samples", "0", "--out", str(tmp_path / "r.csv")]) == 1
     assert run_cli(["ring", "--n", "3", "--theta-grid", "0", "--samples", "100", "--out", str(tmp_path / "r.csv")]) == 1
+    # zero stake cost leaves the stake game without its R/c action bound
+    assert run_cli(["poa", "--c", "0", "--n-max", "3", "--out", str(tmp_path / "p.csv")]) == 1
 
 
 def test_unwritable_output_exits_one(tmp_path):

@@ -51,19 +51,19 @@ def test_exponential_instance_single_identity_everywhere():
 
 def test_a_nan_commitment_value_is_never_the_best_deviation():
     # x e^(-x) peaks at one identity; the NaN at x = 2 must not read as a profitable deviation
-    oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 2 else math.exp(-n), welfare=lambda n: 0.0)
+    oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 2 else math.exp(-n))
     inst = CommitmentInstance(oracle=oracle, cost=SybilCost.zero())
     assert commitment_deviation(inst, 0, 8) is None
     assert commitment_best_response(inst, 0, 8) == (1, math.exp(-1))
     undefined = CommitmentInstance(
-        oracle=EqPayoffOracle(payoff=lambda n: math.nan, welfare=lambda n: 0.0), cost=SybilCost.zero()
+        oracle=EqPayoffOracle(payoff=lambda n: math.nan), cost=SybilCost.zero()
     )
     with pytest.raises(NumericError):
         commitment_deviation(undefined, 0, 8)
 
 
 def test_a_nan_one_identity_value_raises_instead_of_reading_as_beaten():
-    oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 1 else -1.0, welfare=lambda n: 0.0)
+    oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 1 else -1.0)
     inst = CommitmentInstance(oracle=oracle, cost=SybilCost.zero())
     with pytest.raises(NumericError):
         commitment_deviation(inst, 0, 8)
@@ -91,7 +91,7 @@ def test_scp_check_needs_a_deviation_to_check():
 
 def test_prohibitive_cost_makes_any_instance_scp():
     inst = CommitmentInstance(
-        oracle=EqPayoffOracle(payoff=lambda n: 1.0 / n, welfare=lambda n: 1.0),
+        oracle=EqPayoffOracle(payoff=lambda n: 1.0 / n),
         cost=SybilCost.prohibitive(),
     )
     assert scp_check(inst, foreign_max=10).scp

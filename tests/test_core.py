@@ -15,6 +15,7 @@ from sybilgames.core import (
     CONTINUOUS,
     INTEGER,
     MERGE_MAX,
+    MERGE_SUM,
     SYBIL_TOL,
     VERIFY_CHUNK,
     SybilCost,
@@ -412,6 +413,16 @@ def test_phi_array_equals_phi_bit_for_bit(game, profile_aggregates):
     got = game.phi_array(x, y)
     assert got.dtype == np.float64 and got.shape == x.shape
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("aggregation", [MERGE_SUM, MERGE_MAX])
+def test_aggregate_values_of_nothing_is_zero(aggregation):
+    space = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1)
+    game = AggregativeGame(phi=lambda x, y: x, space=space, aggregation=aggregation)
+    assert game.aggregate_values([]) == 0.0 == game.aggregate_others([])
+    columns = [np.array([0.3, 0.1]), np.array([0.2, 0.5])]
+    expected = [game.aggregate_others([0.4, a, b]) for a, b in zip(*columns)]
+    np.testing.assert_array_equal(game.aggregate_values([0.4, *columns]), expected)
 
 
 def test_zero_at_zero_enforced_for_phi_array():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import grid_search_max
+from oracles import grid_search_max, per_point_welfare_optimum
 from sybilgames.commitment import cournot_game
 from sybilgames.core import reward_share_game
 from sybilgames.equilibrium import (
@@ -19,6 +19,8 @@ from sybilgames.equilibrium import (
     reward_game_pure_equilibrium,
 )
 from sybilgames.errors import DomainError, NumericError
+from sybilgames.rdm import TentFunction, tent_game
+from sybilgames.ring import second_price_game
 
 
 def test_best_response_closed_form_vs_grid_oracle():
@@ -151,6 +153,22 @@ def test_price_of_anarchy_single_player_identity():
     game = reward_share_game(10.0, 1.0, grid_step=0.01)
     w_opt = grid_welfare_optimum(game, 1)
     assert price_of_anarchy(game, 1, w_opt) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        reward_share_game(10.0, 1.0, grid_step=0.01),  # phi_array, sum aggregation
+        tent_game(TentFunction(10.0, 1.0, 0.05)),  # phi on Python floats only
+        second_price_game(0.7, reserve=0.2, grid_step=0.01),  # max aggregation
+    ],
+    ids=lambda game: game.name,
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_grid_welfare_optimum_equals_the_per_point_oracle(game, n):
+    w_opt = grid_welfare_optimum(game, n)
+    assert type(w_opt) is float
+    assert w_opt == per_point_welfare_optimum(game, n)
 
 
 def test_price_of_anarchy_rejects_nonpositive_welfare():

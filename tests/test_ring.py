@@ -261,11 +261,16 @@ def test_sorted_evaluation_welfare_equals_the_unsorted_oracle(dist, seed, reserv
 
 
 def test_welfare_pays_nothing_on_draws_below_the_reserve():
-    # theta = 0 keeps the whole surplus: E[(v(1) - max(v(2), r))+] = 11/64 for uniform, n = 3, r = 1/2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the 0.35 check value lies below the reserve
-        row = opt_ring_search(UNIFORM, 3, [0.0], samples=100_000, seed=0, reserve=0.5).rows[0]
-    assert abs(row.welfare - 11.0 / 64.0) <= 4.0 * row.welfare_se
+    for dist in (UNIFORM, beta22_values(), truncated_exponential_values()):
+        # the truthfulness check bids at quantiles of v given v >= r: theta = 0 passes, so no fallback warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            result = opt_ring_search(dist, 3, [0.0], samples=100_000, seed=0, reserve=0.5)
+        row = result.rows[0]
+        assert row.truthful_ok and row.sybilproof_ok and not result.fell_back
+        if dist is UNIFORM:
+            # theta = 0 keeps the whole surplus: E[(v(1) - max(v(2), r))+] = 11/64 for n = 3, r = 1/2
+            assert abs(row.welfare - 11.0 / 64.0) <= 4.0 * row.welfare_se
 
 
 def test_transfer_on_a_permuted_array_is_the_permuted_transfer():
