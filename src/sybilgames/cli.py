@@ -9,8 +9,9 @@ files.  Exit codes: 0 success, 1 usage, 2 invariant violation, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .rdm import TentFunction, dominant_strategy_prorata, max_sybilproof_reward,
 from .ring import DISTRIBUTIONS, opt_ring_search
 
 ARTIFACT = f"sybilgames/{__version__}"
+#: Monte Carlo runs rendered per body chunk of `cake`; bounds the transcript text held at once.
+CAKE_BLOCK_RUNS = 2**14
 
 
 class UsageError(Exception):
@@ -52,23 +55,28 @@ def _fmt(value) -> str:
 
 
 def _format_rows(rows) -> list[str]:
-    return [",".join(_fmt(v) for v in row) for row in rows]
+    """A small table's rows as one newline-terminated chunk, its whole CSV body."""
+    return ["".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)]
 
 
 def _emit_csv(
-    out: Optional[str], subcommand: str, params: dict, header: Sequence[str], lines: Sequence[str]
+    out: Optional[str], subcommand: str, params: dict, header: Sequence[str], body: Iterable[str]
 ) -> None:
-    """Write the '#' config line, the header and the already formatted body lines."""
+    """Write the '#' config line and the header, then stream the body to ``out`` or stdout.
+
+    ``body`` yields chunks of whole rows, each row ending in a newline; they are
+    written as they come, so a long body (the cake transcript, rendered
+    ``CAKE_BLOCK_RUNS`` runs at a time) is never held as one string.  Opening
+    ``out`` is the last thing that can fail: a handler does everything that can
+    raise before it calls this, and its body only joins prepared strings.
+    """
     config = " ".join(
         [f"artifact={ARTIFACT}", f"subcommand={subcommand}"]
         + [f"{key}={_fmt(val)}" for key, val in sorted(params.items())]
     )
-    text = "\n".join(["# " + config, ",".join(header), *lines]) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+    with (open(out, "w", newline="\n") if out is not None else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(f"# {config}\n{','.join(header)}\n")
+        fh.writelines(body)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -156,10 +164,10 @@ def _run_verify(args) -> None:
         game = headcount_reward_game(args.R)
         default_profiles = ["1,1,1"]
     elif args.game == "prorata":
-        game = reward_share_game(args.R, 1.0, grid_step=args.grid_step or 0.5)
+        game = reward_share_game(args.R, 1.0, grid_step=0.5 if args.grid_step is None else args.grid_step)
         default_profiles = ["2.5,2.5"]
     else:
-        game = cournot_game(args.beta, grid_step=args.grid_step or 0.05)
+        game = cournot_game(args.beta, grid_step=0.05 if args.grid_step is None else args.grid_step)
         default_profiles = [f"{args.beta / 3.0}"]
     profiles = [_parse_profile(t) for t in (args.foreign or default_profiles)]
     rows = []
@@ -178,6 +186,7 @@ def _run_verify(args) -> None:
         )
     params = dict(
         game=args.game, R=args.R, c=args.c, beta=args.beta, max_identities=args.max_identities,
+        grid_step=game.space.grid_step, upper=args.upper,
         profiles=";".join("|".join(repr(a) for a in p) for p in profiles), seed=args.seed,
     )
     _emit_csv(
@@ -218,6 +227,24 @@ def _load_measures(path: str) -> list[PiecewiseMeasure]:
     return measures
 
 
+def _cake_body(tails: np.ndarray, codes: np.ndarray) -> Iterator[str]:
+    """The transcript rows, ``CAKE_BLOCK_RUNS`` runs per chunk.
+
+    ``tails[i, k]`` is the ",identity,value,coin\\n" end of identity i's row when
+    its code is k, and ``codes[r, i]`` is that code in run r.  Each chunk
+    interleaves run labels and gathered tails in one object array and joins it,
+    so no per-row string is ever built.
+    """
+    runs, n = codes.shape
+    rows = np.arange(n)
+    for start in range(0, runs, CAKE_BLOCK_RUNS):
+        block = codes[start : start + CAKE_BLOCK_RUNS]
+        parts = np.empty((len(block), n, 2), dtype=object)
+        parts[:, :, 0] = np.array(list(map(str, range(start, start + len(block)))), dtype=object)[:, None]
+        parts[:, :, 1] = tails[rows, block]
+        yield "".join(parts.ravel().tolist())
+
+
 def _run_cake(args) -> None:
     if args.measures is not None:
         declared = _load_measures(args.measures)
@@ -225,21 +252,19 @@ def _run_cake(args) -> None:
         declared = [PiecewiseMeasure.uniform() for _ in range(args.n)]
     n = len(declared)
     transcript = run_monte_carlo(declared, args.samples, args.seed)
-    # suffix[i, j] is the ",identity,value,coin" tail of identity i's row when it
-    # holds slice j; column n is the burned row, whose value is 0.0
-    suffix = np.array(
+    # tails[i, j] ends identity i's row when it holds slice j; column n is the
+    # burned row, whose value is 0.0
+    tails = np.array(
         [
-            [f",{i},{_fmt(measure_value(declared[i], s))},1" for s in transcript.partition]
-            + [f",{i},{_fmt(0.0)},0"]
+            [f",{i},{_fmt(measure_value(declared[i], s))},1\n" for s in transcript.partition]
+            + [f",{i},{_fmt(0.0)},0\n"]
             for i in range(n)
         ],
         dtype=object,
     )
     codes = np.where(transcript.coins[:, None], transcript.assignments, n)
-    prefix = np.repeat(np.array([str(r) for r in range(transcript.runs)], dtype=object), n)
-    lines = (prefix + suffix[np.arange(n), codes].ravel()).tolist()
     params = dict(n=n, samples=args.samples, seed=args.seed, measures=args.measures or "uniform")
-    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], lines)
+    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], _cake_body(tails, codes))
 
 
 def _run_ring(args) -> None:

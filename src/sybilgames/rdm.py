@@ -159,7 +159,12 @@ class TentFunction:
 def tent_game(tent: TentFunction, grid_step: Optional[float] = None) -> AggregativeGame:
     step = grid_step if grid_step is not None else tent.K / 400.0
     space = ActionSpace(CONTINUOUS, 0.0, tent.K, step)
-    return prorata_game(tent, space, name="tent")
+    R, K, eps, peak = tent.R, tent.K, tent.epsilon, tent.peak
+
+    def f_array(x: np.ndarray) -> np.ndarray:  # TentFunction.__call__, operation for operation
+        return np.where(x <= peak, R * x / peak, R * (K - x) / eps)
+
+    return prorata_game(tent, space, name="tent", f_array=f_array)
 
 
 def tent_equilibrium(tent: TentFunction, n: int) -> SymmetricEquilibrium:

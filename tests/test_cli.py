@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import sybilgames
 from sybilgames import cli
-from sybilgames.cake import measure_value, run_monte_carlo
+from sybilgames.cake import PiecewiseMeasure, measure_value, run_monte_carlo
 from sybilgames.core import SybilCost, reward_share_game, verify_sybilproof
 from sybilgames.errors import InvariantViolation, NumericError
 
@@ -92,15 +93,12 @@ def test_cake_measures_file(tmp_path):
     assert len(rows) == 100  # 50 runs x 2 identities
 
 
-def test_cake_body_matches_per_cell_rendering(tmp_path):
-    measures = tmp_path / "measures.txt"
-    measures.write_text("0 1 1\n0 2 0.5 0 1\n0 0.5 0.3 1.75 0.7 0.5 1\n")
-    out = tmp_path / "cake.csv"
-    argv = ["cake", "--measures", str(measures), "--samples", "40", "--seed", "3", "--out", str(out)]
-    assert run_cli(argv) == 0
-    declared = cli._load_measures(str(measures))
-    transcript = run_monte_carlo(declared, 40, 3)
-    assert not transcript.coins.all()
+# uniform, a two-piece and a three-piece density: kept rows carry distinct float values
+THREE_MEASURES = "0 1 1\n0 2 0.5 0 1\n0 0.5 0.3 1.75 0.7 0.5 1\n"
+
+
+def per_cell_body(declared, transcript):
+    """The cake CSV body rendered one cell at a time, the reference for the block renderer."""
     rows = []
     for r in range(transcript.runs):
         kept = bool(transcript.coins[r])
@@ -109,8 +107,80 @@ def test_cake_body_matches_per_cell_rendering(tmp_path):
             value = measure_value(declared[i], slice_) if kept else 0.0
             rows.append((r, i, value, int(kept)))
     assert len({row[2] for row in rows if row[3]}) > 1  # float values, not all exactly 1/n
-    reference = "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
-    assert out.read_text().split("\n", 2)[2] == reference
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+
+def first_difference(got: str, expected: str):
+    """(line number, got, expected) of the first line that differs, or None; cheap on long bodies."""
+    pairs = itertools.zip_longest(got.split("\n"), expected.split("\n"))
+    return next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
+
+
+def test_cake_body_matches_per_cell_rendering(tmp_path):
+    measures = tmp_path / "measures.txt"
+    measures.write_text(THREE_MEASURES)
+    out = tmp_path / "cake.csv"
+    argv = ["cake", "--measures", str(measures), "--samples", "40", "--seed", "3", "--out", str(out)]
+    assert run_cli(argv) == 0
+    declared = cli._load_measures(str(measures))
+    transcript = run_monte_carlo(declared, 40, 3)
+    assert not transcript.coins.all()
+    assert first_difference(out.read_text().split("\n", 2)[2], per_cell_body(declared, transcript)) is None
+
+
+@pytest.mark.parametrize("measures", [None, THREE_MEASURES], ids=["uniform", "file"])
+def test_cake_blocks_match_per_cell_rendering(tmp_path, monkeypatch, measures):
+    # two full blocks and a partial third: run labels and tails line up across block edges
+    runs = 2 * cli.CAKE_BLOCK_RUNS + 3
+    chunks = []
+    render = cli._cake_body
+    monkeypatch.setattr(cli, "_cake_body", lambda tails, codes: (chunks.append(c) or c for c in render(tails, codes)))
+    out = tmp_path / "cake.csv"
+    argv = ["cake", "--samples", str(runs), "--seed", "5", "--out", str(out)]
+    if measures is None:
+        argv += ["--n", "3"]
+        declared = [PiecewiseMeasure.uniform() for _ in range(3)]
+    else:
+        path = tmp_path / "measures.txt"
+        path.write_text(measures)
+        argv += ["--measures", str(path)]
+        declared = cli._load_measures(str(path))
+    assert run_cli(argv) == 0
+    body = out.read_text().split("\n", 2)[2]
+    assert [chunk.count("\n") for chunk in chunks] == [3 * cli.CAKE_BLOCK_RUNS] * 2 + [3 * 3]
+    assert first_difference("".join(chunks), body) is None
+    assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 5))) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cake", "--n", "3", "--samples", str(cli.CAKE_BLOCK_RUNS + 5), "--seed", "2"],
+        ["rdm", "--R", "10", "--n-max", "5"],
+        ["verify", "--game", "prorata", "--foreign", "2.5,2.5", "--foreign", "1,3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_matches_out_file_byte_for_byte(tmp_path, capsysbinary, argv):
+    out = tmp_path / "artifact.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert run_cli(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert first_difference(printed.decode(), out.read_text()) is None and printed == out.read_bytes()
+
+
+def test_failed_cake_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "cake.csv"
+    assert run_cli(["cake", "--samples", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert run_cli(["cake", "--samples", "0"]) == 1
+    assert capsys.readouterr().out == ""
+    missing = tmp_path / "no" / "cake.csv"
+    assert run_cli(["cake", "--samples", "10", "--out", str(missing)]) == 1
+    assert not missing.parent.exists()
+    assert run_cli(["cake", "--samples", "10", "--out", str(tmp_path)]) == 1  # a directory
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_commit_cournot_counterexample_column(tmp_path):
@@ -158,6 +228,29 @@ def test_cake_and_verify_never_load_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("game", ["prorata", "cournot"])
+def test_verify_zero_grid_step_is_invalid(tmp_path, capsys, game):
+    out = tmp_path / "verify.csv"
+    assert run_cli(["verify", "--game", game, "--grid-step", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invalid parameter:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (["--game", "prorata", "--grid-step", "0.5"], {"grid_step=0.5", "upper=None"}),
+        (["--game", "prorata", "--grid-step", "0.25"], {"grid_step=0.25", "upper=None"}),
+        (["--game", "prorata", "--grid-step", "0.25", "--upper", "4"], {"grid_step=0.25", "upper=4.0"}),
+        (["--game", "headcount", "--grid-step", "0.3"], {"grid_step=1.0"}),  # the {0, 1} search's own step
+    ],
+)
+def test_verify_config_records_grid_step_and_upper(tmp_path, argv, recorded):
+    out = tmp_path / "verify.csv"
+    assert run_cli(["verify", *argv, "--out", str(out)]) == 0
+    assert recorded <= set(read_rows(out)[0].split())
 
 
 def test_verify_prorata_identity_cost_leaves_stake_cost_alone(tmp_path, monkeypatch):

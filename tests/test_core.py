@@ -29,6 +29,7 @@ from sybilgames.core import (
 )
 from sybilgames.commitment import cournot_game
 from sybilgames.errors import ConfigurationError, DomainError, NumericError, UnsupportedOperationError
+from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import second_price_game
 
 
@@ -398,6 +399,7 @@ ARRAY_GAMES = {
     "reward-share-c0": (reward_share_game(10.0, 0.0, upper=2.0, grid_step=0.1), [1.2]),
     "cournot": (cournot_game(1.0, grid_step=0.01), [1.0 / 3.0, 0.05, 0.95]),
     "headcount": (headcount_reward_game(10.0), [3.0]),
+    "tent": (tent_game(TentFunction(10.0, 1.0, 0.05), grid_step=0.01), [0.9, 2.0 / 3.0]),
     "second-price": (second_price_game(0.8, grid_step=0.05), [0.4]),
     "second-price-reserve": (second_price_game(0.8, reserve=0.3, grid_step=0.05), [0.4, 0.3]),
 }

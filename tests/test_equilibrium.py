@@ -5,7 +5,7 @@ import pytest
 
 from oracles import grid_search_max, per_point_welfare_optimum
 from sybilgames.commitment import cournot_game
-from sybilgames.core import reward_share_game
+from sybilgames.core import CONTINUOUS, ActionSpace, prorata_game, reward_share_game
 from sybilgames.equilibrium import (
     best_response_dynamics,
     best_response_reward_game,
@@ -159,7 +159,9 @@ def test_price_of_anarchy_single_player_identity():
     "game",
     [
         reward_share_game(10.0, 1.0, grid_step=0.01),  # phi_array, sum aggregation
-        tent_game(TentFunction(10.0, 1.0, 0.05)),  # phi on Python floats only
+        tent_game(TentFunction(10.0, 1.0, 0.05)),  # phi_array with a kink
+        # the same tent without f_array: phi on Python floats only
+        prorata_game(TentFunction(10.0, 1.0, 0.05), ActionSpace(CONTINUOUS, 0.0, 1.0, 0.0025), name="tent-scalar"),
         second_price_game(0.7, reserve=0.2, grid_step=0.01),  # max aggregation
     ],
     ids=lambda game: game.name,
