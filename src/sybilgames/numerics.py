@@ -13,6 +13,13 @@ Every maximisation takes the first maximum and never NaN (:func:`first_max`).
 :func:`grid_argmax` calls a vectorised f 1 + rounds times (the coarse grid, then each
 :func:`refine_argmax` window) at running sums, the points of a scalar ``x += step``
 loop, and raises :class:`NumericError` when every grid value is NaN.
+
+Row axis: the maximisers and the quadrature also run many problems at once.  When
+f returns a (rows, points) array for the coarse grid, :func:`grid_argmax` returns one
+(x, f(x)) per row, calling f with a (rows, points) array of per-row windows in each
+refinement round; :func:`first_max` selects per row of a 2-D array, and
+:func:`cumulative_simpson` and :func:`integrate` work along the last axis, with the
+error check applied to each row.  Every row reproduces the 1-D call bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 QUAD_CELLS = 4096
 QUAD_TOL = 1e-10
@@ -32,15 +39,18 @@ BISECT_RESIDUAL = 1e-12
 def cumulative_simpson(y, h: float) -> np.ndarray:
     """Running composite-Simpson integral of samples y on a uniform grid of spacing h.
 
-    y has odd length 2c + 1 (cell i spans samples 2i..2i+2); the result holds
-    the c + 1 integrals from the first sample to each even-indexed sample.
+    The last axis of y has odd length 2c + 1 (cell i spans samples 2i..2i+2); the
+    result holds, row by row, the c + 1 integrals from the first sample to each
+    even-indexed sample.
     """
     y = np.asarray(y, dtype=float)
-    cells = h / 3.0 * (y[:-1:2] + 4.0 * y[1::2] + y[2::2])
-    return np.concatenate(([0.0], np.cumsum(cells)))
+    cells = h / 3.0 * (y[..., :-1:2] + 4.0 * y[..., 1::2] + y[..., 2::2])
+    out = np.zeros(cells.shape[:-1] + (cells.shape[-1] + 1,))
+    np.cumsum(cells, axis=-1, out=out[..., 1:])
+    return out
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Integrate a vectorised f on [a, b] by composite Simpson on QUAD_CELLS cells.
 
     f is called once, on the 2 QUAD_CELLS + 1 grid points.  The same rule on
@@ -50,18 +60,27 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     :class:`NumericError` is raised.  The estimate assumes a smooth integrand,
     and features narrower than the grid spacing (b - a)/(2 QUAD_CELLS) are not
     seen by either estimate.
+
+    When f returns leading row axes, the result is an array of one integral per
+    row, each checked on its own; the error names the first unresolved row.
+    b == a gives 0.0 without calling f, and b < a raises :class:`DomainError`.
     """
-    if b <= a:
+    if b < a:
+        raise DomainError(f"integration range [{a}, {b}] is reversed")
+    if b == a:
         return 0.0
     x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
     y = np.asarray(f(x), dtype=float)
     h = (b - a) / (2 * QUAD_CELLS)
-    fine = cumulative_simpson(y, h)[-1]
-    coarse = cumulative_simpson(y[::2], 2.0 * h)[-1]
-    error = abs(fine - coarse) / 15.0
-    if not error <= QUAD_TOL * cumulative_simpson(np.abs(y), h)[-1]:
-        raise NumericError(f"integral on [{a}, {b}] unresolved: error estimate {error:.3g}")
-    return float(fine)
+    fine = cumulative_simpson(y, h)[..., -1]
+    coarse = cumulative_simpson(y[..., ::2], 2.0 * h)[..., -1]
+    error = np.abs(fine - coarse) / 15.0
+    unresolved = ~(error <= QUAD_TOL * cumulative_simpson(np.abs(y), h)[..., -1])
+    if unresolved.any():
+        row = tuple(int(i) for i in np.argwhere(unresolved)[0])
+        where = f" in row {row[0] if len(row) == 1 else row}" if row else ""
+        raise NumericError(f"integral on [{a}, {b}] unresolved{where}: error estimate {error[row]:.3g}")
+    return float(fine) if fine.ndim == 0 else fine
 
 
 def bisect_root(
@@ -95,30 +114,47 @@ def bisect_root(
     raise NumericError(f"bisection unresolved after {max_iter} iterations on [{lo}, {hi}]")
 
 
-def first_max(values) -> int:
-    """Index of the first largest value; NaN never wins, and all-NaN raises :class:`NumericError`."""
+def first_max(values):
+    """Index of the first largest value, per row of a 2-D array; NaN never wins, and a
+    row whose every value is NaN raises :class:`NumericError`."""
     values = np.asarray(values, dtype=float)
     if values.size and not np.isnan(values.max()):  # no NaN, so argmax is the first maximum
-        return int(np.argmax(values))
-    numbers = values[~np.isnan(values)]
-    if not numbers.size:
-        raise NumericError("no value to maximise: every value is NaN")
-    return int(np.argmax(values == numbers.max()))
+        best = np.argmax(values, axis=-1)
+    else:
+        nan = np.isnan(values)
+        empty = nan.all(axis=-1)
+        if empty.any():
+            row = "" if values.ndim == 1 else f" in row {int(np.argmax(empty))}"
+            raise NumericError(f"no value to maximise: every value is NaN{row}")
+        top = np.where(nan, -np.inf, values).max(axis=-1, keepdims=True)
+        best = np.argmax(values == top, axis=-1)
+    return int(best) if values.ndim == 1 else best
 
 
-def _running(start: float, step: float, stop: float) -> np.ndarray:
-    """start, start + step, ... through the first term past stop: the floats of repeated ``x += step``."""
-    terms = np.full(max(int((stop - start) / step), 0) + 3, step)
+def _at(a: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """a[r, i[r]] for every row r of a 2-D a."""
+    return a[np.arange(len(a)), i]
+
+
+def _running(start, step: float, stop) -> np.ndarray:
+    """start, start + step, ... through the first term past stop: the floats of repeated ``x += step``.
+
+    With arrays start and stop, one such run per row, each continued to the longest row's length.
+    """
+    span = (stop - start) / step
+    rows = getattr(span, "shape", ())
+    terms = np.full((max(int(span.max() if rows else span), 0) + 3,) + rows, step)
     terms[0] = start
-    return np.add.accumulate(terms)
+    return np.add.accumulate(terms).T
 
 
-def grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int) -> tuple[float, float]:
+def grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int):
     """(x, f(x)) maximising a vectorised f on [lo, hi]: one call on the grid lo, lo + step, ...
     (the last point clipped to hi), then ``refine_rounds`` rounds of :func:`refine_argmax`.
 
     The first maximum wins, so ties go to the smaller x; NaN never wins, and a
-    grid whose every value is NaN raises :class:`NumericError`.
+    grid whose every value is NaN raises :class:`NumericError`.  When f maps the
+    grid to a (rows, points) array, x and f(x) are arrays of one maximum per row.
     """
     if step <= 0.0:
         raise NumericError("grid step must be positive")
@@ -128,13 +164,20 @@ def grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int) -> tup
     x[1:] = np.minimum(x[1:], hi)
     values = np.asarray(f(x), dtype=float)
     i = first_max(values)
-    return refine_argmax(f, lo, hi, x[i], values[i], step, refine_rounds)
+    return refine_argmax(f, lo, hi, x[i], values[i] if values.ndim == 1 else _at(values, i), step, refine_rounds)
 
 
-def refine_argmax(f, lo: float, hi: float, x: float, v: float, step: float, rounds: int) -> tuple[float, float]:
+def refine_argmax(f, lo: float, hi: float, x, v, step: float, rounds: int):
     """Refine a best point x, v = f(x): each round calls the vectorised f once on
     [x - step, x + step] clipped to [lo, hi] at a tenth of the step, and moves to the
-    first maximum of the window and the incumbent in x order (NaN never wins)."""
+    first maximum of the window and the incumbent in x order (NaN never wins).
+
+    With arrays x and v (one best point per row), each round calls f once with a
+    (rows, points) array of the rows' windows, shorter windows padded by repeating
+    their last point, and the result is one (x, v) per row.
+    """
+    if np.ndim(x) == 1:
+        return _refine_rows(f, lo, hi, np.asarray(x, dtype=float), np.asarray(v, dtype=float), step, rounds)
     for _ in range(rounds):
         window_lo, window_hi = max(lo, x - step), min(hi, x + step)
         step /= 10.0
@@ -146,3 +189,25 @@ def refine_argmax(f, lo: float, hi: float, x: float, v: float, step: float, roun
         i = first_max(values)
         x, v = np.insert(xs, at, x)[i], values[i]
     return float(x), float(v)
+
+
+def _refine_rows(f, lo, hi, x, v, step, rounds):
+    """refine_argmax of every row at once."""
+    for _ in range(rounds):
+        window_lo, window_hi = np.maximum(lo, x - step), np.minimum(hi, x + step)
+        step /= 10.0
+        stop = window_hi + 1e-15 * np.maximum(1.0, np.abs(window_hi))
+        xs = _running(window_lo, step, stop)
+        count = np.count_nonzero(xs <= stop[:, None], axis=1)  # each window is a prefix
+        # shorter windows repeat their last point, and a repeat never beats its first occurrence
+        xs = np.minimum(xs[:, : count.max()], _at(xs, count - 1)[:, None])
+        values = np.asarray(f(xs), dtype=float)
+        # the 1-D round's np.insert of the incumbent, row by row
+        at = np.count_nonzero(xs < x[:, None], axis=1)[:, None]
+        pos = np.arange(xs.shape[1] + 1)
+        src = np.minimum(pos - (pos > at), xs.shape[1] - 1)
+        merged_x = np.where(pos == at, x[:, None], np.take_along_axis(xs, src, 1))
+        merged_v = np.where(pos == at, v[:, None], np.take_along_axis(values, src, 1))
+        i = first_max(merged_v)
+        x, v = _at(merged_x, i), _at(merged_v, i)
+    return x, v

@@ -4,8 +4,8 @@ whose valuations are i.i.d. draws from a known distribution.
 A ring is a pair (T, g): the member reporting the highest bid wins the auction,
 pays T into the ring, and every other registered identity receives the fraction
 g(k) of the surplus, where k is the number of registered identities.  T is
-pinned down by incentive compatibility (truthful bidding must be optimal) and is
-computed by quadrature of
+pinned down by incentive compatibility (truthful bidding must be optimal; McAfee
+and McMillan, "Bidding Rings", AER 1992) and is computed by quadrature of
 
     T(v) = F(v)^(-(k + l - 1)) * integral_r^v (k-1) u F(u)^(k-2+l) f(u) du,
     l = (k - 1) g(k),
@@ -15,7 +15,9 @@ goes through the composite-Simpson rule of :mod:`sybilgames.numerics`: single
 integrals through the checked ``integrate`` (4096 cells, raising
 ``NumericError`` when its error estimate exceeds 1e-10 of the integral of the
 integrand's absolute value), schedules through ``cumulative_simpson`` on
-RingModel's grid.
+RingModel's grid.  Between grid nodes RingModel interpolates each schedule with
+a cubic Hermite whose node slopes come from the same IC condition: differentiating
+F^(k+l-1) T = integral gives T' = f/F ((k-1) v - (k+l-1) T).
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -29,15 +31,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import cumulative_simpson, grid_argmax, integrate
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
@@ -214,54 +213,133 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     return Fv ** (-(n + l - 1)) * (integral + boundary)
 
 
+def _hermite_weights(t):
+    """Cubic Hermite basis (h00, h10, h01, h11) at the cell fraction t."""
+    t2 = t * t
+    t3 = t2 * t
+    return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + t, 3.0 * t2 - 2.0 * t3, t3 - t2
+
+
+def _hermite(weights, y0, m0, y1, m1):
+    """Cubic Hermite value from basis weights, the cell's end values y and end slopes m
+    (scaled by the cell width)."""
+    h00, h10, h01, h11 = weights
+    return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
+
+
+def _subdivide(y: np.ndarray, slopes: np.ndarray, per: int) -> np.ndarray:
+    """Rows of node values y with the Hermite values at fractions 1/per, ..., (per-1)/per
+    of every node cell in between, by strided slices with scalar weights."""
+    out = np.empty(y.shape[:-1] + (per * (y.shape[-1] - 1) + 1,))
+    out[..., ::per] = y
+    ends = y[..., :-1], slopes[..., :-1], y[..., 1:], slopes[..., 1:]
+    for j in range(1, per):
+        out[..., j::per] = _hermite(_hermite_weights(j / per), *ends)
+    return out
+
+
 class RingModel:
-    """Dense-grid evaluation kernel for one (distribution, ring) pair.
+    """Dense-grid evaluation kernel for one distribution and one or more rings.
 
     Transfer schedules and loser-share integrals are running composite-Simpson
     integrals on one interleaved grid of 2 MODEL_CELLS + 1 points over
-    [reserve, v_h] (cell nodes at even indices, midpoints at odd ones),
-    interpolated with cubic splines through the nodes, so member payoffs cost
-    O(1) after setup.  Schedules for every registered count are cached, since a
-    member running m identities faces the (n+m-1)-report schedule.
+    [reserve, v_h] (cell nodes at even indices, midpoints at odd ones).  Between
+    nodes both are cubic Hermite interpolants whose node slopes follow from the
+    IC condition: T' = f/F ((k-1) v - (k+l-1) T), or where F(r) = 0 the one-sided
+    second-order difference over the first two cells, and the loser schedule's
+    -(T - r)(n-1) F^(n-2) f.  Evaluation needs no interval search or linear solve:
+    a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
+    setup.  Schedules for every registered count are cached, since a member
+    running m identities faces the (n+m-1)-report schedule.
+
+    Built from one RingConfig, results carry no config axis.  Built from a
+    sequence of configs sharing reserve and n, every schedule has a leading
+    config axis, inputs broadcast with it in front (length C or 1), and results
+    carry it; each row equals the single-config model's result bit for bit.
     """
 
-    def __init__(self, dist: ValueDistribution, cfg: RingConfig):
+    def __init__(self, dist: ValueDistribution, cfgs: Union[RingConfig, Sequence[RingConfig]]):
+        self._single = isinstance(cfgs, RingConfig)
+        self.cfgs = (cfgs,) if self._single else tuple(cfgs)
+        if not self.cfgs:
+            raise DomainError("need at least one ring config")
         self.dist = dist
-        self.cfg = cfg
-        lo, hi = cfg.reserve, dist.v_h
-        self.grid = np.linspace(lo, hi, 2 * MODEL_CELLS + 1)
-        self._h = (hi - lo) / (2 * MODEL_CELLS)
+        self.reserve, self.n = self.cfgs[0].reserve, self.cfgs[0].n
+        if any(cfg.reserve != self.reserve or cfg.n != self.n for cfg in self.cfgs):
+            raise DomainError("the configs of one model must share reserve and n")
+        if not self.reserve < dist.v_h:
+            raise DomainError(f"reserve {self.reserve} leaves no values below v_h = {dist.v_h}")
+        self.grid = np.linspace(self.reserve, dist.v_h, 2 * MODEL_CELLS + 1)
+        self._h = (dist.v_h - self.reserve) / (2 * MODEL_CELLS)
         self._F = np.asarray(dist.cdf(self.grid), dtype=float)
         self._f = np.asarray(dist.pdf(self.grid), dtype=float)
-        self._schedules: dict[int, tuple[CubicSpline, CubicSpline]] = {}
+        self._schedules: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def _schedule(self, k: int) -> tuple[CubicSpline, CubicSpline]:
+    def _schedule(self, k: int) -> tuple[np.ndarray, ...]:
+        """Node values and cell-width-scaled node slopes of the k-report transfer and of
+        the loser schedule: four (configs, nodes) arrays."""
         if k not in self._schedules:
-            # imported here: loading scipy takes longer than a whole cake or verify run
-            from scipy.interpolate import CubicSpline
-
-            r = self.cfg.reserve
-            l = self.cfg.share_exponent(k)
+            r, n = self.reserve, self.n
             x, F, f, h = self.grid, self._F, self._f, self._h
-            nodes, F_nodes = x[::2], F[::2]
+            width = 2.0 * h
+            l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
+            F_nodes, f_nodes = F[::2], f[::2]
             cumulative = cumulative_simpson((k - 1) * x * F ** (k - 2 + l) * f, h)
-            t_nodes = np.full_like(nodes, r)
+            t = np.full_like(cumulative, r)
             positive = F_nodes > 0.0
             boundary = r * float(F_nodes[0]) ** (k + l - 1)
-            t_nodes[positive] = (cumulative[positive] + boundary) * F_nodes[positive] ** (-(k + l - 1))
-            transfer = CubicSpline(nodes, t_nodes)
-            t = np.empty_like(x)
-            t[::2], t[1::2] = t_nodes, transfer(x[1::2])
-            n = self.cfg.n
-            shares = cumulative_simpson((t - r) * (n - 1) * F ** (n - 2) * f, h)
-            from_top = shares[-1] - shares
-            self._schedules[k] = (transfer, CubicSpline(nodes, from_top))
+            t[:, positive] = (cumulative[:, positive] + boundary) * F_nodes[positive] ** (-(k + l - 1))
+            ratio = np.zeros_like(F_nodes)
+            ratio[positive] = f_nodes[positive] / F_nodes[positive]
+            slope = ratio * ((k - 1) * x[::2] - (k + l - 1) * t)
+            if not positive[0]:
+                slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
+            mt = width * slope
+            weight = (n - 1) * F ** (n - 2) * f
+            shares = cumulative_simpson((_subdivide(t, mt, 2) - r) * weight, h)
+            loser = shares[:, -1:] - shares
+            self._schedules[k] = (t, mt, loser, -width * (t - r) * weight[::2])
         return self._schedules[k]
 
+    def _basis(self, w):
+        """Cell index and Hermite weights of bids w, clipped to [reserve, v_h]."""
+        r = self.grid[0]
+        s = (np.clip(w, r, self.grid[-1]) - r) / (2.0 * self._h)
+        i = np.minimum(s.astype(np.intp), MODEL_CELLS - 1)
+        return i, _hermite_weights(s - i)
+
+    def _lead(self, *arrays):
+        """Float arrays with the config axis in front: a single-config model's inputs
+        gain it, and every array is padded to the same number of dimensions."""
+        arrays = [np.asarray(a, dtype=float)[None] if self._single else np.asarray(a, dtype=float) for a in arrays]
+        ndim = max(a.ndim for a in arrays)
+        return [a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in arrays]
+
+    def _evaluate(self, w, *schedules):
+        """Every (values, slopes) schedule pair at bids w, which carry the config axis."""
+        i, weights = self._basis(w)
+        rows = np.arange(len(self.cfgs)).reshape((-1,) + (1,) * (w.ndim - 1))
+        pairs = zip(schedules[::2], schedules[1::2])
+        return [_hermite(weights, y[rows, i], m[rows, i], y[rows, i + 1], m[rows, i + 1]) for y, m in pairs]
+
+    def _strip(self, out: np.ndarray):
+        out = out[0] if self._single else out
+        return float(out) if out.ndim == 0 else out
+
     def transfer(self, v, k: Optional[int] = None):
-        """Interpolated transfer at the k-report schedule (defaults to cfg.n)."""
-        spline, _ = self._schedule(k if k is not None else self.cfg.n)
-        return spline(v)
+        """Interpolated transfer at the k-report schedule (defaults to n), v clipped to [reserve, v_h]."""
+        t, mt, _, _ = self._schedule(k if k is not None else self.n)
+        (v,) = self._lead(v)
+        (out,) = self._evaluate(v, t, mt)
+        return self._strip(out)
+
+    def _member_payoff(self, m: int, w, v, tw, lw, cdf_w):
+        """Payoff of bidding w at value v with m identities, from the transfer tw and loser share lw at w."""
+        gamma = np.array([cfg.g(self.n + m - 1) for cfg in self.cfgs]).reshape((-1,) + (1,) * (tw.ndim - 1))
+        r = self.reserve
+        win_prob = cdf_w ** (self.n - 1)
+        win = (v - tw + (m - 1) * gamma * (tw - r)) * win_prob
+        return np.where((win_prob > 0.0) & (w >= r), win, 0.0) + m * gamma * lw
 
     def payoff(self, w, v, m: int = 1):
         """Expected payoff of a member with valuation v bidding w and running m identities.
@@ -269,26 +347,36 @@ class RingModel:
         The m-1 extra identities register and bid at the reserve; all identities
         collect the loser share g(n+m-1) when a rival wins, and the winner nets
         back its own extras' shares.  w and v broadcast as arrays; scalar input
-        gives a float.
+        to a single-config model gives a float.
         """
         if m < 1:
             raise DomainError("need at least one identity")
-        cfg, dist = self.cfg, self.dist
-        k = cfg.n + m - 1
-        gamma = cfg.g(k)
-        transfer, loser = self._schedule(k)
-        r = cfg.reserve
-        w = np.asarray(w, dtype=float)
-        win_prob = dist.cdf(w) ** (cfg.n - 1)
-        tw = transfer(w)
-        win = (v - tw + (m - 1) * gamma * (tw - r)) * win_prob
-        win_term = np.where((win_prob > 0.0) & (w >= r), win, 0.0)
-        total = win_term + m * gamma * loser(np.clip(w, r, dist.v_h))
-        return float(total) if total.ndim == 0 else total
+        w, v = self._lead(w, v)
+        tw, lw = self._evaluate(w, *self._schedule(self.n + m - 1))
+        return self._strip(self._member_payoff(m, w, v, tw, lw, self.dist.cdf(w)))
 
-    def expected_profit(self, m: int = 1) -> float:
-        """Registration-stage expected payoff of running m identities, truthful bidding."""
-        return integrate(lambda v: self.payoff(v, v, m) * self.dist.pdf(v), self.cfg.reserve, self.dist.v_h)
+    def expected_profit(self, m: Union[int, Sequence[int]] = 1):
+        """Registration-stage expected payoff of running m identities, truthful bidding.
+
+        A sequence of counts m gives one checked quadrature over (config, m) rows,
+        with m as the last axis of the result.
+        """
+        counts = np.atleast_1d(m)
+        if counts.min() < 1:
+            raise DomainError("need at least one identity")
+
+        def integrand(x):
+            cdf, pdf = self.dist.cdf(x), self.dist.pdf(x)
+            out = np.empty((len(self.cfgs), counts.size, x.size))
+            per = (x.size - 1) // MODEL_CELLS  # integrate's points fall at fractions j/per of each node cell
+            for j, count in enumerate(counts.tolist()):
+                t, mt, loser, ml = self._schedule(self.n + count - 1)
+                tx, lx = _subdivide(t, mt, per), _subdivide(loser, ml, per)
+                out[:, j] = self._member_payoff(count, x, x, tx, lx, cdf) * pdf
+            return out
+
+        out = integrate(integrand, self.reserve, self.dist.v_h)
+        return self._strip(out if np.ndim(m) else out[:, 0])
 
 
 def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
@@ -323,7 +411,7 @@ def efficient_ring_loser_share(
         return max(0.0, surplus) / n
     t = top_value
     Ft = float(dist.cdf(t))
-    if Ft <= 0.0:
+    if t <= r or Ft <= 0.0:  # no second value lies between the reserve and the top
         return 0.0
     conditional = integrate(lambda u: (u - r) * (n - 1) * dist.cdf(u) ** (n - 2) * dist.pdf(u), r, t)
     return max(0.0, conditional / Ft ** (n - 1)) / n
@@ -367,12 +455,12 @@ def opt_ring_search(
     passing thetas the one with the highest welfare wins; it must strictly beat
     the theta = 0 baseline E[v(1) - v(2)].
 
-    The top draws are sorted once per search, and each theta's transfer spline
-    is evaluated on that sorted order (scipy's interval search then walks
-    forward instead of bisecting per point) and scattered back.  The welfare
-    sums run in draw order, so the bytes do not depend on the evaluation order.
-    A draw whose top value is below the reserve sells nothing and pays every
-    member 0; the spline's extrapolation below its first node is discarded.
+    One RingModel holds every theta's schedules: (i) is one row-wise
+    ``grid_argmax`` over (theta, check value) rows and (ii) one checked
+    quadrature over (theta, m) rows.  For (iii) the Hermite basis of the top
+    draws is computed once, and each theta's transfer is four gathers of its node
+    values and slopes, the same arithmetic as ``RingModel.transfer``.  A draw
+    whose top value is below the reserve sells nothing and pays every member 0.
     Needs ``samples >= 2`` (the standard error uses ddof = 1) and at least one
     theta; otherwise raises ``DomainError``.
     """
@@ -383,34 +471,34 @@ def opt_ring_search(
         raise DomainError("need at least one theta")
     if samples < 2:
         raise DomainError("need at least two samples for the welfare standard error")
+    cfgs = [constant_share_config(theta, n, reserve) for theta in thetas]
+    model = RingModel(dist, cfgs)
     baseline = expected_order_stat(dist, n, 1) - expected_order_stat(dist, n, 2)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = dist.sample(rng, (samples, n))
-    top = draws.max(axis=1)
-    order = np.argsort(top)
-    sorted_top = top[order]
-    transfer_top = np.empty_like(top)
     F_reserve = float(dist.cdf(reserve))
-    check_values = [float(dist.quantile(F_reserve + q * (1.0 - F_reserve))) for q in (0.35, 0.6, 0.85)]
+    check_values = np.array([float(dist.quantile(F_reserve + q * (1.0 - F_reserve))) for q in (0.35, 0.6, 0.85)])
+    shape = (len(thetas), len(check_values), -1)
+
+    def bid_payoffs(w):  # the coarse grid, or one window per (theta, check value) row
+        bids = w.reshape(shape) if w.ndim == 2 else w
+        return model.payoff(bids, check_values[None, :, None], 1).reshape(-1, w.shape[-1])
+
+    best_bids, _ = grid_argmax(bid_payoffs, reserve, dist.v_h, dist.v_h / 200.0, 4)
+    truthful = np.all(np.abs(best_bids.reshape(shape[:2]) - check_values) <= 2e-3 * dist.v_h, axis=1)
+    profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
+    sybilproof = np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    top = dist.sample(rng, (samples, n)).max(axis=1)
+    i, weights = model._basis(top)
+    j = i + 1
+    t, mt, _, _ = model._schedule(n)
     rows = []
-    for theta in thetas:
-        cfg = constant_share_config(theta, n, reserve)
-        model = RingModel(dist, cfg)
-        truthful_ok = all(
-            abs(grid_argmax(lambda w: model.payoff(w, v, 1), reserve, dist.v_h, dist.v_h / 200.0, 4)[0] - v)
-            <= 2e-3 * dist.v_h
-            for v in check_values
-        )
-        profit_one = model.expected_profit(1)
-        sybilproof_ok = all(
-            model.expected_profit(m) <= profit_one + SYBIL_GAIN_TOL for m in range(2, RING_MAX_IDENTITIES + 1)
-        )
-        transfer_top[order] = model.transfer(sorted_top)
+    for c, cfg in enumerate(cfgs):
+        transfer_top = _hermite(weights, t[c].take(i), mt[c].take(i), t[c].take(j), mt[c].take(j))
         paid = top - (1.0 - cfg.share_exponent(n)) * (transfer_top - reserve) - reserve
         payouts = np.where(top >= reserve, paid, 0.0)  # below the reserve nothing is sold
         welfare = float(payouts.mean())
         welfare_se = float(payouts.std(ddof=1) / math.sqrt(samples))
-        rows.append(OptRingRow(theta, truthful_ok, sybilproof_ok, welfare, welfare_se, baseline))
+        rows.append(OptRingRow(thetas[c], bool(truthful[c]), bool(sybilproof[c]), welfare, welfare_se, baseline))
     passing = [row for row in rows if row.truthful_ok and row.sybilproof_ok]
     if not passing:
         warnings.warn("no theta passed both checks; falling back to the theta = 0 baseline")

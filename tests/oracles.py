@@ -136,9 +136,9 @@ def first_profitable_split(game, cost, max_identities, profiles, tol, budget=Non
 
 
 def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
-    """(welfare, welfare_se) of one constant-share ring as ``opt_ring_search`` computed it
-    before sorting its draws: the transfer spline evaluated on the top draws in draw order,
-    and nothing paid on draws below the reserve."""
+    """(welfare, welfare_se) of one constant-share ring from its own single-config model:
+    ``RingModel.transfer`` on the top draws in draw order, and nothing paid on draws below
+    the reserve."""
     from sybilgames.ring import RingModel, constant_share_config
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -211,23 +211,31 @@ def test_verify_headcount(tmp_path):
     assert float(rows[0][4]) == pytest.approx(1.5)
 
 
-def test_cake_and_verify_never_load_scipy(tmp_path):
-    # scipy is only needed for ring splines; a fresh interpreter shows whether anything else loads it
+def test_no_subcommand_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency; a fresh interpreter shows whether any subcommand imports scipy
+    runs = [
+        ["verify", "--game", "headcount", "--foreign", "1,1,1"],
+        ["cake", "--n", "3", "--samples", "100"],
+        ["ring", "--dist", "beta22", "--n", "3", "--theta-grid", "3", "--samples", "1000"],
+        ["rdm", "--n-max", "4"],
+        ["fig", "--which", "fig1", "--n-max", "4"],
+        ["poa", "--n-max", "3"],
+        ["commit", "--instance", "cfmm", "--n-max", "4"],
+    ]
     script = (
         "import sys\n"
         "from sybilgames import cli\n"
-        "assert cli.main(['verify', '--game', 'headcount', '--foreign', '1,1,1', '--out', sys.argv[1]]) == 0\n"
-        "assert cli.main(['cake', '--n', '3', '--samples', '100', '--out', sys.argv[2]]) == 0\n"
-        "print('scipy' in sys.modules)\n"
+        f"for i, argv in enumerate({runs!r}):\n"
+        "    assert cli.main(argv + ['--out', sys.argv[1] + f'/{i}.csv']) == 0, argv\n"
+        "assert 'scipy' not in sys.modules\n"
     )
+    assert {argv[0] for argv in runs} == set(cli._HANDLERS)
     src = str(Path(sybilgames.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "verify.csv"), str(tmp_path / "cake.csv")],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("game", ["prorata", "cournot"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import midpoint_quad, scalar_grid_argmax
 from sybilgames.equilibrium import BRD_REFINE_ROUNDS, grid_best_response
-from sybilgames.errors import NumericError
-from sybilgames.numerics import bisect_root, first_max, grid_argmax, integrate
+from sybilgames.errors import DomainError, NumericError
+from sybilgames.numerics import bisect_root, cumulative_simpson, first_max, grid_argmax, integrate
 from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import DISTRIBUTIONS, RingModel, constant_share_config
 
@@ -24,7 +24,31 @@ def test_integrate_matches_midpoint_oracle():
 
 def test_integrate_empty_range():
     assert integrate(lambda x: x, 1.0, 1.0) == 0.0
-    assert integrate(lambda x: x, 2.0, 1.0) == 0.0
+
+
+def test_integrate_reversed_range_raises():
+    with pytest.raises(DomainError):
+        integrate(lambda x: x, 1.0, 0.0)
+
+
+def test_integrate_rows_equal_one_dimensional_calls_bit_for_bit():
+    fs = [
+        lambda x: x**3,
+        lambda x: np.exp(-x) * np.sin(3.0 * x) + x**2,
+        lambda x: 1.0 / (1.0 + (25.0 * (x - 0.4)) ** 2),
+    ]
+    rows = integrate(lambda x: np.stack([g(x) for g in fs]), 0.0, 2.0)
+    assert rows.shape == (3,)
+    assert rows.tolist() == [integrate(g, 0.0, 2.0) for g in fs]
+    y = np.stack([g(np.linspace(0.0, 1.0, 9)) for g in fs])
+    for row, y_row in zip(cumulative_simpson(y, 0.125), y):
+        assert np.array_equal(row, cumulative_simpson(y_row, 0.125))
+
+
+def test_integrate_names_the_unresolved_row():
+    step = lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0)
+    with pytest.raises(NumericError, match="in row 1:"):
+        integrate(lambda x: np.stack([x, step(x), x**2]), 0.0, 1.0)
 
 
 def test_integrate_resolves_an_oscillating_integrand():
@@ -152,3 +176,45 @@ def test_grid_argmax_equals_the_scalar_oracle_on_ties_and_clipped_windows(f, lo,
         x, v = grid_argmax(f, lo, hi, step, rounds)
         expected_x, expected_v = scalar_grid_argmax(lambda a: float(f(np.float64(a))), lo, hi, step, rounds)
         assert (x, v) == (expected_x, expected_v)
+
+
+def _row_wise(fs):
+    """One row per function: the coarse grid goes to every function, a (rows, points) window array row by row."""
+
+    def f(x):
+        return np.stack([g(x) for g in fs] if x.ndim == 1 else [g(row) for g, row in zip(fs, x)])
+
+    return f
+
+
+ROWS = [
+    lambda x: -x,  # the window clipped at lo
+    lambda x: x,  # hi off the grid: the window clipped at hi
+    lambda x: np.ones_like(x),  # ties everywhere go to the smaller x
+    lambda x: np.floor(4.0 * x),  # steps: ties inside every window
+    lambda x: -((x - 1.0299) ** 2),
+    lambda x: np.sin(7.0 * x),
+]
+NAN_AT_LO = lambda x: np.where(x == 0.0, np.nan, -((x - 0.5) ** 2))  # NaN never wins
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 4])
+def test_row_wise_grid_argmax_equals_the_scalar_oracle_on_every_row(rounds):
+    lo, hi, step = 0.0, 1.03, 0.1
+    xs, vs = grid_argmax(_row_wise(ROWS + [NAN_AT_LO]), lo, hi, step, rounds)
+    assert xs.shape == vs.shape == (len(ROWS) + 1,)
+    for g, x, v in zip(ROWS, xs.tolist(), vs.tolist()):
+        assert (x, v) == scalar_grid_argmax(lambda a: float(g(np.float64(a))), lo, hi, step, rounds)
+        assert (x, v) == grid_argmax(g, lo, hi, step, rounds)
+    # the scalar oracle does not model NaN: compare the last row with the 1-D call
+    assert (xs[-1], vs[-1]) == grid_argmax(NAN_AT_LO, lo, hi, step, rounds)
+    assert xs[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_row_wise_first_max_and_an_all_nan_row():
+    values = np.array([[math.nan, 1.0, math.nan, 1.0], [-3.0, 0.0, 2.0, 2.0], [math.nan, -math.inf, math.nan, -1.0]])
+    assert first_max(values).tolist() == [first_max(row) for row in values] == [1, 2, 3]
+    with pytest.raises(NumericError, match="row 1"):
+        first_max(np.array([[1.0, 2.0], [math.nan, math.nan]]))
+    with pytest.raises(NumericError, match="row 1"):
+        grid_argmax(_row_wise([lambda x: -x, lambda x: np.full(np.shape(x), np.nan)]), 0.0, 1.0, 0.1, 2)

@@ -6,6 +6,7 @@ import pytest
 from oracles import central_diff, unsorted_ring_welfare
 from sybilgames.errors import DomainError, SingularScaleError
 from sybilgames.ring import (
+    MODEL_CELLS,
     RingModel,
     ValueDistribution,
     beta22_values,
@@ -114,7 +115,7 @@ def test_transfer_is_conditional_second_highest_when_shares_are_zero():
     assert ring_transfer(v, cfg, UNIFORM) == pytest.approx(mc, abs=0.01)
 
 
-def test_model_spline_agrees_with_transfer_quadrature():
+def test_model_transfer_agrees_with_transfer_quadrature():
     for theta, n in ((0.0, 2), (0.5, 3), (1.0, 5)):
         cfg = constant_share_config(theta, n)
         model = RingModel(UNIFORM, cfg)
@@ -122,6 +123,68 @@ def test_model_spline_agrees_with_transfer_quadrature():
             assert float(model.transfer(v)) == pytest.approx(
                 ring_transfer(v, cfg, UNIFORM), abs=1e-8
             )
+
+
+@pytest.mark.parametrize("dist", [beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+@pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+def test_model_transfer_agrees_with_transfer_quadrature_at_random_bids(dist, theta):
+    cfg = constant_share_config(theta, 3)
+    model = RingModel(dist, cfg)
+    # Bids start at 0.02 v_h: nearer the reserve the grid's node values, not the interpolant, carry the
+    # error of composite Simpson on the singular integrand at F = 0 (24 % of T at the first node for
+    # beta22, theta = 1). On a scan of v in [0.002, 1] the error exceeds 2e-9 only below v = 0.0166.
+    bids = np.random.default_rng(11).uniform(0.02 * dist.v_h, dist.v_h, 200)
+    error = np.abs(model.transfer(bids) - np.array([ring_transfer(float(v), cfg, dist) for v in bids]))
+    assert error.max() <= 2e-9
+
+
+# (n, m, theta) whose transfer integrand (k-1) u^(k-1+theta) on uniform values is a polynomial of degree
+# at most 3, which composite Simpson integrates exactly, so the node values are exact to rounding
+EXACT_UNIFORM_SCHEDULES = [(2, 1, 0.0), (2, 1, 1.0), (3, 1, 0.0), (3, 1, 1.0), (3, 2, 0.0)]
+
+
+@pytest.mark.parametrize("n, m, theta", EXACT_UNIFORM_SCHEDULES)
+def test_hermite_node_slopes_equal_the_closed_form_on_uniform_values(n, m, theta):
+    # uniform: T(v) = (k-1) v/(k+theta), so T' = (k-1)/(k+theta), also at the first node, where F(0) = 0
+    model = RingModel(UNIFORM, constant_share_config(theta, n))
+    k = n + m - 1
+    t, t_slopes, _, loser_slopes = model._schedule(k)  # slopes are scaled by the node spacing
+    width = UNIFORM.v_h / MODEL_CELLS
+    nodes = model.grid[::2]
+    assert float(UNIFORM.cdf(nodes[0])) == 0.0
+    assert np.abs(t_slopes[0] / width - (k - 1) / (k + theta)).max() <= 1e-12
+    # the loser schedule's slope -(T - r)(n-1) F^(n-2) f, with T, F and f in closed form
+    closed = -(k - 1) * nodes / (k + theta) * (n - 1) * nodes ** (n - 2)
+    assert np.abs(loser_slopes[0] / width - closed).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dist", [beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+def test_a_model_over_several_configs_equals_single_config_models_row_by_row(dist):
+    cfgs = [constant_share_config(theta, 3, reserve=0.05) for theta in (0.0, 0.35, 0.7, 1.0)]
+    joint = RingModel(dist, cfgs)
+    rng = np.random.default_rng(4)
+    bids = rng.uniform(0.0, dist.v_h, (len(cfgs), 60))
+    values = rng.uniform(0.0, dist.v_h, 60)
+    counts = [1, 2, 3, 4]
+    profits = joint.expected_profit(counts)
+    assert profits.shape == (len(cfgs), len(counts))
+    for c, cfg in enumerate(cfgs):
+        single = RingModel(dist, cfg)
+        assert np.array_equal(joint.transfer(bids[None, 0])[c], single.transfer(bids[0]))
+        for m in counts:
+            assert np.array_equal(joint.payoff(bids, values, m)[c], single.payoff(bids[c], values, m))
+            assert np.array_equal(joint.payoff(bids[None, 0], values, m)[c], single.payoff(bids[0], values, m))
+            assert joint.expected_profit(m)[c] == single.expected_profit(m)
+        assert profits[c].tolist() == [single.expected_profit(m) for m in counts]
+
+
+def test_a_reserve_at_or_above_the_top_value_is_a_domain_error():
+    with pytest.raises(DomainError):
+        opt_ring_search(UNIFORM, 3, [0.0, 0.5], samples=100, reserve=1.2)
+    with pytest.raises(DomainError):
+        RingModel(UNIFORM, constant_share_config(0.3, 3, reserve=1.0))
+    with pytest.raises(DomainError):  # one model's configs share reserve and n
+        RingModel(UNIFORM, [constant_share_config(0.3, 3), constant_share_config(0.3, 4)])
 
 
 def test_member_payoff_reference_points():
@@ -192,6 +255,12 @@ def test_efficient_share_uniform_values():
     assert efficient_ring_loser_share(3, UNIFORM, top_value=0.9) == pytest.approx(
         (2.0 / 3.0) * 0.9 / 3.0, abs=1e-9
     )
+
+
+def test_efficient_share_is_zero_when_the_top_value_is_below_the_reserve():
+    assert efficient_ring_loser_share(3, UNIFORM, reserve=0.5, top_value=0.3) == 0.0
+    assert efficient_ring_loser_share(3, UNIFORM, reserve=0.5, top_value=0.5) == 0.0
+    assert efficient_ring_loser_share(3, UNIFORM, reserve=0.5, top_value=0.9) > 0.0
 
 
 def test_doubling_the_efficient_share_pays_off():
