@@ -269,6 +269,8 @@ def _run_cake(args) -> None:
 
 def _run_ring(args) -> None:
     dist = DISTRIBUTIONS[args.dist]()
+    if args.theta_grid < 1:  # np.linspace would reject a negative count in its own words
+        raise DomainError("need at least one theta")
     thetas = np.linspace(0.0, 1.0, args.theta_grid)
     result = opt_ring_search(dist, args.n, thetas, samples=args.samples, seed=args.seed)
     rows = [

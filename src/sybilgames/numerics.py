@@ -56,8 +56,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     f is called once, on the 2 QUAD_CELLS + 1 grid points.  The same rule on
     every other sample gives a half-resolution estimate; when the fine
     estimate's estimated error |fine - coarse|/15 exceeds QUAD_TOL times the
-    integral of |f|, or is not finite, the integral is unresolved and
-    :class:`NumericError` is raised.  The estimate assumes a smooth integrand,
+    integral of |f| (the fine estimate itself when no sample is negative), or
+    is not finite, the integral is unresolved and :class:`NumericError` is
+    raised.  The estimate assumes a smooth integrand,
     and features narrower than the grid spacing (b - a)/(2 QUAD_CELLS) are not
     seen by either estimate.
 
@@ -75,7 +76,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     fine = cumulative_simpson(y, h)[..., -1]
     coarse = cumulative_simpson(y[..., ::2], 2.0 * h)[..., -1]
     error = np.abs(fine - coarse) / 15.0
-    unresolved = ~(error <= QUAD_TOL * cumulative_simpson(np.abs(y), h)[..., -1])
+    # |f| = f on nonnegative samples; a NaN fails the test and takes the |f| path
+    scale = fine if y.min() >= 0.0 else cumulative_simpson(np.abs(y), h)[..., -1]
+    unresolved = ~(error <= QUAD_TOL * scale)
     if unresolved.any():
         row = tuple(int(i) for i in np.argwhere(unresolved)[0])
         where = f" in row {row[0] if len(row) == 1 else row}" if row else ""

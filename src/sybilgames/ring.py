@@ -436,6 +436,44 @@ class OptRingResult:
     fell_back: bool = False
 
 
+def _ring_welfare(model: RingModel, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error (ddof = 1) of every config's member payout over the top draws.
+
+    A draw sold at top >= reserve pays x - (1 - l)(T(top) - r) with x = top - r, and
+    T - r is the Hermite sum with r taken off the node values only (h00 + h01 = 1); an
+    unsold draw has x = 0 and zero weights, so it pays 0.  Per-cell sums of the four
+    weights, of x times each weight and of the ten distinct weight products take one
+    pass over the draws; each config's sums of T - r, x (T - r) and (T - r)^2 are then
+    elementwise products with its node values and slopes, summed along each row, so a
+    config's result does not depend on the other configs.  The variance is the second
+    moment less the squared mean, so a near-constant payout leaves it at rounding
+    level; one that rounds below 0 reads 0.
+    """
+    r, count = model.reserve, top.size
+    sold = top >= r
+    i, weights = model._basis(top)
+    weights = [np.where(sold, w, 0.0) for w in weights]
+    x = np.where(sold, top - r, 0.0)
+
+    def per_cell(w):
+        return np.bincount(i, weights=w, minlength=MODEL_CELLS)
+
+    t, mt, _, _ = model._schedule(model.n)
+    ends = (t[:, :-1] - r, mt[:, :-1], t[:, 1:] - r, mt[:, 1:])
+    sum_t = sum(per_cell(w) * e for w, e in zip(weights, ends)).sum(axis=-1)
+    sum_xt = sum(per_cell(x * w) * e for w, e in zip(weights, ends)).sum(axis=-1)
+    sum_tt = sum(
+        (1.0 if a == b else 2.0) * per_cell(weights[a] * weights[b]) * ends[a] * ends[b]
+        for a in range(4)
+        for b in range(a, 4)
+    ).sum(axis=-1)
+    keep = 1.0 - np.array([cfg.share_exponent(model.n) for cfg in model.cfgs])
+    total = x.sum() - keep * sum_t
+    second = (x * x).sum() - 2.0 * keep * sum_xt + keep * keep * sum_tt
+    variance = np.maximum((second - total * total / count) / (count - 1), 0.0)
+    return total / count, np.sqrt(variance) / math.sqrt(count)
+
+
 def opt_ring_search(
     dist: ValueDistribution,
     n: int,
@@ -457,10 +495,12 @@ def opt_ring_search(
 
     One RingModel holds every theta's schedules: (i) is one row-wise
     ``grid_argmax`` over (theta, check value) rows and (ii) one checked
-    quadrature over (theta, m) rows.  For (iii) the Hermite basis of the top
-    draws is computed once, and each theta's transfer is four gathers of its node
-    values and slopes, the same arithmetic as ``RingModel.transfer``.  A draw
-    whose top value is below the reserve sells nothing and pays every member 0.
+    quadrature over (theta, m) rows.  For (iii) one pass over the top draws
+    sums their Hermite weights and products per node cell, and each theta's
+    welfare and standard error follow from those per-cell moments and its node
+    values and slopes (``_ring_welfare``): the sample mean and ddof = 1 standard
+    error of the per-draw payouts, summed in another order.  A draw whose top
+    value is below the reserve sells nothing and pays every member 0.
     Needs ``samples >= 2`` (the standard error uses ddof = 1) and at least one
     theta; otherwise raises ``DomainError``.
     """
@@ -487,18 +527,11 @@ def opt_ring_search(
     profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
     sybilproof = np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
     rng = np.random.Generator(np.random.PCG64(seed))
-    top = dist.sample(rng, (samples, n)).max(axis=1)
-    i, weights = model._basis(top)
-    j = i + 1
-    t, mt, _, _ = model._schedule(n)
-    rows = []
-    for c, cfg in enumerate(cfgs):
-        transfer_top = _hermite(weights, t[c].take(i), mt[c].take(i), t[c].take(j), mt[c].take(j))
-        paid = top - (1.0 - cfg.share_exponent(n)) * (transfer_top - reserve) - reserve
-        payouts = np.where(top >= reserve, paid, 0.0)  # below the reserve nothing is sold
-        welfare = float(payouts.mean())
-        welfare_se = float(payouts.std(ddof=1) / math.sqrt(samples))
-        rows.append(OptRingRow(thetas[c], bool(truthful[c]), bool(sybilproof[c]), welfare, welfare_se, baseline))
+    welfare, welfare_se = _ring_welfare(model, dist.sample(rng, (samples, n)).max(axis=1))
+    rows = [
+        OptRingRow(theta, bool(ok), bool(proof), float(w), float(se), baseline)
+        for theta, ok, proof, w, se in zip(thetas, truthful, sybilproof, welfare, welfare_se)
+    ]
     passing = [row for row in rows if row.truthful_ok and row.sybilproof_ok]
     if not passing:
         warnings.warn("no theta passed both checks; falling back to the theta = 0 baseline")

@@ -246,6 +246,14 @@ def test_verify_zero_grid_step_is_invalid(tmp_path, capsys, game):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
+    out = tmp_path / "ring.csv"
+    assert run_cli(["ring", "--n", "3", "--theta-grid", count, "--samples", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "invalid parameter: need at least one theta\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, recorded",
     [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import midpoint_quad, scalar_grid_argmax
 from sybilgames.equilibrium import BRD_REFINE_ROUNDS, grid_best_response
 from sybilgames.errors import DomainError, NumericError
-from sybilgames.numerics import bisect_root, cumulative_simpson, first_max, grid_argmax, integrate
+from sybilgames.numerics import QUAD_CELLS, QUAD_TOL, bisect_root, cumulative_simpson, first_max, grid_argmax, integrate
 from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import DISTRIBUTIONS, RingModel, constant_share_config
 
@@ -65,6 +65,47 @@ def test_integrate_resolves_a_narrow_bump():
 def test_integrate_raises_on_an_unresolved_step():
     with pytest.raises(NumericError):
         integrate(lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0), 0.0, 1.0)
+
+
+def _abs_scale_rule(f, a: float, b: float):
+    """(fine, resolved) of integrate's rule with the integral of |f| as the scale for every integrand."""
+    x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
+    y = np.asarray(f(x), dtype=float)
+    h = (b - a) / (2 * QUAD_CELLS)
+    fine = cumulative_simpson(y, h)[..., -1]
+    error = np.abs(fine - cumulative_simpson(y[..., ::2], 2.0 * h)[..., -1]) / 15.0
+    return fine, bool(np.all(error <= QUAD_TOL * cumulative_simpson(np.abs(y), h)[..., -1]))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: x**0.5,  # the singular ring integrands F^(k-2+l) with fractional l
+        lambda x: x**1.1,
+        lambda x: np.exp(-(((x - 0.5) / 0.01) ** 2)),
+        lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0),
+        lambda x: np.stack([3.0 * x**2, 6.0 * x * (1.0 - x), np.zeros_like(x)]),
+    ],
+    ids=["sqrt", "pow1.1", "bump", "step", "rows"],
+)
+def test_a_nonnegative_integrand_gives_the_abs_scale_result_bit_for_bit(f):
+    fine, resolved = _abs_scale_rule(f, 0.0, 1.0)
+    if resolved:
+        out = integrate(f, 0.0, 1.0)
+        assert np.array_equal(out, fine) and np.ndim(out) == np.ndim(fine)
+    else:
+        with pytest.raises(NumericError):
+            integrate(f, 0.0, 1.0)
+
+
+def test_a_mixed_sign_integrand_is_scaled_by_the_integral_of_its_absolute_value():
+    # the integral is 0 to rounding; only the |f| scale of 4 lets its error estimate pass
+    assert integrate(np.sin, 0.0, 2.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_nan_sample_raises_on_a_nonnegative_integrand():
+    with pytest.raises(NumericError):
+        integrate(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -319,14 +319,57 @@ def test_registration_stage_profits_match_closed_form():
             assert model.expected_profit(m) == pytest.approx(closed, abs=1e-8)
 
 
+def _assert_matches_the_per_draw_oracle(dist, thetas, samples, seed, reserve):
+    result = opt_ring_search(dist, 3, thetas, samples=samples, seed=seed, reserve=reserve)
+    for theta, row in zip(thetas, result.rows):
+        welfare, welfare_se = unsorted_ring_welfare(dist, 3, theta, samples, seed, reserve)
+        assert abs(row.welfare - welfare) <= 1e-14
+        assert abs(row.welfare_se - welfare_se) <= 1e-10 * welfare_se
+
+
 @pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("reserve", [0.0, 0.1])
-def test_sorted_evaluation_welfare_equals_the_unsorted_oracle(dist, seed, reserve):
-    thetas = [0.0, 0.35, 1.0]
-    result = opt_ring_search(dist, 3, thetas, samples=5_000, seed=seed, reserve=reserve)
-    for theta, row in zip(thetas, result.rows):
-        assert (row.welfare, row.welfare_se) == unsorted_ring_welfare(dist, 3, theta, 5_000, seed, reserve)
+def test_moment_welfare_matches_the_per_draw_oracle(dist, seed, reserve):
+    _assert_matches_the_per_draw_oracle(dist, [0.0, 0.35, 1.0], 5_000, seed, reserve)
+
+
+@pytest.mark.parametrize("reserve", [0.0, 0.1, 0.5])
+def test_moment_welfare_matches_the_per_draw_oracle_on_every_theta(reserve):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a high reserve may leave no theta passing
+        _assert_matches_the_per_draw_oracle(beta22_values(), np.linspace(0.0, 1.0, 21).tolist(), 100_000, 3, reserve)
+
+
+def test_a_theta_row_does_not_depend_on_the_other_thetas_searched():
+    dist, thetas = truncated_exponential_values(), np.linspace(0.0, 1.0, 21).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rows = opt_ring_search(dist, 3, thetas, samples=20_000, seed=5, reserve=0.1).rows
+        for theta, row in zip(thetas, rows):
+            assert opt_ring_search(dist, 3, [theta], samples=20_000, seed=5, reserve=0.1).rows == (row,)
+
+
+def test_welfare_and_its_error_are_zero_when_nothing_sells():
+    reserve, samples, seed = 0.7, 3, 16
+    top = UNIFORM.sample(np.random.Generator(np.random.PCG64(seed)), (samples, 2)).max(axis=1)
+    assert top.max() < reserve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        # at theta = 0.35 the first node's transfer is one rounding off the reserve
+        result = opt_ring_search(UNIFORM, 2, [0.0, 0.35, 1.0], samples=samples, seed=seed, reserve=reserve)
+    for row in result.rows:
+        assert row.welfare == row.welfare_se == 0.0
+
+
+def test_equal_payouts_give_a_finite_standard_error_near_zero():
+    # every draw is 0.6, so each payout is the same and the second moment cancels to rounding
+    point = ValueDistribution("point", UNIFORM.cdf, UNIFORM.pdf, 1.0, lambda u: np.full(np.shape(u), 0.6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = opt_ring_search(point, 3, [0.0, 0.35, 0.5, 1.0], samples=1_000, seed=0)
+    for row in result.rows:
+        assert 0.0 <= row.welfare_se <= 1e-8
 
 
 def test_welfare_pays_nothing_on_draws_below_the_reserve():
