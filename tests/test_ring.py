@@ -330,7 +330,8 @@ def _assert_matches_the_per_draw_oracle(dist, thetas, samples, seed, reserve):
 @pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("reserve", [0.0, 0.1])
-def test_moment_welfare_matches_the_per_draw_oracle(dist, seed, reserve):
+def test_sorted_evaluation_welfare_equals_the_unsorted_oracle(dist, seed, reserve):
+    # the search sums per-cell moments, the oracle sums per draw, so they agree to rounding
     _assert_matches_the_per_draw_oracle(dist, [0.0, 0.35, 1.0], 5_000, seed, reserve)
 
 
