@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -84,7 +85,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every :func:`main` call:
+    callers must not mutate it.  A parse leaves it as it was, since every default is
+    immutable or None and ``--foreign`` appends into a fresh list per namespace."""
     parser = _Parser(prog="sybilgames", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND", parser_class=_Parser)
 

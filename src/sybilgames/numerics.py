@@ -12,7 +12,9 @@ frequently piecewise and derivative-based methods misbehave at kinks.
 Every maximisation takes the first maximum and never NaN (:func:`first_max`).
 :func:`grid_argmax` calls a vectorised f 1 + rounds times (the coarse grid, then each
 :func:`refine_argmax` window) at running sums, the points of a scalar ``x += step``
-loop, and raises :class:`NumericError` when every grid value is NaN.
+loop, and raises :class:`NumericError` when every grid value is NaN.  Each refinement
+round places the incumbent among the window points at ``searchsorted(window, x)``, so it
+precedes an equal point and keeps a tie, and takes the first maximum of that sequence.
 
 Row axis: the maximisers and the quadrature also run many problems at once.  When
 f returns a (rows, points) array for the coarse grid, :func:`grid_argmax` returns one
@@ -34,6 +36,7 @@ QUAD_CELLS = 4096
 QUAD_TOL = 1e-10
 BISECT_MAX_ITER = 200
 BISECT_RESIDUAL = 1e-12
+_RAMP = np.arange(2 * QUAD_CELLS + 1, dtype=float)  # integrate's sample indices 0, 1, ..., 2 QUAD_CELLS
 
 
 def cumulative_simpson(y, h: float) -> np.ndarray:
@@ -53,7 +56,8 @@ def cumulative_simpson(y, h: float) -> np.ndarray:
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Integrate a vectorised f on [a, b] by composite Simpson on QUAD_CELLS cells.
 
-    f is called once, on the 2 QUAD_CELLS + 1 grid points.  The same rule on
+    f is called once, on the 2 QUAD_CELLS + 1 grid points, which equal
+    ``np.linspace(a, b, 2 QUAD_CELLS + 1)`` bit for bit.  The same rule on
     every other sample gives a half-resolution estimate; when the fine
     estimate's estimated error |fine - coarse|/15 exceeds QUAD_TOL times the
     integral of |f| (the fine estimate itself when no sample is negative), or
@@ -70,9 +74,14 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         raise DomainError(f"integration range [{a}, {b}] is reversed")
     if b == a:
         return 0.0
-    x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
-    y = np.asarray(f(x), dtype=float)
     h = (b - a) / (2 * QUAD_CELLS)
+    if h == 0.0:  # an underflowed step: np.linspace's denormal branch
+        x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
+    else:  # np.linspace's own steps on the cached ramp
+        x = _RAMP * h
+        x += a
+        x[-1] = b
+    y = np.asarray(f(x), dtype=float)
     fine = cumulative_simpson(y, h)[..., -1]
     coarse = cumulative_simpson(y[..., ::2], 2.0 * h)[..., -1]
     error = np.abs(fine - coarse) / 15.0
@@ -173,7 +182,9 @@ def grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int):
 def refine_argmax(f, lo: float, hi: float, x, v, step: float, rounds: int):
     """Refine a best point x, v = f(x): each round calls the vectorised f once on
     [x - step, x + step] clipped to [lo, hi] at a tenth of the step, and moves to the
-    first maximum of the window and the incumbent in x order (NaN never wins).
+    first maximum of the window and the incumbent in x order (NaN never wins).  The
+    incumbent takes position ``searchsorted(window, x)`` among the window's points and
+    values, before any window point equal to it, so a tie keeps it.
 
     With arrays x and v (one best point per row), each round calls f once with a
     (rows, points) array of the rows' windows, shorter windows padded by repeating
@@ -188,9 +199,11 @@ def refine_argmax(f, lo: float, hi: float, x, v, step: float, rounds: int):
         xs = _running(window_lo, step, stop)
         xs = xs[xs <= stop]
         at = int(np.searchsorted(xs, x))  # in x order, so the first maximum has the smallest x
-        values = np.insert(np.asarray(f(xs), dtype=float), at, v)
+        fx = np.asarray(f(xs), dtype=float)
+        values = np.empty(len(xs) + 1)
+        values[:at], values[at], values[at + 1 :] = fx[:at], v, fx[at:]
         i = first_max(values)
-        x, v = np.insert(xs, at, x)[i], values[i]
+        x, v = (x if i == at else xs[i - (i > at)]), values[i]
     return float(x), float(v)
 
 

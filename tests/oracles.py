@@ -153,6 +153,26 @@ def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
     return welfare, welfare_se
 
 
+def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: int = 200_000) -> float:
+    """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members and no reserve:
+    F(v)^-(n+theta-1) times a ``cells``-cell trapezoid of (n-1) u F(u)^(n-2+theta) f(u) on
+    [0, v], with the closed-form cdf F and pdf f of ``dist`` ("beta22": the Beta(2, 2)
+    density on [0, 1]; "truncexp": the rate-1 exponential truncated to [0, 1])."""
+    if dist == "beta22":
+        cdf = lambda u: u * u * (3.0 - 2.0 * u)
+        pdf = lambda u: 6.0 * u * (1.0 - u)
+    elif dist == "truncexp":
+        mass = 1.0 - math.exp(-1.0)
+        cdf = lambda u: (1.0 - np.exp(-u)) / mass
+        pdf = lambda u: np.exp(-u) / mass
+    else:
+        raise ValueError(f"no closed form for {dist!r}")
+    u = np.linspace(0.0, v, cells + 1)
+    y = (n - 1) * u * cdf(u) ** (n - 2 + theta) * pdf(u)
+    integral = (v / cells) * (y.sum() - 0.5 * (y[0] + y[-1]))
+    return float(integral / cdf(v) ** (n - 1 + theta))
+
+
 def central_diff(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -325,6 +325,43 @@ def test_reruns_are_byte_identical(tmp_path, argv):
     assert first.read_bytes() == second.read_bytes()
 
 
+# a small run of every subcommand
+QUICK_RUNS = {
+    "verify": ["verify", "--game", "headcount"],
+    "rdm": ["rdm", "--n-max", "4"],
+    "cake": ["cake", "--n", "3", "--samples", "100"],
+    "ring": ["ring", "--n", "3", "--theta-grid", "3", "--samples", "1000"],
+    "commit": ["commit", "--instance", "cfmm", "--n-max", "4"],
+    "poa": ["poa", "--n-max", "3"],
+    "fig": ["fig", "--which", "fig2", "--n-max", "4"],
+}
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
+    assert sorted(QUICK_RUNS) == sorted(cli._HANDLERS)
+    assert cli.build_parser() is cli.build_parser()
+
+    def artifacts(tag):
+        out = {}
+        for name, argv in QUICK_RUNS.items():
+            path = tmp_path / f"{name}-{tag}.csv"
+            assert run_cli(argv + ["--out", str(path)]) == 0
+            out[name] = path.read_bytes()
+        return out
+
+    first = artifacts("first")
+    assert run_cli(["verify", "--grid-step", "x"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    two = tmp_path / "two.csv"
+    assert run_cli(["verify", "--foreign", "1,1,1", "--foreign", "1,1", "--out", str(two)]) == 0
+    assert [row[1] for row in read_rows(two)[2]] == ["1.0|1.0|1.0", "1.0|1.0"]
+    none = tmp_path / "none.csv"
+    assert run_cli(["verify", "--out", str(none)]) == 0
+    config, _, rows = read_rows(none)
+    assert [row[1] for row in rows] == ["1.0|1.0|1.0"] and " profiles=1.0|1.0|1.0 " in config
+    assert artifacts("second") == first
+
+
 def test_csv_round_trip_exact(tmp_path):
     out = tmp_path / "poa.csv"
     assert run_cli(["poa", "--R", "10", "--c", "1", "--n-max", "5", "--out", str(out)]) == 0

@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import midpoint_quad, scalar_grid_argmax
+from oracles import _scalar_window, midpoint_quad, scalar_grid_argmax
 from sybilgames.equilibrium import BRD_REFINE_ROUNDS, grid_best_response
 from sybilgames.errors import DomainError, NumericError
-from sybilgames.numerics import QUAD_CELLS, QUAD_TOL, bisect_root, cumulative_simpson, first_max, grid_argmax, integrate
+from sybilgames.numerics import (
+    QUAD_CELLS,
+    QUAD_TOL,
+    bisect_root,
+    cumulative_simpson,
+    first_max,
+    grid_argmax,
+    integrate,
+    refine_argmax,
+)
 from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import DISTRIBUTIONS, RingModel, constant_share_config
 
@@ -43,6 +52,23 @@ def test_integrate_rows_equal_one_dimensional_calls_bit_for_bit():
     y = np.stack([g(np.linspace(0.0, 1.0, 9)) for g in fs])
     for row, y_row in zip(cumulative_simpson(y, 0.125), y):
         assert np.array_equal(row, cumulative_simpson(y_row, 0.125))
+
+
+# (0.2, 0.9): the last running point falls short of b, which linspace sets as given;
+# (0, 1e-320): the step underflows to 0 and the points are np.linspace's denormal branch
+@pytest.mark.parametrize(
+    "a, b", [(0.0, 1.0), (0.0, 0.63), (-3.5, 2.25), (1e6, 1e6 + 1.0), (0.2, 0.9), (0.0, 1e-320)]
+)
+def test_integrate_samples_f_at_the_linspace_points_bit_for_bit(a, b):
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.ones_like(x)
+
+    integrate(f, a, b)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == np.linspace(a, b, 2 * QUAD_CELLS + 1).tobytes()
 
 
 def test_integrate_names_the_unresolved_row():
@@ -174,6 +200,39 @@ def test_grid_argmax_calls_f_once_per_grid():
 
     grid_argmax(f, 0.0, 1.0, 0.1, 3)
     assert sizes == [11, 21, 21, 21]
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, step, x, at",
+    [
+        (lambda x: -x, 0.0, 1.0, 0.1, 0.0, "first"),  # at lo, before the equal window point lo
+        (lambda x: np.ones_like(x), 0.0, 1.0, 0.1, 0.0, "first"),  # and it keeps the tie
+        (lambda x: x, 0.3, 2.0, 0.07, 2.0, "last"),  # at hi, past every window point
+        (lambda x: np.ones_like(x), 0.3, 2.0, 0.07, 2.0, "last"),  # the first window point takes the tie
+        (lambda x: np.where(x <= 0.5, 1.0, 0.0), 0.0, 1.0, 0.1, 0.5, None),  # tied with the points on its left
+        (lambda x: np.where(x >= 0.5, 1.0, 0.0), 0.0, 1.0, 0.1, 0.5, None),  # tied with the points on its right
+        (lambda x: np.where(np.abs(x - 0.5) < 0.05, 1.0, 0.0), 0.0, 1.0, 0.1, 0.5, None),  # on both sides
+        (lambda x: -((x - 0.537) ** 2), 0.0, 1.0, 0.1, 0.5, None),  # beaten by a point on its right
+    ],
+)
+def test_refine_argmax_places_the_incumbent_as_the_scalar_rescan_does(f, lo, hi, step, x, at):
+    windows = []
+
+    def recorded(xs):
+        windows.append(xs.copy())
+        return f(xs)
+
+    v = float(f(np.float64(x)))
+    for rounds in (1, 3):
+        windows.clear()
+        got = refine_argmax(recorded, lo, hi, x, v, step, rounds)
+        assert len(windows) == rounds
+        assert got == _scalar_window(lambda a: float(f(np.float64(a))), lo, hi, x, v, step, rounds)
+    first = windows[0]
+    if at == "first":
+        assert first[0] == x and np.searchsorted(first, x) == 0
+    elif at == "last":
+        assert first[-1] < x and np.searchsorted(first, x) == len(first)
 
 
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import central_diff, unsorted_ring_welfare
+from oracles import central_diff, trapezoid_ring_transfer, unsorted_ring_welfare
 from sybilgames.errors import DomainError, SingularScaleError
 from sybilgames.ring import (
+    DISTRIBUTIONS,
     MODEL_CELLS,
     RingModel,
     ValueDistribution,
@@ -136,6 +137,20 @@ def test_model_transfer_agrees_with_transfer_quadrature_at_random_bids(dist, the
     bids = np.random.default_rng(11).uniform(0.02 * dist.v_h, dist.v_h, 200)
     error = np.abs(model.transfer(bids) - np.array([ring_transfer(float(v), cfg, dist) for v in bids]))
     assert error.max() <= 2e-9
+
+
+@pytest.mark.parametrize("dist", ["beta22", "truncexp"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_transfer_quadrature_matches_a_fine_trapezoid_off_the_uniform_rows(dist, n):
+    # the trapezoid's own error, about k(k+1)/(12 cells^2) relative on an integrand ~ u^k, peaks near
+    # 3.3e-10 at beta22, n = 6, theta = 1 (k = 12)
+    values = DISTRIBUTIONS[dist]()
+    bids = [0.01, 1.0] + np.random.default_rng(n).uniform(0.01, 1.0, 3).tolist()
+    for theta in (0.0, 0.5, 1.0):
+        cfg = constant_share_config(theta, n)
+        for v in bids:
+            expected = trapezoid_ring_transfer(v, n, theta, dist)
+            assert ring_transfer(v, cfg, values) == pytest.approx(expected, rel=1e-9)
 
 
 # (n, m, theta) whose transfer integrand (k-1) u^(k-1+theta) on uniform values is a polynomial of degree
