@@ -57,7 +57,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Integrate a vectorised f on [a, b] by composite Simpson on QUAD_CELLS cells.
 
     f is called once, on the 2 QUAD_CELLS + 1 grid points, which equal
-    ``np.linspace(a, b, 2 QUAD_CELLS + 1)`` bit for bit.  The same rule on
+    ``np.linspace(a, b, 2 QUAD_CELLS + 1)`` bit for bit unless the step
+    (b - a)/(2 QUAD_CELLS) underflows to 0.  The same rule on
     every other sample gives a half-resolution estimate; when the fine
     estimate's estimated error |fine - coarse|/15 exceeds QUAD_TOL times the
     integral of |f| (the fine estimate itself when no sample is negative), or
@@ -75,12 +76,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     if b == a:
         return 0.0
     h = (b - a) / (2 * QUAD_CELLS)
-    if h == 0.0:  # an underflowed step: np.linspace's denormal branch
-        x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
-    else:  # np.linspace's own steps on the cached ramp
-        x = _RAMP * h
-        x += a
-        x[-1] = b
+    x = _RAMP * h  # np.linspace's own steps
+    x += a
+    x[-1] = b
     y = np.asarray(f(x), dtype=float)
     fine = cumulative_simpson(y, h)[..., -1]
     coarse = cumulative_simpson(y[..., ::2], 2.0 * h)[..., -1]

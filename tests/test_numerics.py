@@ -54,11 +54,8 @@ def test_integrate_rows_equal_one_dimensional_calls_bit_for_bit():
         assert np.array_equal(row, cumulative_simpson(y_row, 0.125))
 
 
-# (0.2, 0.9): the last running point falls short of b, which linspace sets as given;
-# (0, 1e-320): the step underflows to 0 and the points are np.linspace's denormal branch
-@pytest.mark.parametrize(
-    "a, b", [(0.0, 1.0), (0.0, 0.63), (-3.5, 2.25), (1e6, 1e6 + 1.0), (0.2, 0.9), (0.0, 1e-320)]
-)
+# (0.2, 0.9): the last running point falls short of b, which linspace sets as given
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.63), (-3.5, 2.25), (1e6, 1e6 + 1.0), (0.2, 0.9)])
 def test_integrate_samples_f_at_the_linspace_points_bit_for_bit(a, b):
     seen = []
 
