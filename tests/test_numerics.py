@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sybilgames.numerics import (
     grid_argmax,
     integrate,
     refine_argmax,
+    _simpson_totals,
 )
 from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import DISTRIBUTIONS, RingModel, constant_share_config
@@ -46,9 +48,12 @@ def test_integrate_rows_equal_one_dimensional_calls_bit_for_bit():
         lambda x: np.exp(-x) * np.sin(3.0 * x) + x**2,
         lambda x: 1.0 / (1.0 + (25.0 * (x - 0.4)) ** 2),
     ]
-    rows = integrate(lambda x: np.stack([g(x) for g in fs]), 0.0, 2.0)
-    assert rows.shape == (3,)
-    assert rows.tolist() == [integrate(g, 0.0, 2.0) for g in fs]
+    calls = [integrate(g, 0.0, 2.0) for g in fs]
+    # C order, Fortran order, and the transpose of a (points, rows) array
+    for layout in (np.ascontiguousarray, np.asfortranarray, lambda y: np.ascontiguousarray(y.T).T):
+        rows = integrate(lambda x: layout(np.stack([g(x) for g in fs])), 0.0, 2.0)
+        assert rows.shape == (3,)
+        assert rows.tolist() == calls
     y = np.stack([g(np.linspace(0.0, 1.0, 9)) for g in fs])
     for row, y_row in zip(cumulative_simpson(y, 0.125), y):
         assert np.array_equal(row, cumulative_simpson(y_row, 0.125))
@@ -66,6 +71,62 @@ def test_integrate_samples_f_at_the_linspace_points_bit_for_bit(a, b):
     integrate(f, a, b)
     assert len(seen) == 1
     assert seen[0].tobytes() == np.linspace(a, b, 2 * QUAD_CELLS + 1).tobytes()
+
+
+def test_integrate_raises_when_the_step_underflows():
+    # h = 1e-320 / 8192 is 0.0: every point would be a, and the rule would return 0.0
+    with pytest.raises(NumericError, match="underflows"):
+        integrate(np.ones_like, 0.0, 1e-320)
+
+
+def _polynomial(coefficients):
+    return lambda x: sum(c * x**k for k, c in enumerate(coefficients))
+
+
+def _exponential(c, k):
+    return lambda x: c * np.exp(k * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["polynomial", "exponential", "rows"]),
+    coefficients=st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    c=st.floats(0.5, 2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    k=st.floats(-3.0, 3.0),
+    a=st.floats(-2.0, 2.0),
+    width=st.floats(0.25, 3.0),
+)
+def test_integrate_is_the_last_entry_of_cumulative_simpson_to_rounding(family, coefficients, c, sign, k, a, width):
+    poly, expo = _polynomial(coefficients), _exponential(sign * c, k)
+    f = {"polynomial": poly, "exponential": expo, "rows": lambda x: np.stack([poly(x), expo(x)])}[family]
+    b = a + width
+    y = np.asarray(f(np.linspace(a, b, 2 * QUAD_CELLS + 1)), dtype=float)
+    h = (b - a) / (2 * QUAD_CELLS)
+    scale = cumulative_simpson(np.abs(y), h)[..., -1]
+    # the running sum adds QUAD_CELLS cells one by one, so its own rounding reaches
+    # QUAD_CELLS ulps of the integral of |f| (1.9e-13 relative on x - 2 over [-0.56, 2.44])
+    bound = QUAD_CELLS * np.finfo(float).eps * scale
+    assert np.all(np.abs(integrate(f, a, b) - cumulative_simpson(y, h)[..., -1]) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coefficients=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    a=st.floats(-2.0, 2.0),
+    width=st.floats(0.25, 2.0),
+)
+def test_both_simpson_totals_are_exact_on_cubics(coefficients, a, width):
+    b = a + width
+    exact = sum(
+        Fraction(c) * (Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1)
+        for j, c in enumerate(coefficients)
+    )
+    # the size of the terms the rule sums, which bounds its rounding
+    size = width * sum(abs(c) * max(abs(a), abs(b)) ** j for j, c in enumerate(coefficients))
+    y = _polynomial(coefficients)(np.linspace(a, b, 2 * QUAD_CELLS + 1))
+    for total in _simpson_totals(y, (b - a) / (2 * QUAD_CELLS)):
+        assert abs(total - float(exact)) <= 1e-14 * size
 
 
 def test_integrate_names_the_unresolved_row():
@@ -91,13 +152,23 @@ def test_integrate_raises_on_an_unresolved_step():
 
 
 def _abs_scale_rule(f, a: float, b: float):
-    """(fine, resolved) of integrate's rule with the integral of |f| as the scale for every integrand."""
+    """(fine, resolved) of integrate's rule with the integral of |f| as the scale for every integrand.
+
+    The totals are summed as integrate sums them: the odd samples, the samples 2 mod 4 and
+    the interior samples 0 mod 4, each a pairwise sum along the last axis.
+    """
+
+    def totals(y, h):
+        ends, odd = y[..., 0] + y[..., -1], np.sum(y[..., 1::2], axis=-1)
+        mid, rest = np.sum(y[..., 2::4], axis=-1), np.sum(y[..., 4:-1:4], axis=-1)
+        return h / 3.0 * (ends + 4.0 * odd + 2.0 * (mid + rest)), 2.0 * h / 3.0 * (ends + 4.0 * mid + 2.0 * rest)
+
     x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
-    y = np.asarray(f(x), dtype=float)
+    y = np.ascontiguousarray(f(x), dtype=float)
     h = (b - a) / (2 * QUAD_CELLS)
-    fine = cumulative_simpson(y, h)[..., -1]
-    error = np.abs(fine - cumulative_simpson(y[..., ::2], 2.0 * h)[..., -1]) / 15.0
-    return fine, bool(np.all(error <= QUAD_TOL * cumulative_simpson(np.abs(y), h)[..., -1]))
+    fine, coarse = totals(y, h)
+    error = np.abs(fine - coarse) / 15.0
+    return fine, bool(np.all(error <= QUAD_TOL * totals(np.abs(y), h)[0]))
 
 
 @pytest.mark.parametrize(

@@ -263,6 +263,13 @@ def test_expected_order_stats_uniform():
         assert expected_order_stat(UNIFORM, n, 2) == pytest.approx((n - 1.0) / (n + 1.0), abs=1e-9)
 
 
+def test_beta22_ring_baseline_is_27_over_140():
+    # the theta = 0 baseline of `ring --dist beta22 --n 3`: E[v(1) - v(2)] for three Beta(2, 2) draws
+    beta22 = beta22_values()
+    baseline = expected_order_stat(beta22, 3, 1) - expected_order_stat(beta22, 3, 2)
+    assert abs(baseline - 27.0 / 140.0) <= 2e-15
+
+
 def test_efficient_share_uniform_values():
     assert efficient_ring_loser_share(3, UNIFORM) == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert efficient_ring_loser_share(4, UNIFORM, reserve=1.0) == 0.0
