@@ -6,7 +6,10 @@ Every integral in the package goes through one composite-Simpson rule:
 (QUAD_CELLS = 4096 cells, error tolerance QUAD_TOL relative to the integral
 of |f|).  :func:`integrate` needs only totals, so it forms them from three strided
 pairwise sums of its samples instead of running sums; they agree with
-``cumulative_simpson``'s last entry to rounding.
+``cumulative_simpson``'s last entry to rounding.  The same rule as weights on
+the samples (``_simpson_weights``), on the same points (``_quadrature_points``)
+and under the same error test (``_check_resolved``) serves integrands linear in
+parameters, such as ``RingModel.expected_profit``'s.
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.
@@ -55,27 +58,68 @@ def cumulative_simpson(y, h: float) -> np.ndarray:
     return out
 
 
+# integrate's three strided sums: the odd samples (weight 4 in fine), the samples 2 mod 4
+# (weight 2 in fine, 4 in coarse) and the interior samples 0 mod 4 (weight 2 in both)
+_ODD, _MID, _REST = slice(1, None, 2), slice(2, None, 4), slice(4, -1, 4)
+
+
 def _simpson_totals(y: np.ndarray, h: float):
     """(fine, coarse) composite-Simpson totals along the last axis of y, whose length is
-    4c + 1: fine on spacing h, coarse on every other sample at spacing 2h.
-
-    Three strided pairwise sums carry both: the odd samples (weight 4 in fine), the
-    samples 2 mod 4 (weight 2 in fine, 4 in coarse) and the interior samples 0 mod 4
-    (weight 2 in both).
-    """
-    odd = y[..., 1::2].sum(axis=-1)
-    mid = y[..., 2::4].sum(axis=-1)
-    rest = y[..., 4:-1:4].sum(axis=-1)
+    4c + 1: fine on spacing h, coarse on every other sample at spacing 2h, from three
+    strided pairwise sums."""
+    odd = y[..., _ODD].sum(axis=-1)
+    mid = y[..., _MID].sum(axis=-1)
+    rest = y[..., _REST].sum(axis=-1)
     ends = y[..., 0] + y[..., -1]
     return h / 3.0 * (ends + 4.0 * odd + 2.0 * (mid + rest)), 2.0 * h / 3.0 * (ends + 4.0 * mid + 2.0 * rest)
+
+
+def _simpson_weights(h: float) -> np.ndarray:
+    """(2, 2 QUAD_CELLS + 1) weights of integrate's rule at spacing h: the sum of row 0
+    (row 1) times the samples is the fine (coarse) total of ``_simpson_totals``, to rounding.
+
+    A caller whose integrand is linear in some parameters folds these weights into them
+    once instead of sampling the integrand for every parameter value.
+    """
+    w = np.zeros((2, 2 * QUAD_CELLS + 1))
+    w[:, [0, -1]] = 1.0
+    w[0, _ODD], w[0, _MID], w[0, _REST] = 4.0, 2.0, 2.0
+    w[1, _MID], w[1, _REST] = 4.0, 2.0
+    w[0] *= h / 3.0
+    w[1] *= 2.0 * h / 3.0
+    return w
+
+
+def _quadrature_points(a: float, b: float):
+    """(x, h): integrate's 2 QUAD_CELLS + 1 points on [a, b], equal to
+    ``np.linspace(a, b, 2 QUAD_CELLS + 1)`` bit for bit, and their spacing h.
+    A spacing that underflows to 0 raises :class:`NumericError`."""
+    h = (b - a) / (2 * QUAD_CELLS)
+    if h == 0.0:
+        raise NumericError(f"integral on [{a}, {b}] unresolved: the step (b - a)/{2 * QUAD_CELLS} underflows to 0")
+    x = _RAMP * h  # np.linspace's own steps
+    x += a
+    x[-1] = b
+    return x, h
+
+
+def _check_resolved(fine, coarse, scale, a: float, b: float) -> None:
+    """Raise :class:`NumericError` unless every row's estimated error |fine - coarse|/15 is
+    at most QUAD_TOL times its scale (so a NaN fails); the error names the first
+    unresolved row of an array."""
+    error = np.abs(fine - coarse) / 15.0
+    unresolved = ~(error <= QUAD_TOL * scale)
+    if unresolved.any():
+        row = tuple(int(i) for i in np.argwhere(unresolved)[0])
+        where = f" in row {row[0] if len(row) == 1 else row}" if row else ""
+        raise NumericError(f"integral on [{a}, {b}] unresolved{where}: error estimate {error[row]:.3g}")
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Integrate a vectorised f on [a, b] by composite Simpson on QUAD_CELLS cells.
 
-    f is called once, on the 2 QUAD_CELLS + 1 grid points, which equal
-    ``np.linspace(a, b, 2 QUAD_CELLS + 1)`` bit for bit; a step
-    (b - a)/(2 QUAD_CELLS) that underflows to 0 raises :class:`NumericError`
+    f is called once, on the 2 QUAD_CELLS + 1 points of ``_quadrature_points``;
+    a step (b - a)/(2 QUAD_CELLS) that underflows to 0 raises :class:`NumericError`
     without calling f.  The samples are made C-contiguous; the fine total and the
     half-resolution total of the same rule on every other sample are strided
     pairwise sums along the last axis, equal to ``cumulative_simpson``'s last
@@ -83,7 +127,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     estimate's estimated error |fine - coarse|/15 exceeds QUAD_TOL times the
     integral of |f| (the fine estimate itself when no sample is negative), or
     is not finite, the integral is unresolved and :class:`NumericError` is
-    raised.  The estimate assumes a smooth integrand,
+    raised (``_check_resolved``).  The estimate assumes a smooth integrand,
     and features narrower than the grid spacing (b - a)/(2 QUAD_CELLS) are not
     seen by either estimate.
 
@@ -95,23 +139,13 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         raise DomainError(f"integration range [{a}, {b}] is reversed")
     if b == a:
         return 0.0
-    h = (b - a) / (2 * QUAD_CELLS)
-    if h == 0.0:
-        raise NumericError(f"integral on [{a}, {b}] unresolved: the step (b - a)/{2 * QUAD_CELLS} underflows to 0")
-    x = _RAMP * h  # np.linspace's own steps
-    x += a
-    x[-1] = b
+    x, h = _quadrature_points(a, b)
     # C order: numpy sums a Fortran-ordered last axis in another order than the 1-D call
     y = np.ascontiguousarray(f(x), dtype=float)
     fine, coarse = _simpson_totals(y, h)
-    error = np.abs(fine - coarse) / 15.0
     # |f| = f on nonnegative samples; a NaN fails the test and takes the |f| path
     scale = fine if y.min() >= 0.0 else _simpson_totals(np.abs(y), h)[0]
-    unresolved = ~(error <= QUAD_TOL * scale)
-    if unresolved.any():
-        row = tuple(int(i) for i in np.argwhere(unresolved)[0])
-        where = f" in row {row[0] if len(row) == 1 else row}" if row else ""
-        raise NumericError(f"integral on [{a}, {b}] unresolved{where}: error estimate {error[row]:.3g}")
+    _check_resolved(fine, coarse, scale, a, b)
     return float(fine) if fine.ndim == 0 else fine
 
 

@@ -15,7 +15,9 @@ goes through the composite-Simpson rule of :mod:`sybilgames.numerics`: single
 integrals through the checked ``integrate`` (4096 cells, raising
 ``NumericError`` when its error estimate exceeds 1e-10 of the integral of the
 integrand's absolute value), schedules through ``cumulative_simpson`` on
-RingModel's grid.  Between grid nodes RingModel interpolates each schedule with
+RingModel's grid, and registration-stage profits through the same rule's
+weights on ``integrate``'s points, under its error test with the integral
+itself as the scale.  Between grid nodes RingModel interpolates each schedule with
 a cubic Hermite whose node slopes come from the same IC condition: differentiating
 F^(k+l-1) T = integral gives T' = f/F ((k-1) v - (k+l-1) T).
 
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, SingularScaleError
-from .numerics import cumulative_simpson, grid_argmax, integrate
+from .numerics import _check_resolved, _quadrature_points, _simpson_weights, cumulative_simpson, grid_argmax, integrate
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
@@ -238,6 +240,41 @@ def _subdivide(y: np.ndarray, slopes: np.ndarray, per: int) -> np.ndarray:
     return out
 
 
+def _node_weights(w: np.ndarray):
+    """(values, slopes): node weights whose sums against node values y and scaled slopes m
+    equal the sum of w times ``_subdivide(y, m, per)`` along the last axis, to rounding,
+    where w holds per samples in each of the MODEL_CELLS node cells and one at the end."""
+    per = (w.shape[-1] - 1) // MODEL_CELLS
+    values = w[..., ::per].copy()  # the samples at the nodes
+    slopes = np.zeros_like(values)
+    for j in range(1, per):
+        h00, h10, h01, h11 = _hermite_weights(j / per)
+        inside = w[..., j::per]
+        values[..., :-1] += h00 * inside
+        values[..., 1:] += h01 * inside
+        slopes[..., :-1] += h10 * inside
+        slopes[..., 1:] += h11 * inside
+    return values, slopes
+
+
+def _power(base, exponents):
+    """base ** exponents with the exponents spelled out over the broadcast shape, so every
+    element goes through numpy's general pow loop: with one exponent per row numpy may swap
+    in reciprocal, sqrt or square (which round differently) for a single-config model but
+    not for a row of a joint one."""
+    exponents = np.broadcast_to(exponents, np.broadcast_shapes(np.shape(exponents), np.shape(base)))
+    return np.power(base, exponents.copy())
+
+
+def _identity_counts(m) -> np.ndarray:
+    """m as a 1-D array of identity counts; :class:`DomainError` unless it holds at least
+    one count and every count is an integer >= 1."""
+    counts = np.atleast_1d(np.asarray(m))
+    if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 1:
+        raise DomainError(f"identity counts must be integers >= 1, got {m!r}")
+    return counts
+
+
 class RingModel:
     """Dense-grid evaluation kernel for one distribution and one or more rings.
 
@@ -250,7 +287,10 @@ class RingModel:
     -(T - r)(n-1) F^(n-2) f.  Evaluation needs no interval search or linear solve:
     a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
     setup.  Schedules for every registered count are cached, since a member
-    running m identities faces the (n+m-1)-report schedule.
+    running m identities faces the (n+m-1)-report schedule.  The registration-stage
+    profit samples no integrand: the quadrature rule's weights, folded through the
+    Hermite basis onto the nodes once, are summed against each schedule's node values
+    and slopes.  Identity counts are integers >= 1.
 
     Built from one RingConfig, results carry no config axis.  Built from a
     sequence of configs sharing reserve and n, every schedule has a leading
@@ -284,11 +324,11 @@ class RingModel:
             width = 2.0 * h
             l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
             F_nodes, f_nodes = F[::2], f[::2]
-            cumulative = cumulative_simpson((k - 1) * x * F ** (k - 2 + l) * f, h)
+            cumulative = cumulative_simpson((k - 1) * x * _power(F, k - 2 + l) * f, h)
             t = np.full_like(cumulative, r)
             positive = F_nodes > 0.0
             boundary = r * float(F_nodes[0]) ** (k + l - 1)
-            t[:, positive] = (cumulative[:, positive] + boundary) * F_nodes[positive] ** (-(k + l - 1))
+            t[:, positive] = (cumulative[:, positive] + boundary) * _power(F_nodes[positive], -(k + l - 1))
             ratio = np.zeros_like(F_nodes)
             ratio[positive] = f_nodes[positive] / F_nodes[positive]
             slope = ratio * ((k - 1) * x[::2] - (k + l - 1) * t)
@@ -349,34 +389,49 @@ class RingModel:
         back its own extras' shares.  w and v broadcast as arrays; scalar input
         to a single-config model gives a float.
         """
-        if m < 1:
-            raise DomainError("need at least one identity")
+        if np.ndim(m) != 0:
+            raise DomainError(f"payoff takes one identity count, got {m!r}")
+        m = int(_identity_counts(m)[0])
         w, v = self._lead(w, v)
         tw, lw = self._evaluate(w, *self._schedule(self.n + m - 1))
         return self._strip(self._member_payoff(m, w, v, tw, lw, self.dist.cdf(w)))
 
     def expected_profit(self, m: Union[int, Sequence[int]] = 1):
-        """Registration-stage expected payoff of running m identities, truthful bidding.
+        """Registration-stage expected payoff of running m identities, truthful bidding:
+        the integral over [reserve, v_h] of ``payoff(x, x, m)`` times the density.
 
-        A sequence of counts m gives one checked quadrature over (config, m) rows,
-        with m as the last axis of the result.
+        m is one count or a non-empty sequence of counts, each an integer >= 1 (otherwise
+        :class:`DomainError`); a sequence gives one checked quadrature over (config, m)
+        rows, with m as the last axis of the result.
+
+        The integrand is linear in each schedule's node values and scaled slopes, so
+        ``integrate``'s fine and coarse Simpson totals on its points are
+        xP - (m-1) g r P - (1 - (m-1) g) T + m g L, with g = g(n+m-1), xP and P the rule's
+        sums of x F^(n-1) f and F^(n-1) f, and T and L the transfer and loser schedules
+        summed against the rule's weights times F^(n-1) f and f, folded onto the nodes
+        once per call.  A row is elementwise products summed along one row, so it equals
+        the single-config model's row bit for bit.  A row whose |fine - coarse|/15
+        exceeds QUAD_TOL |fine| raises ``NumericError`` naming its (config, m) index.
         """
-        counts = np.atleast_1d(m)
-        if counts.min() < 1:
-            raise DomainError("need at least one identity")
-
-        def integrand(x):
-            cdf, pdf = self.dist.cdf(x), self.dist.pdf(x)
-            out = np.empty((len(self.cfgs), counts.size, x.size))
-            per = (x.size - 1) // MODEL_CELLS  # integrate's points fall at fractions j/per of each node cell
-            for j, count in enumerate(counts.tolist()):
-                t, mt, loser, ml = self._schedule(self.n + count - 1)
-                tx, lx = _subdivide(t, mt, per), _subdivide(loser, ml, per)
-                out[:, j] = self._member_payoff(count, x, x, tx, lx, cdf) * pdf
-            return out
-
-        out = integrate(integrand, self.reserve, self.dist.v_h)
-        return self._strip(out if np.ndim(m) else out[:, 0])
+        counts = _identity_counts(m)
+        r, n, b = self.reserve, self.n, self.dist.v_h
+        x, h = _quadrature_points(r, b)
+        F, f = np.asarray(self.dist.cdf(x), dtype=float), np.asarray(self.dist.pdf(x), dtype=float)
+        win_prob = F ** (n - 1)
+        rule = _simpson_weights(h)  # (fine, coarse) rows
+        rule_P = rule * np.where(win_prob > 0.0, win_prob * f, 0.0)  # masked as _member_payoff masks it
+        xP, P = (rule_P * x).sum(axis=-1), rule_P.sum(axis=-1)
+        (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
+        out = np.empty((len(self.cfgs), counts.size, 2))
+        for j, count in enumerate(counts.tolist()):
+            t, mt, loser, ml = self._schedule(n + count - 1)
+            gamma = np.array([[cfg.g(n + count - 1)] for cfg in self.cfgs])
+            T = (t[:, None] * t_w).sum(axis=-1) + (mt[:, None] * mt_w).sum(axis=-1)
+            L = (loser[:, None] * loser_w).sum(axis=-1) + (ml[:, None] * ml_w).sum(axis=-1)
+            out[:, j] = xP - (count - 1) * gamma * r * P - (1.0 - (count - 1) * gamma) * T + count * gamma * L
+        fine, coarse = out[..., 0], out[..., 1]
+        _check_resolved(fine, coarse, np.abs(fine), r, b)
+        return self._strip(fine if np.ndim(m) else fine[:, 0])
 
 
 def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
@@ -495,7 +550,9 @@ def opt_ring_search(
 
     One RingModel holds every theta's schedules: (i) is one row-wise
     ``grid_argmax`` over (theta, check value) rows and (ii) one checked
-    quadrature over (theta, m) rows.  For (iii) one pass over the top draws
+    quadrature over (theta, m) rows, each row a sum of its schedules' node values
+    and slopes against per-node Simpson weights built once for the search
+    (``RingModel.expected_profit``).  For (iii) one pass over the top draws
     sums their Hermite weights and products per node cell, and each theta's
     welfare and standard error follow from those per-cell moments and its node
     values and slopes (``_ring_welfare``): the sample mean and ddof = 1 standard

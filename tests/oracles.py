@@ -153,6 +153,27 @@ def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
     return welfare, welfare_se
 
 
+def sampled_expected_profit(model, counts):
+    """(configs, counts) registration-stage profits of a ``RingModel`` from the sampled
+    integrand: ``payoff(x, x, m)`` times the density on every point of ``integrate``'s
+    grid, with each schedule's Hermite interpolant evaluated there, then integrated by
+    ``integrate`` (error scale: the integral of |f|)."""
+    from sybilgames.numerics import integrate
+    from sybilgames.ring import MODEL_CELLS, _subdivide
+
+    def integrand(x):
+        cdf, pdf = model.dist.cdf(x), model.dist.pdf(x)
+        out = np.empty((len(model.cfgs), len(counts), x.size))
+        per = (x.size - 1) // MODEL_CELLS  # integrate's points fall at fractions j/per of each node cell
+        for j, count in enumerate(counts):
+            t, mt, loser, ml = model._schedule(model.n + count - 1)
+            tx, lx = _subdivide(t, mt, per), _subdivide(loser, ml, per)
+            out[:, j] = model._member_payoff(count, x, x, tx, lx, cdf) * pdf
+        return out
+
+    return integrate(integrand, model.reserve, model.dist.v_h)
+
+
 def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: int = 200_000) -> float:
     """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members and no reserve:
     F(v)^-(n+theta-1) times a ``cells``-cell trapezoid of (n-1) u F(u)^(n-2+theta) f(u) on

@@ -16,7 +16,9 @@ from sybilgames.numerics import (
     first_max,
     grid_argmax,
     integrate,
+    _quadrature_points,
     refine_argmax,
+    _simpson_weights,
     _simpson_totals,
 )
 from sybilgames.rdm import TentFunction, tent_game
@@ -60,7 +62,10 @@ def test_integrate_rows_equal_one_dimensional_calls_bit_for_bit():
 
 
 # (0.2, 0.9): the last running point falls short of b, which linspace sets as given
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.63), (-3.5, 2.25), (1e6, 1e6 + 1.0), (0.2, 0.9)])
+LINSPACE_RANGES = [(0.0, 1.0), (0.0, 0.63), (-3.5, 2.25), (1e6, 1e6 + 1.0), (0.2, 0.9)]
+
+
+@pytest.mark.parametrize("a, b", LINSPACE_RANGES)
 def test_integrate_samples_f_at_the_linspace_points_bit_for_bit(a, b):
     seen = []
 
@@ -71,6 +76,25 @@ def test_integrate_samples_f_at_the_linspace_points_bit_for_bit(a, b):
     integrate(f, a, b)
     assert len(seen) == 1
     assert seen[0].tobytes() == np.linspace(a, b, 2 * QUAD_CELLS + 1).tobytes()
+
+
+@pytest.mark.parametrize("a, b", LINSPACE_RANGES)
+def test_quadrature_points_are_the_linspace_points_bit_for_bit(a, b):
+    x, h = _quadrature_points(a, b)
+    assert x.tobytes() == np.linspace(a, b, 2 * QUAD_CELLS + 1).tobytes()
+    assert h == (b - a) / (2 * QUAD_CELLS)
+
+
+@pytest.mark.parametrize("f", [lambda x: 0.5 - x + 2.0 * x**3, np.exp], ids=["cubic", "exp"])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 0.7)])
+def test_simpson_weight_sums_agree_with_integrate_to_rounding(f, a, b):
+    x, h = _quadrature_points(a, b)
+    fine, coarse = (_simpson_weights(h) * f(x)).sum(axis=-1)
+    expected_fine, expected_coarse = _simpson_totals(f(x), h)
+    assert expected_fine == integrate(f, a, b)
+    size = (b - a) * np.abs(f(x)).max()  # bounds the terms both sums add
+    assert abs(fine - expected_fine) <= 1e-14 * size
+    assert abs(coarse - expected_coarse) <= 1e-14 * size
 
 
 def test_integrate_raises_when_the_step_underflows():

@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import central_diff, trapezoid_ring_transfer, unsorted_ring_welfare
-from sybilgames.errors import DomainError, SingularScaleError
+from oracles import central_diff, sampled_expected_profit, trapezoid_ring_transfer, unsorted_ring_welfare
+from sybilgames.errors import DomainError, NumericError, SingularScaleError
+from sybilgames.numerics import QUAD_CELLS
 from sybilgames.ring import (
     DISTRIBUTIONS,
     MODEL_CELLS,
+    SYBIL_GAIN_TOL,
     RingModel,
     ValueDistribution,
     beta22_values,
@@ -174,8 +176,11 @@ def test_hermite_node_slopes_equal_the_closed_form_on_uniform_values(n, m, theta
 
 
 @pytest.mark.parametrize("dist", [beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
-def test_a_model_over_several_configs_equals_single_config_models_row_by_row(dist):
-    cfgs = [constant_share_config(theta, 3, reserve=0.05) for theta in (0.0, 0.35, 0.7, 1.0)]
+# n = 2: the loser weight is F^0, and at theta = 0 the transfer's F^-1 is where numpy's ** swaps in a
+# reciprocal for a single config's exponent but not for a joint model's column of exponents
+@pytest.mark.parametrize("n, reserve", [(3, 0.05), (2, 0.05), (3, 0.0)])
+def test_a_model_over_several_configs_equals_single_config_models_row_by_row(dist, n, reserve):
+    cfgs = [constant_share_config(theta, n, reserve=reserve) for theta in (0.0, 0.35, 0.7, 1.0)]
     joint = RingModel(dist, cfgs)
     rng = np.random.default_rng(4)
     bids = rng.uniform(0.0, dist.v_h, (len(cfgs), 60))
@@ -339,6 +344,66 @@ def test_registration_stage_profits_match_closed_form():
         for m in (1, 2, 3, 4):
             closed = (1.0 + 3.0 * m * theta) / (4.0 * (m + 2.0 + theta))
             assert model.expected_profit(m) == pytest.approx(closed, abs=1e-8)
+
+
+def _sybilproof(profits):
+    """opt_ring_search's identity-splitting verdict per config row of (config, m = 1..4) profits."""
+    return np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
+
+
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_profits_from_node_weights_agree_with_the_sampled_integrand(dist, n):
+    values, counts = DISTRIBUTIONS[dist](), [1, 2, 3, 4]
+    for reserve in (0.0, 0.05, 0.3):
+        model = RingModel(values, [constant_share_config(theta, n, reserve) for theta in np.linspace(0.0, 1.0, 21)])
+        profits = model.expected_profit(counts)
+        sampled = sampled_expected_profit(model, counts)
+        assert np.all(np.abs(profits - sampled) <= 1e-13 * np.abs(sampled))
+        assert np.array_equal(_sybilproof(profits), _sybilproof(sampled))
+        if (dist, n, reserve) == ("beta22", 2, 0.3):
+            # at theta = 1 the one-identity integrand is negative at x = r, so the integral of its
+            # absolute value, the sampled path's error scale, exceeds |fine|
+            assert model.payoff(reserve, reserve, 1)[-1] * float(values.pdf(reserve)) < -0.04
+
+
+def test_a_profit_unresolved_on_the_quadrature_grid_names_its_config_and_count_row():
+    # the pdf alternates 1.5, 0.5 on consecutive quadrature points and is 1.5 on every point of
+    # the model's grid, which is every other quadrature point, so the schedules stay smooth
+    spacing = UNIFORM.v_h / (2 * QUAD_CELLS)
+    wobbly = ValueDistribution(
+        "wobbly",
+        UNIFORM.cdf,
+        lambda x: UNIFORM.pdf(x) * (1.0 + 0.5 * np.cos(np.pi * np.asarray(x) / spacing)),
+        UNIFORM.v_h,
+        UNIFORM.quantile,
+    )
+    model = RingModel(wobbly, [constant_share_config(theta, 3) for theta in (0.2, 0.6)])
+    with pytest.raises(NumericError, match=r"unresolved in row \(0, 0\):"):
+        model.expected_profit([1, 2])
+    with pytest.raises(NumericError, match=r"unresolved in row \(0, 0\):"):
+        RingModel(wobbly, constant_share_config(0.6, 3)).expected_profit(2)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, [], [1, 2.5], 0, [1, 0], True, [[1, 2]]])
+def test_expected_profit_rejects_an_empty_or_non_integer_identity_count(m):
+    model = RingModel(UNIFORM, constant_share_config(0.5, 3))
+    with pytest.raises(DomainError, match="identity count"):
+        model.expected_profit(m)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 0, True, [2], []])
+def test_payoff_rejects_an_empty_or_non_integer_identity_count(m):
+    model = RingModel(UNIFORM, constant_share_config(0.5, 3))
+    with pytest.raises(DomainError, match="identity count"):
+        model.payoff(0.5, 0.5, m)
+
+
+def test_numpy_integer_identity_counts_price_like_python_ints():
+    model = RingModel(beta22_values(), constant_share_config(0.5, 3))
+    assert model.expected_profit(np.int64(2)) == model.expected_profit(2)
+    assert model.expected_profit(np.arange(1, 5)).tolist() == model.expected_profit(range(1, 5)).tolist()
+    assert model.payoff(0.4, 0.5, np.int32(3)) == model.payoff(0.4, 0.5, 3)
 
 
 def _assert_matches_the_per_draw_oracle(dist, thetas, samples, seed, reserve):
