@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="uniform")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--theta-grid", type=int, default=21)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=None, help="ignored: welfare is exact, nothing is sampled")
 
     p = sub.add_parser("commit", help="identity-commitment sweep")
     _add_common(p)
@@ -277,14 +277,13 @@ def _run_ring(args) -> None:
     if args.theta_grid < 1:  # np.linspace would reject a negative count in its own words
         raise DomainError("need at least one theta")
     thetas = np.linspace(0.0, 1.0, args.theta_grid)
-    result = opt_ring_search(dist, args.n, thetas, samples=args.samples, seed=args.seed)
+    result = opt_ring_search(dist, args.n, thetas)
     rows = [
         (row.theta, row.truthful_ok, row.sybilproof_ok, row.welfare, row.baseline)
         for row in result.rows
     ]
     params = dict(
-        dist=args.dist, n=args.n, theta_grid=args.theta_grid, samples=args.samples, seed=args.seed,
-        best_theta=result.best_theta,
+        dist=args.dist, n=args.n, theta_grid=args.theta_grid, seed=args.seed, best_theta=result.best_theta,
     )
     _emit_csv(
         args.out, "ring", params, ["theta", "truthful_ok", "sybilproof_ok", "welfare", "baseline"],

@@ -23,9 +23,11 @@ F^(k+l-1) T = integral gives T' = f/F ((k-1) v - (k+l-1) T).
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
-schedule, collects m loser shares when losing and nets back its own m-1 shares
-when winning.  The identity-splitting check therefore compares expected profits
-across m at the registration stage.
+schedule, collects m loser shares when losing (also when its own value is below
+the reserve) and nets back its own m-1 shares when winning.  The
+identity-splitting check therefore compares expected profits across m at the
+registration stage, and by symmetry the members' total payout is n times the
+one-identity profit, so member welfare needs no sampling.
 """
 
 from __future__ import annotations
@@ -398,7 +400,9 @@ class RingModel:
 
     def expected_profit(self, m: Union[int, Sequence[int]] = 1):
         """Registration-stage expected payoff of running m identities, truthful bidding:
-        the integral over [reserve, v_h] of ``payoff(x, x, m)`` times the density.
+        the integral over [0, v_h] of ``payoff(x, x, m)`` times the density.  Below the
+        reserve a member wins nothing but still collects its m loser shares, so that part
+        is the exact mass F(r) m g L(r), with L(r) the loser schedule's first node value.
 
         m is one count or a non-empty sequence of counts, each an integer >= 1 (otherwise
         :class:`DomainError`); a sequence gives one checked quadrature over (config, m)
@@ -409,9 +413,11 @@ class RingModel:
         xP - (m-1) g r P - (1 - (m-1) g) T + m g L, with g = g(n+m-1), xP and P the rule's
         sums of x F^(n-1) f and F^(n-1) f, and T and L the transfer and loser schedules
         summed against the rule's weights times F^(n-1) f and f, folded onto the nodes
-        once per call.  A row is elementwise products summed along one row, so it equals
-        the single-config model's row bit for bit.  A row whose |fine - coarse|/15
-        exceeds QUAD_TOL |fine| raises ``NumericError`` naming its (config, m) index.
+        once per call; both totals carry the below-reserve mass, so their difference is
+        the quadrature's alone.  A row is elementwise products summed along one row, so
+        it equals the single-config model's row bit for bit.  A row whose
+        |fine - coarse|/15 exceeds QUAD_TOL |fine| raises ``NumericError`` naming its
+        (config, m) index.
         """
         counts = _identity_counts(m)
         r, n, b = self.reserve, self.n, self.dist.v_h
@@ -422,6 +428,7 @@ class RingModel:
         rule_P = rule * np.where(win_prob > 0.0, win_prob * f, 0.0)  # masked as _member_payoff masks it
         xP, P = (rule_P * x).sum(axis=-1), rule_P.sum(axis=-1)
         (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
+        F_reserve = float(self.dist.cdf(r))
         out = np.empty((len(self.cfgs), counts.size, 2))
         for j, count in enumerate(counts.tolist()):
             t, mt, loser, ml = self._schedule(n + count - 1)
@@ -429,6 +436,7 @@ class RingModel:
             T = (t[:, None] * t_w).sum(axis=-1) + (mt[:, None] * mt_w).sum(axis=-1)
             L = (loser[:, None] * loser_w).sum(axis=-1) + (ml[:, None] * ml_w).sum(axis=-1)
             out[:, j] = xP - (count - 1) * gamma * r * P - (1.0 - (count - 1) * gamma) * T + count * gamma * L
+            out[:, j] += F_reserve * count * gamma * loser[:, :1]  # m loser shares on values below the reserve
         fine, coarse = out[..., 0], out[..., 1]
         _check_resolved(fine, coarse, np.abs(fine), r, b)
         return self._strip(fine if np.ndim(m) else fine[:, 0])
@@ -478,7 +486,6 @@ class OptRingRow:
     truthful_ok: bool
     sybilproof_ok: bool
     welfare: float
-    welfare_se: float
     baseline: float
 
 
@@ -491,50 +498,10 @@ class OptRingResult:
     fell_back: bool = False
 
 
-def _ring_welfare(model: RingModel, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error (ddof = 1) of every config's member payout over the top draws.
-
-    A draw sold at top >= reserve pays x - (1 - l)(T(top) - r) with x = top - r, and
-    T - r is the Hermite sum with r taken off the node values only (h00 + h01 = 1); an
-    unsold draw has x = 0 and zero weights, so it pays 0.  Per-cell sums of the four
-    weights, of x times each weight and of the ten distinct weight products take one
-    pass over the draws; each config's sums of T - r, x (T - r) and (T - r)^2 are then
-    elementwise products with its node values and slopes, summed along each row, so a
-    config's result does not depend on the other configs.  The variance is the second
-    moment less the squared mean, so a near-constant payout leaves it at rounding
-    level; one that rounds below 0 reads 0.
-    """
-    r, count = model.reserve, top.size
-    sold = top >= r
-    i, weights = model._basis(top)
-    weights = [np.where(sold, w, 0.0) for w in weights]
-    x = np.where(sold, top - r, 0.0)
-
-    def per_cell(w):
-        return np.bincount(i, weights=w, minlength=MODEL_CELLS)
-
-    t, mt, _, _ = model._schedule(model.n)
-    ends = (t[:, :-1] - r, mt[:, :-1], t[:, 1:] - r, mt[:, 1:])
-    sum_t = sum(per_cell(w) * e for w, e in zip(weights, ends)).sum(axis=-1)
-    sum_xt = sum(per_cell(x * w) * e for w, e in zip(weights, ends)).sum(axis=-1)
-    sum_tt = sum(
-        (1.0 if a == b else 2.0) * per_cell(weights[a] * weights[b]) * ends[a] * ends[b]
-        for a in range(4)
-        for b in range(a, 4)
-    ).sum(axis=-1)
-    keep = 1.0 - np.array([cfg.share_exponent(model.n) for cfg in model.cfgs])
-    total = x.sum() - keep * sum_t
-    second = (x * x).sum() - 2.0 * keep * sum_xt + keep * keep * sum_tt
-    variance = np.maximum((second - total * total / count) / (count - 1), 0.0)
-    return total / count, np.sqrt(variance) / math.sqrt(count)
-
-
 def opt_ring_search(
     dist: ValueDistribution,
     n: int,
     thetas: Optional[Iterable[float]] = None,
-    samples: int = 100_000,
-    seed: int = 0,
     reserve: float = 0.0,
 ) -> OptRingResult:
     """Search the constant-share family g(k) = theta/(k-1) for profitable rings
@@ -543,31 +510,24 @@ def opt_ring_search(
     For each theta: (i) truthful bidding must be the grid argmax of the member
     payoff at the 0.35, 0.6 and 0.85 quantiles of the valuation conditioned on
     v >= reserve, (ii) the registration-stage expected profit must be maximal
-    at one identity (m up to ``RING_MAX_IDENTITIES``), and (iii) expected member
-    welfare is estimated by Monte Carlo on draws shared across thetas.  Among
+    at one identity (m up to ``RING_MAX_IDENTITIES``), and (iii) member welfare,
+    the members' expected total payout, is n times that one-identity profit.  Among
     passing thetas the one with the highest welfare wins; it must strictly beat
     the theta = 0 baseline E[v(1) - v(2)].
 
     One RingModel holds every theta's schedules: (i) is one row-wise
-    ``grid_argmax`` over (theta, check value) rows and (ii) one checked
-    quadrature over (theta, m) rows, each row a sum of its schedules' node values
-    and slopes against per-node Simpson weights built once for the search
-    (``RingModel.expected_profit``).  For (iii) one pass over the top draws
-    sums their Hermite weights and products per node cell, and each theta's
-    welfare and standard error follow from those per-cell moments and its node
-    values and slopes (``_ring_welfare``): the sample mean and ddof = 1 standard
-    error of the per-draw payouts, summed in another order.  A draw whose top
-    value is below the reserve sells nothing and pays every member 0.
-    Needs ``samples >= 2`` (the standard error uses ddof = 1) and at least one
-    theta; otherwise raises ``DomainError``.
+    ``grid_argmax`` over (theta, check value) rows, and (ii) and (iii) read one
+    checked quadrature over (theta, m) rows, each row a sum of its schedules' node
+    values and slopes against per-node Simpson weights built once for the search
+    (``RingModel.expected_profit``).  The search draws nothing, so a row depends only
+    on its theta, n, the reserve and the distribution.  Needs at least one theta;
+    otherwise raises ``DomainError``.
     """
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, 21)
     thetas = [float(t) for t in thetas]
     if not thetas:
         raise DomainError("need at least one theta")
-    if samples < 2:
-        raise DomainError("need at least two samples for the welfare standard error")
     cfgs = [constant_share_config(theta, n, reserve) for theta in thetas]
     model = RingModel(dist, cfgs)
     baseline = expected_order_stat(dist, n, 1) - expected_order_stat(dist, n, 2)
@@ -583,11 +543,10 @@ def opt_ring_search(
     truthful = np.all(np.abs(best_bids.reshape(shape[:2]) - check_values) <= 2e-3 * dist.v_h, axis=1)
     profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
     sybilproof = np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    welfare, welfare_se = _ring_welfare(model, dist.sample(rng, (samples, n)).max(axis=1))
+    welfare = n * profits[:, 0]
     rows = [
-        OptRingRow(theta, bool(ok), bool(proof), float(w), float(se), baseline)
-        for theta, ok, proof, w, se in zip(thetas, truthful, sybilproof, welfare, welfare_se)
+        OptRingRow(theta, bool(ok), bool(proof), float(w), baseline)
+        for theta, ok, proof, w in zip(thetas, truthful, sybilproof, welfare)
     ]
     passing = [row for row in rows if row.truthful_ok and row.sybilproof_ok]
     if not passing:

@@ -156,8 +156,10 @@ def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
 def sampled_expected_profit(model, counts):
     """(configs, counts) registration-stage profits of a ``RingModel`` from the sampled
     integrand: ``payoff(x, x, m)`` times the density on every point of ``integrate``'s
-    grid, with each schedule's Hermite interpolant evaluated there, then integrated by
-    ``integrate`` (error scale: the integral of |f|)."""
+    grid over [reserve, v_h], with each schedule's Hermite interpolant evaluated there,
+    then integrated by ``integrate`` (error scale: the integral of |f|), plus the values
+    below the reserve: their mass F(r) times ``payoff`` at a bid below the reserve, which
+    is the same for every such value."""
     from sybilgames.numerics import integrate
     from sybilgames.ring import MODEL_CELLS, _subdivide
 
@@ -171,7 +173,9 @@ def sampled_expected_profit(model, counts):
             out[:, j] = model._member_payoff(count, x, x, tx, lx, cdf) * pdf
         return out
 
-    return integrate(integrand, model.reserve, model.dist.v_h)
+    bid = model.reserve - 1.0  # every bid below the reserve collects the same loser shares
+    below = np.stack([np.atleast_1d(model.payoff(bid, bid, count)) for count in counts], axis=-1)
+    return integrate(integrand, model.reserve, model.dist.v_h) + model.dist.cdf(model.reserve) * below
 
 
 def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: int = 200_000) -> float:

@@ -216,7 +216,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
     runs = [
         ["verify", "--game", "headcount", "--foreign", "1,1,1"],
         ["cake", "--n", "3", "--samples", "100"],
-        ["ring", "--dist", "beta22", "--n", "3", "--theta-grid", "3", "--samples", "1000"],
+        ["ring", "--dist", "beta22", "--n", "3", "--theta-grid", "3"],
         ["rdm", "--n-max", "4"],
         ["fig", "--which", "fig1", "--n-max", "4"],
         ["poa", "--n-max", "3"],
@@ -249,7 +249,7 @@ def test_verify_zero_grid_step_is_invalid(tmp_path, capsys, game):
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
     out = tmp_path / "ring.csv"
-    assert run_cli(["ring", "--n", "3", "--theta-grid", count, "--samples", "100", "--out", str(out)]) == 1
+    assert run_cli(["ring", "--n", "3", "--theta-grid", count, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "invalid parameter: need at least one theta\n"
     assert not out.exists()
 
@@ -293,8 +293,7 @@ def test_ring_csv_columns(tmp_path):
     out = tmp_path / "ring.csv"
     assert (
         run_cli(
-            ["ring", "--dist", "uniform", "--n", "3", "--theta-grid", "5",
-             "--samples", "20000", "--seed", "1", "--out", str(out)]
+            ["ring", "--dist", "uniform", "--n", "3", "--theta-grid", "5", "--seed", "1", "--out", str(out)]
         )
         == 0
     )
@@ -305,12 +304,22 @@ def test_ring_csv_columns(tmp_path):
     assert float(rows[0][4]) == pytest.approx(0.25, abs=1e-9)
 
 
+def test_ring_ignores_the_sample_count(tmp_path):
+    # welfare is n times the exact one-identity profit, so --samples is accepted and changes no byte
+    few, many = tmp_path / "few.csv", tmp_path / "many.csv"
+    argv = ["ring", "--dist", "beta22", "--n", "3", "--theta-grid", "5"]
+    assert run_cli(argv + ["--samples", "10", "--out", str(few)]) == 0
+    assert run_cli(argv + ["--samples", "100000", "--out", str(many)]) == 0
+    assert few.read_bytes() == many.read_bytes()
+    assert "samples=" not in read_rows(few)[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["rdm", "--R", "10", "--n-max", "9", "--seed", "3"],
         ["cake", "--n", "3", "--samples", "500", "--seed", "11"],
-        ["ring", "--n", "3", "--theta-grid", "4", "--samples", "5000", "--seed", "5"],
+        ["ring", "--n", "3", "--theta-grid", "4", "--seed", "5"],
         ["commit", "--instance", "exp", "--n-max", "8"],
         ["fig", "--which", "fig2", "--n-max", "6"],
         ["fig", "--which", "fig1", "--R", "10", "--n-max", "6"],
@@ -366,9 +375,8 @@ def test_invalid_parameter_exits_one(tmp_path):
     assert run_cli(["rdm", "--R", "10", "--eps", "5.0", "--n-max", "3"]) == 1
     # one identity has no deviation to compare against (Cournot pays at x = 2)
     assert run_cli(["commit", "--instance", "cournot", "--x-max", "1"]) == 1
-    # the welfare standard error needs two draws; an empty theta grid has nothing to search
-    assert run_cli(["ring", "--n", "3", "--theta-grid", "3", "--samples", "0", "--out", str(tmp_path / "r.csv")]) == 1
-    assert run_cli(["ring", "--n", "3", "--theta-grid", "0", "--samples", "100", "--out", str(tmp_path / "r.csv")]) == 1
+    # an empty theta grid has nothing to search
+    assert run_cli(["ring", "--n", "3", "--theta-grid", "0", "--out", str(tmp_path / "r.csv")]) == 1
     # zero stake cost leaves the stake game without its R/c action bound
     assert run_cli(["poa", "--c", "0", "--n-max", "3", "--out", str(tmp_path / "p.csv")]) == 1
 

@@ -200,7 +200,7 @@ def test_a_model_over_several_configs_equals_single_config_models_row_by_row(dis
 
 def test_a_reserve_at_or_above_the_top_value_is_a_domain_error():
     with pytest.raises(DomainError):
-        opt_ring_search(UNIFORM, 3, [0.0, 0.5], samples=100, reserve=1.2)
+        opt_ring_search(UNIFORM, 3, [0.0, 0.5], reserve=1.2)
     with pytest.raises(DomainError):
         RingModel(UNIFORM, constant_share_config(0.3, 3, reserve=1.0))
     with pytest.raises(DomainError):  # one model's configs share reserve and n
@@ -312,14 +312,14 @@ def test_budget_balance_on_simulated_auctions():
 
 
 def test_zero_share_ring_collapses_to_plain_second_price_profit():
-    result = opt_ring_search(UNIFORM, 3, thetas=[0.0], samples=50_000, seed=2)
+    result = opt_ring_search(UNIFORM, 3, thetas=[0.0])
     row = result.rows[0]
     assert row.baseline == pytest.approx(0.25, abs=1e-9)
-    assert row.welfare == pytest.approx(row.baseline, abs=4.0 * row.welfare_se)
+    assert row.welfare == pytest.approx(0.25, abs=1e-12)
 
 
 def test_opt_ring_search_finds_profitable_proof_ring():
-    result = opt_ring_search(UNIFORM, 3, samples=40_000, seed=0)
+    result = opt_ring_search(UNIFORM, 3)
     assert result.best_theta > 0.0
     assert result.best_welfare > result.baseline
     last = result.rows[-1]
@@ -331,7 +331,7 @@ def test_opt_ring_search_finds_profitable_proof_ring():
 def test_opt_ring_search_falls_back_when_nothing_passes():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = opt_ring_search(UNIFORM, 3, thetas=[0.8, 1.0], samples=20_000, seed=1)
+        result = opt_ring_search(UNIFORM, 3, thetas=[0.8, 1.0])
     assert result.fell_back
     assert result.best_theta == 0.0
     assert any("falling back" in str(w.message) for w in caught)
@@ -406,58 +406,43 @@ def test_numpy_integer_identity_counts_price_like_python_ints():
     assert model.payoff(0.4, 0.5, np.int32(3)) == model.payoff(0.4, 0.5, 3)
 
 
-def _assert_matches_the_per_draw_oracle(dist, thetas, samples, seed, reserve):
-    result = opt_ring_search(dist, 3, thetas, samples=samples, seed=seed, reserve=reserve)
+@pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+@pytest.mark.parametrize("reserve", [0.1, 0.5])
+def test_welfare_is_the_per_draw_payout_of_the_oracle_under_a_reserve(dist, reserve):
+    # n profit(1) counts the loser shares a member collects when its value is below the reserve;
+    # the oracle averages the payouts of sampled auctions through RingModel.transfer alone
+    thetas = np.linspace(0.0, 1.0, 21).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a high reserve may leave no theta passing
+        result = opt_ring_search(dist, 3, thetas, reserve=reserve)
     for theta, row in zip(thetas, result.rows):
-        welfare, welfare_se = unsorted_ring_welfare(dist, 3, theta, samples, seed, reserve)
-        assert abs(row.welfare - welfare) <= 1e-14
-        assert abs(row.welfare_se - welfare_se) <= 1e-10 * welfare_se
+        total = 3 * RingModel(dist, constant_share_config(theta, 3, reserve)).expected_profit(1)
+        welfare, welfare_se = unsorted_ring_welfare(dist, 3, theta, 100_000, 3, reserve)
+        assert abs(total - welfare) <= 4.0 * welfare_se, (theta, total, welfare, welfare_se)
+        assert row.welfare == total
 
 
 @pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("reserve", [0.0, 0.1])
-def test_sorted_evaluation_welfare_equals_the_unsorted_oracle(dist, seed, reserve):
-    # the search sums per-cell moments, the oracle sums per draw, so they agree to rounding
-    _assert_matches_the_per_draw_oracle(dist, [0.0, 0.35, 1.0], 5_000, seed, reserve)
-
-
-@pytest.mark.parametrize("reserve", [0.0, 0.1, 0.5])
-def test_moment_welfare_matches_the_per_draw_oracle_on_every_theta(reserve):
+def test_exact_welfare_agrees_with_the_unsorted_oracle_on_every_seed(dist, seed, reserve):
+    # the welfare is a quadrature and draws nothing, so each seed's small sample must agree with it
+    thetas = [0.0, 0.35, 1.0]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a high reserve may leave no theta passing
-        _assert_matches_the_per_draw_oracle(beta22_values(), np.linspace(0.0, 1.0, 21).tolist(), 100_000, 3, reserve)
+        warnings.simplefilter("ignore", UserWarning)
+        result = opt_ring_search(dist, 3, thetas, reserve=reserve)
+    for theta, row in zip(thetas, result.rows):
+        welfare, welfare_se = unsorted_ring_welfare(dist, 3, theta, 5_000, seed, reserve)
+        assert abs(row.welfare - welfare) <= 4.0 * welfare_se, (theta, row.welfare, welfare, welfare_se)
 
 
 def test_a_theta_row_does_not_depend_on_the_other_thetas_searched():
     dist, thetas = truncated_exponential_values(), np.linspace(0.0, 1.0, 21).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        rows = opt_ring_search(dist, 3, thetas, samples=20_000, seed=5, reserve=0.1).rows
+        rows = opt_ring_search(dist, 3, thetas, reserve=0.1).rows
         for theta, row in zip(thetas, rows):
-            assert opt_ring_search(dist, 3, [theta], samples=20_000, seed=5, reserve=0.1).rows == (row,)
-
-
-def test_welfare_and_its_error_are_zero_when_nothing_sells():
-    reserve, samples, seed = 0.7, 3, 16
-    top = UNIFORM.sample(np.random.Generator(np.random.PCG64(seed)), (samples, 2)).max(axis=1)
-    assert top.max() < reserve
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        # at theta = 0.35 the first node's transfer is one rounding off the reserve
-        result = opt_ring_search(UNIFORM, 2, [0.0, 0.35, 1.0], samples=samples, seed=seed, reserve=reserve)
-    for row in result.rows:
-        assert row.welfare == row.welfare_se == 0.0
-
-
-def test_equal_payouts_give_a_finite_standard_error_near_zero():
-    # every draw is 0.6, so each payout is the same and the second moment cancels to rounding
-    point = ValueDistribution("point", UNIFORM.cdf, UNIFORM.pdf, 1.0, lambda u: np.full(np.shape(u), 0.6))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        result = opt_ring_search(point, 3, [0.0, 0.35, 0.5, 1.0], samples=1_000, seed=0)
-    for row in result.rows:
-        assert 0.0 <= row.welfare_se <= 1e-8
+            assert opt_ring_search(dist, 3, [theta], reserve=0.1).rows == (row,)
 
 
 def test_welfare_pays_nothing_on_draws_below_the_reserve():
@@ -465,12 +450,12 @@ def test_welfare_pays_nothing_on_draws_below_the_reserve():
         # the truthfulness check bids at quantiles of v given v >= r: theta = 0 passes, so no fallback warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            result = opt_ring_search(dist, 3, [0.0], samples=100_000, seed=0, reserve=0.5)
+            result = opt_ring_search(dist, 3, [0.0], reserve=0.5)
         row = result.rows[0]
         assert row.truthful_ok and row.sybilproof_ok and not result.fell_back
         if dist is UNIFORM:
             # theta = 0 keeps the whole surplus: E[(v(1) - max(v(2), r))+] = 11/64 for n = 3, r = 1/2
-            assert abs(row.welfare - 11.0 / 64.0) <= 4.0 * row.welfare_se
+            assert abs(row.welfare - 11.0 / 64.0) <= 1e-10
 
 
 def test_transfer_on_a_permuted_array_is_the_permuted_transfer():
@@ -484,7 +469,6 @@ def test_transfer_on_a_permuted_array_is_the_permuted_transfer():
     assert np.array_equal(model.transfer(x[order]), model.transfer(x)[order])
 
 
-@pytest.mark.parametrize("kwargs", [dict(samples=1), dict(samples=0), dict(thetas=[])])
-def test_opt_ring_search_rejects_too_few_samples_or_thetas(kwargs):
+def test_opt_ring_search_rejects_an_empty_theta_list():
     with pytest.raises(DomainError):
-        opt_ring_search(UNIFORM, 3, **{"thetas": [0.0], "samples": 100, **kwargs})
+        opt_ring_search(UNIFORM, 3, thetas=[])
