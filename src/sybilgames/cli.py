@@ -1,9 +1,10 @@
 """Command-line driver for every experiment in the package.
 
 Each subcommand writes one CSV artifact ('.' decimals, comma separator, a
-'#'-prefixed comment line recording the full configuration).  All randomness
-flows from the --seed flag, so identical configurations produce byte-identical
-files.  Exit codes: 0 success, 1 usage, 2 invariant violation, 3 numeric failure.
+'#'-prefixed comment line recording the full configuration).  Only ``cake``
+draws from the --seed flag; the other subcommands draw nothing and only record
+the seed in that line.  Identical configurations produce byte-identical files.
+Exit codes: 0 success, 1 usage, 2 invariant violation, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _emit_csv(
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parser.add_argument("--seed", type=int, default=0, help="seed of cake's draws; other subcommands only record it")
     parser.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
 
 

@@ -9,7 +9,9 @@ pairwise sums of its samples instead of running sums; they agree with
 ``cumulative_simpson``'s last entry to rounding.  The same rule as weights on
 the samples (``_simpson_weights``), on the same points (``_quadrature_points``)
 and under the same error test (``_check_resolved``) serves integrands linear in
-parameters, such as ``RingModel.expected_profit``'s.
+parameters, such as ``RingModel.expected_profit``'s; ``ring_transfer`` takes
+``_simpson_totals`` of its samples on those points and checks them with
+``_check_resolved`` against the integral it assembles from them.
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.

@@ -7,19 +7,23 @@ g(k) of the surplus, where k is the number of registered identities.  T is
 pinned down by incentive compatibility (truthful bidding must be optimal; McAfee
 and McMillan, "Bidding Rings", AER 1992) and is computed by quadrature of
 
-    T(v) = F(v)^(-(k + l - 1)) * integral_r^v (k-1) u F(u)^(k-2+l) f(u) du,
-    l = (k - 1) g(k),
+    T(v) = F(v)^(-e) * integral_r^v (k-1) u F(u)^(e-1) f(u) du,
+    e = k - 1 + l,  l = (k - 1) g(k),
 
-plus the boundary mass r F(r)^(k+l-1) so that T(r) = r.  Every integral here
-goes through the composite-Simpson rule of :mod:`sybilgames.numerics`: single
-integrals through the checked ``integrate`` (4096 cells, raising
-``NumericError`` when its error estimate exceeds 1e-10 of the integral of the
-integrand's absolute value), schedules through ``cumulative_simpson`` on
+plus the boundary mass r F(r)^e so that T(r) = r.  Every integral here goes
+through the composite-Simpson rule of :mod:`sybilgames.numerics`.
+``ring_transfer`` integrates by parts, u F^(e-1) f = u d(F^e)/du / e, so the
+integral is (k-1)/e (v F(v)^e - r F(r)^e - J) with J = integral_r^v F(u)^e du:
+it samples only the cdf, never the density, on ``integrate``'s points, and
+raises ``NumericError`` when its error estimate, (k-1)/e times J's, exceeds
+1e-10 of the integral itself.  Other single integrals go through the checked
+``integrate`` (4096 cells, raising ``NumericError`` when its error estimate
+exceeds 1e-10 of the integral of the integrand's absolute value), schedules through ``cumulative_simpson`` on
 RingModel's grid, and registration-stage profits through the same rule's
 weights on ``integrate``'s points, under its error test with the integral
 itself as the scale.  Between grid nodes RingModel interpolates each schedule with
 a cubic Hermite whose node slopes come from the same IC condition: differentiating
-F^(k+l-1) T = integral gives T' = f/F ((k-1) v - (k+l-1) T).
+F^e T = integral gives T' = f/F ((k-1) v - e T).
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -40,7 +44,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, SingularScaleError
-from .numerics import _check_resolved, _quadrature_points, _simpson_weights, cumulative_simpson, grid_argmax, integrate
+from .numerics import _check_resolved, _quadrature_points, _simpson_totals, _simpson_weights
+from .numerics import cumulative_simpson, grid_argmax, integrate
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
@@ -74,11 +79,12 @@ def uniform_values() -> ValueDistribution:
 def truncated_exponential_values(rate: float = 1.0, v_h: float = 1.0) -> ValueDistribution:
     if rate <= 0.0 or v_h <= 0.0:
         raise DomainError("need rate > 0 and v_h > 0")
-    mass = 1.0 - math.exp(-rate * v_h)
+    mass = -math.expm1(-rate * v_h)
 
     def cdf(x):
+        # expm1: 1 - exp(-rate x) would lose |log10(rate x)| digits as x -> 0
         x = np.clip(np.asarray(x, dtype=float), 0.0, v_h)
-        return (1.0 - np.exp(-rate * x)) / mass
+        return -np.expm1(-rate * x) / mass
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -197,10 +203,14 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     """Winner's payment at bid v under the incentive-compatible schedule for
     cfg.n reports.
 
-    The integral over [reserve, v] is ``numerics.integrate``: 4096 Simpson cells
-    spanning [reserve, v], error tolerance 1e-10 relative to the integral itself
-    (the integrand is nonnegative), so dividing by F(v)^(n+l-1) keeps the
-    tolerance relative.  Density features narrower than (v - reserve)/8192 go unseen.
+    With e = n - 1 + l, the IC integral of (n-1) u F^(e-1) f over [reserve, v],
+    integrated by parts, is (n-1)/e S with S = v F(v)^e - r F(r)^e - J and
+    J = integral_r^v F(u)^e du, so only the cdf is sampled, never the density.  J
+    takes ``integrate``'s 4096 Simpson cells on [reserve, v] and its error test
+    relative to the integral itself: J's estimated error is at most 1e-10 S, so a
+    NaN or negative S, or one lost to cancellation, raises ``NumericError``.
+    Dividing by F(v)^e keeps the tolerance relative; an F(v)^e of 0 raises
+    ``SingularScaleError``.  Features of F^e narrower than (v - reserve)/8192 go unseen.
     """
     r = cfg.reserve
     if v < r:
@@ -208,13 +218,17 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     if v == r:
         return r
     Fv = float(dist.cdf(v))
-    if Fv <= 0.0:
-        raise SingularScaleError("cdf vanishes at the evaluation point")
     n = cfg.n
-    l = cfg.share_exponent(n)
-    integral = integrate(lambda u: (n - 1) * u * dist.cdf(u) ** (n - 2 + l) * dist.pdf(u), r, v)
-    boundary = r * float(dist.cdf(r)) ** (n + l - 1)
-    return Fv ** (-(n + l - 1)) * (integral + boundary)
+    e = n - 1 + cfg.share_exponent(n)
+    if Fv <= 0.0 or Fv**e == 0.0:  # F(v)^e is the divisor
+        raise SingularScaleError("F(v)^(n-1+l) vanishes at the evaluation point")
+    x, h = _quadrature_points(r, v)
+    y = np.asarray(dist.cdf(x), dtype=float) ** e  # y[0] = F(r)^e, y[-1] = F(v)^e
+    fine, coarse = _simpson_totals(y, h)
+    boundary = r * y[0]
+    S = v * y[-1] - boundary - fine
+    _check_resolved(fine, coarse, S, r, v)
+    return float(((n - 1) / e * S + boundary) / y[-1])
 
 
 def _hermite_weights(t):

@@ -98,6 +98,8 @@ def test_transfer_singular_scale():
     )
     with pytest.raises(SingularScaleError):
         ring_transfer(0.3, constant_share_config(0.0, 2), shifted)
+    with pytest.raises(SingularScaleError):  # F(v)^e = 1e-360 underflows to 0
+        ring_transfer(1e-60, constant_share_config(1.0, 6), UNIFORM)
 
 
 def test_transfer_share_exponent_closed_form():
@@ -106,6 +108,50 @@ def test_transfer_share_exponent_closed_form():
     for n, theta, v in cases:
         cfg = constant_share_config(theta, n)
         assert ring_transfer(v, cfg, UNIFORM) == pytest.approx((n - 1) * v / (n + theta), abs=1e-9)
+
+
+@pytest.mark.parametrize("reserve", [0.2, 0.5])
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+def test_transfer_uniform_closed_form_with_a_reserve(reserve, n, theta):
+    # uniform, e = n - 1 + theta: T(v) = [(n-1)/(e+1) (v^(e+1) - r^(e+1)) + r^(e+1)] / v^e
+    cfg = constant_share_config(theta, n, reserve=reserve)
+    e = n - 1 + theta
+    for v in (reserve + 1e-3, 0.5 * (reserve + 1.0), 0.9, 1.0):
+        closed = ((n - 1) / (e + 1) * (v ** (e + 1) - reserve ** (e + 1)) + reserve ** (e + 1)) / v**e
+        assert ring_transfer(v, cfg, UNIFORM) == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("dist", [uniform_values(), truncated_exponential_values(), beta22_values()], ids=lambda d: d.name)
+def test_transfer_is_a_python_float(dist):
+    # an np.float64 would print as np.float64(...) in a table row
+    assert type(ring_transfer(0.7, constant_share_config(0.5, 3), dist)) is float
+
+
+def test_transfer_never_evaluates_the_density():
+    def no_pdf(x):
+        raise AssertionError("ring_transfer evaluated the density")
+
+    dist = ValueDistribution("uniform-no-pdf", UNIFORM.cdf, no_pdf, 1.0, UNIFORM.quantile)
+    cfg = constant_share_config(0.5, 3, reserve=0.1)
+    assert ring_transfer(0.6, cfg, dist) == pytest.approx(ring_transfer(0.6, cfg, UNIFORM), rel=1e-15)
+
+
+def test_transfer_raises_on_an_unresolved_integral():
+    # a steep truncated exponential: the estimated error is about 2.5e-9 of the integral
+    with pytest.raises(NumericError, match="unresolved"):
+        ring_transfer(0.9, constant_share_config(0.35, 2), truncated_exponential_values(200.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+def test_truncexp_transfer_near_zero_is_the_uniform_limit(n, theta):
+    # F(u) = u (1 - u/2 + ...)/mass, so T(v) -> (n-1) v/(n+theta) to relative O(v); the cdf's
+    # expm1 keeps the digits that 1 - exp(-u) loses as u -> 0
+    dist = truncated_exponential_values()
+    cfg = constant_share_config(theta, n)
+    for v in (1e-12, 1e-15):
+        assert ring_transfer(v, cfg, dist) == pytest.approx((n - 1) * v / (n + theta), rel=1e-9)
 
 
 def test_transfer_is_conditional_second_highest_when_shares_are_zero():
