@@ -21,7 +21,8 @@ raises ``NumericError`` when its error estimate, (k-1)/e times J's, exceeds
 exceeds 1e-10 of the integral of the integrand's absolute value), schedules through ``cumulative_simpson`` on
 RingModel's grid, and registration-stage profits through the same rule's
 weights on ``integrate``'s points, under its error test with the integral
-itself as the scale.  Between grid nodes RingModel interpolates each schedule with
+itself as the scale, read off transfer schedules alone (the loser schedule's weights
+folded onto them).  Between grid nodes RingModel interpolates each schedule with
 a cubic Hermite whose node slopes come from the same IC condition: differentiating
 F^e T = integral gives T' = f/F ((k-1) v - e T).
 
@@ -93,7 +94,7 @@ def truncated_exponential_values(rate: float = 1.0, v_h: float = 1.0) -> ValueDi
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
-        return -np.log(1.0 - u * mass) / rate
+        return -np.log1p(-u * mass) / rate  # log1p: log(1 - u mass) would lose digits as u -> 0
 
     return ValueDistribution("truncexp", cdf, pdf, v_h, quantile)
 
@@ -137,13 +138,17 @@ class RingConfig:
         if self.reserve < 0.0:
             raise DomainError("reserve must be nonnegative")
         for k in range(2, max(self.n, 8) + 4):
-            share = self.g(k)
-            if share < -1e-12 or share > 1.0 / (k - 1) + 1e-12:
-                raise DomainError(f"budget balance needs 0 <= g({k}) <= 1/{k - 1}, got {share}")
+            self.share_exponent(k)
 
     def share_exponent(self, k: int) -> float:
-        """l(k) = (k-1) g(k), the total share fraction paid out at k reports."""
-        return (k - 1) * self.g(k) if k >= 2 else 0.0
+        """l(k) = (k-1) g(k), the total share fraction paid out at k reports; raises
+        :class:`DomainError` unless g(k) is budget balanced, 0 <= g(k) <= 1/(k-1)."""
+        if k < 2:
+            return 0.0
+        share = self.g(k)
+        if share < -1e-12 or share > 1.0 / (k - 1) + 1e-12:
+            raise DomainError(f"budget balance needs 0 <= g({k}) <= 1/{k - 1}, got {share}")
+        return (k - 1) * share
 
 
 def constant_share_config(theta: float, n: int, reserve: float = 0.0) -> RingConfig:
@@ -304,9 +309,9 @@ class RingModel:
     a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
     setup.  Schedules for every registered count are cached, since a member
     running m identities faces the (n+m-1)-report schedule.  The registration-stage
-    profit samples no integrand: the quadrature rule's weights, folded through the
-    Hermite basis onto the nodes once, are summed against each schedule's node values
-    and slopes.  Identity counts are integers >= 1.
+    profit samples no integrand and builds no loser schedule: the quadrature rule's
+    weights, folded onto the nodes once per call, are summed against each transfer's
+    node values and slopes (``_transfer``, cached apart).  Identity counts are integers >= 1.
 
     Built from one RingConfig, results carry no config axis.  Built from a
     sequence of configs sharing reserve and n, every schedule has a leading
@@ -329,32 +334,39 @@ class RingModel:
         self._h = (dist.v_h - self.reserve) / (2 * MODEL_CELLS)
         self._F = np.asarray(dist.cdf(self.grid), dtype=float)
         self._f = np.asarray(dist.pdf(self.grid), dtype=float)
+        self._loser_density = (self.n - 1) * self._F ** (self.n - 2) * self._f  # top rival value's density
+        self._transfers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._schedules: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def _transfer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node values and cell-width-scaled node slopes of the k-report transfer: two
+        (configs, nodes) arrays.  The first build checks every g(k) for budget balance."""
+        if k not in self._transfers:
+            r, x, F, f, h = self.reserve, self.grid, self._F, self._f, self._h
+            width = 2.0 * h
+            l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
+            F_nodes, f_nodes = F[::2], f[::2]
+            cumulative = cumulative_simpson((k - 1) * x * _power(F, k - 2 + l) * f, h)
+            first = int(np.count_nonzero(F_nodes <= 0.0))  # F is nondecreasing: F > 0 from here on
+            t = np.full_like(cumulative, r)
+            boundary = r * float(F_nodes[0]) ** (k + l - 1)
+            t[:, first:] = (cumulative[:, first:] + boundary) * _power(F_nodes[first:], -(k + l - 1))
+            ratio = np.zeros_like(F_nodes)
+            ratio[first:] = f_nodes[first:] / F_nodes[first:]
+            slope = ratio * ((k - 1) * x[::2] - (k + l - 1) * t)
+            if first:
+                slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
+            self._transfers[k] = t, width * slope
+        return self._transfers[k]
 
     def _schedule(self, k: int) -> tuple[np.ndarray, ...]:
         """Node values and cell-width-scaled node slopes of the k-report transfer and of
         the loser schedule: four (configs, nodes) arrays."""
         if k not in self._schedules:
-            r, n = self.reserve, self.n
-            x, F, f, h = self.grid, self._F, self._f, self._h
-            width = 2.0 * h
-            l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
-            F_nodes, f_nodes = F[::2], f[::2]
-            cumulative = cumulative_simpson((k - 1) * x * _power(F, k - 2 + l) * f, h)
-            t = np.full_like(cumulative, r)
-            positive = F_nodes > 0.0
-            boundary = r * float(F_nodes[0]) ** (k + l - 1)
-            t[:, positive] = (cumulative[:, positive] + boundary) * _power(F_nodes[positive], -(k + l - 1))
-            ratio = np.zeros_like(F_nodes)
-            ratio[positive] = f_nodes[positive] / F_nodes[positive]
-            slope = ratio * ((k - 1) * x[::2] - (k + l - 1) * t)
-            if not positive[0]:
-                slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
-            mt = width * slope
-            weight = (n - 1) * F ** (n - 2) * f
+            r, h, weight = self.reserve, self._h, self._loser_density
+            t, mt = self._transfer(k)
             shares = cumulative_simpson((_subdivide(t, mt, 2) - r) * weight, h)
-            loser = shares[:, -1:] - shares
-            self._schedules[k] = (t, mt, loser, -width * (t - r) * weight[::2])
+            self._schedules[k] = (t, mt, shares[:, -1:] - shares, -2.0 * h * (t - r) * weight[::2])
         return self._schedules[k]
 
     def _basis(self, w):
@@ -425,13 +437,15 @@ class RingModel:
         The integrand is linear in each schedule's node values and scaled slopes, so
         ``integrate``'s fine and coarse Simpson totals on its points are
         xP - (m-1) g r P - (1 - (m-1) g) T + m g L, with g = g(n+m-1), xP and P the rule's
-        sums of x F^(n-1) f and F^(n-1) f, and T and L the transfer and loser schedules
-        summed against the rule's weights times F^(n-1) f and f, folded onto the nodes
-        once per call; both totals carry the below-reserve mass, so their difference is
-        the quadrature's alone.  A row is elementwise products summed along one row, so
-        it equals the single-config model's row bit for bit.  A row whose
-        |fine - coarse|/15 exceeds QUAD_TOL |fine| raises ``NumericError`` naming its
-        (config, m) index.
+        sums of x F^(n-1) f and F^(n-1) f, T the transfer schedule and L the loser schedule,
+        plus the below-reserve mass, summed against the rule's weights times F^(n-1) f and f
+        folded onto the nodes once per call.  L needs no loser schedule: it is linear in
+        the transfer, whose Simpson cells of (T - r)(n-1) F^(n-2) f on the model grid it
+        sums from each node on, so its weights fold onto the transfer's nodes.  Both totals
+        carry the below-reserve mass, so their difference is the quadrature's alone.  A row
+        is elementwise products summed along one row, so it equals the single-config
+        model's row bit for bit.  A row whose |fine - coarse|/15 exceeds QUAD_TOL |fine|
+        raises ``NumericError`` naming its (config, m) index.
         """
         counts = _identity_counts(m)
         r, n, b = self.reserve, self.n, self.dist.v_h
@@ -442,15 +456,22 @@ class RingModel:
         rule_P = rule * np.where(win_prob > 0.0, win_prob * f, 0.0)  # masked as _member_payoff masks it
         xP, P = (rule_P * x).sum(axis=-1), rule_P.sum(axis=-1)
         (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
-        F_reserve = float(self.dist.cdf(r))
+        # loser(j) sums the cells i >= j, so cell i takes the loser weights of j <= i, and F(r)
+        above = np.cumsum(loser_w[:, :-1], axis=-1) + float(self.dist.cdf(r))
+        stencil = np.zeros((2, 2 * MODEL_CELLS + 1))
+        stencil[:, 1::2] = 4.0 * above
+        stencil[:, :-1:2] += above
+        stencil[:, 2::2] += above
+        w = self._loser_density
+        loser_t, loser_mt = _node_weights(self._h / 3.0 * stencil * w)
+        loser_t -= 2.0 * self._h * w[::2] * ml_w  # the loser slopes, -(T - r) w, scaled by the cell width
         out = np.empty((len(self.cfgs), counts.size, 2))
         for j, count in enumerate(counts.tolist()):
-            t, mt, loser, ml = self._schedule(n + count - 1)
+            t, mt = self._transfer(n + count - 1)
             gamma = np.array([[cfg.g(n + count - 1)] for cfg in self.cfgs])
             T = (t[:, None] * t_w).sum(axis=-1) + (mt[:, None] * mt_w).sum(axis=-1)
-            L = (loser[:, None] * loser_w).sum(axis=-1) + (ml[:, None] * ml_w).sum(axis=-1)
+            L = ((t - r)[:, None] * loser_t).sum(axis=-1) + (mt[:, None] * loser_mt).sum(axis=-1)
             out[:, j] = xP - (count - 1) * gamma * r * P - (1.0 - (count - 1) * gamma) * T + count * gamma * L
-            out[:, j] += F_reserve * count * gamma * loser[:, :1]  # m loser shares on values below the reserve
         fine, coarse = out[..., 0], out[..., 1]
         _check_resolved(fine, coarse, np.abs(fine), r, b)
         return self._strip(fine if np.ndim(m) else fine[:, 0])

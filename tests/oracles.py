@@ -178,6 +178,32 @@ def sampled_expected_profit(model, counts):
     return integrate(integrand, model.reserve, model.dist.v_h) + model.dist.cdf(model.reserve) * below
 
 
+def loser_schedule_expected_profit(model, counts):
+    """(configs, counts) registration-stage profits, the fine Simpson total on ``integrate``'s
+    points, as explicit node dot products over every schedule ``model._schedule`` builds:
+    the transfer (t, mt) against the rule's weights times F^(n-1) f, and the loser schedule
+    (loser, ml) against them times f, each folded onto the nodes by ``_node_weights``, plus
+    the m loser shares F(r) m g loser(r) of the values below the reserve."""
+    from sybilgames.numerics import _quadrature_points, _simpson_weights
+    from sybilgames.ring import _node_weights
+
+    r, n = model.reserve, model.n
+    x, h = _quadrature_points(r, model.dist.v_h)
+    F, f = model.dist.cdf(x), model.dist.pdf(x)
+    rule = _simpson_weights(h)[0]
+    rule_P = rule * np.where(F ** (n - 1) > 0.0, F ** (n - 1) * f, 0.0)
+    (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
+    out = np.empty((len(model.cfgs), len(counts)))
+    for j, count in enumerate(counts):
+        t, mt, loser, ml = model._schedule(n + count - 1)
+        gamma = np.array([cfg.g(n + count - 1) for cfg in model.cfgs])
+        T = t @ t_w + mt @ mt_w
+        L = loser @ loser_w + ml @ ml_w + model.dist.cdf(r) * loser[:, 0]
+        paid = (count - 1) * gamma * r * rule_P.sum() + (1.0 - (count - 1) * gamma) * T
+        out[:, j] = rule_P @ x - paid + count * gamma * L
+    return out
+
+
 def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: int = 200_000) -> float:
     """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members and no reserve:
     F(v)^-(n+theta-1) times a ``cells``-cell trapezoid of (n-1) u F(u)^(n-2+theta) f(u) on

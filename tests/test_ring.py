@@ -1,15 +1,23 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import central_diff, sampled_expected_profit, trapezoid_ring_transfer, unsorted_ring_welfare
+from oracles import (
+    central_diff,
+    loser_schedule_expected_profit,
+    sampled_expected_profit,
+    trapezoid_ring_transfer,
+    unsorted_ring_welfare,
+)
 from sybilgames.errors import DomainError, NumericError, SingularScaleError
 from sybilgames.numerics import QUAD_CELLS
 from sybilgames.ring import (
     DISTRIBUTIONS,
     MODEL_CELLS,
     SYBIL_GAIN_TOL,
+    RingConfig,
     RingModel,
     ValueDistribution,
     beta22_values,
@@ -35,6 +43,15 @@ def test_distribution_invariants(dist):
         assert fd == pytest.approx(float(dist.pdf(x)), abs=1e-6 + 1e-4 * abs(fd))
     u = np.concatenate(([0.0, 0.5, 1.0], np.linspace(0.01, 0.99, 25)))
     assert np.allclose(dist.cdf(dist.quantile(u)), u, atol=1e-9)
+
+
+@pytest.mark.parametrize("u", [1e-9, 1e-12, 1e-15])
+def test_truncexp_quantile_keeps_its_digits_near_zero(u):
+    for rate in (1.0, 5.0):
+        mass = -math.expm1(-rate)
+        assert float(truncated_exponential_values(rate).quantile(u)) == pytest.approx(
+            -math.log1p(-u * mass) / rate, rel=1e-15
+        )
 
 
 def test_second_price_basic_outcome():
@@ -411,6 +428,41 @@ def test_profits_from_node_weights_agree_with_the_sampled_integrand(dist, n):
             # at theta = 1 the one-identity integrand is negative at x = r, so the integral of its
             # absolute value, the sampled path's error scale, exceeds |fine|
             assert model.payoff(reserve, reserve, 1)[-1] * float(values.pdf(reserve)) < -0.04
+
+
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("reserve", [0.0, 0.05])
+def test_profits_from_folded_loser_weights_equal_the_loser_schedule_dot_products(dist, n, reserve):
+    counts = [1, 2, 3, 4]
+    model = RingModel(DISTRIBUTIONS[dist](), [constant_share_config(t, n, reserve) for t in (0.0, 0.35, 0.7, 1.0)])
+    profits = model.expected_profit(counts)
+    assert not model._schedules  # the profits read transfer schedules only
+    explicit = loser_schedule_expected_profit(model, counts)
+    assert np.all(np.abs(profits - explicit) <= 1e-13 * np.abs(explicit))
+    assert np.array_equal(_sybilproof(profits), _sybilproof(explicit))
+
+
+def test_payoff_still_builds_the_loser_schedule_of_its_count():
+    model = RingModel(UNIFORM, constant_share_config(0.5, 3))
+    model.expected_profit([1, 2])
+    model.payoff(0.5, 0.5, 2)
+    assert list(model._schedules) == [4]
+    assert sorted(model._transfers) == [3, 4]
+
+
+def test_a_share_past_the_configs_checked_counts_is_checked_when_its_transfer_is_built():
+    # RingConfig checks g(k) for k <= max(n, 8) + 3 = 11; m = 15 identities face k = 17
+    cfg = RingConfig(g=lambda k: 0.0 if k < 15 else 1.0, n=3)
+    with pytest.raises(DomainError, match=r"budget balance needs 0 <= g\(17\) <= 1/16"):
+        RingModel(UNIFORM, cfg).expected_profit(15)
+    with pytest.raises(DomainError, match="budget balance"):
+        RingModel(UNIFORM, cfg).payoff(0.5, 0.5, 15)
+    with pytest.raises(DomainError, match="budget balance"):
+        RingModel(UNIFORM, cfg).transfer(0.5, 17)
+    assert RingModel(UNIFORM, cfg).expected_profit(12) > 0.0  # g(14) = 0 is balanced
+    with pytest.raises(DomainError, match=r"g\(3\)"):
+        RingConfig(g=lambda k: 0.6, n=3)
 
 
 def test_a_profit_unresolved_on_the_quadrature_grid_names_its_config_and_count_row():
