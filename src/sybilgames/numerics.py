@@ -9,9 +9,9 @@ pairwise sums of its samples instead of running sums; they agree with
 ``cumulative_simpson``'s last entry to rounding.  The same rule as weights on
 the samples (``_simpson_weights``), on the same points (``_quadrature_points``)
 and under the same error test (``_check_resolved``) serves integrands linear in
-parameters, such as ``RingModel.expected_profit``'s; ``ring_transfer`` takes
-``_simpson_totals`` of its samples on those points and checks them with
-``_check_resolved`` against the integral it assembles from them.
+parameters, such as ``RingModel.expected_profit``'s.  ``ring_transfer`` climbs nested
+levels of the rule up to QUAD_CELLS cells, reusing each level's samples (``_finer_samples``),
+and stops where an observed-order bound (``_observed_error`` of ``_nested_totals``) certifies.
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.
@@ -92,17 +92,50 @@ def _simpson_weights(h: float) -> np.ndarray:
     return w
 
 
-def _quadrature_points(a: float, b: float):
-    """(x, h): integrate's 2 QUAD_CELLS + 1 points on [a, b], equal to
-    ``np.linspace(a, b, 2 QUAD_CELLS + 1)`` bit for bit, and their spacing h.
-    A spacing that underflows to 0 raises :class:`NumericError`."""
-    h = (b - a) / (2 * QUAD_CELLS)
+def _quadrature_points(a: float, b: float, cells: int = QUAD_CELLS):
+    """(x, h): the 2 cells + 1 points of composite Simpson on ``cells`` cells of [a, b]
+    (integrate's, by default), equal to ``np.linspace(a, b, 2 cells + 1)`` bit for bit,
+    and their spacing h.  A spacing that underflows to 0 raises :class:`NumericError`."""
+    h = (b - a) / (2 * cells)
     if h == 0.0:
-        raise NumericError(f"integral on [{a}, {b}] unresolved: the step (b - a)/{2 * QUAD_CELLS} underflows to 0")
-    x = _RAMP * h  # np.linspace's own steps
+        raise NumericError(f"integral on [{a}, {b}] unresolved: the step (b - a)/{2 * cells} underflows to 0")
+    x = _RAMP[: 2 * cells + 1] * h  # np.linspace's own steps
     x += a
     x[-1] = b
     return x, h
+
+
+def _finer_samples(f, y, a: float, b: float):
+    """(samples, h) of a vectorised f on the ``_quadrature_points`` of [a, b] with twice y's cells:
+    y on the even points (a halved step keeps them bit for bit) and f called on the odd ones only."""
+    cells = len(y) - 1
+    x, h = _quadrature_points(a, b, cells)
+    out = np.empty(2 * cells + 1)
+    out[::2], out[1::2] = y, f(x[1::2])
+    return out, h
+
+
+def _nested_totals(y: np.ndarray, h: float):
+    """(fine, coarse, coarser) composite-Simpson totals of samples y (length 8c + 1) at spacing h, 2h
+    and 4h, from strided pairwise sums: odd, 2 mod 4, 4 mod 8, interior 0 mod 8, and the ends."""
+    odd, two, four, eight = y[1::2].sum(), y[2::4].sum(), y[4::8].sum(), y[8:-1:8].sum()
+    ends = y[0] + y[-1]
+    return (
+        h / 3.0 * (ends + 4.0 * odd + 2.0 * (two + four + eight)),
+        2.0 * h / 3.0 * (ends + 4.0 * two + 2.0 * (four + eight)),
+        4.0 * h / 3.0 * (ends + 4.0 * four + 2.0 * eight),
+    )
+
+
+def _observed_error(fine, coarse, coarser):
+    """Error bound of the fine total at the order three nested totals show.  With d1 = |fine - coarse|,
+    d2 = |coarse - coarser| and rho = d2/d1 (2^p for an error C H^p): 2 d1/(min(rho, 16) - 1) when
+    rho > 2, else 2 max(d1, d2).  The 2 covers rho's drift before the asymptotic regime (fractional
+    powers at an end); a NaN total gives a NaN bound, which fails every test."""
+    d1, d2 = abs(fine - coarse), abs(coarse - coarser)
+    if d2 > 2.0 * d1:
+        return 2.0 * d1 / (min(d2, 16.0 * d1) / d1 - 1.0) if d1 else d1  # rho capped before it can overflow
+    return 2.0 * np.maximum(d1, d2)
 
 
 def _check_resolved(fine, coarse, scale, a: float, b: float) -> None:

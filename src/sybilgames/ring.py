@@ -14,15 +14,15 @@ plus the boundary mass r F(r)^e so that T(r) = r.  Every integral here goes
 through the composite-Simpson rule of :mod:`sybilgames.numerics`.
 ``ring_transfer`` integrates by parts, u F^(e-1) f = u d(F^e)/du / e, so the
 integral is (k-1)/e (v F(v)^e - r F(r)^e - J) with J = integral_r^v F(u)^e du:
-it samples only the cdf, never the density, on ``integrate``'s points, and
-raises ``NumericError`` when its error estimate, (k-1)/e times J's, exceeds
-1e-10 of the integral itself.  Other single integrals go through the checked
-``integrate`` (4096 cells, raising ``NumericError`` when its error estimate
-exceeds 1e-10 of the integral of the integrand's absolute value), schedules through ``cumulative_simpson`` on
-RingModel's grid, and registration-stage profits through the same rule's
-weights on ``integrate``'s points, under its error test with the integral
-itself as the scale, read off transfer schedules alone (the loser schedule's weights
-folded onto them).  Between grid nodes RingModel interpolates each schedule with
+it samples only the cdf, never the density, on nested Simpson levels of 256, 512,
+..., 4096 cells and returns at the first whose observed-order error bound, (k-1)/e
+times J's, is at most 1e-10 of the integral itself, or raises ``NumericError``.
+Other single integrals go through the checked ``integrate`` (4096 cells, raising
+``NumericError`` when its error estimate exceeds 1e-10 of the integral of the
+integrand's absolute value), schedules through ``cumulative_simpson`` on RingModel's
+grid, and registration-stage profits through the same rule's weights on
+``integrate``'s points, under its error test with the integral itself as the scale,
+read off transfer schedules alone (the loser schedule's weights folded onto them).  Between grid nodes RingModel interpolates each schedule with
 a cubic Hermite whose node slopes come from the same IC condition: differentiating
 F^e T = integral gives T' = f/F ((k-1) v - e T).
 
@@ -44,13 +44,14 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, SingularScaleError
-from .numerics import _check_resolved, _quadrature_points, _simpson_totals, _simpson_weights
-from .numerics import cumulative_simpson, grid_argmax, integrate
+from .errors import DomainError, InvariantViolation, NumericError, SingularScaleError
+from .numerics import QUAD_CELLS, QUAD_TOL, _check_resolved, _finer_samples, _nested_totals, _observed_error
+from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, grid_argmax, integrate
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
 RING_MAX_IDENTITIES = 4  # most identities opt_ring_search's splitting check registers
+TRANSFER_FIRST_CELLS = 256  # ring_transfer's first Simpson level; each further level doubles it
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class ValueDistribution:
 def uniform_values() -> ValueDistribution:
     return ValueDistribution(
         name="uniform",
-        cdf=lambda x: np.clip(x, 0.0, 1.0),
+        cdf=lambda x: np.minimum(np.maximum(x, 0.0), 1.0),
         pdf=lambda x: np.where((np.asarray(x) >= 0.0) & (np.asarray(x) <= 1.0), 1.0, 0.0),
         v_h=1.0,
         quantile=lambda u: np.asarray(u, dtype=float),
@@ -84,7 +85,7 @@ def truncated_exponential_values(rate: float = 1.0, v_h: float = 1.0) -> ValueDi
 
     def cdf(x):
         # expm1: 1 - exp(-rate x) would lose |log10(rate x)| digits as x -> 0
-        x = np.clip(np.asarray(x, dtype=float), 0.0, v_h)
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), v_h)
         return -np.expm1(-rate * x) / mass
 
     def pdf(x):
@@ -101,7 +102,7 @@ def truncated_exponential_values(rate: float = 1.0, v_h: float = 1.0) -> ValueDi
 
 def beta22_values() -> ValueDistribution:
     def cdf(x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), 1.0)
         return x * x * (3.0 - 2.0 * x)
 
     def pdf(x):
@@ -210,30 +211,36 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
 
     With e = n - 1 + l, the IC integral of (n-1) u F^(e-1) f over [reserve, v],
     integrated by parts, is (n-1)/e S with S = v F(v)^e - r F(r)^e - J and
-    J = integral_r^v F(u)^e du, so only the cdf is sampled, never the density.  J
-    takes ``integrate``'s 4096 Simpson cells on [reserve, v] and its error test
-    relative to the integral itself: J's estimated error is at most 1e-10 S, so a
-    NaN or negative S, or one lost to cancellation, raises ``NumericError``.
-    Dividing by F(v)^e keeps the tolerance relative; an F(v)^e of 0 raises
-    ``SingularScaleError``.  Features of F^e narrower than (v - reserve)/8192 go unseen.
+    J = integral_r^v F(u)^e du, so only the cdf is sampled, never the density.  J takes
+    composite Simpson on nested levels of TRANSFER_FIRST_CELLS, twice as many, ...,
+    QUAD_CELLS cells on [reserve, v], sampling F^e only at each level's new midpoints,
+    and returns at the first level whose observed-order bound on J's error
+    (``_observed_error``) is at most 1e-10 S; past the last level, as on a NaN, negative
+    or cancelled S, it raises ``NumericError``.  Dividing by F(v)^e keeps the tolerance
+    relative; F(v) <= 0 or F(v)^e = 0, read off the last sample, raises
+    ``SingularScaleError``.  Features of F^e narrower than (v - reserve)/512 can go unseen.
     """
     r = cfg.reserve
     if v < r:
         raise DomainError("transfer is defined for bids at or above the reserve")
     if v == r:
         return r
-    Fv = float(dist.cdf(v))
     n = cfg.n
     e = n - 1 + cfg.share_exponent(n)
-    if Fv <= 0.0 or Fv**e == 0.0:  # F(v)^e is the divisor
+    x, h = _quadrature_points(r, v, TRANSFER_FIRST_CELLS)
+    F = np.asarray(dist.cdf(x), dtype=float)
+    if F[-1] <= 0.0 or F[-1] ** e == 0.0:  # F(v)^e is the divisor
         raise SingularScaleError("F(v)^(n-1+l) vanishes at the evaluation point")
-    x, h = _quadrature_points(r, v)
-    y = np.asarray(dist.cdf(x), dtype=float) ** e  # y[0] = F(r)^e, y[-1] = F(v)^e
-    fine, coarse = _simpson_totals(y, h)
+    y = F**e  # y[0] = F(r)^e, y[-1] = F(v)^e
     boundary = r * y[0]
-    S = v * y[-1] - boundary - fine
-    _check_resolved(fine, coarse, S, r, v)
-    return float(((n - 1) / e * S + boundary) / y[-1])
+    while True:
+        totals = _nested_totals(y, h)
+        S, error = v * y[-1] - boundary - totals[0], _observed_error(*totals)
+        if error <= QUAD_TOL * S:
+            return float(((n - 1) / e * S + boundary) / y[-1])
+        if len(y) > 2 * QUAD_CELLS:
+            raise NumericError(f"integral on [{r}, {v}] unresolved: error estimate {error:.3g}")
+        y, h = _finer_samples(lambda u: np.asarray(dist.cdf(u), dtype=float) ** e, y, r, v)
 
 
 def _hermite_weights(t):
@@ -396,7 +403,7 @@ class RingModel:
 
     def transfer(self, v, k: Optional[int] = None):
         """Interpolated transfer at the k-report schedule (defaults to n), v clipped to [reserve, v_h]."""
-        t, mt, _, _ = self._schedule(k if k is not None else self.n)
+        t, mt = self._transfer(k if k is not None else self.n)
         (v,) = self._lead(v)
         (out,) = self._evaluate(v, t, mt)
         return self._strip(out)

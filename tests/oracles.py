@@ -224,6 +224,27 @@ def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: in
     return float(integral / cdf(v) ** (n - 1 + theta))
 
 
+def fine_ring_transfer(
+    v: float, n: int, theta: float, dist: str, reserve: float = 0.0, rate: float = 1.0, cells: int = 2**18
+) -> float:
+    """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members, in the by-parts form
+    [(n-1)/e (v F(v)^e - r F(r)^e - J) + r F(r)^e] / F(v)^e, e = n - 1 + theta, with
+    J = integral_r^v F^e on a ``cells``-cell composite Simpson rule and the closed-form cdf F
+    of ``dist`` ("uniform" and "beta22" on [0, 1]; "truncexp": the exponential of ``rate``
+    truncated to [0, 1]).  Its own error is about 5e-15 relative at e = 1.5."""
+    cdfs = {
+        "uniform": lambda u: u,
+        "beta22": lambda u: u * u * (3.0 - 2.0 * u),
+        "truncexp": lambda u: np.expm1(-rate * u) / math.expm1(-rate),
+    }
+    e = n - 1 + theta
+    u = np.linspace(reserve, v, 2 * cells + 1)
+    y = cdfs[dist](u) ** e
+    J = (v - reserve) / (6.0 * cells) * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
+    boundary = reserve * y[0]
+    return float(((n - 1) / e * (v * y[-1] - boundary - J) + boundary) / y[-1])
+
+
 def central_diff(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -13,9 +13,12 @@ from sybilgames.numerics import (
     QUAD_TOL,
     bisect_root,
     cumulative_simpson,
+    _finer_samples,
     first_max,
     grid_argmax,
     integrate,
+    _nested_totals,
+    _observed_error,
     _quadrature_points,
     refine_argmax,
     _simpson_weights,
@@ -95,6 +98,33 @@ def test_simpson_weight_sums_agree_with_integrate_to_rounding(f, a, b):
     size = (b - a) * np.abs(f(x)).max()  # bounds the terms both sums add
     assert abs(fine - expected_fine) <= 1e-14 * size
     assert abs(coarse - expected_coarse) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.1, 1.5, 2.5, 3.5, 5.5, 7.5, 12.0])
+@pytest.mark.parametrize("v", [0.01, 0.3, 1.0, 2.0])
+def test_observed_error_covers_the_true_error_on_every_nested_level(a, v):
+    f = lambda u: u**a
+    exact = v ** (a + 1) / (a + 1)
+    x, h = _quadrature_points(0.0, v, 256)
+    y = f(x)
+    for cells in (256, 512, 1024, 2048, 4096):
+        fresh = np.linspace(0.0, v, 2 * cells + 1)
+        assert x.tobytes() == fresh.tobytes()  # the ladder's points, each level's even ones reused
+        assert h == v / (2 * cells)
+        totals = _nested_totals(y, h)
+        assert totals == _nested_totals(f(fresh), h)
+        assert _observed_error(*totals) >= abs(totals[0] - exact) - 2.0 * np.spacing(exact)
+        if cells < QUAD_CELLS:
+            x, _ = _finer_samples(lambda u: u, x, 0.0, v)
+            y, h = _finer_samples(f, y, 0.0, v)
+
+
+def test_observed_error_of_a_nan_total_fails_every_test():
+    for totals in [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)]:
+        assert np.isnan(_observed_error(*map(np.float64, totals)))
+    assert _observed_error(1.0, 1.0, 1.0) == 0.0
+    assert _observed_error(1.0, 1.0, 2.0) == 0.0  # d1 = 0 < d2: order above 4, capped at 16
+    assert _observed_error(1.0, 1.0 + 1e-8, 1.0 + 17e-8) == pytest.approx(2e-8 / 15.0)
 
 
 def test_integrate_raises_when_the_step_underflows():

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     central_diff,
+    fine_ring_transfer,
     loser_schedule_expected_profit,
     sampled_expected_profit,
     trapezoid_ring_transfer,
@@ -152,6 +153,32 @@ def test_transfer_never_evaluates_the_density():
     dist = ValueDistribution("uniform-no-pdf", UNIFORM.cdf, no_pdf, 1.0, UNIFORM.quantile)
     cfg = constant_share_config(0.5, 3, reserve=0.1)
     assert ring_transfer(0.6, cfg, dist) == pytest.approx(ring_transfer(0.6, cfg, UNIFORM), rel=1e-15)
+
+
+@pytest.mark.parametrize("dist", ["uniform", "beta22", "truncexp"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_transfer_matches_a_fine_by_parts_oracle(dist, n):
+    # the oracle's 2^18 Simpson cells are 5e-15 relative off at e = 1.5; the nested levels stop
+    # as soon as their bound certifies 1e-10 of S
+    values = DISTRIBUTIONS[dist]()
+    fractions = [0.01, 1.0] + np.random.default_rng(n).uniform(0.01, 1.0, 3).tolist()
+    for reserve in (0.0, 0.2):
+        for theta in (0.0, 0.5, 1.0):
+            cfg = constant_share_config(theta, n, reserve)
+            for v in (reserve + (1.0 - reserve) * f for f in fractions):
+                expected = fine_ring_transfer(v, n, theta, dist, reserve)
+                assert ring_transfer(v, cfg, values) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("rate, v", [(5.0, 0.9), (50.0, 0.1)])
+def test_steep_truncexp_transfers_raise_or_resolve(rate, v):
+    # |fine - coarse|/15 understated these errors, so a value 2.7e-10 (3.4e-10) off passed as 1e-10
+    expected = fine_ring_transfer(v, 2, 0.35, "truncexp", rate=rate)
+    try:
+        transfer = ring_transfer(v, constant_share_config(0.35, 2), truncated_exponential_values(rate))
+    except NumericError:
+        return
+    assert transfer == pytest.approx(expected, rel=1e-10)
 
 
 def test_transfer_raises_on_an_unresolved_integral():
@@ -449,6 +476,17 @@ def test_payoff_still_builds_the_loser_schedule_of_its_count():
     model.payoff(0.5, 0.5, 2)
     assert list(model._schedules) == [4]
     assert sorted(model._transfers) == [3, 4]
+
+
+@pytest.mark.parametrize("k", [None, 4])
+def test_model_transfer_reads_the_transfer_schedule_alone(k):
+    model = RingModel(beta22_values(), [constant_share_config(t, 3) for t in (0.0, 0.5, 1.0)])
+    bids = np.linspace(0.0, 1.0, 13)[None]  # one row of bids for every config
+    out = model.transfer(bids, k)
+    assert not model._schedules  # no loser schedule is built for the transfer
+    t, mt = model._schedule(k or 3)[:2]
+    (expected,) = model._evaluate(model._lead(bids)[0], t, mt)
+    assert np.array_equal(out, expected)
 
 
 def test_a_share_past_the_configs_checked_counts_is_checked_when_its_transfer_is_built():
