@@ -27,7 +27,6 @@ from .core import (
 from .equilibrium import (
     DiscreteMixedEquilibrium,
     SymmetricEquilibrium,
-    best_response_dynamics,
     best_response_reward_game,
     concave_prorata_equilibrium,
     price_of_anarchy,
@@ -43,7 +42,6 @@ __all__ = [
     "SybilStrategy",
     "SybilVerdict",
     "SymmetricEquilibrium",
-    "best_response_dynamics",
     "best_response_reward_game",
     "concave_prorata_equilibrium",
     "headcount_reward_game",

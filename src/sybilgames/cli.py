@@ -31,7 +31,7 @@ from .commitment import (
 from .core import SybilCost, headcount_reward_game, reward_share_game, verify_sybilproof
 from .equilibrium import grid_welfare_optimum, reward_game_pure_equilibrium
 from .errors import ConfigurationError, DomainError, InvariantViolation, NumericError
-from .rdm import TentFunction, dominant_strategy_prorata, max_sybilproof_reward, tent_equilibrium
+from .rdm import TentFunction, dominant_strategy_prorata, max_sybilproof_reward, tent_equilibria
 from .ring import DISTRIBUTIONS, opt_ring_search
 
 ARTIFACT = f"sybilgames/{__version__}"
@@ -204,11 +204,10 @@ def _welfare_rows(args) -> tuple[float, list]:
     """Tent half-width and the (n, r_max, dsic welfare, tent welfare) rows of `rdm` and `fig1`."""
     eps = args.eps if args.eps is not None else args.K / 100.0
     curve = dominant_strategy_prorata(args.R, args.K)
-    rows = []
-    for n in range(1, args.n_max + 1):
-        # a lone player plays the tent's peak and keeps the whole curve value
-        tent = args.R if n == 1 else tent_equilibrium(TentFunction(args.R, args.K, eps), n).welfare
-        rows.append((n, max_sybilproof_reward(n, args.R), curve.welfare(n), tent))
+    equilibria = tent_equilibria(TentFunction(args.R, args.K, eps), range(2, args.n_max + 1))
+    # a lone player plays the tent's peak and keeps the whole curve value
+    tent = [args.R] + [eq.welfare for eq in equilibria]
+    rows = [(n, max_sybilproof_reward(n, args.R), curve.welfare(n), tent[n - 1]) for n in range(1, args.n_max + 1)]
     return eps, rows
 
 

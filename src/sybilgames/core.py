@@ -159,9 +159,16 @@ class AggregativeGame:
 
     def phi_values(self, x: np.ndarray, y) -> np.ndarray:
         """``phi`` at each entry of the 1-D float64 array x, against y (an equal-length array or
-        a float): one ``phi_array`` call, or ``phi`` mapped over the pairs as Python floats."""
+        a float): one ``phi_array`` call, or ``phi`` mapped over the pairs as Python floats.
+
+        x and y of other shapes are broadcast against each other, as a (rows, 1) column of
+        aggregates against a grid or against (rows, points) windows, giving a (rows, points) array."""
         if np.ndim(y) == 0:
             y = np.full(len(x), y, dtype=float)
+        elif np.shape(y) != np.shape(x):
+            x, y = np.broadcast_arrays(x, y)
+            if self.phi_array is None:
+                return self.phi_values(x.ravel(), y.ravel()).reshape(x.shape)
         if self.phi_array is not None:
             return self.phi_array(x, y)
         return np.fromiter(map(self.phi, x.tolist(), y.tolist()), float, len(x))

@@ -2,8 +2,10 @@
 
 Covers the closed-form symmetric equilibrium of the reward-sharing game, its
 integer-action mixed equilibrium (two adjacent actions, indifference solved by
-bisection), the concave pro-rata first-order condition, damped best-response
-dynamics as a derivative-free fallback, and a grid price-of-anarchy estimate.
+bisection), the concave pro-rata first-order condition, a refined grid best
+response that validates closed forms (one response per row of an array of
+others' aggregates, so a whole table takes one call), and a grid
+price-of-anarchy estimate.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .core import AggregativeGame
 from .errors import DomainError, NumericError
 from .numerics import bisect_root, first_max, grid_argmax
 
 FD_STEP = 1e-6
-BRD_MAX_ITER = 500
-BRD_TOL = 1e-11
 BRD_REFINE_ROUNDS = 6
 
 
@@ -190,46 +192,16 @@ def concave_prorata_equilibrium(
     return SymmetricEquilibrium(q / n, payoff, n, f(q))
 
 
-def grid_best_response(game: AggregativeGame, y: float) -> float:
+def grid_best_response(game: AggregativeGame, y):
     """Refined grid argmax of phi(., y) on the game's bounded action space, scoring the
-    coarse grid and each refinement window with one :meth:`~AggregativeGame.phi_values` call."""
-    values = lambda a: game.phi_values(a, y)
+    coarse grid and each refinement window with one :meth:`~AggregativeGame.phi_values` call.
+
+    A 1-D array y gives an array of one response per entry, from the row path of
+    :func:`~sybilgames.numerics.grid_argmax` (y as a column against the grid), each equal
+    bit for bit to the call with that entry alone."""
+    others = np.asarray(y, dtype=float)[:, None] if np.ndim(y) else y
+    values = lambda a: game.phi_values(a, others)
     return grid_argmax(values, game.space.lower, game.space.upper, game.space.grid_step, BRD_REFINE_ROUNDS)[0]
-
-
-def best_response_dynamics(game: AggregativeGame, n: int) -> SymmetricEquilibrium:
-    """Damped simultaneous best-response iteration to a symmetric fixed point.
-
-    Plain best-response dynamics oscillate whenever the response slope is below
-    -1 (it is -(n-1) near a shared kink), so updates are averaged with weight
-    1/n, which makes the linearised map a contraction.
-    """
-    if n < 1:
-        raise DomainError("need n >= 1")
-    space = game.space
-    upper = space.upper
-    if upper is None:
-        raise NumericError("best-response dynamics need a bounded search interval")
-    gamma = 1.0 / n
-
-    def others(x: float) -> float:
-        return game.aggregate_others([x] * (n - 1))
-
-    x = 0.5 * (space.lower + upper) / n
-    scale = max(1.0, upper)
-    # the refined grid argmax resolves responses no finer than this
-    resolution = space.grid_step / 10.0**BRD_REFINE_ROUNDS
-    threshold = max(BRD_TOL * scale, resolution)
-    for _ in range(BRD_MAX_ITER):
-        nxt = (1.0 - gamma) * x + gamma * grid_best_response(game, others(x))
-        if abs(nxt - x) <= threshold:
-            x = nxt
-            break
-        x = nxt
-    else:
-        raise NumericError("best-response dynamics did not converge")
-    payoff = game.phi(x, others(x))
-    return SymmetricEquilibrium(x, payoff, n, n * payoff)
 
 
 def grid_welfare_optimum(game: AggregativeGame, n: int) -> float:

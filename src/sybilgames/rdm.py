@@ -5,20 +5,22 @@ The proofness condition for a split schedule r is
 ``r(1+y)/(1+y) >= x * r(x+y)/(x+y)`` for every x >= 1, y >= 0; the welfare-optimal
 schedule satisfying it is ``n R / 2^(n-1)`` ("shrink the pie as the crowd grows").
 Also here: the tent-shaped pro-rata curves whose equilibrium welfare approaches R
-when the player count is common knowledge, the unique dominant-strategy pro-rata
-curve, and the lottery variant for a non-divisible item.
+when the player count is common knowledge (the symmetric equilibrium in closed
+form, on the descending branch or at the kink, and every player count of a table
+validated by one batched grid best response), the unique dominant-strategy
+pro-rata curve, and the lottery variant for a non-divisible item.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .core import CONTINUOUS, ActionSpace, AggregativeGame, prorata_game
-from .equilibrium import SymmetricEquilibrium, best_response_dynamics, grid_best_response
+from .equilibrium import SymmetricEquilibrium, grid_best_response
 from .errors import DomainError, NumericError
 
 
@@ -167,28 +169,41 @@ def tent_game(tent: TentFunction, grid_step: Optional[float] = None) -> Aggregat
     return prorata_game(tent, space, name="tent", f_array=f_array)
 
 
-def tent_equilibrium(tent: TentFunction, n: int) -> SymmetricEquilibrium:
-    """Symmetric equilibrium of the pro-rata game with a tent curve.
+def tent_equilibria(tent: TentFunction, ns: Iterable[int]) -> list[SymmetricEquilibrium]:
+    """Symmetric equilibria of the pro-rata game with a tent curve, one per player count in ns.
 
-    On the descending branch the first-order condition gives the aggregate
-    q = K (n-1)/n, valid only when it actually lands in (K-eps, K), i.e. when
-    eps > K/n.  For smaller eps the equilibrium sits at the concave kink and is
-    found by damped grid best-response dynamics instead.  Either way the result
-    is validated by a grid best-response check.
+    At the symmetric aggregate q the player's payoff x f(q)/q, x = q/n, has left
+    derivative R/peak > 0 at the kink q = peak = K - eps and right derivative
+    (R/peak)(n-1)/n - R/(n eps), which is <= 0 exactly when n eps <= K.  So the
+    aggregate is the descending branch's first-order root q = K (n-1)/n when it lands
+    in (peak, K), i.e. when eps > K/n, and the kink q = peak otherwise; the two meet
+    at n eps = K.  Every closed form is validated by one row-batched grid best response
+    to the others' aggregates (n-1) x, which must land within 1e-4 K of x; otherwise
+    :class:`NumericError` names the first n that failed.
     """
-    if n < 2:
+    ns = list(ns)
+    if any(n < 2 for n in ns):
         raise DomainError("need n >= 2")
-    K, eps = tent.K, tent.epsilon
-    game = tent_game(tent)
-    q = K * (n - 1) / n
-    if tent.peak < q < K:
-        eq = SymmetricEquilibrium(q / n, tent(q) / n, n, tent(q))
-    else:
-        eq = best_response_dynamics(game, n)
-    response = grid_best_response(game, (n - 1) * eq.per_player_action)
-    if abs(response - eq.per_player_action) > 1e-4 * K:
-        raise NumericError("tent equilibrium failed the best-response validation")
-    return eq
+    if not ns:
+        return []
+    K, peak = tent.K, tent.peak
+    eqs = []
+    for n in ns:
+        q = K * (n - 1) / n
+        if not peak < q < K:
+            q = peak
+        eqs.append(SymmetricEquilibrium(q / n, tent(q) / n, n, tent(q)))
+    x = np.array([eq.per_player_action for eq in eqs])
+    response = grid_best_response(tent_game(tent), (np.array(ns) - 1) * x)
+    off = np.abs(response - x) > 1e-4 * K
+    if off.any():
+        raise NumericError(f"tent equilibrium for n = {ns[int(np.argmax(off))]} failed the best-response validation")
+    return eqs
+
+
+def tent_equilibrium(tent: TentFunction, n: int) -> SymmetricEquilibrium:
+    """Symmetric equilibrium of the pro-rata tent game for n players: :func:`tent_equilibria` of [n]."""
+    return tent_equilibria(tent, [n])[0]
 
 
 def nondivisible_lottery(n: int, seed_or_rng: Union[int, np.random.Generator]) -> Optional[int]:

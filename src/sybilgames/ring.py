@@ -52,6 +52,7 @@ SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
 RING_MAX_IDENTITIES = 4  # most identities opt_ring_search's splitting check registers
 TRANSFER_FIRST_CELLS = 256  # ring_transfer's first Simpson level; each further level doubles it
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,9 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     and returns at the first level whose observed-order bound on J's error
     (``_observed_error``) is at most 1e-10 S; past the last level, as on a NaN, negative
     or cancelled S, it raises ``NumericError``.  Dividing by F(v)^e keeps the tolerance
-    relative; F(v) <= 0 or F(v)^e = 0, read off the last sample, raises
-    ``SingularScaleError``.  Features of F^e narrower than (v - reserve)/512 can go unseen.
+    relative; F(v) <= 0, read off the last sample, or v F(v)^e below the smallest normal
+    float (where S's digits are lost to underflow) raises ``SingularScaleError``.  Features
+    of F^e narrower than (v - reserve)/512 can go unseen.
     """
     r = cfg.reserve
     if v < r:
@@ -229,8 +231,8 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     e = n - 1 + cfg.share_exponent(n)
     x, h = _quadrature_points(r, v, TRANSFER_FIRST_CELLS)
     F = np.asarray(dist.cdf(x), dtype=float)
-    if F[-1] <= 0.0 or F[-1] ** e == 0.0:  # F(v)^e is the divisor
-        raise SingularScaleError("F(v)^(n-1+l) vanishes at the evaluation point")
+    if F[-1] <= 0.0 or v * F[-1] ** e < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
+        raise SingularScaleError("v F(v)^(n-1+l) underflows at the evaluation point")
     y = F**e  # y[0] = F(r)^e, y[-1] = F(v)^e
     boundary = r * y[0]
     while True:

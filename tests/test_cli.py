@@ -38,6 +38,19 @@ def test_rdm_reference_row(tmp_path):
     assert float(by_n[1][2]) == 10.0
     assert float(by_n[1][3]) == 10.0
     assert float(by_n[2][2]) == pytest.approx(20.0 / math.e)
+    # eps = K/100, so n eps <= K on every row: the welfare is the kink's, exactly R
+    assert [r[3] for r in rows] == ["10.0"] * 12
+
+
+def test_welfare_tables_run_one_batched_validation(tmp_path, monkeypatch):
+    from sybilgames import rdm
+
+    calls = []
+    real = rdm.grid_best_response
+    monkeypatch.setattr(rdm, "grid_best_response", lambda game, y: calls.append(len(y)) or real(game, y))
+    assert run_cli(["rdm", "--R", "10", "--n-max", "12", "--out", str(tmp_path / "rdm.csv")]) == 0
+    assert run_cli(["fig", "--which", "fig1", "--n-max", "8", "--out", str(tmp_path / "fig1.csv")]) == 0
+    assert calls == [11, 7]
 
 
 def test_fig1_reference_rows(tmp_path):

@@ -1,15 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import grid_search_max, per_point_welfare_optimum
 from sybilgames.commitment import cournot_game
 from sybilgames.core import CONTINUOUS, ActionSpace, prorata_game, reward_share_game
 from sybilgames.equilibrium import (
-    best_response_dynamics,
     best_response_reward_game,
     concave_prorata_equilibrium,
+    grid_best_response,
     grid_welfare_optimum,
     mixed_deviation_gain,
     price_of_anarchy,
@@ -179,10 +180,18 @@ def test_price_of_anarchy_rejects_nonpositive_welfare():
         price_of_anarchy(game, 2, 0.0)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_best_response_dynamics_matches_cournot_closed_form(n):
-    beta = 1.0
-    game = cournot_game(beta, grid_step=0.01)
-    eq = best_response_dynamics(game, n)
-    assert eq.per_player_action == pytest.approx(beta / (n + 1), abs=1e-6)
-    assert eq.per_player_payoff == pytest.approx(beta**2 / (n + 1) ** 2, abs=1e-6)
+@pytest.mark.parametrize(
+    "game",
+    [
+        tent_game(TentFunction(10.0, 1.0, 0.01)),
+        tent_game(TentFunction(10.0, 1.0, 0.6)),
+        cournot_game(1.0, grid_step=0.01),
+        prorata_game(lambda q: q * (2.0 - q), ActionSpace(CONTINUOUS, 0.0, 2.0, 0.05)),  # no phi_array
+    ],
+    ids=["tent-kink", "tent-descending", "cournot", "prorata-scalar"],
+)
+def test_array_grid_best_response_equals_the_scalar_calls(game):
+    ys = np.array([0.0, 0.05, 0.3, 0.71, 0.99, 1.5, 3.0])
+    responses = grid_best_response(game, ys)
+    assert responses.shape == ys.shape
+    assert responses.tolist() == [grid_best_response(game, float(y)) for y in ys]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import golden_max
-from sybilgames.errors import DomainError
+from sybilgames import rdm
+from sybilgames.errors import DomainError, NumericError
 from sybilgames.rdm import (
     DominantProrataCurve,
     RewardMechanism,
@@ -17,6 +18,7 @@ from sybilgames.rdm import (
     nondivisible_lottery,
     rdm_payoff,
     rmax_mechanism,
+    tent_equilibria,
     tent_equilibrium,
     tent_game,
 )
@@ -131,6 +133,56 @@ def test_tent_equilibrium_matches_kink_fixed_point(n, eps):
     # below eps = K/n the best-response fixed point sits at the concave kink
     assert eq.aggregate_action == pytest.approx(K - eps, abs=1e-4)
     assert eq.per_player_action <= K + 1e-12
+
+
+@pytest.mark.parametrize("R", [10.0, 19.0, 7.5])
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+def test_tent_kink_rows_are_exact(R, eps):
+    # n eps <= K: the equilibrium aggregate is the kink itself, not an approximation of it
+    tent = TentFunction(R, 1.0, eps)
+    for eq in tent_equilibria(tent, [n for n in range(2, 13) if n * eps <= 1.0]):
+        assert eq.per_player_action == tent.peak / eq.n
+        assert eq.welfare == tent(tent.peak)
+        assert eq.per_player_payoff == tent(tent.peak) / eq.n
+
+
+def test_tent_branches_meet_at_n_eps_equal_k():
+    tent = TentFunction(10.0, 1.0, 0.1)
+    eq = tent_equilibrium(tent, 10)
+    assert 1.0 * (10 - 1) / 10 == tent.peak  # the descending root is the kink
+    assert eq.aggregate_action == pytest.approx(tent.peak, rel=1e-15)
+    assert eq.welfare == tent(tent.peak)
+    # one player fewer leaves the root below the kink, one more lifts it onto the descending branch
+    assert tent_equilibrium(tent, 9).welfare == tent(tent.peak)
+    assert tent_equilibrium(tent, 11).aggregate_action == pytest.approx(10.0 / 11.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.6])
+def test_tent_equilibria_equal_the_single_n_calls(eps):
+    tent = TentFunction(10.0, 1.0, eps)
+    ns = list(range(2, 13))
+    assert tent_equilibria(tent, ns) == [tent_equilibrium(tent, n) for n in ns]
+    assert tent_equilibria(tent, []) == []
+
+
+def test_tent_validation_raises_on_an_offset_response(monkeypatch):
+    tent = TentFunction(10.0, 1.0, 0.01)
+    real = rdm.grid_best_response
+
+    def offset(game, y):  # the response for n = 5 (row 3) moves by 2e-4 K
+        response = real(game, y)
+        response[3] += 2e-4
+        return response
+
+    monkeypatch.setattr(rdm, "grid_best_response", offset)
+    with pytest.raises(NumericError, match="n = 5"):
+        tent_equilibria(tent, range(2, 9))
+
+
+@pytest.mark.parametrize("ns", [[1], [2, 3, 0], [5, 1, 4]])
+def test_tent_equilibria_reject_fewer_than_two_players(ns):
+    with pytest.raises(DomainError):
+        tent_equilibria(TentFunction(10.0, 1.0, 0.1), ns)
 
 
 def test_tent_welfare_approaches_full_reward():

@@ -120,6 +120,18 @@ def test_transfer_singular_scale():
         ring_transfer(1e-60, constant_share_config(1.0, 6), UNIFORM)
 
 
+@pytest.mark.parametrize("v, n, theta", [(1e-160, 2, 0.0), (1e-300, 2, 0.0), (1e-100, 3, 0.5)])
+def test_transfer_of_a_bid_whose_scale_underflows_raises(v, n, theta):
+    # v F(v)^e is subnormal or 0 while F(v)^e is not: S would have lost its digits
+    with pytest.raises(SingularScaleError):
+        ring_transfer(v, constant_share_config(theta, n), UNIFORM)
+
+
+def test_transfer_of_a_tiny_bid_above_the_underflow_keeps_its_digits():
+    v = 1e-150  # v F(v) = 1e-300, still a normal float
+    assert abs(ring_transfer(v, constant_share_config(0.0, 2), UNIFORM) - v / 2.0) <= 1e-10 * v / 2.0
+
+
 def test_transfer_share_exponent_closed_form():
     # uniform with constant share theta: T(v) = (n-1) v / (n + theta)
     cases = [(3, 0.5, v) for v in (0.2, 0.6, 1.0)] + [(6, 1.0, 0.05), (6, 0.5, 0.1)]
