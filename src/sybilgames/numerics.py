@@ -4,14 +4,16 @@ Every integral in the package goes through one composite-Simpson rule:
 :func:`cumulative_simpson` for running integrals of sampled schedules and
 :func:`integrate` for checked definite integrals of vectorised integrands
 (QUAD_CELLS = 4096 cells, error tolerance QUAD_TOL relative to the integral
-of |f|).  :func:`integrate` needs only totals, so it forms them from three strided
-pairwise sums of its samples instead of running sums; they agree with
-``cumulative_simpson``'s last entry to rounding.  The same rule as weights on
-the samples (``_simpson_weights``), on the same points (``_quadrature_points``)
-and under the same error test (``_check_resolved``) serves integrands linear in
-parameters, such as ``RingModel.expected_profit``'s.  ``ring_transfer`` climbs nested
-levels of the rule up to QUAD_CELLS cells, reusing each level's samples (``_finer_samples``),
-and stops where an observed-order bound (``_observed_error`` of ``_nested_totals``) certifies.
+of |f|).  :func:`integrate` needs only totals: ``_nested_totals`` forms the rule's
+totals on every sample, every 2nd and every 4th from strided pairwise sums instead of
+running sums, the fine one equal to ``cumulative_simpson``'s last entry to rounding.
+One error test judges every checked integral (``_check_resolved``): the observed-order
+bound of the three totals (``_observed_error``) must be at most QUAD_TOL times a scale.
+The same rule as three rows of weights on the samples (``_simpson_weights``), on the
+same points (``_quadrature_points``), serves integrands linear in parameters, such as
+``RingModel.expected_profit``'s.  ``ring_transfer`` climbs nested levels of the rule up
+to QUAD_CELLS cells, reusing each level's samples (``_finer_samples``), and stops at the
+first level the bound certifies.
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.
@@ -20,8 +22,9 @@ Every maximisation takes the first maximum and never NaN (:func:`first_max`).
 :func:`grid_argmax` calls a vectorised f 1 + rounds times (the coarse grid, then each
 :func:`refine_argmax` window) at running sums, the points of a scalar ``x += step``
 loop, and raises :class:`NumericError` when every grid value is NaN.  Each refinement
-round places the incumbent among the window points at ``searchsorted(window, x)``, so it
-precedes an equal point and keeps a tie, and takes the first maximum of that sequence.
+round takes the window's first maximum and keeps the incumbent when it beats that
+maximum or ties it and comes first in x order: the first maximum of the window and the
+incumbent in x order, so a tie keeps the incumbent.  A 1-D refinement runs as one row.
 
 Row axis: the maximisers and the quadrature also run many problems at once.  When
 f returns a (rows, points) array for the coarse grid, :func:`grid_argmax` returns one
@@ -60,36 +63,24 @@ def cumulative_simpson(y, h: float) -> np.ndarray:
     return out
 
 
-# integrate's three strided sums: the odd samples (weight 4 in fine), the samples 2 mod 4
-# (weight 2 in fine, 4 in coarse) and the interior samples 0 mod 4 (weight 2 in both)
-_ODD, _MID, _REST = slice(1, None, 2), slice(2, None, 4), slice(4, -1, 4)
-
-
-def _simpson_totals(y: np.ndarray, h: float):
-    """(fine, coarse) composite-Simpson totals along the last axis of y, whose length is
-    4c + 1: fine on spacing h, coarse on every other sample at spacing 2h, from three
-    strided pairwise sums."""
-    odd = y[..., _ODD].sum(axis=-1)
-    mid = y[..., _MID].sum(axis=-1)
-    rest = y[..., _REST].sum(axis=-1)
-    ends = y[..., 0] + y[..., -1]
-    return h / 3.0 * (ends + 4.0 * odd + 2.0 * (mid + rest)), 2.0 * h / 3.0 * (ends + 4.0 * mid + 2.0 * rest)
+# _nested_totals' strided sums: the odd samples, the samples 2 mod 4, 4 mod 8 and the interior 0 mod 8
+_STRIDES = slice(1, None, 2), slice(2, None, 4), slice(4, None, 8), slice(8, -1, 8)
 
 
 def _simpson_weights(h: float) -> np.ndarray:
-    """(2, 2 QUAD_CELLS + 1) weights of integrate's rule at spacing h: the sum of row 0
-    (row 1) times the samples is the fine (coarse) total of ``_simpson_totals``, to rounding.
+    """(3, 2 QUAD_CELLS + 1) weights of integrate's rule at spacing h: the sum of row 0 (1, 2)
+    times the samples is the fine (coarse, coarser) total of ``_nested_totals``, to rounding.
 
     A caller whose integrand is linear in some parameters folds these weights into them
     once instead of sampling the integrand for every parameter value.
     """
-    w = np.zeros((2, 2 * QUAD_CELLS + 1))
+    odd, two, four, eight = _STRIDES
+    w = np.zeros((3, 2 * QUAD_CELLS + 1))
     w[:, [0, -1]] = 1.0
-    w[0, _ODD], w[0, _MID], w[0, _REST] = 4.0, 2.0, 2.0
-    w[1, _MID], w[1, _REST] = 4.0, 2.0
-    w[0] *= h / 3.0
-    w[1] *= 2.0 * h / 3.0
-    return w
+    w[0, odd], w[0, two], w[0, four], w[0, eight] = 4.0, 2.0, 2.0, 2.0
+    w[1, two], w[1, four], w[1, eight] = 4.0, 2.0, 2.0
+    w[2, four], w[2, eight] = 4.0, 2.0
+    return w * (h / 3.0 * np.array([[1.0], [2.0], [4.0]]))
 
 
 def _quadrature_points(a: float, b: float, cells: int = QUAD_CELLS):
@@ -116,10 +107,10 @@ def _finer_samples(f, y, a: float, b: float):
 
 
 def _nested_totals(y: np.ndarray, h: float):
-    """(fine, coarse, coarser) composite-Simpson totals of samples y (length 8c + 1) at spacing h, 2h
-    and 4h, from strided pairwise sums: odd, 2 mod 4, 4 mod 8, interior 0 mod 8, and the ends."""
-    odd, two, four, eight = y[1::2].sum(), y[2::4].sum(), y[4::8].sum(), y[8:-1:8].sum()
-    ends = y[0] + y[-1]
+    """(fine, coarse, coarser) composite-Simpson totals along the last axis of samples y (length
+    8c + 1) at spacing h, 2h and 4h, from pairwise sums of the ``_STRIDES`` slices and the ends."""
+    odd, two, four, eight = [np.add.reduce(y[..., s], -1) for s in _STRIDES]
+    ends = y[..., 0] + y[..., -1]
     return (
         h / 3.0 * (ends + 4.0 * odd + 2.0 * (two + four + eight)),
         2.0 * h / 3.0 * (ends + 4.0 * two + 2.0 * (four + eight)),
@@ -131,19 +122,24 @@ def _observed_error(fine, coarse, coarser):
     """Error bound of the fine total at the order three nested totals show.  With d1 = |fine - coarse|,
     d2 = |coarse - coarser| and rho = d2/d1 (2^p for an error C H^p): 2 d1/(min(rho, 16) - 1) when
     rho > 2, else 2 max(d1, d2).  The 2 covers rho's drift before the asymptotic regime (fractional
-    powers at an end); a NaN total gives a NaN bound, which fails every test."""
+    powers at an end); a NaN total gives a NaN bound, which fails every test.  Arrays of totals
+    give one bound per element."""
     d1, d2 = abs(fine - coarse), abs(coarse - coarser)
+    if isinstance(d1, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):  # the d1 = 0 elements take d1
+            ordered = np.where(d1 > 0.0, 2.0 * d1 / (np.minimum(d2, 16.0 * d1) / d1 - 1.0), d1)
+        return np.where(d2 > 2.0 * d1, ordered, 2.0 * np.maximum(d1, d2))
     if d2 > 2.0 * d1:
         return 2.0 * d1 / (min(d2, 16.0 * d1) / d1 - 1.0) if d1 else d1  # rho capped before it can overflow
     return 2.0 * np.maximum(d1, d2)
 
 
-def _check_resolved(fine, coarse, scale, a: float, b: float) -> None:
-    """Raise :class:`NumericError` unless every row's estimated error |fine - coarse|/15 is
-    at most QUAD_TOL times its scale (so a NaN fails); the error names the first
-    unresolved row of an array."""
-    error = np.abs(fine - coarse) / 15.0
-    unresolved = ~(error <= QUAD_TOL * scale)
+def _check_resolved(totals, scale, a: float, b: float) -> None:
+    """Raise :class:`NumericError` unless every row's observed-order bound on the fine total of
+    the nested ``totals`` (``_observed_error``) is at most QUAD_TOL times its scale (so a NaN
+    fails); the error names the first unresolved row of an array."""
+    error = _observed_error(*totals)
+    unresolved = ~np.less_equal(error, QUAD_TOL * scale)
     if unresolved.any():
         row = tuple(int(i) for i in np.argwhere(unresolved)[0])
         where = f" in row {row[0] if len(row) == 1 else row}" if row else ""
@@ -156,15 +152,16 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     f is called once, on the 2 QUAD_CELLS + 1 points of ``_quadrature_points``;
     a step (b - a)/(2 QUAD_CELLS) that underflows to 0 raises :class:`NumericError`
     without calling f.  The samples are made C-contiguous; the fine total and the
-    half-resolution total of the same rule on every other sample are strided
-    pairwise sums along the last axis, equal to ``cumulative_simpson``'s last
-    entry to rounding (a running sum rounds in another order).  When the fine
-    estimate's estimated error |fine - coarse|/15 exceeds QUAD_TOL times the
-    integral of |f| (the fine estimate itself when no sample is negative), or
-    is not finite, the integral is unresolved and :class:`NumericError` is
-    raised (``_check_resolved``).  The estimate assumes a smooth integrand,
-    and features narrower than the grid spacing (b - a)/(2 QUAD_CELLS) are not
-    seen by either estimate.
+    same rule's totals on every second and every fourth sample are strided pairwise
+    sums along the last axis (``_nested_totals``), equal to ``cumulative_simpson``'s
+    last entry to rounding (a running sum rounds in another order).  When the
+    observed-order bound on the fine total's error (``_observed_error``) exceeds
+    QUAD_TOL times the integral of |f| (the fine total itself when no sample is
+    negative), or is not finite, the integral is unresolved and
+    :class:`NumericError` is raised (``_check_resolved``).  The bound reads the
+    order off the three totals, so an endpoint power that slows convergence raises
+    it; features narrower than the grid spacing (b - a)/(2 QUAD_CELLS) are not
+    seen by any of the totals.
 
     When f returns leading row axes, the result is an array of one integral per
     row, each checked on its own; the error names the first unresolved row.
@@ -177,10 +174,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     x, h = _quadrature_points(a, b)
     # C order: numpy sums a Fortran-ordered last axis in another order than the 1-D call
     y = np.ascontiguousarray(f(x), dtype=float)
-    fine, coarse = _simpson_totals(y, h)
+    totals = _nested_totals(y, h)
+    fine = totals[0]
     # |f| = f on nonnegative samples; a NaN fails the test and takes the |f| path
-    scale = fine if y.min() >= 0.0 else _simpson_totals(np.abs(y), h)[0]
-    _check_resolved(fine, coarse, scale, a, b)
+    scale = fine if y.min() >= 0.0 else _nested_totals(np.abs(y), h)[0]
+    _check_resolved(totals, scale, a, b)
     return float(fine) if fine.ndim == 0 else fine
 
 
@@ -270,49 +268,32 @@ def grid_argmax(f, lo: float, hi: float, step: float, refine_rounds: int):
 
 def refine_argmax(f, lo: float, hi: float, x, v, step: float, rounds: int):
     """Refine a best point x, v = f(x): each round calls the vectorised f once on
-    [x - step, x + step] clipped to [lo, hi] at a tenth of the step, and moves to the
-    first maximum of the window and the incumbent in x order (NaN never wins).  The
-    incumbent takes position ``searchsorted(window, x)`` among the window's points and
-    values, before any window point equal to it, so a tie keeps it.
+    [x - step, x + step] clipped to [lo, hi] at a tenth of the step and takes the
+    window's first maximum (NaN never wins).  The incumbent stays when its value beats
+    that maximum, ties it and comes first in x order (``count(window < x)`` at most
+    the maximum's index), or the window holds no number; so the result is the first
+    maximum of the window and the incumbent in x order, and a tie keeps the incumbent.
 
     With arrays x and v (one best point per row), each round calls f once with a
     (rows, points) array of the rows' windows, shorter windows padded by repeating
-    their last point, and the result is one (x, v) per row.
+    their last point, and the result is one (x, v) per row; scalar x and v run as one
+    row, calling f with that row's 1-D window.
     """
-    if np.ndim(x) == 1:
-        return _refine_rows(f, lo, hi, np.asarray(x, dtype=float), np.asarray(v, dtype=float), step, rounds)
-    for _ in range(rounds):
-        window_lo, window_hi = max(lo, x - step), min(hi, x + step)
-        step /= 10.0
-        stop = window_hi + 1e-15 * max(1.0, abs(window_hi))
-        xs = _running(window_lo, step, stop)
-        xs = xs[xs <= stop]
-        at = int(np.searchsorted(xs, x))  # in x order, so the first maximum has the smallest x
-        fx = np.asarray(f(xs), dtype=float)
-        values = np.empty(len(xs) + 1)
-        values[:at], values[at], values[at + 1 :] = fx[:at], v, fx[at:]
-        i = first_max(values)
-        x, v = (x if i == at else xs[i - (i > at)]), values[i]
-    return float(x), float(v)
-
-
-def _refine_rows(f, lo, hi, x, v, step, rounds):
-    """refine_argmax of every row at once."""
+    rows = np.ndim(x) == 1
+    x, v = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(v, dtype=float))
+    index = np.arange(len(x))
     for _ in range(rounds):
         window_lo, window_hi = np.maximum(lo, x - step), np.minimum(hi, x + step)
         step /= 10.0
         stop = window_hi + 1e-15 * np.maximum(1.0, np.abs(window_hi))
         xs = _running(window_lo, step, stop)
-        count = np.count_nonzero(xs <= stop[:, None], axis=1)  # each window is a prefix
+        count = np.add.reduce(xs <= stop[:, None], axis=1)  # each window is a prefix
         # shorter windows repeat their last point, and a repeat never beats its first occurrence
-        xs = np.minimum(xs[:, : count.max()], _at(xs, count - 1)[:, None])
-        values = np.asarray(f(xs), dtype=float)
-        # the 1-D round's np.insert of the incumbent, row by row
-        at = np.count_nonzero(xs < x[:, None], axis=1)[:, None]
-        pos = np.arange(xs.shape[1] + 1)
-        src = np.minimum(pos - (pos > at), xs.shape[1] - 1)
-        merged_x = np.where(pos == at, x[:, None], np.take_along_axis(xs, src, 1))
-        merged_v = np.where(pos == at, v[:, None], np.take_along_axis(values, src, 1))
-        i = first_max(merged_v)
-        x, v = _at(merged_x, i), _at(merged_v, i)
-    return x, v
+        xs = np.minimum(xs[:, : count.max()], xs[index, count - 1][:, None])
+        values = np.asarray(f(xs if rows else xs[0]), dtype=float).reshape(xs.shape)
+        top = np.fmax.reduce(values, axis=1)  # NaN only where every value is NaN
+        i = np.argmax(values == top[:, None], axis=1)  # the window's first maximum
+        at = np.add.reduce(xs < x[:, None], axis=1)  # the incumbent's place in x order
+        keep = (v > top) | ((v == top) & (at <= i)) | np.isnan(top)
+        x, v = np.where(keep, x, xs[index, i]), np.where(keep, v, values[index, i])
+    return (x, v) if rows else (float(x[0]), float(v[0]))

@@ -3,28 +3,30 @@ whose valuations are i.i.d. draws from a known distribution.
 
 A ring is a pair (T, g): the member reporting the highest bid wins the auction,
 pays T into the ring, and every other registered identity receives the fraction
-g(k) of the surplus, where k is the number of registered identities.  T is
-pinned down by incentive compatibility (truthful bidding must be optimal; McAfee
-and McMillan, "Bidding Rings", AER 1992) and is computed by quadrature of
+g(k) of the surplus T - r above the price paid to the seller, where k is the
+number of registered identities.  T is pinned down by incentive compatibility
+(truthful bidding must be optimal; McAfee and McMillan, "Bidding Rings", AER 1992),
+F T' = f ((k-1) v + l r - e T), and is computed by quadrature of
 
-    T(v) = F(v)^(-e) * integral_r^v (k-1) u F(u)^(e-1) f(u) du,
+    T(v) = F(v)^(-e) * integral_r^v ((k-1) u + l r) F(u)^(e-1) f(u) du,
     e = k - 1 + l,  l = (k - 1) g(k),
 
 plus the boundary mass r F(r)^e so that T(r) = r.  Every integral here goes
 through the composite-Simpson rule of :mod:`sybilgames.numerics`.
-``ring_transfer`` integrates by parts, u F^(e-1) f = u d(F^e)/du / e, so the
-integral is (k-1)/e (v F(v)^e - r F(r)^e - J) with J = integral_r^v F(u)^e du:
-it samples only the cdf, never the density, on nested Simpson levels of 256, 512,
-..., 4096 cells and returns at the first whose observed-order error bound, (k-1)/e
-times J's, is at most 1e-10 of the integral itself, or raises ``NumericError``.
-Other single integrals go through the checked ``integrate`` (4096 cells, raising
-``NumericError`` when its error estimate exceeds 1e-10 of the integral of the
-integrand's absolute value), schedules through ``cumulative_simpson`` on RingModel's
-grid, and registration-stage profits through the same rule's weights on
-``integrate``'s points, under its error test with the integral itself as the scale,
-read off transfer schedules alone (the loser schedule's weights folded onto them).  Between grid nodes RingModel interpolates each schedule with
-a cubic Hermite whose node slopes come from the same IC condition: differentiating
-F^e T = integral gives T' = f/F ((k-1) v - e T).
+``ring_transfer`` takes the l r part exact, l r (F(v)^e - F(r)^e)/e, and integrates
+the rest by parts, u F^(e-1) f = u d(F^e)/du / e, to (k-1)/e (v F(v)^e - r F(r)^e - J)
+with J = integral_r^v F(u)^e du: it samples only the cdf, never the density, on nested
+Simpson levels of 256, 512, ..., 4096 cells and returns at the first whose
+observed-order error bound, (k-1)/e times J's, is at most 1e-10 of the integral
+itself, or raises ``NumericError``.  Other single integrals go through the checked
+``integrate`` (4096 cells, raising ``NumericError`` when the same bound exceeds 1e-10
+of the integral of the integrand's absolute value), schedules through
+``cumulative_simpson`` on RingModel's grid, and registration-stage profits through
+the same rule's weights on ``integrate``'s points, under its error test with the
+integral itself as the scale, read off transfer schedules alone (the loser
+schedule's weights folded onto them).  Between grid nodes RingModel interpolates each
+schedule with a cubic Hermite whose node slopes come from the same IC condition,
+T' = f/F ((k-1) v + l r - e T).
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -44,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, NumericError, SingularScaleError
+from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import QUAD_CELLS, QUAD_TOL, _check_resolved, _finer_samples, _nested_totals, _observed_error
 from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, grid_argmax, integrate
 
@@ -210,17 +212,18 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     """Winner's payment at bid v under the incentive-compatible schedule for
     cfg.n reports.
 
-    With e = n - 1 + l, the IC integral of (n-1) u F^(e-1) f over [reserve, v],
-    integrated by parts, is (n-1)/e S with S = v F(v)^e - r F(r)^e - J and
-    J = integral_r^v F(u)^e du, so only the cdf is sampled, never the density.  J takes
-    composite Simpson on nested levels of TRANSFER_FIRST_CELLS, twice as many, ...,
-    QUAD_CELLS cells on [reserve, v], sampling F^e only at each level's new midpoints,
-    and returns at the first level whose observed-order bound on J's error
-    (``_observed_error``) is at most 1e-10 S; past the last level, as on a NaN, negative
-    or cancelled S, it raises ``NumericError``.  Dividing by F(v)^e keeps the tolerance
-    relative; F(v) <= 0, read off the last sample, or v F(v)^e below the smallest normal
-    float (where S's digits are lost to underflow) raises ``SingularScaleError``.  Features
-    of F^e narrower than (v - reserve)/512 can go unseen.
+    With e = n - 1 + l, the IC integral of ((n-1) u + l r) F^(e-1) f over [reserve, v]
+    is l r (F(v)^e - F(r)^e)/e plus, integrated by parts, (n-1)/e S with
+    S = v F(v)^e - r F(r)^e - J and J = integral_r^v F(u)^e du, so only the cdf is
+    sampled, never the density.  J takes composite Simpson on nested levels of
+    TRANSFER_FIRST_CELLS, twice as many, ..., QUAD_CELLS cells on [reserve, v], sampling
+    F^e only at each level's new midpoints, and returns at the first level whose
+    observed-order bound on J's error (``_observed_error``) is at most 1e-10 S; at the
+    last level ``_check_resolved`` applies the same test and raises ``NumericError``, as
+    on a NaN, negative or cancelled S.  Dividing by F(v)^e keeps the tolerance relative;
+    F(v) <= 0, read off the last sample, or v F(v)^e below the smallest normal float
+    (where S's digits are lost to underflow) raises ``SingularScaleError``.  Features of
+    F^e narrower than (v - reserve)/512 can go unseen.
     """
     r = cfg.reserve
     if v < r:
@@ -228,7 +231,8 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     if v == r:
         return r
     n = cfg.n
-    e = n - 1 + cfg.share_exponent(n)
+    l = cfg.share_exponent(n)
+    e = n - 1 + l
     x, h = _quadrature_points(r, v, TRANSFER_FIRST_CELLS)
     F = np.asarray(dist.cdf(x), dtype=float)
     if F[-1] <= 0.0 or v * F[-1] ** e < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
@@ -237,12 +241,13 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     boundary = r * y[0]
     while True:
         totals = _nested_totals(y, h)
-        S, error = v * y[-1] - boundary - totals[0], _observed_error(*totals)
-        if error <= QUAD_TOL * S:
-            return float(((n - 1) / e * S + boundary) / y[-1])
-        if len(y) > 2 * QUAD_CELLS:
-            raise NumericError(f"integral on [{r}, {v}] unresolved: error estimate {error:.3g}")
-        y, h = _finer_samples(lambda u: np.asarray(dist.cdf(u), dtype=float) ** e, y, r, v)
+        S = v * y[-1] - boundary - totals[0]
+        if len(y) > 2 * QUAD_CELLS:  # the last level: resolved, or raise
+            _check_resolved(totals, S, r, v)
+        elif not _observed_error(*totals) <= QUAD_TOL * S:
+            y, h = _finer_samples(lambda u: np.asarray(dist.cdf(u), dtype=float) ** e, y, r, v)
+            continue
+        return float(((n - 1) / e * S + boundary + l * r * (y[-1] - y[0]) / e) / y[-1])
 
 
 def _hermite_weights(t):
@@ -296,6 +301,13 @@ def _power(base, exponents):
     return np.power(base, exponents.copy())
 
 
+def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(configs, 3) sums of each row of a against the 3 rows of weights: the fine one as
+    elementwise products summed per row, so a config's row does not depend on the others,
+    and the two error rows by matrix product."""
+    return np.column_stack([(a * weights[0]).sum(axis=-1), a @ weights[1:].T])
+
+
 def _identity_counts(m) -> np.ndarray:
     """m as a 1-D array of identity counts; :class:`DomainError` unless it holds at least
     one count and every count is an integer >= 1."""
@@ -312,7 +324,7 @@ class RingModel:
     integrals on one interleaved grid of 2 MODEL_CELLS + 1 points over
     [reserve, v_h] (cell nodes at even indices, midpoints at odd ones).  Between
     nodes both are cubic Hermite interpolants whose node slopes follow from the
-    IC condition: T' = f/F ((k-1) v - (k+l-1) T), or where F(r) = 0 the one-sided
+    IC condition: T' = f/F ((k-1) v + l r - (k+l-1) T), or where F(r) = 0 the one-sided
     second-order difference over the first two cells, and the loser schedule's
     -(T - r)(n-1) F^(n-2) f.  Evaluation needs no interval search or linear solve:
     a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
@@ -355,14 +367,14 @@ class RingModel:
             width = 2.0 * h
             l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
             F_nodes, f_nodes = F[::2], f[::2]
-            cumulative = cumulative_simpson((k - 1) * x * _power(F, k - 2 + l) * f, h)
+            cumulative = cumulative_simpson(((k - 1) * x + l * r) * _power(F, k - 2 + l) * f, h)
             first = int(np.count_nonzero(F_nodes <= 0.0))  # F is nondecreasing: F > 0 from here on
             t = np.full_like(cumulative, r)
             boundary = r * float(F_nodes[0]) ** (k + l - 1)
             t[:, first:] = (cumulative[:, first:] + boundary) * _power(F_nodes[first:], -(k + l - 1))
             ratio = np.zeros_like(F_nodes)
             ratio[first:] = f_nodes[first:] / F_nodes[first:]
-            slope = ratio * ((k - 1) * x[::2] - (k + l - 1) * t)
+            slope = ratio * ((k - 1) * x[::2] + l * r - (k + l - 1) * t)
             if first:
                 slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
             self._transfers[k] = t, width * slope
@@ -444,46 +456,48 @@ class RingModel:
         rows, with m as the last axis of the result.
 
         The integrand is linear in each schedule's node values and scaled slopes, so
-        ``integrate``'s fine and coarse Simpson totals on its points are
+        ``integrate``'s three nested Simpson totals on its points are
         xP - (m-1) g r P - (1 - (m-1) g) T + m g L, with g = g(n+m-1), xP and P the rule's
         sums of x F^(n-1) f and F^(n-1) f, T the transfer schedule and L the loser schedule,
         plus the below-reserve mass, summed against the rule's weights times F^(n-1) f and f
         folded onto the nodes once per call.  L needs no loser schedule: it is linear in
         the transfer, whose Simpson cells of (T - r)(n-1) F^(n-2) f on the model grid it
-        sums from each node on, so its weights fold onto the transfer's nodes.  Both totals
-        carry the below-reserve mass, so their difference is the quadrature's alone.  A row
-        is elementwise products summed along one row, so it equals the single-config
-        model's row bit for bit.  A row whose |fine - coarse|/15 exceeds QUAD_TOL |fine|
-        raises ``NumericError`` naming its (config, m) index.
+        sums from each node on, so its weights fold onto the transfer's nodes.  Every total
+        carries the below-reserve mass, so their differences are the quadrature's alone.  A
+        row's fine total is elementwise products summed along one row, so it equals the
+        single-config model's row bit for bit; the two coarser totals, which only feed the
+        error test, are matrix products (``_row_sums``).  A row whose observed-order bound
+        exceeds QUAD_TOL |fine| (``_check_resolved``, ``integrate``'s test) raises
+        ``NumericError`` naming its (config, m) index.
         """
         counts = _identity_counts(m)
         r, n, b = self.reserve, self.n, self.dist.v_h
         x, h = _quadrature_points(r, b)
         F, f = np.asarray(self.dist.cdf(x), dtype=float), np.asarray(self.dist.pdf(x), dtype=float)
         win_prob = F ** (n - 1)
-        rule = _simpson_weights(h)  # (fine, coarse) rows
+        rule = _simpson_weights(h)  # (fine, coarse, coarser) rows
         rule_P = rule * np.where(win_prob > 0.0, win_prob * f, 0.0)  # masked as _member_payoff masks it
         xP, P = (rule_P * x).sum(axis=-1), rule_P.sum(axis=-1)
         (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
         # loser(j) sums the cells i >= j, so cell i takes the loser weights of j <= i, and F(r)
         above = np.cumsum(loser_w[:, :-1], axis=-1) + float(self.dist.cdf(r))
-        stencil = np.zeros((2, 2 * MODEL_CELLS + 1))
+        stencil = np.zeros((3, 2 * MODEL_CELLS + 1))
         stencil[:, 1::2] = 4.0 * above
         stencil[:, :-1:2] += above
         stencil[:, 2::2] += above
         w = self._loser_density
         loser_t, loser_mt = _node_weights(self._h / 3.0 * stencil * w)
         loser_t -= 2.0 * self._h * w[::2] * ml_w  # the loser slopes, -(T - r) w, scaled by the cell width
-        out = np.empty((len(self.cfgs), counts.size, 2))
+        out = np.empty((len(self.cfgs), counts.size, 3))
         for j, count in enumerate(counts.tolist()):
             t, mt = self._transfer(n + count - 1)
             gamma = np.array([[cfg.g(n + count - 1)] for cfg in self.cfgs])
-            T = (t[:, None] * t_w).sum(axis=-1) + (mt[:, None] * mt_w).sum(axis=-1)
-            L = ((t - r)[:, None] * loser_t).sum(axis=-1) + (mt[:, None] * loser_mt).sum(axis=-1)
+            T = _row_sums(t, t_w) + _row_sums(mt, mt_w)
+            L = _row_sums(t - r, loser_t) + _row_sums(mt, loser_mt)
             out[:, j] = xP - (count - 1) * gamma * r * P - (1.0 - (count - 1) * gamma) * T + count * gamma * L
-        fine, coarse = out[..., 0], out[..., 1]
-        _check_resolved(fine, coarse, np.abs(fine), r, b)
-        return self._strip(fine if np.ndim(m) else fine[:, 0])
+        totals = np.moveaxis(out, -1, 0)  # (fine, coarse, coarser), each (configs, counts)
+        _check_resolved(totals, np.abs(totals[0]), r, b)
+        return self._strip(totals[0] if np.ndim(m) else totals[0][:, 0])
 
 
 def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:

@@ -204,6 +204,22 @@ def loser_schedule_expected_profit(model, counts):
     return out
 
 
+def envelope_expected_profit(model, cells: int = 200_000) -> np.ndarray:
+    """(configs,) one-identity registration-stage profits of a truthful ``RingModel`` from the
+    envelope theorem (Myerson 1981): U'(v) = F(v)^(n-1) above the reserve, so
+    E[U] = F(r) U_below + (1 - F(r)) U(r) + integral_r^{v_h} F^(n-1) (1 - F) ds, with U(r) and
+    U_below the model's payoff at the reserve and at a value below it, and the tail a plain
+    ``cells``-cell trapezoid.  Only the payoff at the reserve enters, never the transfer's
+    interior or the IC condition that builds it."""
+    r, n, dist = model.reserve, model.n, model.dist
+    s = np.linspace(r, dist.v_h, cells + 1)
+    F = dist.cdf(s)
+    y = F ** (n - 1) * (1.0 - F)
+    tail = (s[1] - s[0]) * (y.sum() - 0.5 * (y[0] + y[-1]))
+    F_r = float(dist.cdf(r))
+    return F_r * model.payoff(r - 1.0, r - 1.0, 1) + (1.0 - F_r) * model.payoff(r, r, 1) + tail
+
+
 def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: int = 200_000) -> float:
     """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members and no reserve:
     F(v)^-(n+theta-1) times a ``cells``-cell trapezoid of (n-1) u F(u)^(n-2+theta) f(u) on
@@ -228,10 +244,11 @@ def fine_ring_transfer(
     v: float, n: int, theta: float, dist: str, reserve: float = 0.0, rate: float = 1.0, cells: int = 2**18
 ) -> float:
     """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members, in the by-parts form
-    [(n-1)/e (v F(v)^e - r F(r)^e - J) + r F(r)^e] / F(v)^e, e = n - 1 + theta, with
-    J = integral_r^v F^e on a ``cells``-cell composite Simpson rule and the closed-form cdf F
-    of ``dist`` ("uniform" and "beta22" on [0, 1]; "truncexp": the exponential of ``rate``
-    truncated to [0, 1]).  Its own error is about 5e-15 relative at e = 1.5."""
+    [(n-1)/e (v F(v)^e - r F(r)^e - J) + theta r/e (F(v)^e - F(r)^e) + r F(r)^e] / F(v)^e,
+    e = n - 1 + theta, with J = integral_r^v F^e on a ``cells``-cell composite Simpson rule and
+    the closed-form cdf F of ``dist`` ("uniform" and "beta22" on [0, 1]; "truncexp": the
+    exponential of ``rate`` truncated to [0, 1]).  The theta r term is the reserve the losers'
+    shares of T - r leave in the IC condition.  Its own error is about 5e-15 relative at e = 1.5."""
     cdfs = {
         "uniform": lambda u: u,
         "beta22": lambda u: u * u * (3.0 - 2.0 * u),
@@ -242,7 +259,8 @@ def fine_ring_transfer(
     y = cdfs[dist](u) ** e
     J = (v - reserve) / (6.0 * cells) * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
     boundary = reserve * y[0]
-    return float(((n - 1) / e * (v * y[-1] - boundary - J) + boundary) / y[-1])
+    reserve_term = theta * reserve / e * (y[-1] - y[0])
+    return float(((n - 1) / e * (v * y[-1] - boundary - J) + reserve_term + boundary) / y[-1])
 
 
 def central_diff(f, x: float, h: float = 1e-4) -> float:

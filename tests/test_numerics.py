@@ -22,7 +22,6 @@ from sybilgames.numerics import (
     _quadrature_points,
     refine_argmax,
     _simpson_weights,
-    _simpson_totals,
 )
 from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import DISTRIBUTIONS, RingModel, constant_share_config
@@ -92,12 +91,12 @@ def test_quadrature_points_are_the_linspace_points_bit_for_bit(a, b):
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 0.7)])
 def test_simpson_weight_sums_agree_with_integrate_to_rounding(f, a, b):
     x, h = _quadrature_points(a, b)
-    fine, coarse = (_simpson_weights(h) * f(x)).sum(axis=-1)
-    expected_fine, expected_coarse = _simpson_totals(f(x), h)
-    assert expected_fine == integrate(f, a, b)
+    sums = (_simpson_weights(h) * f(x)).sum(axis=-1)
+    totals = _nested_totals(f(x), h)
+    assert totals[0] == integrate(f, a, b)
     size = (b - a) * np.abs(f(x)).max()  # bounds the terms both sums add
-    assert abs(fine - expected_fine) <= 1e-14 * size
-    assert abs(coarse - expected_coarse) <= 1e-14 * size
+    for got, expected in zip(sums, totals, strict=True):
+        assert abs(got - expected) <= 1e-14 * size
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 1.1, 1.5, 2.5, 3.5, 5.5, 7.5, 12.0])
@@ -124,7 +123,14 @@ def test_observed_error_of_a_nan_total_fails_every_test():
         assert np.isnan(_observed_error(*map(np.float64, totals)))
     assert _observed_error(1.0, 1.0, 1.0) == 0.0
     assert _observed_error(1.0, 1.0, 2.0) == 0.0  # d1 = 0 < d2: order above 4, capped at 16
-    assert _observed_error(1.0, 1.0 + 1e-8, 1.0 + 17e-8) == pytest.approx(2e-8 / 15.0)
+    assert _observed_error(1.0, 1.0 + 1e-8, 1.0 + 17e-8) == pytest.approx(2e-8 / (16.0 - 1.0))  # rho = 16
+    # rows of totals: each element's bound is the scalar call's, bit for bit
+    rows = np.array(
+        [[np.nan, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, 2.0], [1.0, 1.0 + 1e-8, 1.0 + 17e-8],
+         [1.0, 1.0 + 1e-8, 1.0 + 3e-8], [1.0, 1.0 + 1e-8, 1.0 - 5e-8], [2.0, 2.0, 2.0]]
+    )
+    scalar = [_observed_error(*map(np.float64, row)) for row in rows]
+    assert np.array_equal(_observed_error(*rows.T), scalar, equal_nan=True)
 
 
 def test_integrate_raises_when_the_step_underflows():
@@ -170,7 +176,7 @@ def test_integrate_is_the_last_entry_of_cumulative_simpson_to_rounding(family, c
     a=st.floats(-2.0, 2.0),
     width=st.floats(0.25, 2.0),
 )
-def test_both_simpson_totals_are_exact_on_cubics(coefficients, a, width):
+def test_every_nested_simpson_total_is_exact_on_cubics(coefficients, a, width):
     b = a + width
     exact = sum(
         Fraction(c) * (Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1)
@@ -179,7 +185,7 @@ def test_both_simpson_totals_are_exact_on_cubics(coefficients, a, width):
     # the size of the terms the rule sums, which bounds its rounding
     size = width * sum(abs(c) * max(abs(a), abs(b)) ** j for j, c in enumerate(coefficients))
     y = _polynomial(coefficients)(np.linspace(a, b, 2 * QUAD_CELLS + 1))
-    for total in _simpson_totals(y, (b - a) / (2 * QUAD_CELLS)):
+    for total in _nested_totals(y, (b - a) / (2 * QUAD_CELLS)):
         assert abs(total - float(exact)) <= 1e-14 * size
 
 
@@ -208,21 +214,26 @@ def test_integrate_raises_on_an_unresolved_step():
 def _abs_scale_rule(f, a: float, b: float):
     """(fine, resolved) of integrate's rule with the integral of |f| as the scale for every integrand.
 
-    The totals are summed as integrate sums them: the odd samples, the samples 2 mod 4 and
-    the interior samples 0 mod 4, each a pairwise sum along the last axis.
+    The nested totals are summed as integrate sums them: the odd samples, the samples 2 mod 4,
+    4 mod 8 and the interior samples 0 mod 8, each a pairwise sum along the last axis; the
+    error is their observed-order bound.
     """
 
     def totals(y, h):
         ends, odd = y[..., 0] + y[..., -1], np.sum(y[..., 1::2], axis=-1)
-        mid, rest = np.sum(y[..., 2::4], axis=-1), np.sum(y[..., 4:-1:4], axis=-1)
-        return h / 3.0 * (ends + 4.0 * odd + 2.0 * (mid + rest)), 2.0 * h / 3.0 * (ends + 4.0 * mid + 2.0 * rest)
+        two, four, eight = (np.sum(y[..., s], axis=-1) for s in (slice(2, None, 4), slice(4, None, 8), slice(8, -1, 8)))
+        return (
+            h / 3.0 * (ends + 4.0 * odd + 2.0 * (two + four + eight)),
+            2.0 * h / 3.0 * (ends + 4.0 * two + 2.0 * (four + eight)),
+            4.0 * h / 3.0 * (ends + 4.0 * four + 2.0 * eight),
+        )
 
     x = np.linspace(a, b, 2 * QUAD_CELLS + 1)
     y = np.ascontiguousarray(f(x), dtype=float)
     h = (b - a) / (2 * QUAD_CELLS)
-    fine, coarse = totals(y, h)
-    error = np.abs(fine - coarse) / 15.0
-    return fine, bool(np.all(error <= QUAD_TOL * totals(np.abs(y), h)[0]))
+    nested = totals(y, h)
+    error = _observed_error(*nested)
+    return nested[0], bool(np.all(error <= QUAD_TOL * totals(np.abs(y), h)[0]))
 
 
 @pytest.mark.parametrize(
@@ -244,6 +255,19 @@ def test_a_nonnegative_integrand_gives_the_abs_scale_result_bit_for_bit(f):
     else:
         with pytest.raises(NumericError):
             integrate(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.1])
+def test_an_endpoint_power_is_resolved_or_raises(b):
+    # |fine - coarse|/15 assumed fourth-order convergence: u^a (1 - u)^b with a in [0.80, 1.30]
+    # passed it while up to 5.6e-10 off the Beta function (u^0.91, for one)
+    for a in np.round(np.arange(0.80, 1.305, 0.01), 2).tolist():
+        exact = math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+        try:
+            value = integrate(lambda u: u**a * (1.0 - u) ** b, 0.0, 1.0)
+        except NumericError:
+            continue
+        assert abs(value - exact) <= QUAD_TOL * exact, (a, value, exact)
 
 
 def test_a_mixed_sign_integrand_is_scaled_by_the_integral_of_its_absolute_value():
@@ -311,6 +335,11 @@ def test_grid_argmax_nan_at_the_lower_bound_never_wins():
     assert v == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(NumericError):
         grid_argmax(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0, 0.1, 2)
+    # a window with no number keeps the incumbent, in a 1-D call and in a row
+    nan = lambda x: np.full(np.shape(x), np.nan)
+    assert refine_argmax(nan, 0.0, 1.0, 0.5, -1.0, 0.1, 2) == (0.5, -1.0)
+    xs, vs = refine_argmax(nan, 0.0, 1.0, np.array([0.5, 0.2]), np.array([-1.0, 3.0]), 0.1, 2)
+    assert xs.tolist() == [0.5, 0.2] and vs.tolist() == [-1.0, 3.0]
 
 
 def test_grid_argmax_calls_f_once_per_grid():

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     central_diff,
+    envelope_expected_profit,
     fine_ring_transfer,
     loser_schedule_expected_profit,
     sampled_expected_profit,
@@ -144,11 +145,13 @@ def test_transfer_share_exponent_closed_form():
 @pytest.mark.parametrize("n", [2, 3, 6])
 @pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
 def test_transfer_uniform_closed_form_with_a_reserve(reserve, n, theta):
-    # uniform, e = n - 1 + theta: T(v) = [(n-1)/(e+1) (v^(e+1) - r^(e+1)) + r^(e+1)] / v^e
+    # uniform, e = n - 1 + theta, l = theta, the losers sharing T - r:
+    # T(v) = [(n-1)/(e+1) (v^(e+1) - r^(e+1)) + theta r/e (v^e - r^e) + r^(e+1)] / v^e
     cfg = constant_share_config(theta, n, reserve=reserve)
-    e = n - 1 + theta
-    for v in (reserve + 1e-3, 0.5 * (reserve + 1.0), 0.9, 1.0):
-        closed = ((n - 1) / (e + 1) * (v ** (e + 1) - reserve ** (e + 1)) + reserve ** (e + 1)) / v**e
+    e, r = n - 1 + theta, reserve
+    for v in (r + 1e-3, 0.5 * (r + 1.0), 0.9, 1.0):
+        reserve_term = theta * r / e * (v**e - r**e)
+        closed = ((n - 1) / (e + 1) * (v ** (e + 1) - r ** (e + 1)) + reserve_term + r ** (e + 1)) / v**e
         assert ring_transfer(v, cfg, UNIFORM) == pytest.approx(closed, rel=1e-9)
 
 
@@ -420,8 +423,10 @@ def test_zero_share_ring_collapses_to_plain_second_price_profit():
     assert row.welfare == pytest.approx(0.25, abs=1e-12)
 
 
-def test_opt_ring_search_finds_profitable_proof_ring():
-    result = opt_ring_search(UNIFORM, 3)
+@pytest.mark.parametrize("reserve", [0.0, 0.2])
+def test_opt_ring_search_finds_profitable_proof_ring(reserve):
+    # under a reserve every theta > 0 failed truthfulness while the IC transfer dropped the l r term
+    result = opt_ring_search(UNIFORM, 3, reserve=reserve)
     assert result.best_theta > 0.0
     assert result.best_welfare > result.baseline
     last = result.rows[-1]
@@ -463,10 +468,22 @@ def test_profits_from_node_weights_agree_with_the_sampled_integrand(dist, n):
         sampled = sampled_expected_profit(model, counts)
         assert np.all(np.abs(profits - sampled) <= 1e-13 * np.abs(sampled))
         assert np.array_equal(_sybilproof(profits), _sybilproof(sampled))
+        # at x = r the one-identity payoff is g L(r) >= 0: T(r) = r leaves only the loser shares
+        # (beta22, n = 2, r = 0.3, theta = 1 read -0.035 while the IC transfer dropped the reserve)
+        assert np.all(model.payoff(reserve, reserve, 1) >= -1e-15)  # r - T(r) rounds at theta = 0
         if (dist, n, reserve) == ("beta22", 2, 0.3):
-            # at theta = 1 the one-identity integrand is negative at x = r, so the integral of its
-            # absolute value, the sampled path's error scale, exceeds |fine|
-            assert model.payoff(reserve, reserve, 1)[-1] * float(values.pdf(reserve)) < -0.04
+            assert model.payoff(reserve, reserve, 1)[-1] == pytest.approx(0.0571438, rel=1e-6)
+
+
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_one_identity_profit_satisfies_the_envelope_identity(dist, n):
+    # shares no formula with the IC condition: only the payoff at the reserve and F enter the oracle.
+    # The worst row, truncexp n = 2 theta = 0.35 at r = 0, is 5.9e-9 off, from the schedule's first nodes
+    for reserve in (0.0, 0.2, 0.5):
+        model = RingModel(DISTRIBUTIONS[dist](), [constant_share_config(t, n, reserve) for t in (0.0, 0.35, 1.0)])
+        profit = model.expected_profit(1)
+        assert np.all(np.abs(profit - envelope_expected_profit(model)) <= 1e-8 * np.abs(profit)), reserve
 
 
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
@@ -560,9 +577,7 @@ def test_welfare_is_the_per_draw_payout_of_the_oracle_under_a_reserve(dist, rese
     # n profit(1) counts the loser shares a member collects when its value is below the reserve;
     # the oracle averages the payouts of sampled auctions through RingModel.transfer alone
     thetas = np.linspace(0.0, 1.0, 21).tolist()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a high reserve may leave no theta passing
-        result = opt_ring_search(dist, 3, thetas, reserve=reserve)
+    result = opt_ring_search(dist, 3, thetas, reserve=reserve)
     for theta, row in zip(thetas, result.rows):
         total = 3 * RingModel(dist, constant_share_config(theta, 3, reserve)).expected_profit(1)
         welfare, welfare_se = unsorted_ring_welfare(dist, 3, theta, 100_000, 3, reserve)
@@ -576,9 +591,7 @@ def test_welfare_is_the_per_draw_payout_of_the_oracle_under_a_reserve(dist, rese
 def test_exact_welfare_agrees_with_the_unsorted_oracle_on_every_seed(dist, seed, reserve):
     # the welfare is a quadrature and draws nothing, so each seed's small sample must agree with it
     thetas = [0.0, 0.35, 1.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        result = opt_ring_search(dist, 3, thetas, reserve=reserve)
+    result = opt_ring_search(dist, 3, thetas, reserve=reserve)
     for theta, row in zip(thetas, result.rows):
         welfare, welfare_se = unsorted_ring_welfare(dist, 3, theta, 5_000, seed, reserve)
         assert abs(row.welfare - welfare) <= 4.0 * welfare_se, (theta, row.welfare, welfare, welfare_se)
@@ -587,7 +600,7 @@ def test_exact_welfare_agrees_with_the_unsorted_oracle_on_every_seed(dist, seed,
 def test_a_theta_row_does_not_depend_on_the_other_thetas_searched():
     dist, thetas = truncated_exponential_values(), np.linspace(0.0, 1.0, 21).tolist()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("ignore", UserWarning)  # a lone theta that fails the split check falls back
         rows = opt_ring_search(dist, 3, thetas, reserve=0.1).rows
         for theta, row in zip(thetas, rows):
             assert opt_ring_search(dist, 3, [theta], reserve=0.1).rows == (row,)
