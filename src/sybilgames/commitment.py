@@ -119,17 +119,12 @@ def cournot_game(beta: float, upper: Optional[float] = None, grid_step: float = 
     """Linear-demand quantity competition: phi(x, y) = x (beta - x - y)."""
     hi = upper if upper is not None else beta
 
-    def phi(x: float, y: float) -> float:
-        if x == 0.0:
-            return 0.0
-        return x * (beta - x - y)
-
-    def phi_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def phi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return np.where(x == 0.0, 0.0, x * (beta - x - y))
 
     space = ActionSpace(CONTINUOUS, 0.0, hi, grid_step)
-    return AggregativeGame(phi=phi, space=space, name="cournot", phi_array=phi_array)
+    return AggregativeGame(phi=phi, space=space, name="cournot")
 
 
 def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:

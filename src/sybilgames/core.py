@@ -109,40 +109,30 @@ class AggregativeGame:
     (duplicated bids collapse under max; split stakes add up), or None when the
     game has no such rule.
 
-    ``phi`` must be a pure function of two Python floats, defined on the whole
-    search grid.  ``phi_array``, when given, is the same function applied
-    elementwise to two float64 arrays of one shape, and must equal ``phi`` bit
-    for bit: the same float operations in the same order, with
-    ``np.where(x == 0.0, 0.0, ...)`` for the inactive branch and no warnings.
-    IEEE ``+``, ``-``, ``*`` and ``/`` round alike on arrays and Python floats,
-    but numpy's ``exp``, ``log`` and ``pow`` are not guaranteed to match libm,
-    so a game built on them should declare no ``phi_array`` unless its
-    verdicts are only compared at ``tol``.
-
-    Array code evaluates the game through :meth:`phi_values` and
-    :meth:`aggregate_values`: :func:`verify_sybilproof` scores a block of
-    splits at a time (one call per identity column and one for the merged
-    comparator, never in enumeration order), and the equilibrium grid scans
-    score a whole grid per call.  The scalar payoffs (:func:`sybil_payoff`,
-    :func:`merged_payoff` and the commitment code) only ever call ``phi``.
+    ``phi`` is the game's one payoff oracle: a pure function of two float64
+    arrays that broadcast against each other, returning phi elementwise in
+    their broadcast shape (with ``np.where(x == 0.0, 0.0, ...)`` for the
+    inactive branch, and no warnings).  A function of two floats becomes one
+    under ``np.vectorize(f, otypes=[float])``.  Every evaluation goes through
+    :meth:`phi_values`: :func:`verify_sybilproof` scores a block of splits at
+    a time (one call per identity column and one for the merged comparator,
+    never in enumeration order), the equilibrium grid scans score a whole grid
+    per call, and the scalar payoffs :func:`sybil_payoff` and
+    :func:`merged_payoff` make one call each.
     """
 
-    phi: Callable[[float, float], float]
+    phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     space: ActionSpace
     aggregation: str = MERGE_SUM
     merge: Optional[str] = MERGE_SUM
     name: str = "game"
-    phi_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.aggregation not in (MERGE_SUM, MERGE_MAX):
             raise DomainError(f"unknown aggregation rule {self.aggregation!r}")
         if self.merge not in (MERGE_SUM, MERGE_MAX, None):
             raise DomainError(f"unknown merge rule {self.merge!r}")
-        ys = (0.0, 1.0, 3.7)
-        if any(self.phi(0.0, y) != 0.0 for y in ys) or (
-            self.phi_array is not None and np.any(self.phi_array(np.zeros(len(ys)), np.array(ys)) != 0.0)
-        ):
+        if np.any(self.phi_values(np.zeros(3), [0.0, 1.0, 3.7]) != 0.0):
             raise DomainError("phi(0, y) must be exactly zero (inactive identities earn zero)")
 
     def aggregate_others(self, actions: Sequence[float]) -> float:
@@ -157,21 +147,11 @@ class AggregativeGame:
             return float(max(actions)) if actions else 0.0
         raise UnsupportedOperationError(f"game {self.name!r} has no merge rule")
 
-    def phi_values(self, x: np.ndarray, y) -> np.ndarray:
-        """``phi`` at each entry of the 1-D float64 array x, against y (an equal-length array or
-        a float): one ``phi_array`` call, or ``phi`` mapped over the pairs as Python floats.
-
-        x and y of other shapes are broadcast against each other, as a (rows, 1) column of
-        aggregates against a grid or against (rows, points) windows, giving a (rows, points) array."""
-        if np.ndim(y) == 0:
-            y = np.full(len(x), y, dtype=float)
-        elif np.shape(y) != np.shape(x):
-            x, y = np.broadcast_arrays(x, y)
-            if self.phi_array is None:
-                return self.phi_values(x.ravel(), y.ravel()).reshape(x.shape)
-        if self.phi_array is not None:
-            return self.phi_array(x, y)
-        return np.fromiter(map(self.phi, x.tolist(), y.tolist()), float, len(x))
+    def phi_values(self, x, y) -> np.ndarray:
+        """``phi`` elementwise over x and y as float64 arrays (or floats) broadcast against
+        each other: an action array against one aggregate or an equal-length array, or a
+        (rows, 1) column of aggregates against a grid or (rows, points) windows."""
+        return self.phi(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def aggregate_values(self, values: Sequence):
         """Elementwise :meth:`aggregate_others` of floats and equal-shape arrays, folded in
@@ -250,14 +230,14 @@ def sybil_payoff(
 ) -> float:
     """Total payoff of a player running one identity per entry of ``mine``.
 
-    Each identity is paid ``phi(a_j, aggregate of everyone else)`` and the player
-    pays ``cost(len(mine), len(foreign))`` once.
+    Each identity is paid ``phi(a_j, aggregate of everyone else)``, all scored by
+    one :meth:`~AggregativeGame.phi_values` call and summed in order as Python
+    floats, and the player pays ``cost(len(mine), len(foreign))`` once.
     """
     _check_actions(game, mine.actions, "own", positive=True)
     _check_actions(game, foreign, "foreign", positive=False)
-    total = _left_sum(
-        game.phi(a, _others_aggregate(game, mine.actions, foreign, j)) for j, a in enumerate(mine.actions)
-    )
+    others = [_others_aggregate(game, mine.actions, foreign, j) for j in range(len(mine))]
+    total = _left_sum(game.phi_values(mine.actions, others).tolist())
     return total - cost(len(mine), len(foreign))
 
 
@@ -275,7 +255,7 @@ def merged_payoff(
     _check_actions(game, mine.actions, "own", positive=True)
     _check_actions(game, foreign, "foreign", positive=False)
     merged = game.merge_own(mine.actions)
-    value = game.phi(merged, game.aggregate_others(list(foreign)))
+    value = float(game.phi_values(merged, game.aggregate_others(list(foreign))))
     if cost is not None:
         value -= cost(1, len(foreign))
     return value
@@ -351,11 +331,9 @@ def _grid_gains(
 
     The same float operations run in the same order as in the scalar payoffs, so
     each entry equals the scalar gain bit for bit; rows whose sum exceeds
-    ``limit`` get -inf, and phi is not called on them.  A game with
-    ``phi_array`` costs m + 1 array calls of length k.  Otherwise ``phi`` runs
-    on Python floats: k calls per identity column, and one per distinct merged
-    action for the comparator (``phi`` is pure, so gathering the distinct
-    values changes no bit).
+    ``limit`` get -inf, and phi is not called on them.  A block costs m + 1
+    :meth:`~AggregativeGame.phi_values` calls of length k: one per identity
+    column and one for the merged comparator.
     """
     if limit is not None:
         keep = ~(_left_sum(actions.T) > limit)
@@ -375,12 +353,7 @@ def _grid_gains(
     for j in range(m):
         others = game.aggregate_values([*profile, *columns[:j], *columns[j + 1 :]])
         total = total + game.phi_values(columns[j], others)
-    y = game.aggregate_others(list(profile))
-    if game.phi_array is not None:
-        merged_value = game.phi_values(merged, y)
-    else:
-        distinct, at = np.unique(merged, return_inverse=True)
-        merged_value = game.phi_values(distinct, y)[at]
+    merged_value = game.phi_values(merged, game.aggregate_others(list(profile)))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         return (total - cost(m, len(profile))) - (merged_value - cost(1, len(profile)))
 
@@ -407,13 +380,11 @@ def verify_sybilproof(
 
     Each identity count is scanned in blocks of ``VERIFY_CHUNK`` (4,096) to
     ``VERIFY_CHUNK + VERIFY_PIECE`` (20,480) candidates from
-    :func:`_multiset_blocks`, scored by :func:`_grid_gains`: m + 1 array calls
-    per block when the game declares ``phi_array``, otherwise ``phi`` once per
-    identity per candidate on Python floats plus once per distinct merged
-    action, so ``phi`` must be a pure function defined on the whole grid.  The
-    scan holds the grid's n (n + 1) / 2 pairs as two float columns (8 MB at
-    1,000 grid points) besides one block.  Refinement scores each identity's
-    window as :func:`_grid_gains` rows too.
+    :func:`_multiset_blocks`, scored by :func:`_grid_gains` with m + 1 ``phi``
+    calls per block, so ``phi`` must be a pure function defined on the whole
+    grid.  The scan holds the grid's n (n + 1) / 2 pairs as two float columns
+    (8 MB at 1,000 grid points) besides one block.  Refinement scores each
+    identity's window as :func:`_grid_gains` rows too.
     The gains equal ``sybil_payoff - merged_payoff`` bit for bit, NaN gains
     never count as profitable or best (the first maximum wins), and the
     verdict names the same split as a scalar loop over the same order would.
@@ -471,34 +442,20 @@ def verify_sybilproof(
     return verdict(True, top_actions, top_profile, top_gain)
 
 
-def prorata_game(
-    f: Callable[[float], float],
-    space: ActionSpace,
-    name: str = "prorata",
-    f_array: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> AggregativeGame:
+def prorata_game(f: Callable[[np.ndarray], np.ndarray], space: ActionSpace, name: str = "prorata") -> AggregativeGame:
     """Game paying each identity its stake's share of f(total stake).
 
     Splitting a stake across identities is payoff-neutral here, which is what
-    makes the whole family immune to identity splitting.  ``f_array``, when
-    given, is f applied elementwise to a float64 array, bit-equal to f; the
-    game then declares a ``phi_array``.
+    makes the whole family immune to identity splitting.  f maps a float64
+    array of totals to f elementwise (``np.exp`` and the like, not ``math``).
     """
 
-    def phi(x: float, y: float) -> float:
-        if x == 0.0:
-            return 0.0
-        total = x + y
-        return x / total * f(total)
-
-    def phi_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def phi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):  # 0/0 on inactive entries; the where discards it
             total = x + y
-            return np.where(x == 0.0, 0.0, x / total * f_array(total))
+            return np.where(x == 0.0, 0.0, x / total * f(total))
 
-    return AggregativeGame(
-        phi=phi, space=space, merge=MERGE_SUM, name=name, phi_array=None if f_array is None else phi_array
-    )
+    return AggregativeGame(phi=phi, space=space, merge=MERGE_SUM, name=name)
 
 
 def headcount_reward_game(R: float) -> AggregativeGame:
@@ -508,19 +465,12 @@ def headcount_reward_game(R: float) -> AggregativeGame:
     only ever present one head, so merging several unit reports yields one.
     """
 
-    def phi(x: float, y: float) -> float:
-        if x == 0.0:
-            return 0.0
-        return R * x / (x + y)
-
-    def phi_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def phi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return np.where(x == 0.0, 0.0, R * x / (x + y))
 
     space = ActionSpace(INTEGER, lower=0.0, upper=1.0, grid_step=1.0)
-    return AggregativeGame(
-        phi=phi, space=space, aggregation=MERGE_SUM, merge=MERGE_MAX, name="headcount-reward", phi_array=phi_array
-    )
+    return AggregativeGame(phi=phi, space=space, aggregation=MERGE_SUM, merge=MERGE_MAX, name="headcount-reward")
 
 
 def reward_share_game(
@@ -532,10 +482,7 @@ def reward_share_game(
     hi = upper if upper is not None else R / c
     space = ActionSpace(CONTINUOUS, lower=0.0, upper=hi, grid_step=grid_step)
 
-    def f(s):  # arithmetic only, so the same function on floats and on arrays
-        return R - c * s
-
-    return prorata_game(f, space, name="reward-share", f_array=f)
+    return prorata_game(lambda s: R - c * s, space, name="reward-share")
 
 
 def _refine(game, cost, actions, gain, profile, limit):

@@ -147,10 +147,10 @@ class TentFunction:
     def peak(self) -> float:
         return self.K - self.epsilon
 
-    def __call__(self, x: float) -> float:
-        if x <= self.peak:
-            return self.R * x / self.peak
-        return self.R * (self.K - x) / self.epsilon
+    def __call__(self, x):
+        """The curve at x, elementwise on an array; a float gives a float."""
+        value = np.where(x <= self.peak, self.R * x / self.peak, self.R * (self.K - x) / self.epsilon)
+        return value if np.ndim(x) else float(value)
 
     def slope(self, x: float) -> float:
         if x == self.peak:
@@ -161,12 +161,7 @@ class TentFunction:
 def tent_game(tent: TentFunction, grid_step: Optional[float] = None) -> AggregativeGame:
     step = grid_step if grid_step is not None else tent.K / 400.0
     space = ActionSpace(CONTINUOUS, 0.0, tent.K, step)
-    R, K, eps, peak = tent.R, tent.K, tent.epsilon, tent.peak
-
-    def f_array(x: np.ndarray) -> np.ndarray:  # TentFunction.__call__, operation for operation
-        return np.where(x <= peak, R * x / peak, R * (K - x) / eps)
-
-    return prorata_game(tent, space, name="tent", f_array=f_array)
+    return prorata_game(tent, space, name="tent")
 
 
 def tent_equilibria(tent: TentFunction, ns: Iterable[int]) -> list[SymmetricEquilibrium]:

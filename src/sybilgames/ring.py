@@ -130,7 +130,10 @@ DISTRIBUTIONS = {
 
 @dataclass(frozen=True)
 class RingConfig:
-    """Loser-share rule g, reserve price, and the true member count n."""
+    """Loser-share rule g, reserve price, and the true member count n.
+
+    Construction checks g(n) for budget balance; every other report count k is
+    checked by :meth:`share_exponent` where a transfer for k is built."""
 
     g: Callable[[int], float]
     reserve: float = 0.0
@@ -141,8 +144,7 @@ class RingConfig:
             raise DomainError("a ring needs at least two members")
         if self.reserve < 0.0:
             raise DomainError("reserve must be nonnegative")
-        for k in range(2, max(self.n, 8) + 4):
-            self.share_exponent(k)
+        self.share_exponent(self.n)
 
     def share_exponent(self, k: int) -> float:
         """l(k) = (k-1) g(k), the total share fraction paid out at k reports; raises
@@ -171,22 +173,13 @@ def second_price_game(valuation: float, v_h: float = 1.0, reserve: float = 0.0, 
     """
     from .core import ActionSpace, AggregativeGame, CONTINUOUS, MERGE_MAX
 
-    def phi(b: float, others_top: float) -> float:
-        if b == 0.0:
-            return 0.0
-        if b > others_top and b >= reserve:
-            return valuation - max(others_top, reserve)
-        return 0.0
-
-    def phi_array(b: np.ndarray, others_top: np.ndarray) -> np.ndarray:
+    def phi(b: np.ndarray, others_top: np.ndarray) -> np.ndarray:
         wins = (b != 0.0) & (b > others_top) & (b >= reserve)
-        with np.errstate(all="ignore"):  # max() keeps others_top unless reserve is larger
+        with np.errstate(all="ignore"):
             return np.where(wins, valuation - np.where(reserve > others_top, reserve, others_top), 0.0)
 
     space = ActionSpace(CONTINUOUS, 0.0, v_h, grid_step)
-    return AggregativeGame(
-        phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price", phi_array=phi_array
-    )
+    return AggregativeGame(phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price")
 
 
 def second_price_outcome(

@@ -93,9 +93,9 @@ def scalar_refine(gain_of, actions, profile, space):
 
 
 def per_point_welfare_optimum(game, n: int) -> float:
-    """Grid welfare optimum with one scalar ``phi`` call per grid point: the symmetric
+    """Grid welfare optimum with one ``phi_values`` call per grid point: the symmetric
     profile's n-fold payoff at each action of ``game.space.grid()``, first maximum wins."""
-    values = [n * game.phi(a, game.aggregate_others([a] * (n - 1))) for a in game.space.grid().tolist()]
+    values = [n * float(game.phi_values(a, game.aggregate_others([a] * (n - 1)))) for a in game.space.grid().tolist()]
     return values[int(np.argmax(values))]
 
 

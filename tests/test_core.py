@@ -29,7 +29,6 @@ from sybilgames.core import (
 )
 from sybilgames.commitment import cournot_game
 from sybilgames.errors import ConfigurationError, DomainError, NumericError, UnsupportedOperationError
-from sybilgames.rdm import TentFunction, tent_game
 from sybilgames.ring import second_price_game
 
 
@@ -69,9 +68,10 @@ def test_sybil_payoff_single_identity_empty_foreign():
     game = reward_share_game(10.0, 1.0)
     cost = SybilCost.linear(1.0)
     x = 2.0
-    assert sybil_payoff(game, cost, SybilStrategy([x]), []) == pytest.approx(
-        game.phi(x, 0.0) - 1.0
-    )
+    payoff = sybil_payoff(game, cost, SybilStrategy([x]), [])
+    assert payoff == pytest.approx(float(game.phi_values(x, 0.0)) - 1.0)
+    # Python floats, not numpy scalars, so a CSV row never prints np.float64(...)
+    assert type(payoff) is float and type(merged_payoff(game, SybilStrategy([x, x]), [])) is float
 
 
 def test_merged_payoff_prorata_sum():
@@ -92,7 +92,7 @@ def test_merged_payoff_auction_max_merge():
     game = second_price_game(valuation=0.8)
     # merging two bids keeps only the highest one
     merged = merged_payoff(game, SybilStrategy([0.5, 0.7]), [0.4])
-    assert merged == pytest.approx(game.phi(0.7, 0.4)) == pytest.approx(0.4)
+    assert merged == pytest.approx(float(game.phi_values(0.7, 0.4))) == pytest.approx(0.4)
     # and a duplicated top bid is payoff-neutral against the merged comparator
     verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[0.4]])
     assert verdict.proof
@@ -100,7 +100,7 @@ def test_merged_payoff_auction_max_merge():
 
 def test_merged_payoff_requires_merge_rule():
     space = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1)
-    game = AggregativeGame(phi=lambda x, y: 0.0 if x == 0 else x, space=space, merge=None)
+    game = AggregativeGame(phi=lambda x, y: x, space=space, merge=None)
     with pytest.raises(UnsupportedOperationError):
         merged_payoff(game, SybilStrategy([0.5]), [])
 
@@ -114,7 +114,7 @@ def test_verifier_finds_headcount_counterexample():
 
 @pytest.mark.parametrize(
     "f",
-    [lambda s: 10.0, lambda s: 10.0 - s, lambda s: s * math.exp(1.0 - s) * 10.0],
+    [lambda s: 10.0, lambda s: 10.0 - s, lambda s: s * np.exp(1.0 - s) * 10.0],
 )
 def test_verifier_proves_prorata_games(f):
     game = prorata_game(f, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5))
@@ -136,10 +136,8 @@ def test_verifier_superlinear_scaling_family_on_integers():
     # bound keeps totals where f is nonnegative; once f goes negative a split
     # shrinks the loss factor and the family stops being split-proof.
     def phi(x, y):
-        if x == 0.0:
-            return 0.0
         total = x + y
-        return max(x * x, math.sqrt(x)) * (total * (6.0 - total))
+        return np.where(x == 0.0, 0.0, np.maximum(x * x, np.sqrt(x)) * (total * (6.0 - total)))
 
     game = AggregativeGame(phi=phi, space=ActionSpace(INTEGER, 0.0, 2.0, 1.0), name="scaled")
     verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[1.0, 1.0]])
@@ -161,7 +159,7 @@ def test_verifier_soundness_of_counterexamples():
 def test_refined_continuous_counterexample_recomputes_and_beats_the_grid():
     # sqrt(a) + sqrt(b) > sqrt(a + b): every split pays, and refinement climbs past the first grid split
     game = AggregativeGame(
-        phi=lambda x, y: math.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt"
+        phi=lambda x, y: np.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt"
     )
     verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[0.5]])
     assert not verdict.proof
@@ -196,13 +194,13 @@ def test_budget_restricts_deviations():
 
 def test_a_game_undefined_on_every_split_raises_instead_of_proving():
     undefined = AggregativeGame(
-        phi=lambda x, y: 0.0 if x == 0.0 else math.nan, space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="nan"
+        phi=lambda x, y: np.where(x == 0.0, 0.0, np.nan), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="nan"
     )
     with pytest.raises(NumericError):
         verify_sybilproof(undefined, SybilCost.zero(), 3, [[0.5]])
     # defined against the first profile, undefined on every split against the second
     crowded = AggregativeGame(
-        phi=lambda x, y: 0.0 if x == 0.0 else (math.nan if y >= 3.5 else -x),
+        phi=lambda x, y: np.where(x == 0.0, 0.0, np.where(y >= 3.5, np.nan, -x)),
         space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.5),
         name="nan-when-crowded",
     )
@@ -237,33 +235,49 @@ def test_zero_at_zero_holds_for_registered_games():
         headcount_reward_game(10.0),
         reward_share_game(10.0, 1.0),
         cournot_game(1.0),
-        prorata_game(lambda s: s * math.exp(1 - s), ActionSpace(CONTINUOUS, 0, 4, 0.1)),
+        prorata_game(lambda s: s * np.exp(1 - s), ActionSpace(CONTINUOUS, 0, 4, 0.1)),
     ]
     for game in games:
-        for y in rng.random(100) * 7.0:
-            assert game.phi(0.0, float(y)) == 0.0
+        assert np.all(game.phi_values(np.zeros(100), rng.random(100) * 7.0) == 0.0)
 
 
-def test_zero_at_zero_enforced_at_construction():
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda x, y: 1.0,
+        lambda x, y: x + 1.0,
+        lambda x, y: np.where(y > 2.0, 1.0, x),  # nonzero at zero only against a crowd
+    ],
+)
+def test_zero_at_zero_enforced_at_construction(phi):
     space = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1)
     with pytest.raises(DomainError):
-        AggregativeGame(phi=lambda x, y: 1.0, space=space)
+        AggregativeGame(phi=phi, space=space)
+
+
+NEUTRAL_GAMES = [
+    prorata_game(lambda s: 10.0, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
+    prorata_game(lambda s: 10.0 - s, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
+    prorata_game(lambda s: s * np.exp(1.0 - s), ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
+    cournot_game(1.0),
+]
 
 
 @settings(max_examples=50)
 @given(
-    parts=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4),
-    foreign=st.floats(0.0, 5.0),
+    parts=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    foreign=st.lists(st.floats(0.0, 1.0), max_size=3),
+    c=st.floats(0.0, 1.0),
 )
-def test_prorata_merging_neutrality(parts, foreign):
-    fs = [lambda s: 10.0, lambda s: 10.0 - s, lambda s: s * math.exp(1.0 - s)]
-    for f in fs:
-        total = sum(parts)
-        split_value = sum(
-            (a / (total + foreign)) * f(total + foreign) if a > 0 else 0.0 for a in parts
-        )
-        merged_value = (total / (total + foreign)) * f(total + foreign)
-        assert split_value == pytest.approx(merged_value, abs=1e-12)
+def test_prorata_merging_neutrality(parts, foreign, c):
+    # phi(a, y) = a h(a + y) for pro-rata and Cournot, so a split earns what the merged stake does
+    # and loses only the extra identities' cost
+    mine, cost = SybilStrategy(parts), SybilCost.linear(c)
+    for game in NEUTRAL_GAMES:
+        split = sybil_payoff(game, cost, mine, foreign)
+        merged = merged_payoff(game, mine, foreign, cost)
+        scale = max(1.0, abs(merged), c * len(parts))
+        assert abs((split - merged) + c * (len(parts) - 1)) <= 1e-12 * scale
 
 
 @settings(max_examples=50)
@@ -284,6 +298,10 @@ def test_negative_cost_rejected():
 
 def _nan_below(x, y):
     # undefined on the low end of the grid: those splits never count as profitable or best
+    return np.where(x == 0.0, 0.0, np.where(x < 0.35, np.nan, np.sqrt(x) * (3.0 - y) / 3.0))
+
+
+def _scalar_nan_below(x, y):
     if x == 0.0:
         return 0.0
     if x < 0.35:
@@ -293,10 +311,19 @@ def _nan_below(x, y):
 
 NAN_GAME = AggregativeGame(phi=_nan_below, space=ActionSpace(CONTINUOUS, 0.0, 2.0, 0.1), name="nan-below")
 # every split pays and more pays more, so refinement presses against a budget
-SQRT_GAME = AggregativeGame(phi=lambda x, y: math.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt")
+SQRT_GAME = AggregativeGame(phi=lambda x, y: np.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt")
+
+
+def _scalar_prorata(x, y):
+    if x == 0.0:
+        return 0.0
+    total = x + y
+    return x / total * (10.0 - total)
+
+
 # a split pays only once both identities reach 61, at enumeration index 4230 > VERIFY_CHUNK
 TOP_HEAVY = AggregativeGame(
-    phi=lambda x, y: x if x >= 61.0 else 0.0,
+    phi=lambda x, y: np.where(x >= 61.0, x, 0.0),
     space=ActionSpace(INTEGER, 0.0, 100.0),
     merge=MERGE_MAX,
     name="top-heavy",
@@ -318,9 +345,9 @@ ORACLE_CASES = {
     "reward-share-c0.5": (reward_share_game(1.0, 0.5, grid_step=0.1), SybilCost.linear(0.01), 3, [[0.3]], None),
     "cournot-0.01-foreign-0.05": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.05]], None),
     "cournot-0.01-foreign-0.95": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.95]], None),
-    # no phi_array: phi on Python floats, the merged comparator once per distinct total
+    # a phi of two floats, mapped over the arrays by np.vectorize
     "prorata-scalar-phi": (
-        prorata_game(lambda s: 10.0 - s, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
+        AggregativeGame(np.vectorize(_scalar_prorata, otypes=[float]), ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
         SybilCost.zero(), 3, [[1.0, 2.0]], None,
     ),
     "refined-to-budget": (SQRT_GAME, SybilCost.zero(), 2, [[0.5]], 0.25),
@@ -392,29 +419,44 @@ def test_grid_gains_equal_scalar_gains_bit_for_bit(case):
             np.testing.assert_array_equal(got, np.array(expected))
 
 
-# the built-in games on their CLI grids (0 included) against foreign aggregates 0,
-# the CLI profile sums and every sum or max of two grid points
-ARRAY_GAMES = {
-    "reward-share": (reward_share_game(10.0, 1.0, grid_step=0.1), [5.0, 2.5]),
-    "reward-share-c0": (reward_share_game(10.0, 0.0, upper=2.0, grid_step=0.1), [1.2]),
-    "cournot": (cournot_game(1.0, grid_step=0.01), [1.0 / 3.0, 0.05, 0.95]),
-    "headcount": (headcount_reward_game(10.0), [3.0]),
-    "tent": (tent_game(TentFunction(10.0, 1.0, 0.05), grid_step=0.01), [0.9, 2.0 / 3.0]),
-    "second-price": (second_price_game(0.8, grid_step=0.05), [0.4]),
-    "second-price-reserve": (second_price_game(0.8, reserve=0.3, grid_step=0.05), [0.4, 0.3]),
+# (game, the same phi on two floats, max identities, profiles, the counterexample's gain and candidates)
+SCALAR_TWINS = {
+    "sqrt": (SQRT_GAME, lambda x, y: math.sqrt(x), 2, [[0.5]], 0.2412250939666325, 1),
+    "nan-below": (NAN_GAME, _scalar_nan_below, 3, [[1.0, 1.0], [0.5]], 0.1507547467992153, 1808),
 }
 
 
-@pytest.mark.parametrize("game, profile_aggregates", ARRAY_GAMES.values(), ids=ARRAY_GAMES.keys())
-def test_phi_array_equals_phi_bit_for_bit(game, profile_aggregates):
-    grid = game.space.grid()
-    pair = game.aggregate_others
-    ys = sorted({0.0, *profile_aggregates, *(pair([float(a), float(b)]) for a in grid for b in grid)})
-    x, y = (v.ravel() for v in np.meshgrid(grid, np.array(ys)))
-    expected = np.array([game.phi(a, b) for a, b in zip(x.tolist(), y.tolist())])
-    got = game.phi_array(x, y)
-    assert got.dtype == np.float64 and got.shape == x.shape
-    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+@pytest.mark.parametrize(
+    "game, scalar_phi, max_identities, profiles, gain, candidates", SCALAR_TWINS.values(), ids=SCALAR_TWINS.keys()
+)
+def test_a_scalar_phi_under_vectorize_gives_its_array_twins_verdict(
+    game, scalar_phi, max_identities, profiles, gain, candidates
+):
+    twin = AggregativeGame(phi=np.vectorize(scalar_phi, otypes=[float]), space=game.space, name="twin")
+    got = verify_sybilproof(twin, SybilCost.zero(), max_identities, profiles)
+    expected = verify_sybilproof(game, SybilCost.zero(), max_identities, profiles)
+    assert (got.proof, got.mine, got.foreign, got.gain, got.candidates) == (
+        expected.proof, expected.mine, expected.foreign, expected.gain, expected.candidates,
+    )
+    assert (got.proof, got.gain, got.candidates) == (False, gain, candidates)
+
+
+@pytest.mark.parametrize("budget", [None, 6.0])
+def test_a_grid_gains_block_costs_m_plus_one_phi_calls(budget):
+    base = reward_share_game(10.0, 1.0, grid_step=0.5)
+    shapes = []
+
+    def phi(x, y):
+        shapes.append(np.broadcast(x, y).shape)
+        return base.phi(x, y)
+
+    game = AggregativeGame(phi=phi, space=base.space, name="counted")
+    grid = [float(a) for a in game.space.grid() if a > 0.0]
+    rows = np.array(list(itertools.combinations_with_replacement(grid, 3)))
+    shapes.clear()
+    gains = core._grid_gains(game, SybilCost.zero(), rows, (2.5, 2.5), budget)
+    kept = len(rows) if budget is None else int(np.count_nonzero(gains > -math.inf))
+    assert 0 < kept <= len(rows) and shapes == [(kept,)] * 4
 
 
 @pytest.mark.parametrize("aggregation", [MERGE_SUM, MERGE_MAX])
@@ -425,29 +467,6 @@ def test_aggregate_values_of_nothing_is_zero(aggregation):
     columns = [np.array([0.3, 0.1]), np.array([0.2, 0.5])]
     expected = [game.aggregate_others([0.4, a, b]) for a, b in zip(*columns)]
     np.testing.assert_array_equal(game.aggregate_values([0.4, *columns]), expected)
-
-
-def test_zero_at_zero_enforced_for_phi_array():
-    space = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1)
-    with pytest.raises(DomainError):
-        AggregativeGame(phi=lambda x, y: 0.0 if x == 0.0 else x, space=space, phi_array=lambda x, y: x + 1.0)
-
-
-def test_scalar_phi_runs_once_per_identity_and_once_per_distinct_merged_total():
-    calls = []
-
-    def f(total):
-        calls.append(total)
-        return 10.0 - total
-
-    game = prorata_game(f, ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5))
-    assert game.phi_array is None
-    grid = [float(a) for a in game.space.grid() if a > 0.0]
-    rows = np.array(list(itertools.combinations_with_replacement(grid, 3)))
-    calls.clear()
-    core._grid_gains(game, SybilCost.zero(), rows, (2.5, 2.5), None)  # values: the prorata-scalar-phi case
-    merged = {functools.reduce(operator.add, row, 0.0) for row in rows.tolist()}
-    assert len(calls) == 3 * len(rows) + len(merged) and len(merged) < len(rows) / 5
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (7, 3), (6, 4), (3, 5), (100, 3), (200, 2)])

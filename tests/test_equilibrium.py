@@ -159,10 +159,14 @@ def test_price_of_anarchy_single_player_identity():
 @pytest.mark.parametrize(
     "game",
     [
-        reward_share_game(10.0, 1.0, grid_step=0.01),  # phi_array, sum aggregation
-        tent_game(TentFunction(10.0, 1.0, 0.05)),  # phi_array with a kink
-        # the same tent without f_array: phi on Python floats only
-        prorata_game(TentFunction(10.0, 1.0, 0.05), ActionSpace(CONTINUOUS, 0.0, 1.0, 0.0025), name="tent-scalar"),
+        reward_share_game(10.0, 1.0, grid_step=0.01),  # sum aggregation
+        tent_game(TentFunction(10.0, 1.0, 0.05)),  # a kink
+        # the same tent, its curve mapped over Python floats by np.vectorize
+        prorata_game(
+            np.vectorize(TentFunction(10.0, 1.0, 0.05), otypes=[float]),
+            ActionSpace(CONTINUOUS, 0.0, 1.0, 0.0025),
+            name="tent-scalar",
+        ),
         second_price_game(0.7, reserve=0.2, grid_step=0.01),  # max aggregation
     ],
     ids=lambda game: game.name,
@@ -186,7 +190,8 @@ def test_price_of_anarchy_rejects_nonpositive_welfare():
         tent_game(TentFunction(10.0, 1.0, 0.01)),
         tent_game(TentFunction(10.0, 1.0, 0.6)),
         cournot_game(1.0, grid_step=0.01),
-        prorata_game(lambda q: q * (2.0 - q), ActionSpace(CONTINUOUS, 0.0, 2.0, 0.05)),  # no phi_array
+        # a curve of one float, mapped over (rows, points) totals by np.vectorize
+        prorata_game(np.vectorize(lambda q: q * (2.0 - q), otypes=[float]), ActionSpace(CONTINUOUS, 0.0, 2.0, 0.05)),
     ],
     ids=["tent-kink", "tent-descending", "cournot", "prorata-scalar"],
 )

@@ -405,7 +405,7 @@ def test_tent_best_response_equals_the_scalar_oracle(eps, y):
     game = tent_game(TentFunction(10.0, 1.0, eps))
     space = game.space
     x, _ = scalar_grid_argmax(
-        lambda a: game.phi(a, y), space.lower, space.upper, space.grid_step, BRD_REFINE_ROUNDS
+        lambda a: float(game.phi_values(a, y)), space.lower, space.upper, space.grid_step, BRD_REFINE_ROUNDS
     )
     assert grid_best_response(game, y) == x
 

@@ -113,6 +113,10 @@ def test_tent_function_shape():
     assert tent(tent.peak) == pytest.approx(10.0)
     assert tent(1.0) == pytest.approx(0.0)
     assert tent.slope(0.5) > 0 > tent.slope(0.95)
+    # a float gives a float; an array gives the float calls elementwise, bit for bit
+    x = np.linspace(0.0, 1.2, 121)
+    assert type(tent(0.5)) is float
+    np.testing.assert_array_equal(tent(x), [tent(a) for a in x.tolist()])
     with pytest.raises(DomainError):
         TentFunction(10.0, 1.0, 1.5)
 
@@ -195,8 +199,8 @@ def test_tent_game_actions_above_k_are_dominated():
     tent = TentFunction(10.0, 1.0, 0.05)
     game = tent_game(tent)
     y = 0.3
-    assert all(game.phi(x, y) <= 0.0 for x in (1.0, 0.9))
-    assert game.phi(0.5, y) > 0.0
+    assert np.all(game.phi_values([1.0, 0.9], y) <= 0.0)
+    assert game.phi_values(0.5, y) > 0.0
 
 
 def test_lottery_expected_value_matches_cap_schedule():

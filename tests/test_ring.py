@@ -519,7 +519,7 @@ def test_model_transfer_reads_the_transfer_schedule_alone(k):
 
 
 def test_a_share_past_the_configs_checked_counts_is_checked_when_its_transfer_is_built():
-    # RingConfig checks g(k) for k <= max(n, 8) + 3 = 11; m = 15 identities face k = 17
+    # RingConfig checks only g(n) = g(3); m = 15 identities face k = 17
     cfg = RingConfig(g=lambda k: 0.0 if k < 15 else 1.0, n=3)
     with pytest.raises(DomainError, match=r"budget balance needs 0 <= g\(17\) <= 1/16"):
         RingModel(UNIFORM, cfg).expected_profit(15)
@@ -530,6 +530,15 @@ def test_a_share_past_the_configs_checked_counts_is_checked_when_its_transfer_is
     assert RingModel(UNIFORM, cfg).expected_profit(12) > 0.0  # g(14) = 0 is balanced
     with pytest.raises(DomainError, match=r"g\(3\)"):
         RingConfig(g=lambda k: 0.6, n=3)
+
+
+def test_a_config_is_checked_at_construction_only_at_its_own_count():
+    cfg = RingConfig(g=lambda k: 0.5 if k == 3 else 1.0, n=3)  # g(4) = 1 > 1/3
+    assert RingModel(UNIFORM, cfg).transfer(0.5) > 0.0
+    with pytest.raises(DomainError, match=r"budget balance needs 0 <= g\(4\) <= 1/3"):
+        RingModel(UNIFORM, cfg).transfer(0.5, 4)
+    with pytest.raises(DomainError, match=r"g\(3\)"):
+        RingConfig(g=lambda k: 0.0 if k == 4 else 0.6, n=3)
 
 
 def test_a_profit_unresolved_on_the_quadrature_grid_names_its_config_and_count_row():
