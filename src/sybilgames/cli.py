@@ -165,7 +165,7 @@ def _parse_profile(text: str) -> tuple[float, ...]:
 
 
 def _run_verify(args) -> None:
-    cost = SybilCost.linear(args.c) if args.c > 0.0 else SybilCost.zero()
+    cost = SybilCost.linear(args.c)
     if args.game == "headcount":
         game = headcount_reward_game(args.R)
         default_profiles = ["1,1,1"]

@@ -150,8 +150,13 @@ class AggregativeGame:
     def phi_values(self, x, y) -> np.ndarray:
         """``phi`` elementwise over x and y as float64 arrays (or floats) broadcast against
         each other: an action array against one aggregate or an equal-length array, or a
-        (rows, 1) column of aggregates against a grid or (rows, points) windows."""
-        return self.phi(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        (rows, 1) column of aggregates against a grid or (rows, points) windows.  An output
+        of any other shape than x and y's broadcast shape raises :class:`DomainError`."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        out, shape = self.phi(x, y), np.broadcast(x, y).shape
+        if np.shape(out) != shape:
+            raise DomainError(f"phi returned shape {np.shape(out)} for inputs of broadcast shape {shape}")
+        return out
 
     def aggregate_values(self, values: Sequence):
         """Elementwise :meth:`aggregate_others` of floats and equal-shape arrays, folded in

@@ -23,10 +23,10 @@ itself, or raises ``NumericError``.  Other single integrals go through the check
 of the integral of the integrand's absolute value), schedules through
 ``cumulative_simpson`` on RingModel's grid, and registration-stage profits through
 the same rule's weights on ``integrate``'s points, under its error test with the
-integral itself as the scale, read off transfer schedules alone (the loser
-schedule's weights folded onto them).  Between grid nodes RingModel interpolates each
-schedule with a cubic Hermite whose node slopes come from the same IC condition,
-T' = f/F ((k-1) v + l r - e T).
+integral itself as the scale, as one weighted integral of the transfer schedule
+alone: swapping the order of integration turns the loser shares into one more weight
+on it.  Between grid nodes RingModel interpolates each schedule with a cubic Hermite
+whose node slopes come from the same IC condition, T' = f/F ((k-1) v + l r - e T).
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -323,9 +323,10 @@ class RingModel:
     a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
     setup.  Schedules for every registered count are cached, since a member
     running m identities faces the (n+m-1)-report schedule.  The registration-stage
-    profit samples no integrand and builds no loser schedule: the quadrature rule's
-    weights, folded onto the nodes once per call, are summed against each transfer's
-    node values and slopes (``_transfer``, cached apart).  Identity counts are integers >= 1.
+    profit samples no integrand and builds no loser schedule: it is one integral of the
+    transfer against F^(n-1) f, whose quadrature weights, folded onto the nodes once per
+    call, are summed against each transfer's node values and slopes (``_transfer``,
+    cached apart).  Identity counts are integers >= 1.
 
     Built from one RingConfig, results carry no config axis.  Built from a
     sequence of configs sharing reserve and n, every schedule has a leading
@@ -348,7 +349,6 @@ class RingModel:
         self._h = (dist.v_h - self.reserve) / (2 * MODEL_CELLS)
         self._F = np.asarray(dist.cdf(self.grid), dtype=float)
         self._f = np.asarray(dist.pdf(self.grid), dtype=float)
-        self._loser_density = (self.n - 1) * self._F ** (self.n - 2) * self._f  # top rival value's density
         self._transfers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._schedules: dict[int, tuple[np.ndarray, ...]] = {}
 
@@ -377,7 +377,8 @@ class RingModel:
         """Node values and cell-width-scaled node slopes of the k-report transfer and of
         the loser schedule: four (configs, nodes) arrays."""
         if k not in self._schedules:
-            r, h, weight = self.reserve, self._h, self._loser_density
+            r, h = self.reserve, self._h
+            weight = (self.n - 1) * self._F ** (self.n - 2) * self._f  # the top rival value's density
             t, mt = self._transfer(k)
             shares = cumulative_simpson((_subdivide(t, mt, 2) - r) * weight, h)
             self._schedules[k] = (t, mt, shares[:, -1:] - shares, -2.0 * h * (t - r) * weight[::2])
@@ -440,23 +441,22 @@ class RingModel:
 
     def expected_profit(self, m: Union[int, Sequence[int]] = 1):
         """Registration-stage expected payoff of running m identities, truthful bidding:
-        the integral over [0, v_h] of ``payoff(x, x, m)`` times the density.  Below the
-        reserve a member wins nothing but still collects its m loser shares, so that part
-        is the exact mass F(r) m g L(r), with L(r) the loser schedule's first node value.
+        the integral over [0, v_h] of ``payoff(x, x, m)`` times the density.  With
+        k = n+m-1, g = g(k) and the loser schedule L(x) = integral_x^v_h (T_k - r)(n-1)
+        F^(n-2) f, swapping the order of integration gives integral_r^v_h L f + F(r) L(r)
+        = integral_r^v_h (T_k - r)(n-1) F^(n-1) f, the below-reserve shares included, so
+
+            E[U_m] = integral_r^v_h (x - T_k + (m n - 1) g (T_k - r)) F^(n-1) f dx.
 
         m is one count or a non-empty sequence of counts, each an integer >= 1 (otherwise
         :class:`DomainError`); a sequence gives one checked quadrature over (config, m)
         rows, with m as the last axis of the result.
 
-        The integrand is linear in each schedule's node values and scaled slopes, so
+        The integrand is linear in the transfer's node values and scaled slopes, so
         ``integrate``'s three nested Simpson totals on its points are
-        xP - (m-1) g r P - (1 - (m-1) g) T + m g L, with g = g(n+m-1), xP and P the rule's
-        sums of x F^(n-1) f and F^(n-1) f, T the transfer schedule and L the loser schedule,
-        plus the below-reserve mass, summed against the rule's weights times F^(n-1) f and f
-        folded onto the nodes once per call.  L needs no loser schedule: it is linear in
-        the transfer, whose Simpson cells of (T - r)(n-1) F^(n-2) f on the model grid it
-        sums from each node on, so its weights fold onto the transfer's nodes.  Every total
-        carries the below-reserve mass, so their differences are the quadrature's alone.  A
+        xP - T + (m n - 1) g (T - r P), with xP, P and T the rule's sums of x, 1 and the
+        transfer's Hermite interpolant times F^(n-1) f, the last from the rule's weights
+        times F^(n-1) f folded onto the nodes once per call (``_node_weights``).  A
         row's fine total is elementwise products summed along one row, so it equals the
         single-config model's row bit for bit; the two coarser totals, which only feed the
         error test, are matrix products (``_row_sums``).  A row whose observed-order bound
@@ -468,26 +468,16 @@ class RingModel:
         x, h = _quadrature_points(r, b)
         F, f = np.asarray(self.dist.cdf(x), dtype=float), np.asarray(self.dist.pdf(x), dtype=float)
         win_prob = F ** (n - 1)
-        rule = _simpson_weights(h)  # (fine, coarse, coarser) rows
-        rule_P = rule * np.where(win_prob > 0.0, win_prob * f, 0.0)  # masked as _member_payoff masks it
-        xP, P = (rule_P * x).sum(axis=-1), rule_P.sum(axis=-1)
-        (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
-        # loser(j) sums the cells i >= j, so cell i takes the loser weights of j <= i, and F(r)
-        above = np.cumsum(loser_w[:, :-1], axis=-1) + float(self.dist.cdf(r))
-        stencil = np.zeros((3, 2 * MODEL_CELLS + 1))
-        stencil[:, 1::2] = 4.0 * above
-        stencil[:, :-1:2] += above
-        stencil[:, 2::2] += above
-        w = self._loser_density
-        loser_t, loser_mt = _node_weights(self._h / 3.0 * stencil * w)
-        loser_t -= 2.0 * self._h * w[::2] * ml_w  # the loser slopes, -(T - r) w, scaled by the cell width
+        # (fine, coarse, coarser) rows, masked as _member_payoff masks it
+        rule_P = _simpson_weights(h) * np.where(win_prob > 0.0, win_prob * f, 0.0)
+        xP, rP = (rule_P * x).sum(axis=-1), r * rule_P.sum(axis=-1)
+        t_w, mt_w = _node_weights(rule_P)
         out = np.empty((len(self.cfgs), counts.size, 3))
         for j, count in enumerate(counts.tolist()):
             t, mt = self._transfer(n + count - 1)
             gamma = np.array([[cfg.g(n + count - 1)] for cfg in self.cfgs])
             T = _row_sums(t, t_w) + _row_sums(mt, mt_w)
-            L = _row_sums(t - r, loser_t) + _row_sums(mt, loser_mt)
-            out[:, j] = xP - (count - 1) * gamma * r * P - (1.0 - (count - 1) * gamma) * T + count * gamma * L
+            out[:, j] = xP - T + (count * n - 1) * gamma * (T - rP)
         totals = np.moveaxis(out, -1, 0)  # (fine, coarse, coarser), each (configs, counts)
         _check_resolved(totals, np.abs(totals[0]), r, b)
         return self._strip(totals[0] if np.ndim(m) else totals[0][:, 0])
@@ -568,7 +558,7 @@ def opt_ring_search(
 
     One RingModel holds every theta's schedules: (i) is one row-wise
     ``grid_argmax`` over (theta, check value) rows, and (ii) and (iii) read one
-    checked quadrature over (theta, m) rows, each row a sum of its schedules' node
+    checked quadrature over (theta, m) rows, each row a sum of its transfer's node
     values and slopes against per-node Simpson weights built once for the search
     (``RingModel.expected_profit``).  The search draws nothing, so a row depends only
     on its theta, n, the reserve and the distribution.  Needs at least one theta;

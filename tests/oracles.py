@@ -178,9 +178,35 @@ def sampled_expected_profit(model, counts):
     return integrate(integrand, model.reserve, model.dist.v_h) + model.dist.cdf(model.reserve) * below
 
 
+def fubini_expected_profit(model, counts):
+    """(configs, counts) registration-stage profits as one integral of the transfer: the
+    loser shares, integrated over the top rival value first, weigh T - r by (n-1) F^(n-1) f,
+    so E[U_m] = integral_r^v_h (x - T + (m n - 1) g (T - r)) F^(n-1) f with T the
+    (n+m-1)-report transfer and g = g(n+m-1).  That integrand is sampled on every point of
+    ``integrate``'s grid over [reserve, v_h], with the transfer's Hermite interpolant
+    evaluated there, and integrated by ``integrate``."""
+    from sybilgames.numerics import integrate
+    from sybilgames.ring import MODEL_CELLS, _subdivide
+
+    r, n = model.reserve, model.n
+
+    def integrand(x):
+        weight = model.dist.cdf(x) ** (n - 1) * model.dist.pdf(x)
+        out = np.empty((len(model.cfgs), len(counts), x.size))
+        per = (x.size - 1) // MODEL_CELLS  # integrate's points fall at fractions j/per of each node cell
+        for j, count in enumerate(counts):
+            T = _subdivide(*model._transfer(n + count - 1), per)
+            gamma = np.array([[cfg.g(n + count - 1)] for cfg in model.cfgs])
+            out[:, j] = (x - T + (count * n - 1) * gamma * (T - r)) * weight
+        return out
+
+    return integrate(integrand, r, model.dist.v_h)
+
+
 def loser_schedule_expected_profit(model, counts):
     """(configs, counts) registration-stage profits, the fine Simpson total on ``integrate``'s
-    points, as explicit node dot products over every schedule ``model._schedule`` builds:
+    points, in the loser-schedule form, as explicit node dot products over every schedule
+    ``model._schedule`` builds:
     the transfer (t, mt) against the rule's weights times F^(n-1) f, and the loser schedule
     (loser, ml) against them times f, each folded onto the nodes by ``_node_weights``, plus
     the m loser shares F(r) m g loser(r) of the values below the reserve."""

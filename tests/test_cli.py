@@ -251,6 +251,15 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("game", ["headcount", "prorata", "cournot"])
+def test_verify_negative_identity_cost_is_invalid(tmp_path, capsys, game):
+    # a negative c must not run at zero cost behind a config line that says c=-1.0
+    out = tmp_path / "verify.csv"
+    assert run_cli(["verify", "--game", game, "--c", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "invalid parameter: identity cost must be nonnegative\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("game", ["prorata", "cournot"])
 def test_verify_zero_grid_step_is_invalid(tmp_path, capsys, game):
     out = tmp_path / "verify.csv"

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import grid_search_max, per_point_welfare_optimum
 from sybilgames.commitment import cournot_game
-from sybilgames.core import CONTINUOUS, ActionSpace, prorata_game, reward_share_game
+from sybilgames.core import CONTINUOUS, ActionSpace, AggregativeGame, prorata_game, reward_share_game
 from sybilgames.equilibrium import (
     best_response_reward_game,
     concave_prorata_equilibrium,
@@ -200,3 +200,13 @@ def test_array_grid_best_response_equals_the_scalar_calls(game):
     responses = grid_best_response(game, ys)
     assert responses.shape == ys.shape
     assert responses.tolist() == [grid_best_response(game, float(y)) for y in ys]
+
+
+def test_a_phi_that_ignores_y_raises_on_the_row_path():
+    # np.sqrt(x) keeps the grid's shape, so the (rows, 1) column of aggregates would never reach
+    # the result: unchecked, grid_best_response gives one float 1.0 for three aggregates
+    space, ys = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), np.array([0.1, 0.2, 0.5])
+    with pytest.raises(DomainError, match=r"shape \(11,\) for inputs of broadcast shape \(3, 11\)"):
+        grid_best_response(AggregativeGame(phi=lambda x, y: np.sqrt(x) * 1.0, space=space), ys)
+    twin = AggregativeGame(phi=np.vectorize(lambda x, y: math.sqrt(x), otypes=[float]), space=space)
+    assert grid_best_response(twin, ys).tolist() == [1.0, 1.0, 1.0]
