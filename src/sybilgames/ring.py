@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import QUAD_CELLS, QUAD_TOL, _check_resolved, _finer_samples, _nested_totals, _observed_error
-from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, grid_argmax, integrate
+from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, integrate
 
 SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
@@ -361,14 +361,17 @@ class RingModel:
             l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
             F_nodes, f_nodes = F[::2], f[::2]
             cumulative = cumulative_simpson(((k - 1) * x + l * r) * _power(F, k - 2 + l) * f, h)
-            first = int(np.count_nonzero(F_nodes <= 0.0))  # F is nondecreasing: F > 0 from here on
+            # T(r) = r, and F is nondecreasing: F > 0 from the first node past both the reserve and F = 0
+            first = max(int(np.count_nonzero(F_nodes <= 0.0)), 1)
+            if F_nodes[first] ** (k - 1 + l.max()) < _TINY:  # the divisor F^(k-1+l) underflows
+                raise SingularScaleError(f"F^(k-1+l) underflows at the first node past F = 0 for k = {k}")
             t = np.full_like(cumulative, r)
             boundary = r * float(F_nodes[0]) ** (k + l - 1)
             t[:, first:] = (cumulative[:, first:] + boundary) * _power(F_nodes[first:], -(k + l - 1))
             ratio = np.zeros_like(F_nodes)
             ratio[first:] = f_nodes[first:] / F_nodes[first:]
             slope = ratio * ((k - 1) * x[::2] + l * r - (k + l - 1) * t)
-            if first:
+            if F_nodes[0] <= 0.0:  # else T'(r) = 0
                 slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
             self._transfers[k] = t, width * slope
         return self._transfers[k]
@@ -548,21 +551,20 @@ def opt_ring_search(
     """Search the constant-share family g(k) = theta/(k-1) for profitable rings
     that survive truthfulness and identity-splitting checks.
 
-    For each theta: (i) truthful bidding must be the grid argmax of the member
-    payoff at the 0.35, 0.6 and 0.85 quantiles of the valuation conditioned on
-    v >= reserve, (ii) the registration-stage expected profit must be maximal
+    For each theta: (i) the one-identity payoff's slope at the truthful bid,
+    F^(n-2) |F T' - f ((n-1) v + l r - e T)| with T' the central difference of the
+    n-report transfer's node values, must be at most 1e-4 at every node past F = 0:
+    the payoff has increasing differences in (bid, value), so truthful bidding is then
+    optimal at every value; (ii) the registration-stage expected profit must be maximal
     at one identity (m up to ``RING_MAX_IDENTITIES``), and (iii) member welfare,
     the members' expected total payout, is n times that one-identity profit.  Among
-    passing thetas the one with the highest welfare wins; it must strictly beat
-    the theta = 0 baseline E[v(1) - v(2)].
-
-    One RingModel holds every theta's schedules: (i) is one row-wise
-    ``grid_argmax`` over (theta, check value) rows, and (ii) and (iii) read one
-    checked quadrature over (theta, m) rows, each row a sum of its transfer's node
-    values and slopes against per-node Simpson weights built once for the search
-    (``RingModel.expected_profit``).  The search draws nothing, so a row depends only
-    on its theta, n, the reserve and the distribution.  Needs at least one theta;
-    otherwise raises ``DomainError``.
+    passing thetas the one with the highest welfare wins; it must strictly beat a
+    searched theta = 0.  One RingModel holds every theta's schedules: (ii) and (iii)
+    read one checked quadrature over (theta, m) rows, each row a sum of its transfer's
+    node values and slopes against per-node Simpson weights built once for the search
+    (``RingModel.expected_profit``), and (i) reads the n-report transfers it built.
+    The search draws nothing, so a row depends only on its theta, n, the reserve and
+    the distribution.  Needs at least one theta; otherwise raises ``DomainError``.
     """
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, 21)
@@ -572,17 +574,14 @@ def opt_ring_search(
     cfgs = [constant_share_config(theta, n, reserve) for theta in thetas]
     model = RingModel(dist, cfgs)
     baseline = expected_order_stat(dist, n, 1) - expected_order_stat(dist, n, 2)
-    F_reserve = float(dist.cdf(reserve))
-    check_values = np.array([float(dist.quantile(F_reserve + q * (1.0 - F_reserve))) for q in (0.35, 0.6, 0.85)])
-    shape = (len(thetas), len(check_values), -1)
-
-    def bid_payoffs(w):  # the coarse grid, or one window per (theta, check value) row
-        bids = w.reshape(shape) if w.ndim == 2 else w
-        return model.payoff(bids, check_values[None, :, None], 1).reshape(-1, w.shape[-1])
-
-    best_bids, _ = grid_argmax(bid_payoffs, reserve, dist.v_h, dist.v_h / 200.0, 4)
-    truthful = np.all(np.abs(best_bids.reshape(shape[:2]) - check_values) <= 2e-3 * dist.v_h, axis=1)
     profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
+    # dU/dw at w = v, F^(n-2) |F T' - f ((n-1) v + l r - e T)|, at the nodes whose neighbours lie past F = 0
+    t, l = model._transfer(n)[0], np.array([[cfg.share_exponent(n)] for cfg in cfgs])
+    v, F, f = model.grid[::2], model._F[::2], model._f[::2]
+    i = np.arange(int(np.count_nonzero(F <= 0.0)) + 1, MODEL_CELLS)
+    slope = (t[:, i + 1] - t[:, i - 1]) / (4.0 * model._h)  # not the Hermite slopes, which solve the ODE
+    gap = F[i] ** (n - 2) * np.abs(F[i] * slope - f[i] * ((n - 1) * v[i] + l * reserve - (n - 1 + l) * t[:, i]))
+    truthful = gap.max(axis=1, initial=0.0) <= 1e-4
     sybilproof = np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
     welfare = n * profits[:, 0]
     rows = [
@@ -594,9 +593,7 @@ def opt_ring_search(
         warnings.warn("no theta passed both checks; falling back to the theta = 0 baseline")
         return OptRingResult(tuple(rows), 0.0, baseline, baseline, fell_back=True)
     best = max(passing, key=lambda row: (row.welfare, -row.theta))
-    if best.theta > 0.0:
-        zero_rows = [row for row in rows if row.theta == 0.0]
-        floor = zero_rows[0].welfare if zero_rows else baseline
-        if not best.welfare > floor:
-            raise InvariantViolation("search selected a ring no better than the baseline")
+    zero_rows = [row for row in rows if row.theta == 0.0]
+    if best.theta > 0.0 and zero_rows and not best.welfare > zero_rows[0].welfare:
+        raise InvariantViolation("search selected a ring no better than theta = 0")
     return OptRingResult(tuple(rows), best.theta, best.welfare, baseline)

@@ -246,6 +246,26 @@ def envelope_expected_profit(model, cells: int = 200_000) -> np.ndarray:
     return F_r * model.payoff(r - 1.0, r - 1.0, 1) + (1.0 - F_r) * model.payoff(r, r, 1) + tail
 
 
+def quantile_scan_truthful(model, dist, n: int, reserve: float) -> np.ndarray:
+    """(configs,) truthfulness verdicts of a ``RingModel`` from a refined grid scan of the
+    one-identity member payoff: the best bid on [reserve, v_h] (``grid_argmax``, step v_h/200,
+    4 refinement rounds) must lie within 2e-3 v_h of the value at the 0.35, 0.6 and 0.85
+    quantiles of the valuation conditioned on v >= reserve.  It reads ``payoff`` only, so it
+    is independent of the IC condition that builds the transfer."""
+    from sybilgames.numerics import grid_argmax
+
+    F_reserve = float(dist.cdf(reserve))
+    check_values = np.array([float(dist.quantile(F_reserve + q * (1.0 - F_reserve))) for q in (0.35, 0.6, 0.85)])
+    shape = (len(model.cfgs), len(check_values), -1)
+
+    def bid_payoffs(w):  # the coarse grid, or one window per (config, check value) row
+        bids = w.reshape(shape) if w.ndim == 2 else w
+        return model.payoff(bids, check_values[None, :, None], 1).reshape(-1, w.shape[-1])
+
+    best_bids, _ = grid_argmax(bid_payoffs, reserve, dist.v_h, dist.v_h / 200.0, 4)
+    return np.all(np.abs(best_bids.reshape(shape[:2]) - check_values) <= 2e-3 * dist.v_h, axis=1)
+
+
 def trapezoid_ring_transfer(v: float, n: int, theta: float, dist: str, cells: int = 200_000) -> float:
     """IC transfer T(v) of the ring g(k) = theta/(k-1) with n members and no reserve:
     F(v)^-(n+theta-1) times a ``cells``-cell trapezoid of (n-1) u F(u)^(n-2+theta) f(u) on

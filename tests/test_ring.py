@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     central_diff,
@@ -10,10 +11,12 @@ from oracles import (
     fine_ring_transfer,
     fubini_expected_profit,
     loser_schedule_expected_profit,
+    quantile_scan_truthful,
     sampled_expected_profit,
     trapezoid_ring_transfer,
     unsorted_ring_welfare,
 )
+from sybilgames import ring
 from sybilgames.errors import DomainError, NumericError, SingularScaleError
 from sybilgames.numerics import QUAD_CELLS, QUAD_TOL
 from sybilgames.ring import (
@@ -628,7 +631,7 @@ def test_a_theta_row_does_not_depend_on_the_other_thetas_searched():
 
 def test_welfare_pays_nothing_on_draws_below_the_reserve():
     for dist in (UNIFORM, beta22_values(), truncated_exponential_values()):
-        # the truthfulness check bids at quantiles of v given v >= r: theta = 0 passes, so no fallback warning
+        # theta = 0 is truthful and split-proof at any reserve, so no fallback warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             result = opt_ring_search(dist, 3, [0.0], reserve=0.5)
@@ -653,3 +656,121 @@ def test_transfer_on_a_permuted_array_is_the_permuted_transfer():
 def test_opt_ring_search_rejects_an_empty_theta_list():
     with pytest.raises(DomainError):
         opt_ring_search(UNIFORM, 3, thetas=[])
+
+
+def test_a_large_count_transfer_raises_where_its_divisor_underflows():
+    # F(1/2048)^(k-1+l) of beta22 is below the smallest normal float at k = 51: the transfer read NaN and negatives
+    model = RingModel(beta22_values(), constant_share_config(0.5, 3))
+    with pytest.raises(SingularScaleError, match="k = 51"):
+        model.transfer([5e-4, 1e-3, 2e-3], 51)
+
+
+@pytest.mark.parametrize("name, n, m", [("beta22", 3, 49), ("uniform", 6, 88), ("truncexp", 6, 94)])
+def test_a_large_count_profit_raises_a_numeric_error_and_no_warning(name, n, m):
+    # RuntimeWarning is an error in this suite, so an overflow on the way to the raise fails here; the uniform and
+    # truncexp counts returned profits divided by a subnormal F^(k-1+l)
+    model = RingModel(DISTRIBUTIONS[name](), [constant_share_config(t, n) for t in np.linspace(0.0, 1.0, 21)])
+    with pytest.raises(SingularScaleError, match=f"k = {n + m - 1}"):
+        model.expected_profit(m)
+
+
+@pytest.mark.parametrize("reserve", [5e-324, 1e-200, 1e-30])
+@pytest.mark.parametrize("name", ["uniform", "truncexp"])
+def test_a_tiny_positive_reserve_keeps_the_search_resolved(name, reserve):
+    # F(r)^(n-1+l) underflows: the first node holds T(r) = r with T'(r) = 0 instead of dividing by it
+    dist = DISTRIBUTIONS[name]()
+    result = opt_ring_search(dist, 8, [0.0, 0.5], reserve=reserve)
+    assert all(row.truthful_ok for row in result.rows)
+    zero = opt_ring_search(dist, 8, [0.0, 0.5]).rows
+    assert [row.welfare for row in result.rows] == pytest.approx([row.welfare for row in zero], rel=1e-12)
+
+
+SCAN_RESERVES = pytest.mark.parametrize("reserve", [0.0, 0.2, 0.5])
+SCAN_NS = pytest.mark.parametrize("n", [2, 3, 4, 6])
+SCAN_DISTS = pytest.mark.parametrize(
+    "dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name
+)
+
+
+@SCAN_DISTS
+@SCAN_NS
+@SCAN_RESERVES
+def test_truthful_ok_agrees_with_the_quantile_scan_oracle(dist, n, reserve):
+    thetas = np.linspace(0.0, 1.0, 21).tolist()
+    result = opt_ring_search(dist, n, thetas, reserve=reserve)
+    scan = quantile_scan_truthful(RingModel(dist, [constant_share_config(t, n, reserve) for t in thetas]), dist, n, reserve)
+    assert [row.truthful_ok for row in result.rows] == scan.tolist() == [True] * len(thetas)
+
+
+@SCAN_DISTS
+@SCAN_NS
+@SCAN_RESERVES
+def test_a_transfer_scaled_by_one_percent_fails_the_certificate_and_the_oracle(monkeypatch, dist, n, reserve):
+    exact = RingModel._transfer
+
+    def scaled(self, k):
+        t, mt = exact(self, k)
+        return 1.01 * t, 1.01 * mt
+
+    monkeypatch.setattr(RingModel, "_transfer", scaled)
+    thetas = np.linspace(0.0, 1.0, 21).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no theta passes, so the search falls back
+        result = opt_ring_search(dist, n, thetas, reserve=reserve)
+    scan = quantile_scan_truthful(RingModel(dist, [constant_share_config(t, n, reserve) for t in thetas]), dist, n, reserve)
+    assert not any(row.truthful_ok for row in result.rows)
+    assert not scan.any()
+
+
+def test_the_search_scans_no_member_payoff(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search evaluated a member payoff")
+
+    monkeypatch.setattr(RingModel, "payoff", forbidden)
+    monkeypatch.setattr(RingModel, "_schedule", forbidden)
+    monkeypatch.setattr(ring, "grid_argmax", forbidden, raising=False)
+    result = opt_ring_search(UNIFORM, 2, reserve=0.2)
+    assert result.best_theta == 0.4 and all(row.truthful_ok for row in result.rows)
+
+
+SHIFTED_BETA22 = ValueDistribution(  # F = 0 on [0, 1/2), then a Beta(2, 2) stretched over [1/2, 1]: f is continuous
+    name="shifted-beta22",
+    cdf=lambda x: beta22_values().cdf(2.0 * np.asarray(x) - 1.0),
+    pdf=lambda x: 2.0 * beta22_values().pdf(2.0 * np.asarray(x) - 1.0),
+    v_h=1.0,
+    quantile=lambda u: 0.5 + 0.5 * beta22_values().quantile(u),
+)
+
+
+def test_the_certificate_skips_the_nodes_that_hold_the_reserve_where_f_is_zero():
+    # F = 0 pins T = r on the first 1,025 nodes; a central difference reaching into them reads a gap of 7e-4 to 1.5e-3
+    thetas = [0.0, 0.5, 1.0]
+    result = opt_ring_search(SHIFTED_BETA22, 2, thetas)
+    model = RingModel(SHIFTED_BETA22, [constant_share_config(t, 2) for t in thetas])
+    assert [row.truthful_ok for row in result.rows] == quantile_scan_truthful(model, SHIFTED_BETA22, 2, 0.0).tolist()
+    assert all(row.truthful_ok for row in result.rows)
+
+
+@pytest.mark.parametrize("name, n, theta, reserve", [("uniform", 3, 0.15, 0.5), ("beta22", 2, 5.161386351913141e-134, 0.0)])
+def test_a_lone_theta_is_judged_by_its_checks_and_not_by_the_no_reserve_baseline(name, n, theta, reserve):
+    # E[v(1) - v(2)] is the theta = 0 welfare only without a reserve, and even then another quadrature's rounding:
+    # both searches raised InvariantViolation
+    result = opt_ring_search(DISTRIBUTIONS[name](), n, [theta], reserve=reserve)
+    assert result.best_theta == theta and not result.fell_back
+    assert result.best_welfare == result.rows[0].welfare
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    name=st.sampled_from(sorted(DISTRIBUTIONS)),
+    n=st.integers(2, 8),
+    theta=st.floats(0.0, 1.0),
+    reserve=st.floats(0.0, 0.8),
+)
+def test_every_ring_is_truthful_and_the_quantile_scan_agrees(name, n, theta, reserve):
+    dist = DISTRIBUTIONS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a lone theta that fails the split check falls back
+        (row,) = opt_ring_search(dist, n, [theta], reserve=reserve).rows
+    assert row.truthful_ok
+    assert quantile_scan_truthful(RingModel(dist, [constant_share_config(theta, n, reserve)]), dist, n, reserve).tolist() == [True]
