@@ -559,8 +559,9 @@ def opt_ring_search(
     at one identity (m up to ``RING_MAX_IDENTITIES``), and (iii) member welfare,
     the members' expected total payout, is n times that one-identity profit.  Among
     passing thetas the one with the highest welfare wins; it must strictly beat a
-    searched theta = 0.  One RingModel holds every theta's schedules: (ii) and (iii)
-    read one checked quadrature over (theta, m) rows, each row a sum of its transfer's
+    searched theta = 0; if none passes, the search warns and reports theta = 0 with that
+    ring's welfare at the reserve.  One RingModel holds every theta's schedules: (ii) and
+    (iii) read one checked quadrature over (theta, m) rows, each row a sum of its transfer's
     node values and slopes against per-node Simpson weights built once for the search
     (``RingModel.expected_profit``), and (i) reads the n-report transfers it built.
     The search draws nothing, so a row depends only on its theta, n, the reserve and
@@ -589,9 +590,10 @@ def opt_ring_search(
         for theta, ok, proof, w in zip(thetas, truthful, sybilproof, welfare)
     ]
     passing = [row for row in rows if row.truthful_ok and row.sybilproof_ok]
-    if not passing:
-        warnings.warn("no theta passed both checks; falling back to the theta = 0 baseline")
-        return OptRingResult(tuple(rows), 0.0, baseline, baseline, fell_back=True)
+    if not passing:  # the theta = 0 ring at this reserve; its one-config row equals a searched row bit for bit
+        warnings.warn("no theta passed both checks; falling back to the theta = 0 ring")
+        zero = RingModel(dist, constant_share_config(0.0, n, reserve))
+        return OptRingResult(tuple(rows), 0.0, n * float(zero.expected_profit(1)), baseline, fell_back=True)
     best = max(passing, key=lambda row: (row.welfare, -row.theta))
     zero_rows = [row for row in rows if row.theta == 0.0]
     if best.theta > 0.0 and zero_rows and not best.welfare > zero_rows[0].welfare:

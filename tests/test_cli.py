@@ -165,6 +165,25 @@ def test_cake_blocks_match_per_cell_rendering(tmp_path, monkeypatch, measures):
     assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 5))) is None
 
 
+@pytest.mark.parametrize("runs", [1, 10, 11, 10**4 + 3])
+def test_cake_label_widths_match_per_cell_rendering(tmp_path, monkeypatch, runs):
+    # labels are NUL-padded to the width of the last one: 1 and 2 digits, and 9,999 -> 10,000 inside a block
+    chunks = []
+    render = cli._cake_body
+    monkeypatch.setattr(cli, "_cake_body", lambda tails, codes: (chunks.append(c) or c for c in render(tails, codes)))
+    measures = tmp_path / "measures.txt"
+    measures.write_text(THREE_MEASURES)
+    out = tmp_path / "cake.csv"
+    assert run_cli(["cake", "--measures", str(measures), "--samples", str(runs), "--seed", "3", "--out", str(out)]) == 0
+    body = out.read_text().split("\n", 2)[2]
+    assert len(chunks) == -(-runs // cli.CAKE_BLOCK_RUNS) and "".join(chunks) == body
+    assert not any("\0" in chunk for chunk in chunks)
+    if runs > 10**4:
+        assert len(chunks) > 2 and 10**4 % cli.CAKE_BLOCK_RUNS != 0  # the width change is no block edge
+    declared = cli._load_measures(str(measures))
+    assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 3))) is None
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -448,6 +448,18 @@ def test_opt_ring_search_falls_back_when_nothing_passes():
     assert any("falling back" in str(w.message) for w in caught)
 
 
+def test_fallback_reports_the_zero_ring_at_the_reserve():
+    # at r = 0.7 the theta = 0 ring earns 0.087075, far from the no-reserve E[v(1) - v(2)] = 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fallback = opt_ring_search(UNIFORM, 3, [0.3], reserve=0.7)
+    zero = opt_ring_search(UNIFORM, 3, [0.0, 0.3], reserve=0.7)
+    assert fallback.fell_back and not zero.fell_back and zero.best_theta == 0.0
+    assert fallback.best_theta == 0.0 and fallback.best_welfare == zero.best_welfare == zero.rows[0].welfare
+    assert zero.best_welfare == pytest.approx(0.087075, abs=1e-12)
+    assert fallback.baseline == zero.baseline == pytest.approx(0.25, abs=1e-12)
+
+
 def test_registration_stage_profits_match_closed_form():
     # E[pi(m)] = (1 + m n theta) / ((n + m - 1 + theta) (n + 1)) for uniform values and no reserve;
     # the worst row, n = 2, m = 1, theta = 0.1, is 8.9e-10 off
