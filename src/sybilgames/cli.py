@@ -22,10 +22,10 @@ from .cake import PiecewiseMeasure, measure_value, run_monte_carlo
 from .commitment import (
     CommitmentInstance,
     cfmm_commitment_instance,
-    commitment_deviation,
     cournot_commitment_instance,
     cournot_game,
     exponential_commitment_instance,
+    scp_check,
     trivial_commitment_instance,
 )
 from .core import SybilCost, headcount_reward_game, reward_share_game, verify_sybilproof
@@ -317,11 +317,11 @@ def _payoff_rows(inst: CommitmentInstance, n_max: int) -> list:
 
 def _run_commit(args) -> None:
     inst = _commit_instance(args)
-    rows = []
-    for n, eq_payoff, commit2 in _payoff_rows(inst, args.n_max):
-        x = commitment_deviation(inst, n - 1, args.x_max)
-        verdict = "scp" if x is None else f"counterexample(foreign={n - 1};x={x})"
-        rows.append((n, eq_payoff, commit2, verdict))
+    verdict = scp_check(inst, max(args.n_max, 1) - 1, args.x_max)  # row n is foreign count n - 1
+    rows = [
+        (n, eq_payoff, commit2, f"counterexample(foreign={n - 1};x={verdict.xs[n - 1]})" if bad else "scp")
+        for (n, eq_payoff, commit2), bad in zip(_payoff_rows(inst, args.n_max), verdict.gains > verdict.tol)
+    ]
     params = dict(
         instance=args.instance, c=args.c, n_max=args.n_max, x_max=args.x_max, seed=args.seed,
         alpha=args.alpha, c_prod=args.c_prod,

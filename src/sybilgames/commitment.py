@@ -3,8 +3,10 @@ plays the resulting n-player equilibrium), so an attacker weighs x committed
 identities at x * payoff(x + foreign) minus the identity cost.
 
 A game is commitment-proof when committing exactly one identity is strictly
-dominant.  Any bounded game that is both split-proof and commitment-proof under
-small linear costs has equilibrium welfare capped by (n-1) R / 2^(n-2) + c n^2/2,
+dominant: :func:`scp_check` is :func:`~sybilgames.core.count_verdict` at tolerance
+-SCP_MARGIN_TOL, so an exact tie counts against the game.  Any bounded game that
+is both split-proof and commitment-proof under small linear costs has
+equilibrium welfare capped by (n-1) R / 2^(n-2) + c n^2/2,
 which the checker here evaluates on concrete instances; Cournot competition and
 batched constant-product arbitrage are the stock counterexamples.
 """
@@ -18,10 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ActionSpace, AggregativeGame, CONTINUOUS, SybilCost
+from .core import CONTINUOUS, ActionSpace, AggregativeGame, CountVerdict, SybilCost, count_verdict
 from .equilibrium import concave_prorata_equilibrium
-from .errors import DomainError, NumericError
-from .numerics import first_max
+from .errors import DomainError
 
 SCP_MARGIN_TOL = 1e-12
 
@@ -57,54 +58,16 @@ class CommitmentInstance:
         return gross - self.cost(x, foreign)
 
 
-def commitment_best_response(
-    inst: CommitmentInstance, foreign_identities: int, x_max: int = 32
-) -> tuple[int, float]:
-    """Exhaustive argmax of the commitment payoff; ties break toward fewer identities, NaN never wins."""
-    if x_max < 1:
-        raise DomainError("need x_max >= 1")
-    values = [inst.attacker_value(x, foreign_identities) for x in range(1, x_max + 1)]
-    i = first_max(values)
-    return 1 + i, values[i]
-
-
-@dataclass(frozen=True)
-class ScpVerdict:
-    scp: bool
-    foreign: Optional[int] = None
-    x: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.scp
-
-
-def commitment_deviation(inst: CommitmentInstance, foreign: int, x_max: int) -> Optional[int]:
-    """Best x in 2..x_max unless one identity beats every such x by more than SCP_MARGIN_TOL.
-
-    Returns None when committing one identity is strictly dominant against
-    ``foreign`` other identities; ties among deviations go to the smaller x, NaN never wins.
-    A NaN one-identity value raises :class:`NumericError`: nothing can be compared with it.
-    """
-    if x_max < 2:
-        raise DomainError("need x_max >= 2: no multi-identity deviation to check")
-    solo = inst.attacker_value(1, foreign)
-    if math.isnan(solo):
-        raise NumericError(f"the one-identity value is NaN against {foreign} foreign identities")
-    values = [inst.attacker_value(x, foreign) for x in range(2, x_max + 1)]
-    i = first_max(values)
-    return None if solo - values[i] > SCP_MARGIN_TOL else 2 + i
-
-
-def scp_check(inst: CommitmentInstance, foreign_max: int = 20, x_max: int = 32) -> ScpVerdict:
-    """Commitment-proofness: one identity must beat every x in 2..x_max by more
-    than SCP_MARGIN_TOL, for every foreign identity count up to foreign_max."""
+def scp_check(inst: CommitmentInstance, foreign_max: int = 20, x_max: int = 32) -> CountVerdict:
+    """Commitment-proofness: one identity must beat every x in 2..x_max by more than
+    SCP_MARGIN_TOL against every foreign count 0..foreign_max; the verdict's contexts are
+    the foreign counts, and its witness the first failing one with its best x."""
     if foreign_max < 0:
         raise DomainError("foreign_max must be nonnegative")
-    for foreign in range(foreign_max + 1):
-        x = commitment_deviation(inst, foreign, x_max)
-        if x is not None:
-            return ScpVerdict(False, foreign=foreign, x=x)
-    return ScpVerdict(True)
+    if x_max < 2:
+        raise DomainError("need x_max >= 2: no multi-identity deviation to check")
+    values = [[inst.attacker_value(x, foreign) for x in range(1, x_max + 1)] for foreign in range(foreign_max + 1)]
+    return count_verdict(values, -SCP_MARGIN_TOL)
 
 
 def commitment_welfare_cap(n: int, R: float, c: float) -> float:

@@ -291,6 +291,47 @@ class SybilVerdict:
         return self.proof
 
 
+@dataclass(frozen=True, eq=False)
+class CountVerdict:
+    """Outcome of :func:`count_verdict`: per context (table row), the best gain of x >= 2
+    identities over one, ``gains``, and the first x reaching it, ``xs``; the first context
+    whose gain exceeds ``tol`` and its x (None on a proof); ``margin``, the largest gain."""
+
+    proof: bool
+    gains: np.ndarray
+    xs: np.ndarray
+    context: Optional[int]
+    x: Optional[int]
+    margin: float
+    tol: float
+
+    def __bool__(self) -> bool:
+        return self.proof
+
+
+def count_verdict(P, tol: float) -> CountVerdict:
+    """Identity-count proofness of a (contexts, X) table of payoffs with x = 1..X own identities.
+
+    A context fails when some x >= 2 gains more than ``tol`` over x = 1; a negative
+    ``tol`` asks for strict dominance, so a tie fails.  NaN gains never win
+    (:func:`~sybilgames.numerics.first_max`); a NaN at x = 1, or a row of NaN gains,
+    raises :class:`NumericError`.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] < 2:
+        raise DomainError(f"need a (contexts, X) payoff table with a context and X >= 2, not shape {P.shape}")
+    nan = np.isnan(P[:, 0])
+    if nan.any():
+        raise NumericError(f"the one-identity payoff is NaN in context {int(np.argmax(nan))}")
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gain, which never wins
+        table = P[:, 1:] - P[:, :1]
+    best = first_max(table)
+    gains = table[np.arange(len(table)), best]
+    fails = np.flatnonzero(gains > tol)
+    context, x = (int(fails[0]), int(best[fails[0]]) + 2) if fails.size else (None, None)
+    return CountVerdict(context is None, gains, best + 2, context, x, float(gains.max()), tol)
+
+
 def _multiset_blocks(values: np.ndarray, m: int):
     """Rows of ``combinations_with_replacement(values, m)`` in that order, for m >= 2.
 

@@ -4,6 +4,8 @@ identities so that registering extra identities never pays.
 The proofness condition for a split schedule r is
 ``r(1+y)/(1+y) >= x * r(x+y)/(x+y)`` for every x >= 1, y >= 0; the welfare-optimal
 schedule satisfying it is ``n R / 2^(n-1)`` ("shrink the pie as the crowd grows").
+:func:`check_reward_sybilproof` tests it with :func:`~sybilgames.core.count_verdict`:
+a violation is a gain above the tolerance, the witness the first failing y with its best x.
 Also here: the tent-shaped pro-rata curves whose equilibrium welfare approaches R
 when the player count is common knowledge (the symmetric equilibrium in closed
 form, on the descending branch or at the kink, and every player count of a table
@@ -19,7 +21,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .core import CONTINUOUS, ActionSpace, AggregativeGame, prorata_game
+from .core import CONTINUOUS, ActionSpace, AggregativeGame, CountVerdict, count_verdict, prorata_game
 from .equilibrium import SymmetricEquilibrium, grid_best_response
 from .errors import DomainError, NumericError
 
@@ -62,41 +64,27 @@ def rdm_payoff(mech: RewardMechanism, x: int, y: int, c: float) -> float:
     return x * mech.r(x + y) / (x + y) - c * x
 
 
-@dataclass(frozen=True)
-class RdmVerdict:
-    proof: bool
-    x: Optional[int] = None
-    y: Optional[int] = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.proof
-
-
 def check_reward_sybilproof(
     mech: RewardMechanism, x_max: int = 64, y_max: int = 64, tol: float = 1e-12
-) -> RdmVerdict:
+) -> CountVerdict:
     """Bounded check that a split schedule admits no profitable identity split.
 
-    Verifies membership in the mechanism class (0 <= r(n) <= R) and the share
-    inequality r(1+y)/(1+y) >= x r(x+y)/(x+y) for 1 <= x <= x_max, 0 <= y <= y_max,
-    returning the first violation.  The condition quantifies over all integers;
-    the bound is explicit and adjustable.
+    An r(n) outside [0, R] (or NaN), n <= x_max + y_max, raises :class:`DomainError`
+    naming it.  Otherwise the (y = 0..y_max, x = 1..x_max) table x r(x+y)/(x+y) goes
+    through :func:`~sybilgames.core.count_verdict` at ``tol``.  The condition
+    quantifies over all integers; the bounds are explicit and adjustable.
     """
     if x_max < 2:
         raise DomainError("x_max must be at least 2")
-    cap = mech.R * (1.0 + 1e-12)
-    for total in range(1, x_max + y_max + 1):
-        value = mech.r(total)
-        if value < -1e-12 or value > cap:
-            return RdmVerdict(False, detail=f"r({total}) = {value} outside [0, R]")
-    for x in range(1, x_max + 1):
-        for y in range(0, y_max + 1):
-            solo = mech.r(1 + y) / (1 + y)
-            split = x * mech.r(x + y) / (x + y)
-            if split > solo + tol:
-                return RdmVerdict(False, x=x, y=y)
-    return RdmVerdict(True)
+    if y_max < 0:
+        raise DomainError("y_max must be nonnegative")
+    r = [mech.r(total) for total in range(1, x_max + y_max + 1)]
+    for total, value in enumerate(r, 1):
+        if not -1e-12 <= value <= mech.R * (1.0 + 1e-12):
+            raise DomainError(f"r({total}) = {value} outside [0, R]")
+    x = np.arange(1, x_max + 1)
+    total = x + np.arange(y_max + 1)[:, None]
+    return count_verdict(x * np.array(r, dtype=float)[total - 1] / total, tol)
 
 
 @dataclass(frozen=True)
@@ -194,11 +182,6 @@ def tent_equilibria(tent: TentFunction, ns: Iterable[int]) -> list[SymmetricEqui
     if off.any():
         raise NumericError(f"tent equilibrium for n = {ns[int(np.argmax(off))]} failed the best-response validation")
     return eqs
-
-
-def tent_equilibrium(tent: TentFunction, n: int) -> SymmetricEquilibrium:
-    """Symmetric equilibrium of the pro-rata tent game for n players: :func:`tent_equilibria` of [n]."""
-    return tent_equilibria(tent, [n])[0]
 
 
 def nondivisible_lottery(n: int, seed_or_rng: Union[int, np.random.Generator]) -> Optional[int]:

@@ -46,11 +46,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .core import CONTINUOUS, MERGE_MAX, SYBIL_TOL, ActionSpace, AggregativeGame, count_verdict
 from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import QUAD_CELLS, QUAD_TOL, _check_resolved, _finer_samples, _nested_totals, _observed_error
 from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, integrate
 
-SYBIL_GAIN_TOL = 1e-9
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
 RING_MAX_IDENTITIES = 4  # most identities opt_ring_search's splitting check registers
 TRANSFER_FIRST_CELLS = 256  # ring_transfer's first Simpson level; each further level doubles it
@@ -171,8 +171,6 @@ def second_price_game(valuation: float, v_h: float = 1.0, reserve: float = 0.0, 
     since only the highest of a player's bids can ever matter.  Ties lose, which
     is the conservative convention for an atomless value distribution.
     """
-    from .core import ActionSpace, AggregativeGame, CONTINUOUS, MERGE_MAX
-
     def phi(b: np.ndarray, others_top: np.ndarray) -> np.ndarray:
         wins = (b != 0.0) & (b > others_top) & (b >= reserve)
         with np.errstate(all="ignore"):
@@ -555,9 +553,11 @@ def opt_ring_search(
     F^(n-2) |F T' - f ((n-1) v + l r - e T)| with T' the central difference of the
     n-report transfer's node values, must be at most 1e-4 at every node past F = 0:
     the payoff has increasing differences in (bid, value), so truthful bidding is then
-    optimal at every value; (ii) the registration-stage expected profit must be maximal
-    at one identity (m up to ``RING_MAX_IDENTITIES``), and (iii) member welfare,
-    the members' expected total payout, is n times that one-identity profit.  Among
+    optimal at every value; (ii) no registration-stage expected profit with m = 2 up to
+    ``RING_MAX_IDENTITIES`` identities may beat one identity's by more than
+    ``core.SYBIL_TOL`` (:func:`~sybilgames.core.count_verdict` on the (theta, m)
+    table), and (iii) member welfare, the members' expected total payout, is n times
+    that one-identity profit.  Among
     passing thetas the one with the highest welfare wins; it must strictly beat a
     searched theta = 0; if none passes, the search warns and reports theta = 0 with that
     ring's welfare at the reserve.  One RingModel holds every theta's schedules: (ii) and
@@ -583,7 +583,7 @@ def opt_ring_search(
     slope = (t[:, i + 1] - t[:, i - 1]) / (4.0 * model._h)  # not the Hermite slopes, which solve the ODE
     gap = F[i] ** (n - 2) * np.abs(F[i] * slope - f[i] * ((n - 1) * v[i] + l * reserve - (n - 1 + l) * t[:, i]))
     truthful = gap.max(axis=1, initial=0.0) <= 1e-4
-    sybilproof = np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
+    sybilproof = count_verdict(profits, SYBIL_TOL).gains <= SYBIL_TOL
     welfare = n * profits[:, 0]
     rows = [
         OptRingRow(theta, bool(ok), bool(proof), float(w), baseline)

@@ -135,6 +135,29 @@ def first_profitable_split(game, cost, max_identities, profiles, tol, budget=Non
     return best + (scanned,)
 
 
+def identity_count_loop(table, tol):
+    """Double-loop identity-count verdict: (gains, xs, proof, context, x).
+
+    Per row of ``table`` (payoffs with x = 1, 2, ... own identities), the first
+    largest ``P(x) - P(1)`` over x >= 2 as Python floats, skipping NaN gains; a row
+    fails when that gain exceeds ``tol``, and the witness is the first failing
+    row with its best x (None, None on a proof).
+    """
+    gains, xs = [], []
+    for row in table:
+        best, best_x = None, None
+        for x, value in enumerate(row[1:], 2):
+            gain = value - row[0]
+            if gain == gain and (best is None or gain > best):
+                best, best_x = gain, x
+        gains.append(best)
+        xs.append(best_x)
+    fails = [i for i, gain in enumerate(gains) if gain > tol]
+    if not fails:
+        return gains, xs, True, None, None
+    return gains, xs, False, fails[0], xs[fails[0]]
+
+
 def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
     """(welfare, welfare_se) of one constant-share ring from its own single-config model:
     ``RingModel.transfer`` on the top draws in draw order, and nothing paid on draws below

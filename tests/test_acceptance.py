@@ -22,7 +22,6 @@ from sybilgames.cake import (
 from sybilgames.cake import PiecewiseMeasure
 from sybilgames.commitment import (
     cfmm_arbitrage_oracle,
-    commitment_best_response,
     commitment_welfare_cap,
     cournot_commitment_instance,
     exponential_commitment_instance,
@@ -37,6 +36,7 @@ from sybilgames.equilibrium import (
     reward_game_mixed_equilibrium,
     reward_game_pure_equilibrium,
 )
+from sybilgames.errors import DomainError
 from sybilgames.rdm import (
     RewardMechanism,
     TentFunction,
@@ -44,7 +44,7 @@ from sybilgames.rdm import (
     dominant_strategy_prorata,
     max_sybilproof_reward,
     rmax_mechanism,
-    tent_equilibrium,
+    tent_equilibria,
 )
 from sybilgames.ring import (
     RingModel,
@@ -111,7 +111,11 @@ def test_criterion_03_reward_schedule_optimality():
                 r=lambda n, n0=n0: max_sybilproof_reward(n, 10.0) * (1.01 if n == n0 else 1.0),
                 R=10.0,
             )
-            assert not check_reward_sybilproof(bumped, x_max=64, y_max=64).proof
+            if n0 <= 2:  # r(1) = r(2) = R: the bump leaves the mechanism class [0, R]
+                with pytest.raises(DomainError, match=rf"r\({n0}\)"):
+                    check_reward_sybilproof(bumped, x_max=64, y_max=64)
+            else:
+                assert not check_reward_sybilproof(bumped, x_max=64, y_max=64).proof
 
 
 def test_criterion_04_dominant_strategy_prorata():
@@ -134,7 +138,7 @@ def test_criterion_05_tent_welfare():
     with criterion(5, 5.0, "tent welfare tops 0.97R and rises as the tip sharpens"):
         R, K, n = 10.0, 1.0, 5
         welfare = {
-            eps: tent_equilibrium(TentFunction(R, K, eps), n).welfare
+            eps: tent_equilibria(TentFunction(R, K, eps), [n])[0].welfare
             for eps in (K / 10.0, K / 50.0, K / 100.0)
         }
         assert welfare[K / 100.0] > 0.97 * R
@@ -214,7 +218,7 @@ def test_criterion_09_welfare_cap_consistency():
             (rmax_commitment_instance(10.0, identity_cost=0.01), 0.01),
         ]
         for inst, c in instances:
-            assert scp_check(inst, foreign_max=12, x_max=32).scp
+            assert scp_check(inst, foreign_max=12, x_max=32).proof
             welfare = [inst.oracle.welfare(n) for n in range(1, 13)]
             scale = max(welfare)
             for n in range(2, 13):
@@ -224,8 +228,8 @@ def test_criterion_09_welfare_cap_consistency():
 def test_criterion_10_commitment_counterexamples():
     with criterion(10, 5.0, "Cournot commits two identities; batched arbitrage crossing exists"):
         inst = cournot_commitment_instance(1.0, 0.0)
-        x_star, _ = commitment_best_response(inst, foreign_identities=1, x_max=32)
-        assert x_star == 2
+        verdict = scp_check(inst, foreign_max=1, x_max=32)
+        assert (verdict.proof, verdict.context, verdict.x) == (False, 1, 2)
         oracle = cfmm_arbitrage_oracle(100.0, 100.0, 0.5)
         assert any(2.0 * oracle.payoff(n + 1) > oracle.payoff(n) for n in range(1, 11))
 

@@ -10,6 +10,13 @@ import pytest
 import sybilgames
 from sybilgames import cli
 from sybilgames.cake import PiecewiseMeasure, measure_value, run_monte_carlo
+from sybilgames.commitment import (
+    cfmm_commitment_instance,
+    cournot_commitment_instance,
+    exponential_commitment_instance,
+    scp_check,
+    trivial_commitment_instance,
+)
 from sybilgames.core import SybilCost, reward_share_game, verify_sybilproof
 from sybilgames.errors import InvariantViolation, NumericError
 
@@ -223,6 +230,31 @@ def test_commit_cournot_counterexample_column(tmp_path):
     verdicts = {int(r[0]): r[3] for r in rows}
     assert verdicts[2].startswith("counterexample(foreign=1")
     assert verdicts[1] == "scp"
+
+
+@pytest.mark.parametrize(
+    "argv, inst",
+    [
+        (["--instance", "cournot"], lambda: cournot_commitment_instance(1.0, 0.0)),
+        (["--instance", "cfmm"], lambda: cfmm_commitment_instance(100.0, 100.0, 0.5)),
+        (["--instance", "exp"], exponential_commitment_instance),
+        (["--instance", "trivial", "--c", "1"], lambda: trivial_commitment_instance(1.0)),
+    ],
+)
+def test_commit_verdict_column_is_scp_checks_per_row_verdict(tmp_path, argv, inst):
+    out = tmp_path / "commit.csv"
+    assert run_cli(["commit", *argv, "--out", str(out)]) == 0
+    column = [row[3] for row in read_rows(out)[2]]
+    inst = inst()
+    full = scp_check(inst, foreign_max=9, x_max=32)
+    assert column == [
+        f"counterexample(foreign={f};x={full.xs[f]})" if full.gains[f] > full.tol else "scp" for f in range(10)
+    ]
+    for f in range(10):  # the verdict over foreign counts 0..f is the first f + 1 rows
+        verdict = scp_check(inst, foreign_max=f, x_max=32)
+        assert verdict.proof == all(v == "scp" for v in column[: f + 1])
+        if not verdict.proof:
+            assert column[verdict.context] == f"counterexample(foreign={verdict.context};x={verdict.x})"
 
 
 def test_poa_sweep(tmp_path):

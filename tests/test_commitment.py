@@ -7,8 +7,6 @@ from sybilgames.commitment import (
     cfmm_arbitrage_oracle,
     cfmm_commitment_instance,
     cfmm_curve,
-    commitment_best_response,
-    commitment_deviation,
     commitment_welfare_cap,
     cournot_commitment_instance,
     cournot_oracle,
@@ -27,10 +25,10 @@ COURNOT_SPLIT_THRESHOLD = 0.125 - 1.0 / 9.0  # gain of the two-identity commitme
 
 def test_cournot_best_response_commits_two_identities():
     inst = cournot_commitment_instance(1.0, 0.0)
-    x_star, value = commitment_best_response(inst, foreign_identities=1, x_max=10)
-    assert x_star == 2
-    assert value == pytest.approx(0.125)
-    assert value > 1.0 / 9.0
+    verdict = scp_check(inst, foreign_max=1, x_max=10)
+    assert verdict.xs[1] == 2 and verdict.gains[1] > verdict.tol
+    assert verdict.gains[1] == pytest.approx(0.125 - 1.0 / 9.0)
+    assert inst.attacker_value(2, 1) == pytest.approx(0.125)
 
 
 def test_trivial_instance_payoffs():
@@ -38,50 +36,54 @@ def test_trivial_instance_payoffs():
     inst = trivial_commitment_instance(c)
     assert inst.attacker_value(1, 0) == pytest.approx(c / 2.0)
     assert inst.attacker_value(2, 0) == pytest.approx(-c / 2.0)
-    assert commitment_best_response(inst, 0, 8) == (1, pytest.approx(c / 2.0))
+    verdict = scp_check(inst, foreign_max=0, x_max=8)
+    assert verdict.proof and verdict.xs[0] == 2 and verdict.gains[0] == pytest.approx(-c)
 
 
 def test_exponential_instance_single_identity_everywhere():
     inst = exponential_commitment_instance()
+    verdict = scp_check(inst, foreign_max=20, x_max=32)
+    assert verdict.proof and (verdict.gains <= verdict.tol).all()
     for k in range(0, 21):
-        x_star, value = commitment_best_response(inst, k, 32)
-        assert x_star == 1
-        assert value == pytest.approx(math.exp(-(1 + k)), abs=1e-15)
+        assert inst.attacker_value(1, k) == pytest.approx(math.exp(-(1 + k)), abs=1e-15)
+        # the best deviation is x = 2, short of one identity by e^-(1+k) (1 - 2/e)
+        assert verdict.xs[k] == 2
+        assert verdict.gains[k] == pytest.approx(-math.exp(-(1 + k)) * (1.0 - 2.0 / math.e), abs=1e-15)
 
 
 def test_a_nan_commitment_value_is_never_the_best_deviation():
     # x e^(-x) peaks at one identity; the NaN at x = 2 must not read as a profitable deviation
     oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 2 else math.exp(-n))
     inst = CommitmentInstance(oracle=oracle, cost=SybilCost.zero())
-    assert commitment_deviation(inst, 0, 8) is None
-    assert commitment_best_response(inst, 0, 8) == (1, math.exp(-1))
+    verdict = scp_check(inst, foreign_max=0, x_max=8)
+    assert verdict.proof and verdict.xs[0] == 3
+    assert verdict.gains[0] == 3.0 * math.exp(-3) - math.exp(-1)
     undefined = CommitmentInstance(
         oracle=EqPayoffOracle(payoff=lambda n: math.nan), cost=SybilCost.zero()
     )
     with pytest.raises(NumericError):
-        commitment_deviation(undefined, 0, 8)
+        scp_check(undefined, foreign_max=0, x_max=8)
 
 
 def test_a_nan_one_identity_value_raises_instead_of_reading_as_beaten():
     oracle = EqPayoffOracle(payoff=lambda n: math.nan if n == 1 else -1.0)
     inst = CommitmentInstance(oracle=oracle, cost=SybilCost.zero())
-    with pytest.raises(NumericError):
-        commitment_deviation(inst, 0, 8)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="context 0"):
         scp_check(inst, foreign_max=3)
 
 
 def test_scp_verdicts():
-    assert scp_check(exponential_commitment_instance(), foreign_max=20).scp
-    assert scp_check(trivial_commitment_instance(1.0), foreign_max=10).scp
+    assert scp_check(exponential_commitment_instance(), foreign_max=20).proof
+    assert scp_check(trivial_commitment_instance(1.0), foreign_max=10).proof
     verdict = scp_check(cournot_commitment_instance(1.0, 0.0), foreign_max=10)
-    assert not verdict.scp
-    assert (verdict.foreign, verdict.x) == (1, 2)
+    assert not verdict.proof
+    assert (verdict.context, verdict.x) == (1, 2)
     # at zero cost two identities exactly tie with one: the named deviation is x = 2, never x = 1
     shrunk = rmax_commitment_instance(10.0, 0.0)
     verdict = scp_check(shrunk, foreign_max=3)
-    assert (verdict.scp, verdict.foreign, verdict.x) == (False, 0, 2)
-    assert commitment_deviation(shrunk, 0, 32) == 2
+    assert (verdict.proof, verdict.context, verdict.x) == (False, 0, 2)
+    assert verdict.gains[0] == 0.0 and verdict.tol == -1e-12
+    assert (verdict.gains > verdict.tol).all() and list(verdict.xs) == [2, 2, 2, 2]
 
 
 def test_scp_check_needs_a_deviation_to_check():
@@ -94,21 +96,21 @@ def test_prohibitive_cost_makes_any_instance_scp():
         oracle=EqPayoffOracle(payoff=lambda n: 1.0 / n),
         cost=SybilCost.prohibitive(),
     )
-    assert scp_check(inst, foreign_max=10).scp
+    assert scp_check(inst, foreign_max=10).proof
 
 
 @pytest.mark.parametrize("c", [0.0, 0.005, 0.012, COURNOT_SPLIT_THRESHOLD * 0.99])
 def test_cournot_counterexample_persists_below_threshold(c):
     verdict = scp_check(cournot_commitment_instance(1.0, 0.0, identity_cost=c), foreign_max=10)
-    assert not verdict.scp
-    assert (verdict.foreign, verdict.x) == (1, 2)
+    assert not verdict.proof
+    assert (verdict.context, verdict.x) == (1, 2)
 
 
 def test_cournot_two_identity_gain_vanishes_above_threshold():
     c = COURNOT_SPLIT_THRESHOLD * 1.05
     inst = cournot_commitment_instance(1.0, 0.0, identity_cost=c)
-    x_star, _ = commitment_best_response(inst, foreign_identities=1, x_max=10)
-    assert x_star == 1
+    verdict = scp_check(inst, foreign_max=1, x_max=10)
+    assert verdict.proof and verdict.xs[1] == 2 and verdict.gains[1] < 0.0
 
 
 def test_welfare_cap_values():
@@ -177,7 +179,7 @@ def test_scp_instances_respect_the_welfare_cap():
     shrunk = rmax_commitment_instance(10.0, identity_cost=0.01)
     cases.append((shrunk, 0.01))
     for inst, c in cases:
-        assert scp_check(inst, foreign_max=12, x_max=32).scp
+        assert scp_check(inst, foreign_max=12, x_max=32).proof
         welfare = [inst.oracle.welfare(n) for n in range(1, 13)]
         cap_scale = max(welfare)
         for n in range(2, 13):

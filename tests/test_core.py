@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import first_profitable_split, scalar_refine
+from oracles import first_profitable_split, identity_count_loop, scalar_refine
 from sybilgames import core
 from sybilgames.core import (
     ActionSpace,
@@ -477,3 +477,40 @@ def test_multiset_blocks_enumerate_combinations_in_order(n, m):
     assert all(block.dtype == np.intp and block.shape[1] == m for block in blocks)
     assert all(len(block) >= VERIFY_CHUNK for block in blocks[:-1])
     assert all(len(block) < VERIFY_CHUNK + core.VERIFY_PIECE for block in blocks)
+
+
+_PAYOFFS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.5, 1e-13, -1e-13, math.inf, -math.inf])
+
+
+@st.composite
+def _count_tables(draw):
+    """(contexts, X) payoff tables drawn from a few values, so ties are common, with NaN only at x >= 2."""
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    table = []
+    for _ in range(rows):
+        solo = draw(_PAYOFFS.filter(math.isfinite))
+        rest = draw(st.lists(_PAYOFFS | st.just(math.nan), min_size=width - 1, max_size=width - 1))
+        if all(math.isnan(v) for v in rest):
+            rest[0] = solo
+        table.append([solo] + rest)
+    return table
+
+
+@given(table=_count_tables(), tol=st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -0.5, 0.75]))
+@settings(max_examples=300, deadline=None)
+def test_count_verdict_equals_the_double_loop(table, tol):
+    verdict = core.count_verdict(table, tol)
+    gains, xs, proof, context, x = identity_count_loop(table, tol)
+    assert verdict.gains.tolist() == gains and verdict.xs.tolist() == xs
+    assert (verdict.proof, verdict.context, verdict.x) == (proof, context, x)
+    assert verdict.margin == max(gains) and verdict.tol == tol
+
+
+def test_count_verdict_rejects_what_it_cannot_compare():
+    with pytest.raises(NumericError, match="context 1"):
+        core.count_verdict([[1.0, 0.0], [math.nan, 0.0]], 0.0)
+    with pytest.raises(NumericError):
+        core.count_verdict([[1.0, math.nan, math.nan]], 0.0)
+    for shape in [(0, 3), (2, 1), (3,)]:
+        with pytest.raises(DomainError):
+            core.count_verdict(np.zeros(shape), 0.0)

@@ -19,7 +19,6 @@ from sybilgames.rdm import (
     rdm_payoff,
     rmax_mechanism,
     tent_equilibria,
-    tent_equilibrium,
     tent_game,
 )
 
@@ -56,10 +55,22 @@ def test_rmax_mechanism_passes_with_equality_at_two_identities():
         assert split2 == pytest.approx(solo, abs=1e-12)
 
 
-def test_constant_mechanism_fails_at_two_against_one():
-    verdict = check_reward_sybilproof(constant_mechanism(10.0))
+def test_constant_mechanism_fails_against_one_other_identity():
+    # y = 0 only ties; against y = 1 every x >= 2 gains, most at the largest x checked
+    R = 10.0
+    verdict = check_reward_sybilproof(constant_mechanism(R))
     assert not verdict.proof
-    assert (verdict.x, verdict.y) == (2, 1)
+    assert (verdict.context, verdict.x) == (1, 64)
+    assert verdict.gains[1] == 64 * R / 65 - R / 2
+    assert verdict.gains[0] == 0.0 and verdict.xs[0] == 2
+    assert verdict.margin == verdict.gains.max() > verdict.gains[1]  # y = 8 gains most
+
+
+def test_rmax_mechanism_margin_is_the_exact_tie():
+    verdict = check_reward_sybilproof(rmax_mechanism(10.0), x_max=8, y_max=8)
+    assert verdict.proof and (verdict.context, verdict.x) == (None, None)
+    assert abs(verdict.margin) <= 1e-12
+    assert verdict.gains.shape == verdict.xs.shape == (9,)
 
 
 def test_truncated_schedule_is_proof():
@@ -74,7 +85,12 @@ def test_any_upward_perturbation_of_the_cap_schedule_is_rejected(n0):
     bumped = RewardMechanism(
         r=lambda n, n0=n0: max_sybilproof_reward(n, R) * (1.01 if n == n0 else 1.0), R=R
     )
-    assert not check_reward_sybilproof(bumped).proof
+    # r(1) = r(2) = R, so bumping either to 10.1 leaves the mechanism class [0, R] before any split is compared
+    if n0 <= 2:
+        with pytest.raises(DomainError, match=rf"r\({n0}\) = 10.1 outside"):
+            check_reward_sybilproof(bumped)
+    else:
+        assert not check_reward_sybilproof(bumped).proof
 
 
 def test_dominant_prorata_peak_and_welfare():
@@ -124,7 +140,7 @@ def test_tent_function_shape():
 def test_tent_equilibrium_descending_branch_closed_form():
     # eps > K/n puts the equilibrium on the descending branch: q = K(n-1)/n
     R, K, eps, n = 10.0, 1.0, 0.6, 2
-    eq = tent_equilibrium(TentFunction(R, K, eps), n)
+    eq = tent_equilibria(TentFunction(R, K, eps), [n])[0]
     assert eq.aggregate_action == pytest.approx(0.5, abs=1e-9)
     assert eq.welfare == pytest.approx(R * K / (n * eps), abs=1e-9)
 
@@ -133,7 +149,7 @@ def test_tent_equilibrium_descending_branch_closed_form():
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_tent_equilibrium_matches_kink_fixed_point(n, eps):
     R, K = 10.0, 1.0
-    eq = tent_equilibrium(TentFunction(R, K, eps), n)
+    eq = tent_equilibria(TentFunction(R, K, eps), [n])[0]
     # below eps = K/n the best-response fixed point sits at the concave kink
     assert eq.aggregate_action == pytest.approx(K - eps, abs=1e-4)
     assert eq.per_player_action <= K + 1e-12
@@ -152,20 +168,20 @@ def test_tent_kink_rows_are_exact(R, eps):
 
 def test_tent_branches_meet_at_n_eps_equal_k():
     tent = TentFunction(10.0, 1.0, 0.1)
-    eq = tent_equilibrium(tent, 10)
+    eq = tent_equilibria(tent, [10])[0]
     assert 1.0 * (10 - 1) / 10 == tent.peak  # the descending root is the kink
     assert eq.aggregate_action == pytest.approx(tent.peak, rel=1e-15)
     assert eq.welfare == tent(tent.peak)
     # one player fewer leaves the root below the kink, one more lifts it onto the descending branch
-    assert tent_equilibrium(tent, 9).welfare == tent(tent.peak)
-    assert tent_equilibrium(tent, 11).aggregate_action == pytest.approx(10.0 / 11.0, rel=1e-15)
+    assert tent_equilibria(tent, [9])[0].welfare == tent(tent.peak)
+    assert tent_equilibria(tent, [11])[0].aggregate_action == pytest.approx(10.0 / 11.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.1, 0.6])
 def test_tent_equilibria_equal_the_single_n_calls(eps):
     tent = TentFunction(10.0, 1.0, eps)
     ns = list(range(2, 13))
-    assert tent_equilibria(tent, ns) == [tent_equilibrium(tent, n) for n in ns]
+    assert tent_equilibria(tent, ns) == [tent_equilibria(tent, [n])[0] for n in ns]
     assert tent_equilibria(tent, []) == []
 
 
@@ -191,7 +207,7 @@ def test_tent_equilibria_reject_fewer_than_two_players(ns):
 
 def test_tent_welfare_approaches_full_reward():
     R, K = 10.0, 1.0
-    eq = tent_equilibrium(TentFunction(R, K, K / 100.0), 5)
+    eq = tent_equilibria(TentFunction(R, K, K / 100.0), [5])[0]
     assert eq.welfare > 0.97 * R
 
 
@@ -234,6 +250,23 @@ def test_lottery_is_deterministic_per_seed():
 
 def test_reward_cap_violation_is_reported():
     mech = RewardMechanism(r=lambda n: 10.0 * (1.2 if n == 1 else 1.0 / 2 ** (n - 1) * n / 1.0), R=10.0)
-    verdict = check_reward_sybilproof(mech)
-    assert not verdict.proof
-    assert "outside" in verdict.detail
+    with pytest.raises(DomainError, match=r"r\(1\) = 12.0 outside \[0, R\]"):
+        check_reward_sybilproof(mech)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_a_schedule_outside_the_class_raises_naming_its_value(bad):
+    # NaN compares false both ways: it must not slip past the membership test as a proof
+    mech = RewardMechanism(r=lambda n: bad if n == 3 else max_sybilproof_reward(n, 1.0), R=1.0)
+    with pytest.raises(DomainError, match=r"r\(3\)"):
+        check_reward_sybilproof(mech)
+    with pytest.raises(DomainError, match=r"r\(1\) = nan"):
+        check_reward_sybilproof(RewardMechanism(r=lambda n: math.nan, R=1.0))
+
+
+@pytest.mark.parametrize("y_max", [-1, -5])
+def test_a_negative_y_max_raises_instead_of_a_vacuous_proof(y_max):
+    with pytest.raises(DomainError, match="y_max"):
+        check_reward_sybilproof(constant_mechanism(10.0), y_max=y_max)
+    with pytest.raises(DomainError, match="x_max"):
+        check_reward_sybilproof(constant_mechanism(10.0), x_max=1)

@@ -17,12 +17,12 @@ from oracles import (
     unsorted_ring_welfare,
 )
 from sybilgames import ring
+from sybilgames.core import SYBIL_TOL, count_verdict
 from sybilgames.errors import DomainError, NumericError, SingularScaleError
 from sybilgames.numerics import QUAD_CELLS, QUAD_TOL
 from sybilgames.ring import (
     DISTRIBUTIONS,
     MODEL_CELLS,
-    SYBIL_GAIN_TOL,
     RingConfig,
     RingModel,
     ValueDistribution,
@@ -472,7 +472,7 @@ def test_registration_stage_profits_match_closed_form():
 
 def _sybilproof(profits):
     """opt_ring_search's identity-splitting verdict per config row of (config, m = 1..4) profits."""
-    return np.all(profits[:, 1:] <= profits[:, :1] + SYBIL_GAIN_TOL, axis=1)
+    return count_verdict(profits, SYBIL_TOL).gains <= SYBIL_TOL
 
 
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
