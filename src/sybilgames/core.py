@@ -84,6 +84,8 @@ class ActionSpace:
             raise ConfigurationError("unbounded action space needs an explicit search upper bound")
         if self.upper is not None:
             hi = min(hi, self.upper)
+        if not hi >= self.lower:  # also a NaN bound
+            raise ConfigurationError(f"search upper bound {hi} is not at or above the lower bound {self.lower}")
         if self.kind == INTEGER:
             return np.arange(math.ceil(self.lower), math.floor(hi) + 1, dtype=float)
         n_steps = int(math.floor((hi - self.lower) / self.grid_step + 1e-9))

@@ -6,22 +6,20 @@ pays T into the ring, and every other registered identity receives the fraction
 g(k) of the surplus T - r above the price paid to the seller, where k is the
 number of registered identities.  T is pinned down by incentive compatibility
 (truthful bidding must be optimal; McAfee and McMillan, "Bidding Rings", AER 1992),
-F T' = f ((k-1) v + l r - e T), and is computed by quadrature of
+F T' = f ((k-1) v + l r - e T), l = (k - 1) g(k), e = k - 1 + l.  With T(r) = r, its l r
+part integrates exactly and the rest by parts, u F^(e-1) f = u d(F^e)/du / e, so with
+J = integral_r^v F(u)^e du and no density sampled
 
-    T(v) = F(v)^(-e) * integral_r^v ((k-1) u + l r) F(u)^(e-1) f(u) du,
-    e = k - 1 + l,  l = (k - 1) g(k),
+    T(v) = ((k-1)/e (v F(v)^e - r F(r)^e - J) + r F(r)^e + l r (F(v)^e - F(r)^e)/e) / F(v)^e.
 
-plus the boundary mass r F(r)^e so that T(r) = r.  Every integral here goes
-through the composite-Simpson rule of :mod:`sybilgames.numerics`.
-``ring_transfer`` takes the l r part exact, l r (F(v)^e - F(r)^e)/e, and integrates
-the rest by parts, u F^(e-1) f = u d(F^e)/du / e, to (k-1)/e (v F(v)^e - r F(r)^e - J)
-with J = integral_r^v F(u)^e du: it samples only the cdf, never the density, on nested
-Simpson levels of 256, 512, ..., 4096 cells and returns at the first whose
-observed-order error bound, (k-1)/e times J's, is at most 1e-10 of the integral
-itself, or raises ``NumericError``.  Other single integrals go through the checked
-``integrate`` (4096 cells, raising ``NumericError`` when the same bound exceeds 1e-10
-of the integral of the integrand's absolute value), schedules through
-``cumulative_simpson`` on RingModel's grid, and registration-stage profits through
+Both transfers return through this one formula (``_by_parts``), with J from the
+composite-Simpson rule of :mod:`sybilgames.numerics`: ``ring_transfer`` climbs nested
+levels of 256, 512, ..., 4096 cells on [r, v] and returns at the first whose
+observed-order bound on J's error is at most 1e-10 of v F(v)^e - r F(r)^e - J, or raises
+``NumericError``; RingModel takes J as ``cumulative_simpson`` of F^e on its grid.  Other
+single integrals go through the checked ``integrate`` (4096 cells, raising ``NumericError``
+when the same bound exceeds 1e-10 of the integral of |integrand|), loser schedules
+through ``cumulative_simpson``, and registration-stage profits through
 the same rule's weights on ``integrate``'s points, under its error test with the
 integral itself as the scale, as one weighted integral of the transfer schedule
 alone: swapping the order of integration turns the loser shares into one more weight
@@ -203,10 +201,9 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     """Winner's payment at bid v under the incentive-compatible schedule for
     cfg.n reports.
 
-    With e = n - 1 + l, the IC integral of ((n-1) u + l r) F^(e-1) f over [reserve, v]
-    is l r (F(v)^e - F(r)^e)/e plus, integrated by parts, (n-1)/e S with
-    S = v F(v)^e - r F(r)^e - J and J = integral_r^v F(u)^e du, so only the cdf is
-    sampled, never the density.  J takes composite Simpson on nested levels of
+    With e = n - 1 + l, T = ((n-1)/e S + r F(r)^e + l r (F(v)^e - F(r)^e)/e) / F(v)^e
+    with S = v F(v)^e - r F(r)^e - J and J = integral_r^v F(u)^e du (``_by_parts``), so
+    only the cdf is sampled, never the density.  J takes composite Simpson on nested levels of
     TRANSFER_FIRST_CELLS, twice as many, ..., QUAD_CELLS cells on [reserve, v], sampling
     F^e only at each level's new midpoints, and returns at the first level whose
     observed-order bound on J's error (``_observed_error``) is at most 1e-10 S; at the
@@ -229,16 +226,21 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     if F[-1] <= 0.0 or v * F[-1] ** e < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
         raise SingularScaleError("v F(v)^(n-1+l) underflows at the evaluation point")
     y = F**e  # y[0] = F(r)^e, y[-1] = F(v)^e
-    boundary = r * y[0]
     while True:
         totals = _nested_totals(y, h)
-        S = v * y[-1] - boundary - totals[0]
+        S = v * y[-1] - r * y[0] - totals[0]  # the part of _by_parts' numerator that J's error scales
         if len(y) > 2 * QUAD_CELLS:  # the last level: resolved, or raise
             _check_resolved(totals, S, r, v)
         elif not _observed_error(*totals) <= QUAD_TOL * S:
             y, h = _finer_samples(lambda u: np.asarray(dist.cdf(u), dtype=float) ** e, y, r, v)
             continue
-        return float(((n - 1) / e * S + boundary + l * r * (y[-1] - y[0]) / e) / y[-1])
+        return float(_by_parts(v, y[-1], y[0], totals[0], r, n, l))
+
+
+def _by_parts(v, y, y_r, J, r, k, l):
+    """The k-report IC transfer at bids v from y = F(v)^e, y_r = F(r)^e, J = integral_r^v F^e; broadcasts."""
+    e = k - 1 + l
+    return ((k - 1) / e * (v * y - r * y_r - J) + r * y_r + l * r * (y - y_r) / e) / y
 
 
 def _hermite_weights(t):
@@ -299,12 +301,12 @@ def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.column_stack([(a * weights[0]).sum(axis=-1), a @ weights[1:].T])
 
 
-def _identity_counts(m) -> np.ndarray:
-    """m as a 1-D array of identity counts; :class:`DomainError` unless it holds at least
-    one count and every count is an integer >= 1."""
+def _identity_counts(m, least: int = 1) -> np.ndarray:
+    """m as a 1-D array of counts; :class:`DomainError` unless it holds at least one count
+    and every count is an integer >= least."""
     counts = np.atleast_1d(np.asarray(m))
-    if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < 1:
-        raise DomainError(f"identity counts must be integers >= 1, got {m!r}")
+    if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu" or counts.min() < least:
+        raise DomainError(f"identity counts must be integers >= {least}, got {m!r}")
     return counts
 
 
@@ -313,7 +315,8 @@ class RingModel:
 
     Transfer schedules and loser-share integrals are running composite-Simpson
     integrals on one interleaved grid of 2 MODEL_CELLS + 1 points over
-    [reserve, v_h] (cell nodes at even indices, midpoints at odd ones).  Between
+    [reserve, v_h] (cell nodes at even indices, midpoints at odd ones); a transfer is
+    ``_by_parts`` on one F^e sampling, so Simpson's positive weights keep r <= T <= v.  Between
     nodes both are cubic Hermite interpolants whose node slopes follow from the
     IC condition: T' = f/F ((k-1) v + l r - (k+l-1) T), or where F(r) = 0 the one-sided
     second-order difference over the first two cells, and the loser schedule's
@@ -354,21 +357,21 @@ class RingModel:
         """Node values and cell-width-scaled node slopes of the k-report transfer: two
         (configs, nodes) arrays.  The first build checks every g(k) for budget balance."""
         if k not in self._transfers:
-            r, x, F, f, h = self.reserve, self.grid, self._F, self._f, self._h
+            r, v, h = self.reserve, self.grid[::2], self._h
             width = 2.0 * h
             l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
-            F_nodes, f_nodes = F[::2], f[::2]
-            cumulative = cumulative_simpson(((k - 1) * x + l * r) * _power(F, k - 2 + l) * f, h)
+            F_nodes, f_nodes = self._F[::2], self._f[::2]
+            y = _power(self._F, k - 1 + l)  # F^e on the whole grid; its node samples are the divisors
             # T(r) = r, and F is nondecreasing: F > 0 from the first node past both the reserve and F = 0
             first = max(int(np.count_nonzero(F_nodes <= 0.0)), 1)
-            if F_nodes[first] ** (k - 1 + l.max()) < _TINY:  # the divisor F^(k-1+l) underflows
+            if y[:, 2 * first].min() < _TINY:  # the divisor F^(k-1+l) underflows
                 raise SingularScaleError(f"F^(k-1+l) underflows at the first node past F = 0 for k = {k}")
-            t = np.full_like(cumulative, r)
-            boundary = r * float(F_nodes[0]) ** (k + l - 1)
-            t[:, first:] = (cumulative[:, first:] + boundary) * _power(F_nodes[first:], -(k + l - 1))
+            J = cumulative_simpson(y, h)
+            t = np.full_like(J, r)
+            t[:, first:] = _by_parts(v[first:], y[:, 2 * first :: 2], y[:, :1], J[:, first:], r, k, l)
             ratio = np.zeros_like(F_nodes)
             ratio[first:] = f_nodes[first:] / F_nodes[first:]
-            slope = ratio * ((k - 1) * x[::2] + l * r - (k + l - 1) * t)
+            slope = ratio * ((k - 1) * v + l * r - (k + l - 1) * t)
             if F_nodes[0] <= 0.0:  # else T'(r) = 0
                 slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
             self._transfers[k] = t, width * slope
@@ -411,8 +414,12 @@ class RingModel:
         return float(out) if out.ndim == 0 else out
 
     def transfer(self, v, k: Optional[int] = None):
-        """Interpolated transfer at the k-report schedule (defaults to n), v clipped to [reserve, v_h]."""
-        t, mt = self._transfer(k if k is not None else self.n)
+        """Interpolated transfer at the k-report schedule (defaults to n), v clipped to [reserve, v_h].
+        k is one integer >= 2, as ``payoff`` checks m; otherwise :class:`DomainError`."""
+        k = self.n if k is None else k
+        if np.ndim(k) != 0:
+            raise DomainError(f"transfer takes one report count, got {k!r}")
+        t, mt = self._transfer(int(_identity_counts(k, least=2)[0]))
         (v,) = self._lead(v)
         (out,) = self._evaluate(v, t, mt)
         return self._strip(out)

@@ -319,6 +319,14 @@ def test_verify_zero_grid_step_is_invalid(tmp_path, capsys, game):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("upper", ["-0.5", "nan"])
+def test_verify_search_bound_below_the_action_space_is_invalid(tmp_path, capsys, upper):
+    out = tmp_path / "verify.csv"
+    assert run_cli(["verify", "--game", "cournot", "--upper", upper, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invalid parameter: search upper bound")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
     out = tmp_path / "ring.csv"

@@ -184,6 +184,14 @@ def test_verifier_needs_bounded_grid():
     assert verify_sybilproof(game, SybilCost.zero(), 2, [[1.0]], search_upper=5.0).proof
 
 
+@pytest.mark.parametrize("upper", [0.2, -0.5, math.nan])
+def test_a_search_bound_below_the_action_space_is_a_configuration_error(upper):
+    # an empty grid used to end in IndexError, and a NaN bound in "cannot convert float NaN to integer"
+    with pytest.raises(ConfigurationError, match="is not at or above the lower bound"):
+        ActionSpace(CONTINUOUS, 0.5, 1.0, 0.1).grid(upper)
+    assert ActionSpace(CONTINUOUS, 0.5, 1.0, 0.1).grid(0.5).tolist() == [0.5]
+
+
 def test_budget_restricts_deviations():
     game = headcount_reward_game(10.0)
     verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[1, 1, 1]], budget=1.0)

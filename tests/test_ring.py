@@ -174,6 +174,16 @@ def test_transfer_never_evaluates_the_density():
     assert ring_transfer(0.6, cfg, dist) == pytest.approx(ring_transfer(0.6, cfg, UNIFORM), rel=1e-15)
 
 
+@pytest.mark.parametrize("reserve", [0.0, 0.3])
+def test_model_transfer_node_values_read_no_density(reserve):
+    # both transfers are one by-parts formula in F^e: only the Hermite slopes read f
+    true = beta22_values()
+    wrong = ValueDistribution("beta22-wrong-pdf", true.cdf, lambda x: np.full(np.shape(x), 7.0), 1.0, true.quantile)
+    cfgs = [constant_share_config(theta, 3, reserve) for theta in (0.0, 0.5, 1.0)]
+    for k in (2, 3, 5):
+        assert np.array_equal(RingModel(wrong, cfgs)._transfer(k)[0], RingModel(true, cfgs)._transfer(k)[0])
+
+
 @pytest.mark.parametrize("dist", ["uniform", "beta22", "truncexp"])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_transfer_matches_a_fine_by_parts_oracle(dist, n):
@@ -243,11 +253,38 @@ def test_model_transfer_agrees_with_transfer_quadrature_at_random_bids(dist, the
     cfg = constant_share_config(theta, 3)
     model = RingModel(dist, cfg)
     # Bids start at 0.02 v_h: nearer the reserve the grid's node values, not the interpolant, carry the
-    # error of composite Simpson on the singular integrand at F = 0 (24 % of T at the first node for
-    # beta22, theta = 1). On a scan of v in [0.002, 1] the error exceeds 2e-9 only below v = 0.0166.
+    # error of composite Simpson on F^e's fractional power at F = 0 (4 % of T at the first node for
+    # beta22, theta = 1). On a scan of v in [0.002, 1] the error exceeds 5e-10 only below v = 0.014;
+    # above 0.02 it peaks at 1.7e-10 (beta22, theta = 1).
     bids = np.random.default_rng(11).uniform(0.02 * dist.v_h, dist.v_h, 200)
     error = np.abs(model.transfer(bids) - np.array([ring_transfer(float(v), cfg, dist) for v in bids]))
-    assert error.max() <= 2e-9
+    assert error.max() <= 5e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DISTRIBUTIONS)),
+    n=st.integers(2, 8),
+    theta=st.floats(0.0, 1.0),
+    reserve=st.floats(0.0, 0.8),
+    extra=st.integers(0, 3),
+)
+def test_model_transfers_start_at_the_reserve_rise_and_stay_between_it_and_the_bid(name, n, theta, reserve, extra):
+    # by parts, r <= T <= v follows from Simpson's positive weights; the density form put the first node
+    # at up to 3.3 times the bid (beta22, n = 8, k = 11, theta = 0)
+    model = RingModel(DISTRIBUTIONS[name](), constant_share_config(theta, n, reserve))
+    t, v = model._transfer(n + extra)[0][0], model.grid[::2]
+    assert t[0] == reserve
+    assert np.all(t >= reserve * (1.0 - 1e-12)) and np.all(t <= v * (1.0 + 1e-12))
+    assert np.all(np.diff(t) >= -1e-12 * v[1:])
+
+
+@pytest.mark.parametrize("k", [1, 0, -3, 2.5, True])
+def test_transfer_rejects_a_report_count_that_is_not_an_integer_of_at_least_two(k):
+    # k = 1 made e = 0 (NaN with warnings), and 2.5 used to price a fractional count
+    model = RingModel(UNIFORM, constant_share_config(0.0, 2))
+    with pytest.raises(DomainError, match="integers >= 2"):
+        model.transfer(0.5, k)
 
 
 @pytest.mark.parametrize("dist", ["beta22", "truncexp"])
@@ -264,7 +301,7 @@ def test_transfer_quadrature_matches_a_fine_trapezoid_off_the_uniform_rows(dist,
             assert ring_transfer(v, cfg, values) == pytest.approx(expected, rel=1e-9)
 
 
-# (n, m, theta) whose transfer integrand (k-1) u^(k-1+theta) on uniform values is a polynomial of degree
+# (n, m, theta) whose transfer integrand F^e = u^(k-1+theta) on uniform values is a polynomial of degree
 # at most 3, which composite Simpson integrates exactly, so the node values are exact to rounding
 EXACT_UNIFORM_SCHEDULES = [(2, 1, 0.0), (2, 1, 1.0), (3, 1, 0.0), (3, 1, 1.0), (3, 2, 0.0)]
 
@@ -285,8 +322,8 @@ def test_hermite_node_slopes_equal_the_closed_form_on_uniform_values(n, m, theta
 
 
 @pytest.mark.parametrize("dist", [beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
-# n = 2: the loser weight is F^0, and at theta = 0 the transfer's F^-1 is where numpy's ** swaps in a
-# reciprocal for a single config's exponent but not for a joint model's column of exponents
+# n = 2: the loser weight is F^0, and the transfer's F^e is F^1 at theta = 0 and F^2 at theta = 1, where numpy's **
+# may swap in a copy or a square for a single config's exponent but not for a joint model's column of exponents
 @pytest.mark.parametrize("n, reserve", [(3, 0.05), (2, 0.05), (3, 0.0)])
 def test_a_model_over_several_configs_equals_single_config_models_row_by_row(dist, n, reserve):
     cfgs = [constant_share_config(theta, n, reserve=reserve) for theta in (0.0, 0.35, 0.7, 1.0)]
@@ -501,7 +538,7 @@ def test_profits_from_node_weights_agree_with_the_sampled_integrand(dist, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_one_identity_profit_satisfies_the_envelope_identity(dist, n):
     # shares no formula with the IC condition: only the payoff at the reserve and F enter the oracle.
-    # The worst row, truncexp n = 2 theta = 0.35 at r = 0, is 5.9e-9 off, from the schedule's first nodes
+    # The worst row, truncexp n = 2 theta = 0.35 at r = 0, is 4.4e-9 off, from the schedule's first nodes
     for reserve in (0.0, 0.2, 0.5):
         model = RingModel(DISTRIBUTIONS[dist](), [constant_share_config(t, n, reserve) for t in (0.0, 0.35, 1.0)])
         profit = model.expected_profit(1)
@@ -604,6 +641,7 @@ def test_numpy_integer_identity_counts_price_like_python_ints():
     assert model.expected_profit(np.int64(2)) == model.expected_profit(2)
     assert model.expected_profit(np.arange(1, 5)).tolist() == model.expected_profit(range(1, 5)).tolist()
     assert model.payoff(0.4, 0.5, np.int32(3)) == model.payoff(0.4, 0.5, 3)
+    assert model.transfer(0.5, np.int64(4)) == model.transfer(0.5, 4)
 
 
 @pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
@@ -761,6 +799,26 @@ def test_the_certificate_skips_the_nodes_that_hold_the_reserve_where_f_is_zero()
     model = RingModel(SHIFTED_BETA22, [constant_share_config(t, 2) for t in thetas])
     assert [row.truthful_ok for row in result.rows] == quantile_scan_truthful(model, SHIFTED_BETA22, 2, 0.0).tolist()
     assert all(row.truthful_ok for row in result.rows)
+
+
+def test_the_certificate_passes_every_theta_on_the_stretched_beta_with_a_reserve_below_its_support():
+    # F(r) = 0 at r = 0.25, so the transfer starts at the first node past F = 0, where the density form's
+    # node values broke the IC residual: 2 of 21 thetas passed and the search picked 0.05
+    thetas = np.linspace(0.0, 1.0, 21).tolist()
+    result = opt_ring_search(SHIFTED_BETA22, 2, thetas, reserve=0.25)
+    model = RingModel(SHIFTED_BETA22, [constant_share_config(t, 2, 0.25) for t in thetas])
+    scan = quantile_scan_truthful(model, SHIFTED_BETA22, 2, 0.25)
+    assert [row.truthful_ok for row in result.rows] == scan.tolist() == [True] * len(thetas)
+    assert result.best_theta == 0.2
+
+
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("n, m_max", [(2, 12), (3, 32)])
+def test_expected_profit_resolves_many_identities_on_the_search_grid(dist, n, m_max):
+    # the density-form transfer's first cells left the theta = 0 row unresolved from m = 9 (uniform) and
+    # m = 8 (truncexp) at n = 2, and from m = 27 for truncexp at n = 3
+    model = RingModel(DISTRIBUTIONS[dist](), [constant_share_config(t, n) for t in np.linspace(0.0, 1.0, 21)])
+    assert np.all(np.isfinite(model.expected_profit(range(1, m_max + 1))))
 
 
 @pytest.mark.parametrize("name, n, theta, reserve", [("uniform", 3, 0.15, 0.5), ("beta22", 2, 5.161386351913141e-134, 0.0)])
