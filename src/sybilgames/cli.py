@@ -220,13 +220,12 @@ def _run_rdm(args) -> None:
 
 
 def _load_measures(path: str) -> list[PiecewiseMeasure]:
-    measures = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            measures.append(PiecewiseMeasure.from_flat([float(tok) for tok in line.split()]))
+    try:  # main reports any other OSError as an output error
+        with open(path) as fh:
+            rows = [line.split() for line in fh]
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read measures file {path}: {exc.strerror or exc}") from exc
+    measures = [PiecewiseMeasure.from_flat([float(tok) for tok in row]) for row in rows if row and row[0][0] != "#"]
     if not measures:
         raise UsageError(f"no measures found in {path}")
     return measures
@@ -305,7 +304,7 @@ def _commit_instance(args) -> CommitmentInstance:
         return cfmm_commitment_instance(args.reserve_a, args.reserve_b, args.price, identity_cost=args.c)
     if args.instance == "exp":
         return exponential_commitment_instance()
-    if args.c <= 0.0:
+    if not args.c > 0.0:
         raise UsageError("the trivial instance needs --c > 0")
     return trivial_commitment_instance(args.c)
 

@@ -92,7 +92,7 @@ def cournot_game(beta: float, upper: Optional[float] = None, grid_step: float = 
 
 def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:
     """Equilibrium payoffs of the linear Cournot market: beta^2/(n+1)^2 each."""
-    if c_prod >= alpha:
+    if not c_prod < alpha:  # also a NaN parameter
         raise DomainError("production cost at or above the demand intercept kills the market")
     beta = alpha - c_prod
 
@@ -104,7 +104,7 @@ def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:
 
 def cfmm_curve(reserve_a: float, reserve_b: float, ext_price: float):
     """Net arbitrage proceeds f(t) = g(t) - price * t against a constant-product pool."""
-    if reserve_a <= 0.0 or reserve_b <= 0.0 or ext_price <= 0.0:
+    if not (reserve_a > 0.0 and reserve_b > 0.0 and ext_price > 0.0):  # also a NaN parameter
         raise DomainError("reserves and external price must be positive")
 
     def f(t: float) -> float:
@@ -147,7 +147,7 @@ def exponential_commitment_instance() -> CommitmentInstance:
 def trivial_commitment_instance(c: float) -> CommitmentInstance:
     """Constant-pot example: the player's total gross is 3c/2 however many
     identities it commits, so extras only ever add cost."""
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError("need c > 0")
     oracle = EqPayoffOracle(lambda n: 1.5 * c)
     return CommitmentInstance(

@@ -187,7 +187,7 @@ class SybilCost:
 
     @staticmethod
     def linear(c: float) -> "SybilCost":
-        if c < 0.0:
+        if not c >= 0.0:  # also a NaN cost
             raise DomainError("identity cost must be nonnegative")
         return SybilCost(cost=lambda x, y: c * x)
 

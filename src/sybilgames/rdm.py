@@ -99,7 +99,7 @@ class DominantProrataCurve:
     K: float
 
     def __post_init__(self):
-        if self.R <= 0.0 or self.K <= 0.0:
+        if not (self.R > 0.0 and self.K > 0.0):  # also a NaN parameter
             raise DomainError("need R > 0 and K > 0")
 
     def __call__(self, x: float) -> float:
@@ -126,7 +126,7 @@ class TentFunction:
     epsilon: float
 
     def __post_init__(self):
-        if self.R <= 0.0 or self.K <= 0.0:
+        if not (self.R > 0.0 and self.K > 0.0):  # also a NaN parameter
             raise DomainError("need R > 0 and K > 0")
         if not 0.0 < self.epsilon < self.K:
             raise DomainError("epsilon must lie strictly between 0 and K")

@@ -6,25 +6,25 @@ pays T into the ring, and every other registered identity receives the fraction
 g(k) of the surplus T - r above the price paid to the seller, where k is the
 number of registered identities.  T is pinned down by incentive compatibility
 (truthful bidding must be optimal; McAfee and McMillan, "Bidding Rings", AER 1992),
-F T' = f ((k-1) v + l r - e T), l = (k - 1) g(k), e = k - 1 + l.  With T(r) = r, its l r
-part integrates exactly and the rest by parts, u F^(e-1) f = u d(F^e)/du / e, so with
-J = integral_r^v F(u)^e du and no density sampled
+F T' = f ((k-1) v + l r - e T), l = (k - 1) g(k), e = k - 1 + l.  Times F^(e-1) it reads
+d(F^e T) = ((k-1) v + l r) d(F^e)/e; with T(r) = r and u d(F^e) integrated by parts, the
+F(r)^e terms cancel, so with J = integral_r^v F(u)^e du, A = J/F(v)^e and no density sampled
 
-    T(v) = ((k-1)/e (v F(v)^e - r F(r)^e - J) + r F(r)^e + l r (F(v)^e - F(r)^e)/e) / F(v)^e.
+    T(v) = ((k-1) (v - A) + l r)/e,    T'(v) = (k-1) f/F A.
 
 Both transfers return through this one formula (``_by_parts``), with J from the
 composite-Simpson rule of :mod:`sybilgames.numerics`: ``ring_transfer`` climbs nested
 levels of 256, 512, ..., 4096 cells on [r, v] and returns at the first whose
-observed-order bound on J's error is at most 1e-10 of v F(v)^e - r F(r)^e - J, or raises
-``NumericError``; RingModel takes J as ``cumulative_simpson`` of F^e on its grid.  Other
-single integrals go through the checked ``integrate`` (4096 cells, raising ``NumericError``
-when the same bound exceeds 1e-10 of the integral of |integrand|), loser schedules
-through ``cumulative_simpson``, and registration-stage profits through
+observed-order bound on J's error is at most 1e-10 of integral_r^v u d(F^e) = v F(v)^e -
+r F(r)^e - J, or raises ``NumericError``; RingModel takes J as ``cumulative_simpson`` of F^e
+on its grid.  Other single integrals go through the checked ``integrate`` (4096 cells,
+raising ``NumericError`` when the same bound exceeds 1e-10 of the integral of |integrand|),
+loser schedules through ``cumulative_simpson``, and registration-stage profits through
 the same rule's weights on ``integrate``'s points, under its error test with the
 integral itself as the scale, as one weighted integral of the transfer schedule
 alone: swapping the order of integration turns the loser shares into one more weight
 on it.  Between grid nodes RingModel interpolates each schedule with a cubic Hermite
-whose node slopes come from the same IC condition, T' = f/F ((k-1) v + l r - e T).
+whose transfer slopes are T' above.
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -201,17 +201,17 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     """Winner's payment at bid v under the incentive-compatible schedule for
     cfg.n reports.
 
-    With e = n - 1 + l, T = ((n-1)/e S + r F(r)^e + l r (F(v)^e - F(r)^e)/e) / F(v)^e
-    with S = v F(v)^e - r F(r)^e - J and J = integral_r^v F(u)^e du (``_by_parts``), so
-    only the cdf is sampled, never the density.  J takes composite Simpson on nested levels of
-    TRANSFER_FIRST_CELLS, twice as many, ..., QUAD_CELLS cells on [reserve, v], sampling
-    F^e only at each level's new midpoints, and returns at the first level whose
-    observed-order bound on J's error (``_observed_error``) is at most 1e-10 S; at the
-    last level ``_check_resolved`` applies the same test and raises ``NumericError``, as
-    on a NaN, negative or cancelled S.  Dividing by F(v)^e keeps the tolerance relative;
-    F(v) <= 0, read off the last sample, or v F(v)^e below the smallest normal float
-    (where S's digits are lost to underflow) raises ``SingularScaleError``.  Features of
-    F^e narrower than (v - reserve)/512 can go unseen.
+    With e = n - 1 + l, T = ((n-1)(v - A) + l r)/e with A = J/F(v)^e and
+    J = integral_r^v F(u)^e du (``_by_parts``), so only the cdf is sampled, never the
+    density.  J takes composite Simpson on nested levels of TRANSFER_FIRST_CELLS, twice as
+    many, ..., QUAD_CELLS cells on [reserve, v], sampling F^e only at each level's new
+    midpoints, and returns at the first level whose observed-order bound on J's error
+    (``_observed_error``) is at most 1e-10 of S = v F(v)^e - r F(r)^e - J, the by-parts
+    integral_r^v u d(F^e); at the last level ``_check_resolved`` applies the same test and
+    raises ``NumericError``, as on a NaN, negative or cancelled S.  Dividing by F(v)^e keeps
+    the tolerance relative; v F(v)^e, read off the last sample, below the smallest normal
+    float (so also F(v) = 0), where S's digits are lost to underflow, raises
+    ``SingularScaleError``.  Features of F^e narrower than (v - reserve)/512 can go unseen.
     """
     r = cfg.reserve
     if v < r:
@@ -221,26 +221,26 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     n = cfg.n
     l = cfg.share_exponent(n)
     e = n - 1 + l
+    sample = lambda u: np.asarray(dist.cdf(u), dtype=float) ** e  # F^e
     x, h = _quadrature_points(r, v, TRANSFER_FIRST_CELLS)
-    F = np.asarray(dist.cdf(x), dtype=float)
-    if F[-1] <= 0.0 or v * F[-1] ** e < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
+    y = sample(x)  # y[0] = F(r)^e, y[-1] = F(v)^e
+    if v * y[-1] < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
         raise SingularScaleError("v F(v)^(n-1+l) underflows at the evaluation point")
-    y = F**e  # y[0] = F(r)^e, y[-1] = F(v)^e
     while True:
         totals = _nested_totals(y, h)
-        S = v * y[-1] - r * y[0] - totals[0]  # the part of _by_parts' numerator that J's error scales
+        S = v * y[-1] - r * y[0] - totals[0]
         if len(y) > 2 * QUAD_CELLS:  # the last level: resolved, or raise
             _check_resolved(totals, S, r, v)
         elif not _observed_error(*totals) <= QUAD_TOL * S:
-            y, h = _finer_samples(lambda u: np.asarray(dist.cdf(u), dtype=float) ** e, y, r, v)
+            y, h = _finer_samples(sample, y, r, v)
             continue
-        return float(_by_parts(v, y[-1], y[0], totals[0], r, n, l))
+        return float(_by_parts(v, totals[0] / y[-1], r, n, l))
 
 
-def _by_parts(v, y, y_r, J, r, k, l):
-    """The k-report IC transfer at bids v from y = F(v)^e, y_r = F(r)^e, J = integral_r^v F^e; broadcasts."""
-    e = k - 1 + l
-    return ((k - 1) / e * (v * y - r * y_r - J) + r * y_r + l * r * (y - y_r) / e) / y
+def _by_parts(v, A, r, k, l):
+    """The k-report IC transfer ((k-1)(v - A) + l r)/(k-1+l) at bids v from A = J/F(v)^e,
+    J = integral_r^v F^e; broadcasts."""
+    return ((k - 1) * (v - A) + l * r) / (k - 1 + l)
 
 
 def _hermite_weights(t):
@@ -285,15 +285,6 @@ def _node_weights(w: np.ndarray):
     return values, slopes
 
 
-def _power(base, exponents):
-    """base ** exponents with the exponents spelled out over the broadcast shape, so every
-    element goes through numpy's general pow loop: with one exponent per row numpy may swap
-    in reciprocal, sqrt or square (which round differently) for a single-config model but
-    not for a row of a joint one."""
-    exponents = np.broadcast_to(exponents, np.broadcast_shapes(np.shape(exponents), np.shape(base)))
-    return np.power(base, exponents.copy())
-
-
 def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(configs, 3) sums of each row of a against the 3 rows of weights: the fine one as
     elementwise products summed per row, so a config's row does not depend on the others,
@@ -316,9 +307,10 @@ class RingModel:
     Transfer schedules and loser-share integrals are running composite-Simpson
     integrals on one interleaved grid of 2 MODEL_CELLS + 1 points over
     [reserve, v_h] (cell nodes at even indices, midpoints at odd ones); a transfer is
-    ``_by_parts`` on one F^e sampling, so Simpson's positive weights keep r <= T <= v.  Between
+    T = ((k-1)(v - A) + l r)/e (``_by_parts``) with A = J/F^e from one F^e sampling, so
+    Simpson's positive weights keep 0 <= A <= v - r and r <= T <= v.  Between
     nodes both are cubic Hermite interpolants whose node slopes follow from the
-    IC condition: T' = f/F ((k-1) v + l r - (k+l-1) T), or where F(r) = 0 the one-sided
+    IC condition: T' = (k-1) f/F A, or where F(r) = 0 the one-sided
     second-order difference over the first two cells, and the loser schedule's
     -(T - r)(n-1) F^(n-2) f.  Evaluation needs no interval search or linear solve:
     a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
@@ -361,17 +353,17 @@ class RingModel:
             width = 2.0 * h
             l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
             F_nodes, f_nodes = self._F[::2], self._f[::2]
-            y = _power(self._F, k - 1 + l)  # F^e on the whole grid; its node samples are the divisors
+            y = self._F ** (k - 1 + l)  # F^e on the whole grid; its node samples are the divisors
             # T(r) = r, and F is nondecreasing: F > 0 from the first node past both the reserve and F = 0
             first = max(int(np.count_nonzero(F_nodes <= 0.0)), 1)
             if y[:, 2 * first].min() < _TINY:  # the divisor F^(k-1+l) underflows
                 raise SingularScaleError(f"F^(k-1+l) underflows at the first node past F = 0 for k = {k}")
             J = cumulative_simpson(y, h)
+            A = J[:, first:] / y[:, 2 * first :: 2]
             t = np.full_like(J, r)
-            t[:, first:] = _by_parts(v[first:], y[:, 2 * first :: 2], y[:, :1], J[:, first:], r, k, l)
-            ratio = np.zeros_like(F_nodes)
-            ratio[first:] = f_nodes[first:] / F_nodes[first:]
-            slope = ratio * ((k - 1) * v + l * r - (k + l - 1) * t)
+            t[:, first:] = _by_parts(v[first:], A, r, k, l)
+            slope = np.zeros_like(t)
+            slope[:, first:] = (k - 1) * (f_nodes[first:] / F_nodes[first:]) * A
             if F_nodes[0] <= 0.0:  # else T'(r) = 0
                 slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
             self._transfers[k] = t, width * slope

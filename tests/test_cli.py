@@ -336,6 +336,34 @@ def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig", "--which", "fig2", "--price", "nan"],
+        ["commit", "--instance", "cfmm", "--reserve-a", "nan"],
+        ["verify", "--c", "nan"],
+        ["commit", "--c", "nan"],
+        ["commit", "--alpha", "nan"],
+        ["rdm", "--R", "nan"],
+    ],
+)
+def test_nan_parameters_are_invalid(tmp_path, capsys, argv):
+    # argparse reads "nan" as a float; it must not run as "no arbitrage" or fail as a numeric error
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invalid parameter:")
+    assert not out.exists()
+
+
+def test_unreadable_measures_file_is_named(tmp_path, capsys):
+    missing = tmp_path / "does-not-exist.txt"
+    out = tmp_path / "cake.csv"
+    assert run_cli(["cake", "--measures", str(missing), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid parameter: cannot read measures file {missing}") and "cannot write output" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, recorded",
     [
         (["--game", "prorata", "--grid-step", "0.5"], {"grid_step=0.5", "upper=None"}),
@@ -451,6 +479,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 1
     assert run_cli(["rdm", "--R", "ten"]) == 1
     assert run_cli(["commit", "--instance", "trivial", "--c", "0"]) == 1
+    assert run_cli(["commit", "--instance", "trivial", "--c", "nan"]) == 1
     capsys.readouterr()
 
 

@@ -142,6 +142,23 @@ def test_cournot_oracle_rejects_dead_market():
         cournot_oracle(1.0, 1.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cournot_oracle(math.nan, 0.0),
+        lambda: cournot_oracle(1.0, math.nan),
+        lambda: cfmm_curve(100.0, math.nan, 0.5),
+        lambda: cfmm_curve(100.0, 100.0, math.nan),
+        lambda: trivial_commitment_instance(math.nan),
+    ],
+    ids=["alpha", "c_prod", "reserve_b", "price", "trivial_c"],
+)
+def test_nan_parameters_are_rejected(build):
+    # NaN compares false both ways: a guard written as x <= 0 would let it through
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_cfmm_solo_arbitrage_closed_form():
     ra, rb, price = 100.0, 100.0, 0.5
     oracle = cfmm_arbitrage_oracle(ra, rb, price)

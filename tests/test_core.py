@@ -299,6 +299,8 @@ def test_cost_monotone_in_own_identities(x1, x2, y):
 def test_negative_cost_rejected():
     with pytest.raises(DomainError):
         SybilCost.linear(-1.0)
+    with pytest.raises(DomainError):
+        SybilCost.linear(math.nan)
     bad = SybilCost(cost=lambda x, y: -1.0)
     with pytest.raises(DomainError):
         bad(1, 0)

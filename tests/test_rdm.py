@@ -135,6 +135,8 @@ def test_tent_function_shape():
     np.testing.assert_array_equal(tent(x), [tent(a) for a in x.tolist()])
     with pytest.raises(DomainError):
         TentFunction(10.0, 1.0, 1.5)
+    with pytest.raises(DomainError):
+        TentFunction(math.nan, 1.0, 0.1)
 
 
 def test_tent_equilibrium_descending_branch_closed_form():
