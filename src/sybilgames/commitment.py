@@ -172,7 +172,7 @@ def rmax_commitment_instance(R: float, identity_cost: float) -> CommitmentInstan
     """Reward split along the pie-shrinking schedule: each of n identities earns
     R / 2^(n-1); at zero identity cost one extra identity exactly ties, so any
     positive cost makes single reporting strictly dominant."""
-    if R <= 0.0:
+    if not R > 0.0:  # also a NaN R
         raise DomainError("need R > 0")
     oracle = EqPayoffOracle(lambda n: R / 2.0 ** (n - 1))
     return CommitmentInstance(oracle=oracle, cost=SybilCost.linear(identity_cost))

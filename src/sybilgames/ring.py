@@ -21,10 +21,11 @@ on its grid.  Other single integrals go through the checked ``integrate`` (4096 
 raising ``NumericError`` when the same bound exceeds 1e-10 of the integral of |integrand|),
 loser schedules through ``cumulative_simpson``, and registration-stage profits through
 the same rule's weights on ``integrate``'s points, under its error test with the
-integral itself as the scale, as one weighted integral of the transfer schedule
-alone: swapping the order of integration turns the loser shares into one more weight
-on it.  Between grid nodes RingModel interpolates each schedule with a cubic Hermite
-whose transfer slopes are T' above.
+integral itself as the scale, as one weighted integral of the transfer alone: swapping
+the order of integration turns the loser shares into one more weight on it, and since
+T and T' are affine in A, that integral contracts A without building the transfer.
+Between grid nodes RingModel interpolates each schedule with a cubic Hermite whose
+transfer slopes are T' above.
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -80,7 +81,7 @@ def uniform_values() -> ValueDistribution:
 
 
 def truncated_exponential_values(rate: float = 1.0, v_h: float = 1.0) -> ValueDistribution:
-    if rate <= 0.0 or v_h <= 0.0:
+    if not (rate > 0.0 and v_h > 0.0):  # also a NaN parameter
         raise DomainError("need rate > 0 and v_h > 0")
     mass = -math.expm1(-rate * v_h)
 
@@ -140,7 +141,7 @@ class RingConfig:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("a ring needs at least two members")
-        if self.reserve < 0.0:
+        if not self.reserve >= 0.0:  # also a NaN reserve
             raise DomainError("reserve must be nonnegative")
         self.share_exponent(self.n)
 
@@ -314,12 +315,14 @@ class RingModel:
     second-order difference over the first two cells, and the loser schedule's
     -(T - r)(n-1) F^(n-2) f.  Evaluation needs no interval search or linear solve:
     a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
-    setup.  Schedules for every registered count are cached, since a member
-    running m identities faces the (n+m-1)-report schedule.  The registration-stage
-    profit samples no integrand and builds no loser schedule: it is one integral of the
-    transfer against F^(n-1) f, whose quadrature weights, folded onto the nodes once per
-    call, are summed against each transfer's node values and slopes (``_transfer``,
-    cached apart).  Identity counts are integers >= 1.
+    setup.  Each count caches its IC ratio A = J/F^e at the nodes (``_ratio``), and
+    ``payoff`` the schedules it builds from it, since a member running m identities faces
+    the (n+m-1)-report schedule.  The registration-stage profit samples no integrand and
+    builds no schedule: it is one integral of the transfer against F^(n-1) f, whose
+    quadrature weights, folded onto the nodes and from there onto A once per call, are
+    contracted with each count's A (``_transfer_sums``).  Only ``payoff``, ``transfer``
+    and the search's certificate build transfer schedules (``_transfer``).  Identity
+    counts are integers >= 1.
 
     Built from one RingConfig, results carry no config axis.  Built from a
     sequence of configs sharing reserve and n, every schedule has a leading
@@ -342,32 +345,70 @@ class RingModel:
         self._h = (dist.v_h - self.reserve) / (2 * MODEL_CELLS)
         self._F = np.asarray(dist.cdf(self.grid), dtype=float)
         self._f = np.asarray(dist.pdf(self.grid), dtype=float)
-        self._transfers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # T(r) = r, and F is nondecreasing: F > 0 from the first node past both the reserve and F = 0
+        self._first = max(int(np.count_nonzero(self._F[::2] <= 0.0)), 1)
+        self._ratios: dict[int, np.ndarray] = {}
         self._schedules: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def _transfer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node values and cell-width-scaled node slopes of the k-report transfer: two
-        (configs, nodes) arrays.  The first build checks every g(k) for budget balance."""
-        if k not in self._transfers:
-            r, v, h = self.reserve, self.grid[::2], self._h
-            width = 2.0 * h
-            l = np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
-            F_nodes, f_nodes = self._F[::2], self._f[::2]
-            y = self._F ** (k - 1 + l)  # F^e on the whole grid; its node samples are the divisors
-            # T(r) = r, and F is nondecreasing: F > 0 from the first node past both the reserve and F = 0
-            first = max(int(np.count_nonzero(F_nodes <= 0.0)), 1)
+    def _share_exponents(self, k: int) -> np.ndarray:
+        """(configs, 1) column of l(k), checking every g(k) for budget balance."""
+        return np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
+
+    def _ratio(self, k: int) -> np.ndarray:
+        """The k-report IC ratio A = J/F^e at the nodes from ``_first`` on: one
+        (configs, nodes - first) array.  The first build checks every g(k) for budget balance."""
+        if k not in self._ratios:
+            first = self._first
+            y = self._F ** (k - 1 + self._share_exponents(k))  # F^e on the whole grid; its node samples divide
             if y[:, 2 * first].min() < _TINY:  # the divisor F^(k-1+l) underflows
                 raise SingularScaleError(f"F^(k-1+l) underflows at the first node past F = 0 for k = {k}")
-            J = cumulative_simpson(y, h)
-            A = J[:, first:] / y[:, 2 * first :: 2]
-            t = np.full_like(J, r)
-            t[:, first:] = _by_parts(v[first:], A, r, k, l)
-            slope = np.zeros_like(t)
-            slope[:, first:] = (k - 1) * (f_nodes[first:] / F_nodes[first:]) * A
-            if F_nodes[0] <= 0.0:  # else T'(r) = 0
-                slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
-            self._transfers[k] = t, width * slope
-        return self._transfers[k]
+            self._ratios[k] = cumulative_simpson(y, self._h)[:, first:] / y[:, 2 * first :: 2]
+        return self._ratios[k]
+
+    def _hazard(self) -> np.ndarray:
+        """f/F at the nodes from ``_first`` on, where F > 0."""
+        first = self._first
+        return self._f[2 * first :: 2] / self._F[2 * first :: 2]
+
+    def _transfer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node values and cell-width-scaled node slopes of the k-report transfer, derived
+        from its cached ``_ratio``: two (configs, nodes) arrays."""
+        r, v, first, width = self.reserve, self.grid[::2], self._first, 2.0 * self._h
+        A = self._ratio(k)
+        t = np.full((len(self.cfgs), MODEL_CELLS + 1), r)
+        t[:, first:] = _by_parts(v[first:], A, r, k, self._share_exponents(k))
+        slope = np.zeros_like(t)
+        slope[:, first:] = (k - 1) * self._hazard() * A
+        if self._F[0] <= 0.0:  # else T'(r) = 0
+            slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
+        return t, width * slope
+
+    def _transfer_sums(self, w: np.ndarray, ks) -> np.ndarray:
+        """(configs, counts, 3) sums of the k-report transfers' Hermite interpolants against
+        the 3 rows of w, for every k of ks, contracted from each count's cached ``_ratio``
+        without building a transfer schedule.  w holds weights on ``integrate``'s points.
+
+        Past ``_first``, T - r = (k-1)/e (v - r - A) and the scaled slope is
+        width (k-1) f/F A; before it T = r with slope 0, except where F(r) = 0, whose
+        one-sided node-0 slope (4 t_1 - 3 t_0 - t_2)/2 = (k-1)/e (4 (t_1 - r) - (t_2 - r))/2
+        folds onto nodes 1 and 2 (those past ``_first``).  So with the node weights of
+        ``_node_weights(w)`` folded into c on v - r - A and s on A, a sum is
+        r sum(w) + (k-1) ((c.(v - r) - c.A)/e + s.A).  Fine totals are elementwise products
+        summed along one row (``_row_sums``), so a config's row does not depend on the others.
+        """
+        ratios = [self._ratio(k) for k in ks]  # first, so an F too small for f/F raises SingularScaleError
+        r, first = self.reserve, self._first
+        c, s = _node_weights(w)
+        if self._F[0] <= 0.0:
+            c[:, 1] += 2.0 * s[:, 0]
+            c[:, 2] -= 0.5 * s[:, 0]
+        c, s = c[:, first:], s[:, first:] * (2.0 * self._h * self._hazard())
+        cv, rw = (c * (self.grid[2 * first :: 2] - r)).sum(axis=-1), r * w.sum(axis=-1)
+        out = np.empty((len(self.cfgs), len(ratios), 3))
+        for j, (k, A) in enumerate(zip(ks, ratios)):
+            e = k - 1 + self._share_exponents(k)
+            out[:, j] = rw + (k - 1) * ((cv - _row_sums(A, c)) / e + _row_sums(A, s))
+        return out
 
     def _schedule(self, k: int) -> tuple[np.ndarray, ...]:
         """Node values and cell-width-scaled node slopes of the k-report transfer and of
@@ -452,16 +493,17 @@ class RingModel:
         :class:`DomainError`); a sequence gives one checked quadrature over (config, m)
         rows, with m as the last axis of the result.
 
-        The integrand is linear in the transfer's node values and scaled slopes, so
-        ``integrate``'s three nested Simpson totals on its points are
-        xP - T + (m n - 1) g (T - r P), with xP, P and T the rule's sums of x, 1 and the
-        transfer's Hermite interpolant times F^(n-1) f, the last from the rule's weights
-        times F^(n-1) f folded onto the nodes once per call (``_node_weights``).  A
-        row's fine total is elementwise products summed along one row, so it equals the
-        single-config model's row bit for bit; the two coarser totals, which only feed the
-        error test, are matrix products (``_row_sums``).  A row whose observed-order bound
-        exceeds QUAD_TOL |fine| (``_check_resolved``, ``integrate``'s test) raises
-        ``NumericError`` naming its (config, m) index.
+        The integrand is linear in the transfer's node values and scaled slopes, and those
+        are affine in the IC ratio A = J/F^e, so ``integrate``'s three nested Simpson
+        totals on its points are xP - T + (m n - 1) g (T - r P), with xP, P and T the
+        rule's sums of x, 1 and the transfer's Hermite interpolant times F^(n-1) f, the
+        last from the rule's weights times F^(n-1) f folded onto the nodes and onto A once
+        per call and contracted with each count's cached A (``_transfer_sums``): no
+        transfer schedule is built.  A row's fine total is elementwise products summed
+        along one row, so it equals the single-config model's row bit for bit; the two
+        coarser totals, which only feed the error test, are matrix products (``_row_sums``).
+        A row whose observed-order bound exceeds QUAD_TOL |fine| (``_check_resolved``,
+        ``integrate``'s test) raises ``NumericError`` naming its (config, m) index.
         """
         counts = _identity_counts(m)
         r, n, b = self.reserve, self.n, self.dist.v_h
@@ -471,13 +513,9 @@ class RingModel:
         # (fine, coarse, coarser) rows, masked as _member_payoff masks it
         rule_P = _simpson_weights(h) * np.where(win_prob > 0.0, win_prob * f, 0.0)
         xP, rP = (rule_P * x).sum(axis=-1), r * rule_P.sum(axis=-1)
-        t_w, mt_w = _node_weights(rule_P)
-        out = np.empty((len(self.cfgs), counts.size, 3))
-        for j, count in enumerate(counts.tolist()):
-            t, mt = self._transfer(n + count - 1)
-            gamma = np.array([[cfg.g(n + count - 1)] for cfg in self.cfgs])
-            T = _row_sums(t, t_w) + _row_sums(mt, mt_w)
-            out[:, j] = xP - T + (count * n - 1) * gamma * (T - rP)
+        T = self._transfer_sums(rule_P, (n + counts - 1).tolist())
+        gamma = np.array([[[cfg.g(n + count - 1)] for count in counts.tolist()] for cfg in self.cfgs])
+        out = xP - T + (counts[:, None] * n - 1) * gamma * (T - rP)
         totals = np.moveaxis(out, -1, 0)  # (fine, coarse, coarser), each (configs, counts)
         _check_resolved(totals, np.abs(totals[0]), r, b)
         return self._strip(totals[0] if np.ndim(m) else totals[0][:, 0])
@@ -523,11 +561,19 @@ def efficient_ring_loser_share(
 
 @dataclass(frozen=True)
 class OptRingRow:
+    """One searched theta: its verdicts, welfare and baseline, and the margins behind the
+    verdicts: the certificate's largest slope at the truthful bid (``truthful_ok`` is
+    ``truthful_gap <= 1e-4``) and the best gain of m >= 2 identities over one with its
+    first m (``sybilproof_ok`` is ``split_gain <= SYBIL_TOL``)."""
+
     theta: float
     truthful_ok: bool
     sybilproof_ok: bool
     welfare: float
     baseline: float
+    truthful_gap: float
+    split_gain: float
+    split_m: int
 
 
 @dataclass(frozen=True)
@@ -559,10 +605,12 @@ def opt_ring_search(
     that one-identity profit.  Among
     passing thetas the one with the highest welfare wins; it must strictly beat a
     searched theta = 0; if none passes, the search warns and reports theta = 0 with that
-    ring's welfare at the reserve.  One RingModel holds every theta's schedules: (ii) and
-    (iii) read one checked quadrature over (theta, m) rows, each row a sum of its transfer's
-    node values and slopes against per-node Simpson weights built once for the search
-    (``RingModel.expected_profit``), and (i) reads the n-report transfers it built.
+    ring's welfare at the reserve.  One RingModel holds every theta: (ii) and (iii) read one
+    checked quadrature over (theta, m) rows, each row its count's IC ratio A = J/F^e
+    contracted with Simpson weights folded onto A once for the search
+    (``RingModel.expected_profit``), which builds no transfer schedule; (i) reads the
+    n-report transfer schedule, the only one the search builds.  Each row carries
+    (i)'s largest slope and (ii)'s best gain with its m.
     The search draws nothing, so a row depends only on its theta, n, the reserve and
     the distribution.  Needs at least one theta; otherwise raises ``DomainError``.
     """
@@ -576,17 +624,19 @@ def opt_ring_search(
     baseline = expected_order_stat(dist, n, 1) - expected_order_stat(dist, n, 2)
     profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
     # dU/dw at w = v, F^(n-2) |F T' - f ((n-1) v + l r - e T)|, at the nodes whose neighbours lie past F = 0
-    t, l = model._transfer(n)[0], np.array([[cfg.share_exponent(n)] for cfg in cfgs])
-    v, F, f = model.grid[::2], model._F[::2], model._f[::2]
-    i = np.arange(int(np.count_nonzero(F <= 0.0)) + 1, MODEL_CELLS)
-    slope = (t[:, i + 1] - t[:, i - 1]) / (4.0 * model._h)  # not the Hermite slopes, which solve the ODE
-    gap = F[i] ** (n - 2) * np.abs(F[i] * slope - f[i] * ((n - 1) * v[i] + l * reserve - (n - 1 + l) * t[:, i]))
-    truthful = gap.max(axis=1, initial=0.0) <= 1e-4
-    sybilproof = count_verdict(profits, SYBIL_TOL).gains <= SYBIL_TOL
+    t, l = model._transfer(n)[0], model._share_exponents(n)
+    a = int(np.count_nonzero(model._F[::2] <= 0.0)) + 1
+    v, F, f = (nodes[::2][a:MODEL_CELLS] for nodes in (model.grid, model._F, model._f))
+    slope = (t[:, a + 1 :] - t[:, a - 1 : -2]) / (4.0 * model._h)  # not the Hermite slopes, which solve the ODE
+    gap = F ** (n - 2) * np.abs(F * slope - f * ((n - 1) * v + l * reserve - (n - 1 + l) * t[:, a:-1]))
+    truthful_gap = gap.max(axis=1, initial=0.0)
+    split = count_verdict(profits, SYBIL_TOL)
     welfare = n * profits[:, 0]
     rows = [
-        OptRingRow(theta, bool(ok), bool(proof), float(w), baseline)
-        for theta, ok, proof, w in zip(thetas, truthful, sybilproof, welfare)
+        OptRingRow(theta, worst <= 1e-4, gain <= SYBIL_TOL, w, baseline, worst, gain, m)
+        for theta, worst, gain, m, w in zip(
+            thetas, truthful_gap.tolist(), split.gains.tolist(), split.xs.tolist(), welfare.tolist()
+        )
     ]
     passing = [row for row in rows if row.truthful_ok and row.sybilproof_ok]
     if not passing:  # the theta = 0 ring at this reserve; its one-config row equals a searched row bit for bit

@@ -150,8 +150,9 @@ def test_cournot_oracle_rejects_dead_market():
         lambda: cfmm_curve(100.0, math.nan, 0.5),
         lambda: cfmm_curve(100.0, 100.0, math.nan),
         lambda: trivial_commitment_instance(math.nan),
+        lambda: rmax_commitment_instance(math.nan, 0.1),
     ],
-    ids=["alpha", "c_prod", "reserve_b", "price", "trivial_c"],
+    ids=["alpha", "c_prod", "reserve_b", "price", "trivial_c", "rmax_R"],
 )
 def test_nan_parameters_are_rejected(build):
     # NaN compares false both ways: a guard written as x <= 0 would let it through

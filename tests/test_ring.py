@@ -60,6 +60,21 @@ def test_truncexp_quantile_keeps_its_digits_near_zero(u):
         )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: constant_share_config(0.5, 3, math.nan),
+        lambda: truncated_exponential_values(math.nan),
+        lambda: truncated_exponential_values(1.0, math.nan),
+    ],
+    ids=["reserve", "rate", "v_h"],
+)
+def test_nan_parameters_are_rejected(build):
+    # NaN compares false both ways: a guard written as x < 0 let it through to a NumericError or a NaN cdf
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_second_price_basic_outcome():
     winner, price = second_price_outcome([3.0, 5.0, 2.0])
     assert (winner, price) == (1, 3.0)
@@ -476,6 +491,20 @@ def test_opt_ring_search_finds_profitable_proof_ring(reserve):
         assert row.truthful_ok
 
 
+@pytest.mark.parametrize("reserve", [0.0, 0.2])
+@pytest.mark.parametrize("dist", [uniform_values(), beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+def test_the_rows_carry_the_margins_behind_their_verdicts(dist, reserve):
+    thetas = np.linspace(0.0, 1.0, 21)
+    result = opt_ring_search(dist, 3, thetas, reserve=reserve)
+    model = RingModel(dist, [constant_share_config(t, 3, reserve) for t in thetas])
+    split = count_verdict(model.expected_profit(range(1, ring.RING_MAX_IDENTITIES + 1)), SYBIL_TOL)
+    for row, gain, m in zip(result.rows, split.gains, split.xs):
+        assert row.truthful_ok == (row.truthful_gap <= 1e-4) and row.truthful_gap >= 0.0
+        assert row.sybilproof_ok == (row.split_gain <= SYBIL_TOL)
+        assert (row.split_gain, row.split_m) == (gain, m) and type(row.split_m) is int
+    assert result.rows[-1].split_gain > SYBIL_TOL  # the efficient ring is attackable
+
+
 def test_opt_ring_search_falls_back_when_nothing_passes():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -562,12 +591,18 @@ def test_profits_from_folded_loser_weights_equal_the_loser_schedule_dot_products
     assert np.array_equal(_sybilproof(profits), _sybilproof(explicit))
 
 
-def test_payoff_still_builds_the_loser_schedule_of_its_count():
+def test_payoff_still_builds_the_loser_schedule_of_its_count(monkeypatch):
+    built, exact = [], RingModel._transfer
+    monkeypatch.setattr(RingModel, "_transfer", lambda self, k: built.append(k) or exact(self, k))
     model = RingModel(UNIFORM, constant_share_config(0.5, 3))
     model.expected_profit([1, 2])
+    assert sorted(model._ratios) == [3, 4] and built == []  # the profits contract A = J/F^e alone
     model.payoff(0.5, 0.5, 2)
-    assert list(model._schedules) == [4]
-    assert sorted(model._transfers) == [3, 4]
+    assert list(model._schedules) == [4] and built == [4]
+    # the search builds the n-report transfer schedule its certificate reads, and no other
+    built.clear()
+    opt_ring_search(UNIFORM, 3, reserve=0.2)
+    assert built == [3]
 
 
 @pytest.mark.parametrize("k", [None, 4])
@@ -844,3 +879,23 @@ def test_every_ring_is_truthful_and_the_quantile_scan_agrees(name, n, theta, res
         (row,) = opt_ring_search(dist, n, [theta], reserve=reserve).rows
     assert row.truthful_ok
     assert quantile_scan_truthful(RingModel(dist, [constant_share_config(theta, n, reserve)]), dist, n, reserve).tolist() == [True]
+
+
+@pytest.mark.parametrize(
+    "dist, n, reserve",
+    [(beta22_values(), 3, 0.0), (UNIFORM, 3, 0.2), (SHIFTED_BETA22, 2, 0.25)],
+    ids=["beta22-F0-at-the-first-node", "uniform-F-positive-at-r", "stretched-beta-F0-over-many-nodes"],
+)
+def test_transfer_sums_from_the_ic_ratio_equal_the_sums_over_the_derived_schedules(dist, n, reserve):
+    # T - r and the scaled slope are affine in A = J/F^e, so the sums contract A; where F(r) = 0 the node-0
+    # one-sided slope folds onto nodes 1 and 2 only if they lie past F = 0 (the stretched Beta's first is 683)
+    model = RingModel(dist, [constant_share_config(t, n, reserve) for t in (0.0, 0.35, 1.0)])
+    _, h = ring._quadrature_points(reserve, dist.v_h)
+    w = ring._simpson_weights(h)  # unweighted, so the node-0 slope's share is far above rounding
+    counts = [n, n + 1, n + 3]
+    sums = model._transfer_sums(w, counts)
+    t_w, mt_w = ring._node_weights(w)
+    for j, k in enumerate(counts):
+        t, mt = model._transfer(k)
+        expected = ring._row_sums(t, t_w) + ring._row_sums(mt, mt_w)
+        assert np.all(np.abs(sums[:, j] - expected) <= 1e-14 * np.abs(expected)), k
