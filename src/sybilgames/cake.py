@@ -19,11 +19,12 @@ the same transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, MalformedSliceError, StatisticalPowerError
+from .numerics import _left_sum
 
 MERGE_EPS = 1e-15
 FAIRNESS_MIN_RUNS = 10_000  # fewest transcript runs check_fairness accepts
@@ -131,20 +132,20 @@ class Allocation:
 
 
 def measure_value(mu: PiecewiseMeasure, s: Slice) -> float:
-    """Exact value of a slice under a piecewise-constant measure."""
-    return sum(mu.interval_value(lo, hi) for lo, hi in s.intervals)
+    """Exact value of a slice under a piecewise-constant measure: its intervals' values
+    added in order from 0.0 (``_left_sum``), so every Python version writes the same bytes."""
+    return _left_sum(mu.interval_value(lo, hi) for lo, hi in s.intervals)
 
 
-def exact_partition(declared: Sequence[PiecewiseMeasure], n: Optional[int] = None) -> list[Slice]:
-    """Partition of [0, 1] every declared measure values at exactly 1/n.
+def exact_partition(declared: Sequence[PiecewiseMeasure]) -> list[Slice]:
+    """Partition of [0, 1] every one of the n declared measures values at exactly 1/n.
 
     The cake is refined by the union of all breakpoints, so densities are
     constant on each refined segment; splitting every segment into n equal parts
     and collecting the j-th parts makes each slice worth exactly 1/n to everyone.
     """
-    if n is None:
-        n = len(declared)
-    if n < 1 or n != len(declared):
+    n = len(declared)
+    if n < 1:
         raise DomainError("need one declared measure per identity, n >= 1")
     cuts: list[float] = []
     for mu in declared:
@@ -225,7 +226,7 @@ def run_monte_carlo(declared: Sequence[PiecewiseMeasure], runs: int, seed: int) 
     if runs < 1:
         raise DomainError("need at least one run")
     n = len(declared)
-    partition = tuple(exact_partition(declared, n))
+    partition = tuple(exact_partition(declared))
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (runs, 1)), axis=1)
     coins = rng.random(runs) < coin_probability(n)

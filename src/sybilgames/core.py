@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError, UnsupportedOperationError
-from .numerics import first_max, refine_argmax
+from .numerics import _left_sum, first_max, refine_argmax
 
 #: Minimum strictly-profitable gain; absorbs floating-point noise.
 SYBIL_TOL = 1e-9
@@ -32,19 +32,6 @@ VERIFY_PIECE = 16384
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
-
-
-def _left_sum(values):
-    """``0.0 + v0 + v1 + ...`` in order, on floats or elementwise on arrays.
-
-    Every sum of actions in this module is this fold, so the array scan of
-    :func:`verify_sybilproof` rounds exactly as the scalar payoffs do (and
-    Python 3.12's compensated ``sum`` cannot make them differ).
-    """
-    total = 0.0
-    for v in values:
-        total = total + v
-    return total
 
 
 @dataclass(frozen=True)
@@ -99,6 +86,17 @@ MERGE_SUM = "sum"
 MERGE_MAX = "max"
 
 
+def _fold(rule: str, values: Sequence):
+    """Floats, or equal-shape arrays elementwise, folded in order by ``rule`` (0.0 for an empty
+    list): ``_left_sum`` under MERGE_SUM, else a running max keeping the first of equal values."""
+    if rule == MERGE_SUM:
+        return _left_sum(values)
+    acc = values[0] if values else 0.0
+    for v in values[1:]:
+        acc = np.where(v > acc, v, acc)
+    return acc
+
+
 @dataclass(frozen=True)
 class AggregativeGame:
     """Anonymous game whose payoff depends on own action and the others' aggregate.
@@ -137,18 +135,6 @@ class AggregativeGame:
         if np.any(self.phi_values(np.zeros(3), [0.0, 1.0, 3.7]) != 0.0):
             raise DomainError("phi(0, y) must be exactly zero (inactive identities earn zero)")
 
-    def aggregate_others(self, actions: Sequence[float]) -> float:
-        if self.aggregation == MERGE_SUM:
-            return float(_left_sum(actions))
-        return float(max(actions)) if actions else 0.0
-
-    def merge_own(self, actions: Sequence[float]) -> float:
-        if self.merge == MERGE_SUM:
-            return float(_left_sum(actions))
-        if self.merge == MERGE_MAX:
-            return float(max(actions)) if actions else 0.0
-        raise UnsupportedOperationError(f"game {self.name!r} has no merge rule")
-
     def phi_values(self, x, y) -> np.ndarray:
         """``phi`` elementwise over x and y as float64 arrays (or floats) broadcast against
         each other: an action array against one aggregate or an equal-length array, or a
@@ -161,14 +147,16 @@ class AggregativeGame:
         return out
 
     def aggregate_values(self, values: Sequence):
-        """Elementwise :meth:`aggregate_others` of floats and equal-shape arrays, folded in
-        order (0.0 for an empty list): the left sum, or a running max keeping the first of equal values."""
-        if self.aggregation == MERGE_SUM:
-            return _left_sum(values)
-        acc = values[0] if values else 0.0
-        for v in values[1:]:
-            acc = np.where(v > acc, v, acc)
-        return acc
+        """phi's second argument from the other identities' actions: floats, or equal-shape
+        arrays elementwise, folded by the aggregation rule (``_fold``)."""
+        return _fold(self.aggregation, values)
+
+    def merge_values(self, values: Sequence):
+        """A player's own identities' actions (floats, or equal-shape arrays elementwise) folded
+        into one by the merge rule (``_fold``); :class:`UnsupportedOperationError` when the game has none."""
+        if self.merge is None:
+            raise UnsupportedOperationError(f"game {self.name!r} has no merge rule")
+        return _fold(self.merge, values)
 
 
 @dataclass(frozen=True)
@@ -224,11 +212,6 @@ def _check_actions(game: AggregativeGame, actions: Sequence[float], label: str, 
             raise DomainError(f"{label} action {a!r} is not admissible in the action space")
 
 
-def _others_aggregate(game: AggregativeGame, mine: Sequence[float], foreign: Sequence[float], j: int) -> float:
-    rest = list(foreign) + [a for i, a in enumerate(mine) if i != j]
-    return game.aggregate_others(rest)
-
-
 def sybil_payoff(
     game: AggregativeGame,
     cost: SybilCost,
@@ -237,13 +220,14 @@ def sybil_payoff(
 ) -> float:
     """Total payoff of a player running one identity per entry of ``mine``.
 
-    Each identity is paid ``phi(a_j, aggregate of everyone else)``, all scored by
-    one :meth:`~AggregativeGame.phi_values` call and summed in order as Python
-    floats, and the player pays ``cost(len(mine), len(foreign))`` once.
+    Each identity is paid ``phi(a_j, aggregate of everyone else)``, folded per identity (the
+    scalar reference :func:`verify_sybilproof`'s block scan equals bit for bit), all scored by
+    one :meth:`~AggregativeGame.phi_values` call and summed in order as Python floats, and
+    the player pays ``cost(len(mine), len(foreign))`` once.
     """
     _check_actions(game, mine.actions, "own", positive=True)
     _check_actions(game, foreign, "foreign", positive=False)
-    others = [_others_aggregate(game, mine.actions, foreign, j) for j in range(len(mine))]
+    others = [game.aggregate_values([*foreign, *mine.actions[:j], *mine.actions[j + 1 :]]) for j in range(len(mine))]
     total = _left_sum(game.phi_values(mine.actions, others).tolist())
     return total - cost(len(mine), len(foreign))
 
@@ -261,8 +245,8 @@ def merged_payoff(
     """
     _check_actions(game, mine.actions, "own", positive=True)
     _check_actions(game, foreign, "foreign", positive=False)
-    merged = game.merge_own(mine.actions)
-    value = float(game.phi_values(merged, game.aggregate_others(list(foreign))))
+    merged = game.merge_values(mine.actions)
+    value = float(game.phi_values(merged, game.aggregate_values(list(foreign))))
     if cost is not None:
         value -= cost(1, len(foreign))
     return value
@@ -391,17 +375,12 @@ def _grid_gains(
         return gains
     m = actions.shape[1]
     columns = list(actions.T)
-    if game.merge == MERGE_SUM:
-        merged = _left_sum(columns)
-    elif game.merge == MERGE_MAX:
-        merged = actions.max(axis=1)
-    else:
-        raise UnsupportedOperationError(f"game {game.name!r} has no merge rule")
+    merged = game.merge_values(columns)
     total = 0.0
     for j in range(m):
         others = game.aggregate_values([*profile, *columns[:j], *columns[j + 1 :]])
         total = total + game.phi_values(columns[j], others)
-    merged_value = game.phi_values(merged, game.aggregate_others(list(profile)))
+    merged_value = game.phi_values(merged, game.aggregate_values(list(profile)))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         return (total - cost(m, len(profile))) - (merged_value - cost(1, len(profile)))
 

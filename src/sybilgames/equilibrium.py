@@ -1,11 +1,11 @@
 """Equilibrium computation for the aggregative games in this package.
 
-Covers the closed-form symmetric equilibrium of the reward-sharing game, its
-integer-action mixed equilibrium (two adjacent actions, indifference solved by
-bisection), the concave pro-rata first-order condition, a refined grid best
-response that validates closed forms (one response per row of an array of
-others' aggregates, so a whole table takes one call), and a grid
-price-of-anarchy estimate.
+Covers the closed-form symmetric equilibrium of the reward-sharing game, its integer-action
+mixed equilibrium (two adjacent actions, indifference solved by bisection, expected payoffs
+from the reward-share game's own phi weighted by binomial probabilities), the concave
+pro-rata first-order condition, a refined grid best response that validates closed forms
+(one response per row of an array of others' aggregates, so a whole table takes one call),
+and a grid price-of-anarchy estimate.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AggregativeGame
+from .core import AggregativeGame, reward_share_game
 from .errors import DomainError, NumericError
 from .numerics import bisect_root, first_max, grid_argmax
 
-FD_STEP = 1e-6
 BRD_REFINE_ROUNDS = 6
 
 
@@ -79,35 +78,33 @@ def best_response_reward_game(R: float, c: float, y: float) -> float:
     return max(0.0, math.sqrt(R * y / c) - y)
 
 
-def reward_game_payoff(R: float, c: float, x: float, y: float) -> float:
-    """Share-of-reward payoff R*x/(x+y) - c*x, zero for an inactive player."""
-    if x == 0.0:
-        return 0.0
-    return R * x / (x + y) - c * x
-
-
 def reward_game_pure_equilibrium(R: float, c: float, n: int) -> SymmetricEquilibrium:
-    """Unique symmetric equilibrium of the continuous reward-sharing game."""
+    """Unique symmetric equilibrium of the continuous reward-sharing game, in closed form:
+    each player stakes (R/c)(n-1)/n^2 and earns R/n^2, so welfare is R/n."""
     if n < 2:
         raise DomainError("the continuous relaxation needs n >= 2")
     if R <= 0.0 or c <= 0.0:
         raise DomainError("need R > 0 and c > 0")
-    action = (R / c) * (n - 1) / n**2
-    payoff = reward_game_payoff(R, c, action, (n - 1) * action)
-    return SymmetricEquilibrium(action, payoff, n, n * payoff)
+    return SymmetricEquilibrium((R / c) * (n - 1) / n**2, R / n**2, n, R / n)
 
 
-def reward_game_expected_payoff(
-    x: int, low: int, p: float, n: int, R: float, c: float
-) -> float:
-    """Expected payoff of integer action x against n-1 opponents mixing
-    low with probability p and low+1 otherwise (exact binomial sum)."""
-    base = (n - 1) * low
-    total = 0.0
-    for j in range(n):  # j opponents play high = low + 1
-        prob = math.comb(n - 1, j) * (1.0 - p) ** j * p ** (n - 1 - j)
-        total += prob * reward_game_payoff(R, c, float(x), float(base + j))
-    return total
+def _against_mix(x, low: int, n: int, R: float, c: float) -> np.ndarray:
+    """:func:`~sybilgames.core.reward_share_game`'s phi at actions x against n-1 opponents of
+    whom j = 0..n-1 play low+1 and the rest low: one call on the (actions, j) array."""
+    return reward_share_game(R, c).phi_values(np.asarray(x, dtype=float)[..., None], (n - 1) * low + np.arange(n))
+
+
+def _binomial(p: float, n: int) -> np.ndarray:
+    """Probabilities that j = 0..n-1 of n-1 opponents play low+1, each with probability 1 - p."""
+    return np.array([math.comb(n - 1, j) * (1.0 - p) ** j * p ** (n - 1 - j) for j in range(n)])
+
+
+def reward_game_expected_payoff(x, low: int, p: float, n: int, R: float, c: float):
+    """Expected payoff of integer action x, or of each entry of an array of them, against
+    n-1 opponents mixing low with probability p and low+1 otherwise: the phi values of
+    ``_against_mix`` weighted by the binomial probabilities."""
+    out = _against_mix(x, low, n, R, c) @ _binomial(p, n)
+    return float(out) if out.ndim == 0 else out
 
 
 def mixed_deviation_gain(
@@ -116,11 +113,8 @@ def mixed_deviation_gain(
     """Best improvement any integer deviation up to x_max achieves over the mix."""
     if x_max is None:
         x_max = 4 * eq.high
-    value_of_mix = eq.p * reward_game_expected_payoff(eq.low, eq.low, eq.p, eq.n, R, c) + (
-        1.0 - eq.p
-    ) * reward_game_expected_payoff(eq.high, eq.low, eq.p, eq.n, R, c)
-    values = [reward_game_expected_payoff(x, eq.low, eq.p, eq.n, R, c) for x in range(0, x_max + 1)]
-    return values[first_max(values)] - value_of_mix
+    low, high, *values = reward_game_expected_payoff(np.r_[eq.low, eq.high, 0 : x_max + 1], eq.low, eq.p, eq.n, R, c)
+    return float(values[first_max(values)] - (eq.p * low + (1.0 - eq.p) * high))
 
 
 def reward_game_mixed_equilibrium(R: float, c: float, n: int) -> DiscreteMixedEquilibrium:
@@ -137,11 +131,11 @@ def reward_game_mixed_equilibrium(R: float, c: float, n: int) -> DiscreteMixedEq
         raise DomainError("need R > 0 and c > 0")
     low = int(math.floor((R / c) * (n - 1) / n**2))
     high = low + 1
+    phi = _against_mix([low, high], low, n, R, c)  # no phi call depends on p
 
     def gap(p: float) -> float:
-        return reward_game_expected_payoff(low, low, p, n, R, c) - reward_game_expected_payoff(
-            high, low, p, n, R, c
-        )
+        low_payoff, high_payoff = phi @ _binomial(p, n)
+        return float(low_payoff - high_payoff)
 
     g0, g1 = gap(0.0), gap(1.0)
     if g0 == 0.0 and g1 == 0.0:
@@ -158,22 +152,18 @@ def reward_game_mixed_equilibrium(R: float, c: float, n: int) -> DiscreteMixedEq
 
 
 def concave_prorata_equilibrium(
-    f: Callable[[float], float],
-    n: int,
-    fprime: Optional[Callable[[float], float]] = None,
+    f: Callable[[float], float], n: int, fprime: Callable[[float], float]
 ) -> SymmetricEquilibrium:
-    """Symmetric equilibrium of the pro-rata game with curve f.
+    """Symmetric equilibrium of the pro-rata game with curve f and its derivative fprime.
 
     The aggregate action solves (n-1) f(q) + q f'(q) = 0, found by bracket
-    expansion plus bisection.  A central finite difference (step 1e-6) stands in
-    when no analytic derivative is supplied.
+    expansion plus bisection.
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    df = fprime if fprime is not None else (lambda q: (f(q + FD_STEP) - f(q - FD_STEP)) / (2 * FD_STEP))
 
     def condition(q: float) -> float:
-        return (n - 1) * f(q) + q * df(q)
+        return (n - 1) * f(q) + q * fprime(q)
 
     hi = 1.0
     while condition(hi) > 0.0 and hi < 1e12:

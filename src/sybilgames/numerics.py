@@ -49,6 +49,16 @@ BISECT_RESIDUAL = 1e-12
 _RAMP = np.arange(2 * QUAD_CELLS + 1, dtype=float)  # integrate's sample indices 0, 1, ..., 2 QUAD_CELLS
 
 
+def _left_sum(values):
+    """``0.0 + v0 + v1 + ...`` in order, on floats or elementwise on arrays: every sum of actions
+    or slice values in the package, so ``core.verify_sybilproof``'s array scan rounds as the scalar
+    payoffs do, and Python 3.12's compensated ``sum`` cannot change a byte."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
 def cumulative_simpson(y, h: float) -> np.ndarray:
     """Running composite-Simpson integral of samples y on a uniform grid of spacing h.
 

@@ -17,15 +17,15 @@ composite-Simpson rule of :mod:`sybilgames.numerics`: ``ring_transfer`` climbs n
 levels of 256, 512, ..., 4096 cells on [r, v] and returns at the first whose
 observed-order bound on J's error is at most 1e-10 of integral_r^v u d(F^e) = v F(v)^e -
 r F(r)^e - J, or raises ``NumericError``; RingModel takes J as ``cumulative_simpson`` of F^e
-on its grid.  Other single integrals go through the checked ``integrate`` (4096 cells,
-raising ``NumericError`` when the same bound exceeds 1e-10 of the integral of |integrand|),
-loser schedules through ``cumulative_simpson``, and registration-stage profits through
-the same rule's weights on ``integrate``'s points, under its error test with the
-integral itself as the scale, as one weighted integral of the transfer alone: swapping
-the order of integration turns the loser shares into one more weight on it, and since
-T and T' are affine in A, that integral contracts A without building the transfer.
-Between grid nodes RingModel interpolates each schedule with a cubic Hermite whose
-transfer slopes are T' above.
+on its grid.  Other single integrals (of the cdf alone, for order statistics) go through
+the checked ``integrate`` (4096 cells, raising ``NumericError`` when the same bound
+exceeds 1e-10 of the integral of |integrand|), loser schedules through
+``cumulative_simpson``, and registration-stage profits through the same rule's weights on
+``integrate``'s points, under its error test with the integral itself as the scale, as
+one weighted integral of the transfer alone: swapping the order of integration turns the
+loser shares into one more weight on it, and since T and T' are affine in A, that
+integral contracts A without building the transfer.  Between grid nodes RingModel
+interpolates each schedule with a cubic Hermite whose transfer slopes are T' above.
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -521,15 +521,32 @@ class RingModel:
         return self._strip(totals[0] if np.ndim(m) else totals[0][:, 0])
 
 
+def _order_survival(dist: ValueDistribution, n: int, which: int):
+    """u -> P(v(which) > u) for n i.i.d. draws from one cdf sample F: 1 - F^n for the highest
+    (which=1), 1 - F^(n-1) (n - (n-1) F) for the second highest (which=2)."""
+    below = (lambda F: F**n) if which == 1 else (lambda F: F ** (n - 1) * (n - (n - 1) * F))
+    return lambda u: 1.0 - below(np.asarray(dist.cdf(u), dtype=float))
+
+
 def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
-    """E of the highest (which=1) or second-highest (which=2) of n i.i.d. draws."""
+    """E of the highest (which=1) or second-highest (which=2) of n i.i.d. draws on [0, v_h]:
+    the integral of its survival function (``_order_survival``), so only the cdf is sampled."""
     if n < 1 or which not in (1, 2) or (which == 2 and n < 2):
         raise DomainError("order statistic out of range")
-    if which == 1:
-        integrand = lambda u: u * n * dist.cdf(u) ** (n - 1) * dist.pdf(u)
-    else:
-        integrand = lambda u: u * n * (n - 1) * dist.cdf(u) ** (n - 2) * (1.0 - dist.cdf(u)) * dist.pdf(u)
-    return integrate(integrand, 0.0, dist.v_h)
+    return integrate(_order_survival(dist, n, which), 0.0, dist.v_h)
+
+
+def expected_order_gap(dist: ValueDistribution, n: int) -> float:
+    """E[v(1) - v(2)] of n >= 2 i.i.d. draws on [0, v_h], the searched rings' baseline: the
+    integral of the survival functions' difference n F^(n-1) (1 - F), one cdf sample per point."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+
+    def gap(u):
+        F = np.asarray(dist.cdf(u), dtype=float)
+        return n * F ** (n - 1) * (1.0 - F)
+
+    return integrate(gap, 0.0, dist.v_h)
 
 
 def efficient_ring_loser_share(
@@ -538,25 +555,22 @@ def efficient_ring_loser_share(
     reserve: float = 0.0,
     top_value: Optional[float] = None,
 ) -> float:
-    """Per-loser transfer of the fully efficient ring: E[(v(2) - r)+]/n.
+    """Per-loser transfer of the fully efficient ring: E[(v(2) - r)+]/n, the integral of
+    P(v(2) > u) over [r, v_h] (``_order_survival``) over n.
 
     ``top_value`` switches to the variant conditioned on the highest valuation,
-    E[(v(2) - r)+ | v(1) = top_value]/n.
+    E[(v(2) - r)+ | v(1) = top_value]/n = (T - r)/n with T the theta = 0 ``ring_transfer``
+    at top_value, which is E[max(v(2), r) | v(1) = top_value].  Only the cdf is sampled.
     """
     if n < 2:
         raise DomainError("need n >= 2")
     r = reserve
     if top_value is None:
-        surplus = integrate(
-            lambda u: (u - r) * n * (n - 1) * dist.cdf(u) ** (n - 2) * (1.0 - dist.cdf(u)) * dist.pdf(u), r, dist.v_h
-        )
-        return max(0.0, surplus) / n
+        return max(0.0, integrate(_order_survival(dist, n, 2), r, dist.v_h)) / n
     t = top_value
-    Ft = float(dist.cdf(t))
-    if t <= r or Ft <= 0.0:  # no second value lies between the reserve and the top
+    if t <= r or float(dist.cdf(t)) <= 0.0:  # no second value lies between the reserve and the top
         return 0.0
-    conditional = integrate(lambda u: (u - r) * (n - 1) * dist.cdf(u) ** (n - 2) * dist.pdf(u), r, t)
-    return max(0.0, conditional / Ft ** (n - 1)) / n
+    return max(0.0, ring_transfer(t, constant_share_config(0.0, n, r), dist) - r) / n
 
 
 @dataclass(frozen=True)
@@ -611,6 +625,7 @@ def opt_ring_search(
     (``RingModel.expected_profit``), which builds no transfer schedule; (i) reads the
     n-report transfer schedule, the only one the search builds.  Each row carries
     (i)'s largest slope and (ii)'s best gain with its m.
+    Every row carries the baseline E[v(1) - v(2)] (:func:`expected_order_gap`).
     The search draws nothing, so a row depends only on its theta, n, the reserve and
     the distribution.  Needs at least one theta; otherwise raises ``DomainError``.
     """
@@ -621,7 +636,7 @@ def opt_ring_search(
         raise DomainError("need at least one theta")
     cfgs = [constant_share_config(theta, n, reserve) for theta in thetas]
     model = RingModel(dist, cfgs)
-    baseline = expected_order_stat(dist, n, 1) - expected_order_stat(dist, n, 2)
+    baseline = expected_order_gap(dist, n)
     profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
     # dU/dw at w = v, F^(n-2) |F T' - f ((n-1) v + l r - e T)|, at the nodes whose neighbours lie past F = 0
     t, l = model._transfer(n)[0], model._share_exponents(n)

@@ -94,8 +94,14 @@ def scalar_refine(gain_of, actions, profile, space):
 
 def per_point_welfare_optimum(game, n: int) -> float:
     """Grid welfare optimum with one ``phi_values`` call per grid point: the symmetric
-    profile's n-fold payoff at each action of ``game.space.grid()``, first maximum wins."""
-    values = [n * float(game.phi_values(a, game.aggregate_others([a] * (n - 1)))) for a in game.space.grid().tolist()]
+    profile's n-fold payoff at each action of ``game.space.grid()``, first maximum wins.
+    The n - 1 rivals' aggregate is folded here by a plain loop, not by the game."""
+    values = []
+    for a in game.space.grid().tolist():
+        others = 0.0
+        for _ in range(n - 1):
+            others = others + a if game.aggregation == "sum" else max(others, a)
+        values.append(n * float(game.phi_values(a, others)))
     return values[int(np.argmax(values))]
 
 

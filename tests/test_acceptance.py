@@ -152,7 +152,7 @@ def test_criterion_06_cake_mechanism():
         for _ in range(50):
             n = int(rng.integers(1, 7))
             measures = [random_measure(rng) for _ in range(n)]
-            for s in exact_partition(measures, n):
+            for s in exact_partition(measures):
                 for mu in measures:
                     assert abs(measure_value(mu, s) - 1.0 / n) <= 1e-12
         runs = 100_000

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,19 +55,28 @@ def test_slice_canonical_form():
     assert EMPTY_SLICE.empty and EMPTY_SLICE.length == 0.0
 
 
+def test_measure_value_adds_slice_values_as_a_left_fold():
+    # math.fsum, like Python 3.12's compensated sum, gives 0.6 here; the left fold gives 0.6000000000000001
+    s = Slice([(0.0, 0.05), (0.1, 0.2), (0.3, 0.75)])
+    values = [UNIFORM.interval_value(lo, hi) for lo, hi in s.intervals]
+    left = ((0.0 + values[0]) + values[1]) + values[2]
+    assert math.fsum(values) != left
+    assert measure_value(UNIFORM, s) == left
+
+
 def test_exact_partition_single_player_gets_everything():
-    [whole] = exact_partition([UNIFORM], 1)
+    [whole] = exact_partition([UNIFORM])
     assert measure_value(UNIFORM, whole) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_partition_two_uniform():
-    slices = exact_partition([UNIFORM, UNIFORM], 2)
+    slices = exact_partition([UNIFORM, UNIFORM])
     for s in slices:
         assert measure_value(UNIFORM, s) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_partition_heterogeneous_pair():
-    slices = exact_partition([UNIFORM, LEFT_HEAVY], 2)
+    slices = exact_partition([UNIFORM, LEFT_HEAVY])
     for s in slices:
         assert measure_value(UNIFORM, s) == pytest.approx(0.5, abs=1e-12)
         assert measure_value(LEFT_HEAVY, s) == pytest.approx(0.5, abs=1e-12)
@@ -76,7 +87,7 @@ def test_exact_partition_heterogeneous_pair():
 def test_exact_partition_property(seed, n):
     rng = np.random.default_rng(seed)
     measures = [random_measure(rng) for _ in range(n)]
-    slices = exact_partition(measures, n)
+    slices = exact_partition(measures)
     for mu in measures:
         for s in slices:
             assert measure_value(mu, s) == pytest.approx(1.0 / n, abs=1e-12)

@@ -472,11 +472,17 @@ def test_a_grid_gains_block_costs_m_plus_one_phi_calls(budget):
 @pytest.mark.parametrize("aggregation", [MERGE_SUM, MERGE_MAX])
 def test_aggregate_values_of_nothing_is_zero(aggregation):
     space = ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1)
-    game = AggregativeGame(phi=lambda x, y: x, space=space, aggregation=aggregation)
-    assert game.aggregate_values([]) == 0.0 == game.aggregate_others([])
+    game = AggregativeGame(phi=lambda x, y: x, space=space, aggregation=aggregation, merge=aggregation)
+    assert game.aggregate_values([]) == 0.0 == game.merge_values([])
     columns = [np.array([0.3, 0.1]), np.array([0.2, 0.5])]
-    expected = [game.aggregate_others([0.4, a, b]) for a, b in zip(*columns)]
-    np.testing.assert_array_equal(game.aggregate_values([0.4, *columns]), expected)
+    expected = []
+    for a, b in zip(*columns):
+        acc = 0.0
+        for v in (0.4, a, b):
+            acc = acc + v if aggregation == MERGE_SUM else max(acc, v)
+        expected.append(acc)
+    for fold in (game.aggregate_values, game.merge_values):
+        np.testing.assert_array_equal(fold([0.4, *columns]), expected)
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (7, 3), (6, 4), (3, 5), (100, 3), (200, 2)])

@@ -16,7 +16,6 @@ from sybilgames.equilibrium import (
     price_of_anarchy,
     reward_game_expected_payoff,
     reward_game_mixed_equilibrium,
-    reward_game_payoff,
     reward_game_pure_equilibrium,
 )
 from sybilgames.errors import DomainError, NumericError
@@ -28,7 +27,8 @@ def test_best_response_closed_form_vs_grid_oracle():
     R, c, y = 10.0, 1.0, 2.5
     closed = best_response_reward_game(R, c, y)
     assert closed == pytest.approx(2.5, abs=1e-12)
-    oracle = grid_search_max(lambda x: reward_game_payoff(R, c, x, y), 0.0, 10.0, 1e-4)
+    xs = np.arange(0.0, 10.0 + 0.5e-4, 1e-4)  # grid_search_max's points, scored in one phi call
+    oracle = float(xs[np.argmax(reward_share_game(R, c).phi_values(xs, y))])
     assert closed == pytest.approx(oracle, abs=1e-3)
 
 
@@ -45,6 +45,14 @@ def test_pure_equilibrium_reference_values():
     assert eq.per_player_payoff == pytest.approx(2.5)
     assert eq.welfare == pytest.approx(5.0)
     assert reward_game_pure_equilibrium(10.0, 1.0, 10).welfare == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pure_equilibrium_welfare_is_exactly_R_over_n(n):
+    # the closed form: each player earns R/n^2, and welfare is R/n to the last bit
+    eq = reward_game_pure_equilibrium(10.0, 1.0, n)
+    assert eq.welfare == 10.0 / n
+    assert eq.per_player_payoff == 10.0 / n**2
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -114,7 +122,7 @@ def test_concave_prorata_affine_curve():
     eq = concave_prorata_equilibrium(lambda q: R - q, 2, fprime=lambda q: -1.0)
     assert eq.per_player_action == pytest.approx(2.5, abs=1e-9)
     assert eq.per_player_payoff == pytest.approx(2.5, abs=1e-9)
-    eq10 = concave_prorata_equilibrium(lambda q: R - q, 10)
+    eq10 = concave_prorata_equilibrium(lambda q: R - q, 10, fprime=lambda q: -1.0)
     assert eq10.welfare == pytest.approx(1.0, abs=1e-7)
 
 
@@ -129,7 +137,7 @@ def test_concave_prorata_root_residual():
 def test_concave_prorata_single_player_calculus():
     R = 10.0
     f = lambda q: q * math.exp(1.0 - q) * R
-    eq = concave_prorata_equilibrium(f, 1)
+    eq = concave_prorata_equilibrium(f, 1, fprime=lambda q: (1.0 - q) * math.exp(1.0 - q) * R)
     assert eq.aggregate_action == pytest.approx(1.0, abs=1e-9)
     assert eq.per_player_payoff == pytest.approx(R, abs=1e-9)
     oracle = grid_search_max(f, 0.0, 5.0, 1e-4)

@@ -19,7 +19,7 @@ from oracles import (
 from sybilgames import ring
 from sybilgames.core import SYBIL_TOL, count_verdict
 from sybilgames.errors import DomainError, NumericError, SingularScaleError
-from sybilgames.numerics import QUAD_CELLS, QUAD_TOL
+from sybilgames.numerics import QUAD_CELLS, QUAD_TOL, integrate
 from sybilgames.ring import (
     DISTRIBUTIONS,
     MODEL_CELLS,
@@ -29,6 +29,7 @@ from sybilgames.ring import (
     beta22_values,
     constant_share_config,
     efficient_ring_loser_share,
+    expected_order_gap,
     expected_order_stat,
     opt_ring_search,
     ring_transfer,
@@ -436,6 +437,49 @@ def test_beta22_ring_baseline_is_27_over_140():
     assert abs(baseline - 27.0 / 140.0) <= 2e-15
 
 
+@pytest.mark.parametrize(
+    "dist, n, exact",
+    [(beta22_values(), 3, 27 / 140), (beta22_values(), 6, 3105 / 24871), (UNIFORM, 4, 1 / 5), (UNIFORM, 6, 1 / 7)],
+)
+def test_search_baseline_is_the_exact_order_gap(dist, n, exact):
+    # one integral of n F^(n-1) (1 - F): the two order statistics' difference was up to 6.2e-14 off here
+    assert abs(expected_order_gap(dist, n) - exact) <= 5e-15 * exact
+
+
+def test_shifted_baseline_resolves_though_its_search_does_not():
+    # uniform on [1/2, 1]: n F (1 - F) has only a kink at 1/2, where the order statistics' density jumped
+    shifted = ValueDistribution(
+        "shifted", lambda x: np.clip((np.asarray(x) - 0.5) * 2.0, 0.0, 1.0),
+        lambda x: np.where((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.0), 2.0, 0.0),
+        1.0, lambda u: 0.5 + 0.5 * np.asarray(u),
+    )
+    assert expected_order_gap(shifted, 2) == pytest.approx(1 / 6, rel=1e-15)
+    with pytest.raises(NumericError, match=r"row \(0, 0\)"):  # the registration-stage profit's jump
+        opt_ring_search(shifted, 2)
+
+
+def test_order_statistics_and_efficient_shares_never_evaluate_the_density():
+    def no_pdf(x):
+        raise AssertionError("the density was evaluated")
+
+    for true in (UNIFORM, beta22_values()):
+        dist = ValueDistribution("no-pdf", true.cdf, no_pdf, 1.0, true.quantile)
+        for which in (1, 2):
+            assert expected_order_stat(dist, 4, which) == expected_order_stat(true, 4, which)
+        assert expected_order_gap(dist, 4) == expected_order_gap(true, 4)
+        assert efficient_ring_loser_share(4, dist, 0.2) == efficient_ring_loser_share(4, true, 0.2)
+        assert efficient_ring_loser_share(4, dist, 0.2, 0.7) == efficient_ring_loser_share(4, true, 0.2, 0.7)
+
+
+def test_conditional_efficient_share_matches_the_density_form():
+    # E[(v(2) - r)+ | v(1) = t] = integral_r^t (u - r)(n-1) F^(n-2) f du / F(t)^(n-1), the pdf form it replaced
+    beta = beta22_values()
+    for n, r, t in ((2, 0.0, 0.6), (3, 0.2, 0.9), (5, 0.1, 0.45)):
+        dense = integrate(lambda u: (u - r) * (n - 1) * beta.cdf(u) ** (n - 2) * beta.pdf(u), r, t)
+        expected = dense / float(beta.cdf(t)) ** (n - 1) / n
+        assert efficient_ring_loser_share(n, beta, r, t) == pytest.approx(expected, rel=1e-9)
+
+
 def test_efficient_share_uniform_values():
     assert efficient_ring_loser_share(3, UNIFORM) == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert efficient_ring_loser_share(4, UNIFORM, reserve=1.0) == 0.0
@@ -489,6 +533,19 @@ def test_opt_ring_search_finds_profitable_proof_ring(reserve):
     assert last.theta == 1.0 and not last.sybilproof_ok  # the efficient ring is attackable
     for row in result.rows:
         assert row.truthful_ok
+
+
+@pytest.mark.parametrize(
+    "dist, best, passing",
+    [(beta22_values(), 0.1, 3), (truncated_exponential_values(), 0.15, 4)],
+    ids=["beta22", "truncexp"],
+)
+def test_the_searched_verdicts_off_the_uniform_rows(dist, best, passing):
+    # pinned so that a rounding move in the profits or the baseline that flips a verdict fails here
+    result = opt_ring_search(dist, 3)
+    assert result.best_theta == pytest.approx(best, abs=1e-12)
+    assert sum(row.truthful_ok and row.sybilproof_ok for row in result.rows) == passing
+    assert result.baseline == expected_order_gap(dist, 3)
 
 
 @pytest.mark.parametrize("reserve", [0.0, 0.2])
