@@ -9,11 +9,11 @@ totals on every sample, every 2nd and every 4th from strided pairwise sums inste
 running sums, the fine one equal to ``cumulative_simpson``'s last entry to rounding.
 One error test judges every checked integral (``_check_resolved``): the observed-order
 bound of the three totals (``_observed_error``) must be at most QUAD_TOL times a scale.
-The same rule as three rows of weights on the samples (``_simpson_weights``), on the
-same points (``_quadrature_points``), serves integrands linear in parameters, such as
-``RingModel.expected_profit``'s.  ``ring_transfer`` climbs nested levels of the rule up
-to QUAD_CELLS cells, reusing each level's samples (``_finer_samples``), and stops at the
-first level the bound certifies.
+The same rule as three rows of weights on the samples of a given number of cells
+(``_simpson_weights``) serves integrands linear in parameters, such as
+``RingModel.expected_profit``'s on the model's nodes.  ``ring_transfer`` climbs nested
+levels of the rule up to QUAD_CELLS cells, reusing each level's samples
+(``_finer_samples``), and stops at the first level the bound certifies.
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.
@@ -77,15 +77,16 @@ def cumulative_simpson(y, h: float) -> np.ndarray:
 _STRIDES = slice(1, None, 2), slice(2, None, 4), slice(4, None, 8), slice(8, -1, 8)
 
 
-def _simpson_weights(h: float) -> np.ndarray:
-    """(3, 2 QUAD_CELLS + 1) weights of integrate's rule at spacing h: the sum of row 0 (1, 2)
-    times the samples is the fine (coarse, coarser) total of ``_nested_totals``, to rounding.
+def _simpson_weights(h: float, cells: int = QUAD_CELLS) -> np.ndarray:
+    """(3, 2 cells + 1) weights of integrate's rule on ``cells`` cells (a multiple of 4) at spacing
+    h: the sum of row 0 (1, 2) times the samples is the fine (coarse, coarser) total of
+    ``_nested_totals``, to rounding.
 
     A caller whose integrand is linear in some parameters folds these weights into them
     once instead of sampling the integrand for every parameter value.
     """
     odd, two, four, eight = _STRIDES
-    w = np.zeros((3, 2 * QUAD_CELLS + 1))
+    w = np.zeros((3, 2 * cells + 1))
     w[:, [0, -1]] = 1.0
     w[0, odd], w[0, two], w[0, four], w[0, eight] = 4.0, 2.0, 2.0, 2.0
     w[1, two], w[1, four], w[1, eight] = 4.0, 2.0, 2.0

@@ -16,16 +16,17 @@ Both transfers return through this one formula (``_by_parts``), with J from the
 composite-Simpson rule of :mod:`sybilgames.numerics`: ``ring_transfer`` climbs nested
 levels of 256, 512, ..., 4096 cells on [r, v] and returns at the first whose
 observed-order bound on J's error is at most 1e-10 of integral_r^v u d(F^e) = v F(v)^e -
-r F(r)^e - J, or raises ``NumericError``; RingModel takes J as ``cumulative_simpson`` of F^e
-on its grid.  Other single integrals (of the cdf alone, for order statistics) go through
-the checked ``integrate`` (4096 cells, raising ``NumericError`` when the same bound
-exceeds 1e-10 of the integral of |integrand|), loser schedules through
-``cumulative_simpson``, and registration-stage profits through the same rule's weights on
-``integrate``'s points, under its error test with the integral itself as the scale, as
-one weighted integral of the transfer alone: swapping the order of integration turns the
-loser shares into one more weight on it, and since T and T' are affine in A, that
-integral contracts A without building the transfer.  Between grid nodes RingModel
-interpolates each schedule with a cubic Hermite whose transfer slopes are T' above.
+r F(r)^e - J, or raises ``NumericError``; RingModel takes J as ``cumulative_simpson`` of
+F^e dx/ds on its grid, uniform in s and graded toward both ends in x.  Other single
+integrals (of the cdf alone, for order statistics) go through the checked ``integrate``
+(4096 cells, raising ``NumericError`` when the same bound exceeds 1e-10 of the integral
+of |integrand|), loser schedules through ``cumulative_simpson``, and registration-stage
+profits through the same rule's weights on RingModel's own nodes, under its error test
+with the integral itself as the scale, as one weighted integral of the transfer alone:
+swapping the order of integration turns the loser shares into one more weight on it, and
+since T is affine in A, that integral contracts A without building the transfer.  Between
+grid nodes RingModel interpolates each schedule with a cubic Hermite in s whose transfer
+slopes are T' dx/ds.
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -120,6 +121,10 @@ def beta22_values() -> ValueDistribution:
     return ValueDistribution("beta22", cdf, pdf, 1.0, quantile)
 
 
+# RingModel's node map x = a + (v_h - a) B(s) of a uniform s on [0, 1]: B = 3 s^2 - 2 s^3 is the Beta(2, 2)
+# cdf, dx/ds = (v_h - a) B'(s) its density, and its quantile inverts the map
+_GRADING = beta22_values()
+
 DISTRIBUTIONS = {
     "uniform": uniform_values,
     "truncexp": truncated_exponential_values,
@@ -177,25 +182,6 @@ def second_price_game(valuation: float, v_h: float = 1.0, reserve: float = 0.0, 
 
     space = ActionSpace(CONTINUOUS, 0.0, v_h, grid_step)
     return AggregativeGame(phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price")
-
-
-def second_price_outcome(
-    bids: Sequence[float],
-    seed_or_rng: Union[int, np.random.Generator] = 0,
-    reserve: float = 0.0,
-) -> tuple[Optional[int], float]:
-    """Winner (uniform tie-break) and price of a sealed-bid second-price auction."""
-    if len(bids) == 0:
-        raise DomainError("need at least one bid")
-    rng = np.random.default_rng(seed_or_rng)
-    top = max(bids)
-    if top < reserve:
-        return None, 0.0
-    ties = [i for i, b in enumerate(bids) if b == top]
-    winner = ties[int(rng.integers(0, len(ties)))] if len(ties) > 1 else ties[0]
-    rest = sorted(bids, reverse=True)[1:]
-    price = max(rest[0], reserve) if rest else reserve
-    return winner, price
 
 
 def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
@@ -269,23 +255,6 @@ def _subdivide(y: np.ndarray, slopes: np.ndarray, per: int) -> np.ndarray:
     return out
 
 
-def _node_weights(w: np.ndarray):
-    """(values, slopes): node weights whose sums against node values y and scaled slopes m
-    equal the sum of w times ``_subdivide(y, m, per)`` along the last axis, to rounding,
-    where w holds per samples in each of the MODEL_CELLS node cells and one at the end."""
-    per = (w.shape[-1] - 1) // MODEL_CELLS
-    values = w[..., ::per].copy()  # the samples at the nodes
-    slopes = np.zeros_like(values)
-    for j in range(1, per):
-        h00, h10, h01, h11 = _hermite_weights(j / per)
-        inside = w[..., j::per]
-        values[..., :-1] += h00 * inside
-        values[..., 1:] += h01 * inside
-        slopes[..., :-1] += h10 * inside
-        slopes[..., 1:] += h11 * inside
-    return values, slopes
-
-
 def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(configs, 3) sums of each row of a against the 3 rows of weights: the fine one as
     elementwise products summed per row, so a config's row does not depend on the others,
@@ -306,23 +275,27 @@ class RingModel:
     """Dense-grid evaluation kernel for one distribution and one or more rings.
 
     Transfer schedules and loser-share integrals are running composite-Simpson
-    integrals on one interleaved grid of 2 MODEL_CELLS + 1 points over
-    [reserve, v_h] (cell nodes at even indices, midpoints at odd ones); a transfer is
-    T = ((k-1)(v - A) + l r)/e (``_by_parts``) with A = J/F^e from one F^e sampling, so
-    Simpson's positive weights keep 0 <= A <= v - r and r <= T <= v.  Between
-    nodes both are cubic Hermite interpolants whose node slopes follow from the
-    IC condition: T' = (k-1) f/F A, or where F(r) = 0 the one-sided
-    second-order difference over the first two cells, and the loser schedule's
-    -(T - r)(n-1) F^(n-2) f.  Evaluation needs no interval search or linear solve:
-    a bid's cell is floor((w - r)/cell width), so member payoffs cost O(1) after
-    setup.  Each count caches its IC ratio A = J/F^e at the nodes (``_ratio``), and
-    ``payoff`` the schedules it builds from it, since a member running m identities faces
-    the (n+m-1)-report schedule.  The registration-stage profit samples no integrand and
-    builds no schedule: it is one integral of the transfer against F^(n-1) f, whose
-    quadrature weights, folded onto the nodes and from there onto A once per call, are
-    contracted with each count's A (``_transfer_sums``).  Only ``payoff``, ``transfer``
-    and the search's certificate build transfer schedules (``_transfer``).  Identity
-    counts are integers >= 1.
+    integrals on one interleaved grid of 2 MODEL_CELLS + 1 points, uniform in s on
+    [0, 1] (cell nodes at even indices, midpoints at odd ones) and mapped onto [a, v_h]
+    by x = a + (v_h - a)(3 s^2 - 2 s^3), so the nodes crowd both ends; a is the
+    reserve, or where F = 0 above it the last F = 0 node of MODEL_CELLS even cells on
+    [reserve, v_h], so that a density that starts at a (or a jump there) meets no
+    cell.  Integrals over x take the integrand times dx/ds = 6 (v_h - a) s (1 - s).
+    A transfer is T = ((k-1)(v - A) + l r)/e (``_by_parts``) with A = J/F^e, J the
+    running integral of F^e from one F^e sampling, so Simpson's positive weights keep
+    0 <= A <= v - r and r <= T <= v.  The first node, and every node whose F^e is not a
+    normal float, holds T = r by taking A = v - r there.  Between nodes both schedules
+    are cubic Hermite interpolants in s whose node slopes are the IC condition's
+    T' = (k-1) f/F A, 0 where T = r is held, and the loser schedule's
+    -(T - r)(n-1) F^(n-2) f, each times dx/ds (so 0 at s = 0).  Evaluation needs no
+    interval search or linear solve: a bid's s inverts the map in closed form, so
+    member payoffs cost O(1) after setup.  Each count caches its IC ratio A at the
+    nodes (``_ratio``), and ``payoff`` the schedules it builds from it, since a member
+    running m identities faces the (n+m-1)-report schedule.  The registration-stage
+    profit samples no integrand and builds no schedule: it is one Simpson rule on the
+    nodes whose weights times F^(n-1) f dx/ds are contracted with each count's A.  Only
+    ``payoff``, ``transfer`` and the search's certificate build transfer schedules
+    (``_transfer``).  Identity counts are integers >= 1.
 
     Built from one RingConfig, results carry no config axis.  Built from a
     sequence of configs sharing reserve and n, every schedule has a leading
@@ -339,92 +312,67 @@ class RingModel:
         self.reserve, self.n = self.cfgs[0].reserve, self.cfgs[0].n
         if any(cfg.reserve != self.reserve or cfg.n != self.n for cfg in self.cfgs):
             raise DomainError("the configs of one model must share reserve and n")
-        if not self.reserve < dist.v_h:
-            raise DomainError(f"reserve {self.reserve} leaves no values below v_h = {dist.v_h}")
-        self.grid = np.linspace(self.reserve, dist.v_h, 2 * MODEL_CELLS + 1)
-        self._h = (dist.v_h - self.reserve) / (2 * MODEL_CELLS)
+        r, b = self.reserve, dist.v_h
+        if not r < b:
+            raise DomainError(f"reserve {r} leaves no values below v_h = {b}")
+        even = np.linspace(r, b, MODEL_CELLS + 1)  # F is nondecreasing: its F = 0 nodes come first
+        a = even[max(int(np.count_nonzero(np.asarray(dist.cdf(even)) <= 0.0)) - 1, 0)]
+        s = np.linspace(0.0, 1.0, 2 * MODEL_CELLS + 1)
+        self.grid = a + (b - a) * _GRADING.cdf(s)
+        self.grid[-1] = b
+        self._h = s[1]  # the grid's spacing in s
+        self._dxds = (b - a) * _GRADING.pdf(s)
         self._F = np.asarray(dist.cdf(self.grid), dtype=float)
         self._f = np.asarray(dist.pdf(self.grid), dtype=float)
-        # T(r) = r, and F is nondecreasing: F > 0 from the first node past both the reserve and F = 0
-        self._first = max(int(np.count_nonzero(self._F[::2] <= 0.0)), 1)
-        self._ratios: dict[int, np.ndarray] = {}
+        # f/F dx/ds times the node spacing, 0 where F = 0: the scaled IC slope T' dx/ds is (k-1) A times it
+        F, f = self._F[::2], 2.0 * self._h * self._dxds[::2] * self._f[::2]
+        self._hazard = np.divide(f, F, out=np.zeros_like(F), where=F > 0.0)
+        self._ratios: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._schedules: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _share_exponents(self, k: int) -> np.ndarray:
         """(configs, 1) column of l(k), checking every g(k) for budget balance."""
         return np.array([[cfg.share_exponent(k)] for cfg in self.cfgs])
 
-    def _ratio(self, k: int) -> np.ndarray:
-        """The k-report IC ratio A = J/F^e at the nodes from ``_first`` on: one
-        (configs, nodes - first) array.  The first build checks every g(k) for budget balance."""
+    def _ratio(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(A, held), two (configs, nodes) arrays: the k-report IC ratio A = J/F^e at the nodes,
+        J the running Simpson integral of F^e dx/ds in s, and the nodes that hold T = r, the
+        first (J = 0) and every one whose F^e is not a normal float, where A = v - r instead.
+        The first build checks every g(k) for budget balance."""
         if k not in self._ratios:
-            first = self._first
-            y = self._F ** (k - 1 + self._share_exponents(k))  # F^e on the whole grid; its node samples divide
-            if y[:, 2 * first].min() < _TINY:  # the divisor F^(k-1+l) underflows
-                raise SingularScaleError(f"F^(k-1+l) underflows at the first node past F = 0 for k = {k}")
-            self._ratios[k] = cumulative_simpson(y, self._h)[:, first:] / y[:, 2 * first :: 2]
+            y = self._F ** (k - 1 + self._share_exponents(k))  # F^e on the whole grid
+            divisor = y[:, ::2].copy()
+            held = divisor < _TINY
+            held[:, 0] = True
+            y *= self._dxds  # in place: no second (configs, points) array per count
+            A = cumulative_simpson(y, self._h)
+            np.divide(A, divisor, out=A, where=~held)
+            np.copyto(A, self.grid[::2] - self.reserve, where=held)
+            self._ratios[k] = A, held
         return self._ratios[k]
 
-    def _hazard(self) -> np.ndarray:
-        """f/F at the nodes from ``_first`` on, where F > 0."""
-        first = self._first
-        return self._f[2 * first :: 2] / self._F[2 * first :: 2]
-
     def _transfer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node values and cell-width-scaled node slopes of the k-report transfer, derived
-        from its cached ``_ratio``: two (configs, nodes) arrays."""
-        r, v, first, width = self.reserve, self.grid[::2], self._first, 2.0 * self._h
-        A = self._ratio(k)
-        t = np.full((len(self.cfgs), MODEL_CELLS + 1), r)
-        t[:, first:] = _by_parts(v[first:], A, r, k, self._share_exponents(k))
-        slope = np.zeros_like(t)
-        slope[:, first:] = (k - 1) * self._hazard() * A
-        if self._F[0] <= 0.0:  # else T'(r) = 0
-            slope[:, 0] = (4.0 * t[:, 1] - 3.0 * t[:, 0] - t[:, 2]) / (2.0 * width)
-        return t, width * slope
-
-    def _transfer_sums(self, w: np.ndarray, ks) -> np.ndarray:
-        """(configs, counts, 3) sums of the k-report transfers' Hermite interpolants against
-        the 3 rows of w, for every k of ks, contracted from each count's cached ``_ratio``
-        without building a transfer schedule.  w holds weights on ``integrate``'s points.
-
-        Past ``_first``, T - r = (k-1)/e (v - r - A) and the scaled slope is
-        width (k-1) f/F A; before it T = r with slope 0, except where F(r) = 0, whose
-        one-sided node-0 slope (4 t_1 - 3 t_0 - t_2)/2 = (k-1)/e (4 (t_1 - r) - (t_2 - r))/2
-        folds onto nodes 1 and 2 (those past ``_first``).  So with the node weights of
-        ``_node_weights(w)`` folded into c on v - r - A and s on A, a sum is
-        r sum(w) + (k-1) ((c.(v - r) - c.A)/e + s.A).  Fine totals are elementwise products
-        summed along one row (``_row_sums``), so a config's row does not depend on the others.
-        """
-        ratios = [self._ratio(k) for k in ks]  # first, so an F too small for f/F raises SingularScaleError
-        r, first = self.reserve, self._first
-        c, s = _node_weights(w)
-        if self._F[0] <= 0.0:
-            c[:, 1] += 2.0 * s[:, 0]
-            c[:, 2] -= 0.5 * s[:, 0]
-        c, s = c[:, first:], s[:, first:] * (2.0 * self._h * self._hazard())
-        cv, rw = (c * (self.grid[2 * first :: 2] - r)).sum(axis=-1), r * w.sum(axis=-1)
-        out = np.empty((len(self.cfgs), len(ratios), 3))
-        for j, (k, A) in enumerate(zip(ks, ratios)):
-            e = k - 1 + self._share_exponents(k)
-            out[:, j] = rw + (k - 1) * ((cv - _row_sums(A, c)) / e + _row_sums(A, s))
-        return out
+        """Node values and node-spacing-scaled s-slopes of the k-report transfer, derived
+        from its cached ``_ratio``: two (configs, nodes) arrays, r and 0 at the held nodes."""
+        A, held = self._ratio(k)
+        t = _by_parts(self.grid[::2], A, self.reserve, k, self._share_exponents(k))
+        return np.where(held, self.reserve, t), np.where(held, 0.0, (k - 1) * self._hazard * A)
 
     def _schedule(self, k: int) -> tuple[np.ndarray, ...]:
-        """Node values and cell-width-scaled node slopes of the k-report transfer and of
+        """Node values and node-spacing-scaled s-slopes of the k-report transfer and of
         the loser schedule: four (configs, nodes) arrays."""
         if k not in self._schedules:
             r, h = self.reserve, self._h
-            weight = (self.n - 1) * self._F ** (self.n - 2) * self._f  # the top rival value's density
+            weight = (self.n - 1) * self._F ** (self.n - 2) * self._f * self._dxds  # the top rival value's density in s
             t, mt = self._transfer(k)
             shares = cumulative_simpson((_subdivide(t, mt, 2) - r) * weight, h)
             self._schedules[k] = (t, mt, shares[:, -1:] - shares, -2.0 * h * (t - r) * weight[::2])
         return self._schedules[k]
 
     def _basis(self, w):
-        """Cell index and Hermite weights of bids w, clipped to [reserve, v_h]."""
-        r = self.grid[0]
-        s = (np.clip(w, r, self.grid[-1]) - r) / (2.0 * self._h)
+        """Node cell index and Hermite weights in s of bids w, clipped to [a, v_h], where T = r below a."""
+        a, b = self.grid[0], self.grid[-1]
+        s = _GRADING.quantile((np.clip(w, a, b) - a) / (b - a)) * MODEL_CELLS
         i = np.minimum(s.astype(np.intp), MODEL_CELLS - 1)
         return i, _hermite_weights(s - i)
 
@@ -493,31 +441,39 @@ class RingModel:
         :class:`DomainError`); a sequence gives one checked quadrature over (config, m)
         rows, with m as the last axis of the result.
 
-        The integrand is linear in the transfer's node values and scaled slopes, and those
-        are affine in the IC ratio A = J/F^e, so ``integrate``'s three nested Simpson
-        totals on its points are xP - T + (m n - 1) g (T - r P), with xP, P and T the
-        rule's sums of x, 1 and the transfer's Hermite interpolant times F^(n-1) f, the
-        last from the rule's weights times F^(n-1) f folded onto the nodes and onto A once
-        per call and contracted with each count's cached A (``_transfer_sums``): no
-        transfer schedule is built.  A row's fine total is elementwise products summed
-        along one row, so it equals the single-config model's row bit for bit; the two
-        coarser totals, which only feed the error test, are matrix products (``_row_sums``).
-        A row whose observed-order bound exceeds QUAD_TOL |fine| (``_check_resolved``,
-        ``integrate``'s test) raises ``NumericError`` naming its (config, m) index.
+        The nodes' Simpson rule in s (``_simpson_weights`` on MODEL_CELLS/2 cells) gives the
+        three nested totals of the integrand times dx/ds.  T - r = (k-1)/e (v - r - A) is
+        affine in the IC ratio A = J/F^e, so with the rule's weights times F^(n-1) f dx/ds
+        contracted with v - r once per call and with each count's cached A (``_ratio``), the
+        totals are V - (1 - (m n - 1) g)(k-1)/e (V - A): no transfer schedule is built.  A
+        row's fine total is elementwise products summed along one row, so it equals the
+        single-config model's row bit for bit; the two coarser totals, which only feed the
+        error test, are matrix products (``_row_sums``).  A node that holds T = r while its
+        F^e is not a normal float is off by at most (v - r) times its integrand factor, so
+        the row's error bound adds (1 + |(m n - 1) g|) times the fine rule's sum of
+        F^(n-1) f dx/ds (v - r) over those nodes.  A row whose observed-order bound plus that
+        term exceeds QUAD_TOL |fine| (``_check_resolved``, ``integrate``'s test) raises
+        ``NumericError`` naming its (config, m) index.
         """
         counts = _identity_counts(m)
-        r, n, b = self.reserve, self.n, self.dist.v_h
-        x, h = _quadrature_points(r, b)
-        F, f = np.asarray(self.dist.cdf(x), dtype=float), np.asarray(self.dist.pdf(x), dtype=float)
-        win_prob = F ** (n - 1)
+        r, n, v = self.reserve, self.n, self.grid[::2]
+        win_prob = self._F[::2] ** (n - 1)
         # (fine, coarse, coarser) rows, masked as _member_payoff masks it
-        rule_P = _simpson_weights(h) * np.where(win_prob > 0.0, win_prob * f, 0.0)
-        xP, rP = (rule_P * x).sum(axis=-1), r * rule_P.sum(axis=-1)
-        T = self._transfer_sums(rule_P, (n + counts - 1).tolist())
-        gamma = np.array([[[cfg.g(n + count - 1)] for count in counts.tolist()] for cfg in self.cfgs])
-        out = xP - T + (counts[:, None] * n - 1) * gamma * (T - rP)
+        P = np.where(win_prob > 0.0, win_prob * self._f[::2] * self._dxds[::2], 0.0)
+        rule_P = _simpson_weights(2.0 * self._h, MODEL_CELLS // 2) * P
+        V, held_P = rule_P @ (v - r), rule_P[0] * (v - r)
+        out = np.empty((len(self.cfgs), len(counts), 3))
+        held_error = np.empty((len(self.cfgs), len(counts)))
+        for j, count in enumerate(counts.tolist()):
+            k = n + count - 1
+            A, held = self._ratio(k)
+            shares = (count * n - 1) * np.array([[cfg.g(k)] for cfg in self.cfgs])  # (m n - 1) g, on T - r
+            paid = (k - 1) * (V - _row_sums(A, rule_P)) / (k - 1 + self._share_exponents(k))  # the sums of T - r
+            out[:, j] = V - (1.0 - shares) * paid
+            held_error[:, j] = (1.0 + np.abs(shares[:, 0])) * (held @ held_P)
         totals = np.moveaxis(out, -1, 0)  # (fine, coarse, coarser), each (configs, counts)
-        _check_resolved(totals, np.abs(totals[0]), r, b)
+        # bound + held_error <= QUAD_TOL |fine|
+        _check_resolved(totals, np.abs(totals[0]) - held_error / QUAD_TOL, r, self.dist.v_h)
         return self._strip(totals[0] if np.ndim(m) else totals[0][:, 0])
 
 
@@ -620,10 +576,10 @@ def opt_ring_search(
     passing thetas the one with the highest welfare wins; it must strictly beat a
     searched theta = 0; if none passes, the search warns and reports theta = 0 with that
     ring's welfare at the reserve.  One RingModel holds every theta: (ii) and (iii) read one
-    checked quadrature over (theta, m) rows, each row its count's IC ratio A = J/F^e
-    contracted with Simpson weights folded onto A once for the search
-    (``RingModel.expected_profit``), which builds no transfer schedule; (i) reads the
-    n-report transfer schedule, the only one the search builds.  Each row carries
+    checked quadrature over (theta, m) rows, each row its count's IC ratio A = J/F^e on the
+    model's nodes contracted with the nodes' Simpson weights (``RingModel.expected_profit``),
+    which builds no transfer schedule; (i) reads the n-report transfer schedule, the only one
+    the search builds, with T' the nodes' central difference over their own spacing.  Each row carries
     (i)'s largest slope and (ii)'s best gain with its m.
     Every row carries the baseline E[v(1) - v(2)] (:func:`expected_order_gap`).
     The search draws nothing, so a row depends only on its theta, n, the reserve and
@@ -641,8 +597,10 @@ def opt_ring_search(
     # dU/dw at w = v, F^(n-2) |F T' - f ((n-1) v + l r - e T)|, at the nodes whose neighbours lie past F = 0
     t, l = model._transfer(n)[0], model._share_exponents(n)
     a = int(np.count_nonzero(model._F[::2] <= 0.0)) + 1
-    v, F, f = (nodes[::2][a:MODEL_CELLS] for nodes in (model.grid, model._F, model._f))
-    slope = (t[:, a + 1 :] - t[:, a - 1 : -2]) / (4.0 * model._h)  # not the Hermite slopes, which solve the ODE
+    x = model.grid[::2]
+    v, F, f = (nodes[a:MODEL_CELLS] for nodes in (x, model._F[::2], model._f[::2]))
+    # the nodes' central difference over their own spacing, not the Hermite slopes, which solve the ODE
+    slope = (t[:, a + 1 :] - t[:, a - 1 : -2]) / (x[a + 1 :] - x[a - 1 : -2])
     gap = F ** (n - 2) * np.abs(F * slope - f * ((n - 1) * v + l * reserve - (n - 1 + l) * t[:, a:-1]))
     truthful_gap = gap.max(axis=1, initial=0.0)
     split = count_verdict(profits, SYBIL_TOL)

@@ -185,22 +185,14 @@ def unsorted_ring_welfare(dist, n, theta, samples, seed, reserve=0.0):
 def sampled_expected_profit(model, counts):
     """(configs, counts) registration-stage profits of a ``RingModel`` from the sampled
     integrand: ``payoff(x, x, m)`` times the density on every point of ``integrate``'s
-    grid over [reserve, v_h], with each schedule's Hermite interpolant evaluated there,
-    then integrated by ``integrate`` (error scale: the integral of |f|), plus the values
-    below the reserve: their mass F(r) times ``payoff`` at a bid below the reserve, which
-    is the same for every such value."""
+    grid over [reserve, v_h], integrated by ``integrate`` (error scale: the integral of |f|),
+    plus the values below the reserve: their mass F(r) times ``payoff`` at a bid below the
+    reserve, which is the same for every such value."""
     from sybilgames.numerics import integrate
-    from sybilgames.ring import MODEL_CELLS, _subdivide
 
     def integrand(x):
-        cdf, pdf = model.dist.cdf(x), model.dist.pdf(x)
-        out = np.empty((len(model.cfgs), len(counts), x.size))
-        per = (x.size - 1) // MODEL_CELLS  # integrate's points fall at fractions j/per of each node cell
-        for j, count in enumerate(counts):
-            t, mt, loser, ml = model._schedule(model.n + count - 1)
-            tx, lx = _subdivide(t, mt, per), _subdivide(loser, ml, per)
-            out[:, j] = model._member_payoff(count, x, x, tx, lx, cdf) * pdf
-        return out
+        pdf = model.dist.pdf(x)
+        return np.stack([model.payoff(x[None], x[None], count) * pdf for count in counts], axis=-2)
 
     bid = model.reserve - 1.0  # every bid below the reserve collects the same loser shares
     below = np.stack([np.atleast_1d(model.payoff(bid, bid, count)) for count in counts], axis=-1)
@@ -212,49 +204,44 @@ def fubini_expected_profit(model, counts):
     loser shares, integrated over the top rival value first, weigh T - r by (n-1) F^(n-1) f,
     so E[U_m] = integral_r^v_h (x - T + (m n - 1) g (T - r)) F^(n-1) f with T the
     (n+m-1)-report transfer and g = g(n+m-1).  That integrand is sampled on every point of
-    ``integrate``'s grid over [reserve, v_h], with the transfer's Hermite interpolant
-    evaluated there, and integrated by ``integrate``."""
+    ``integrate``'s grid over [reserve, v_h], with ``transfer`` evaluated there, and
+    integrated by ``integrate``."""
     from sybilgames.numerics import integrate
-    from sybilgames.ring import MODEL_CELLS, _subdivide
 
     r, n = model.reserve, model.n
 
     def integrand(x):
         weight = model.dist.cdf(x) ** (n - 1) * model.dist.pdf(x)
-        out = np.empty((len(model.cfgs), len(counts), x.size))
-        per = (x.size - 1) // MODEL_CELLS  # integrate's points fall at fractions j/per of each node cell
-        for j, count in enumerate(counts):
-            T = _subdivide(*model._transfer(n + count - 1), per)
+        out = []
+        for count in counts:
+            T = model.transfer(x[None], n + count - 1)
             gamma = np.array([[cfg.g(n + count - 1)] for cfg in model.cfgs])
-            out[:, j] = (x - T + (count * n - 1) * gamma * (T - r)) * weight
-        return out
+            out.append((x - T + (count * n - 1) * gamma * (T - r)) * weight)
+        return np.stack(out, axis=-2)
 
     return integrate(integrand, r, model.dist.v_h)
 
 
 def loser_schedule_expected_profit(model, counts):
     """(configs, counts) registration-stage profits, the fine Simpson total on ``integrate``'s
-    points, in the loser-schedule form, as explicit node dot products over every schedule
-    ``model._schedule`` builds:
-    the transfer (t, mt) against the rule's weights times F^(n-1) f, and the loser schedule
-    (loser, ml) against them times f, each folded onto the nodes by ``_node_weights``, plus
-    the m loser shares F(r) m g loser(r) of the values below the reserve."""
+    points, in the loser-schedule form, over every schedule ``model._schedule`` builds,
+    each interpolated at those points: the transfer against the rule's weights times
+    F^(n-1) f and the loser schedule against them times f, plus the m loser shares
+    F(r) m g L(r) of the values below the reserve."""
     from sybilgames.numerics import _quadrature_points, _simpson_weights
-    from sybilgames.ring import _node_weights
 
     r, n = model.reserve, model.n
     x, h = _quadrature_points(r, model.dist.v_h)
     F, f = model.dist.cdf(x), model.dist.pdf(x)
     rule = _simpson_weights(h)[0]
     rule_P = rule * np.where(F ** (n - 1) > 0.0, F ** (n - 1) * f, 0.0)
-    (t_w, mt_w), (loser_w, ml_w) = _node_weights(rule_P), _node_weights(rule * f)
+    bids = np.broadcast_to(x, (len(model.cfgs), x.size))
     out = np.empty((len(model.cfgs), len(counts)))
     for j, count in enumerate(counts):
-        t, mt, loser, ml = model._schedule(n + count - 1)
+        T, loser = model._evaluate(bids, *model._schedule(n + count - 1))
         gamma = np.array([cfg.g(n + count - 1) for cfg in model.cfgs])
-        T = t @ t_w + mt @ mt_w
-        L = loser @ loser_w + ml @ ml_w + model.dist.cdf(r) * loser[:, 0]
-        paid = (count - 1) * gamma * r * rule_P.sum() + (1.0 - (count - 1) * gamma) * T
+        L = loser @ (rule * f) + model.dist.cdf(r) * loser[:, 0]
+        paid = (count - 1) * gamma * r * rule_P.sum() + (1.0 - (count - 1) * gamma) * (T @ rule_P)
         out[:, j] = rule_P @ x - paid + count * gamma * L
     return out
 

@@ -91,12 +91,13 @@ def test_quadrature_points_are_the_linspace_points_bit_for_bit(a, b):
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.5, 0.7)])
 def test_simpson_weight_sums_agree_with_integrate_to_rounding(f, a, b):
     x, h = _quadrature_points(a, b)
-    sums = (_simpson_weights(h) * f(x)).sum(axis=-1)
-    totals = _nested_totals(f(x), h)
-    assert totals[0] == integrate(f, a, b)
-    size = (b - a) * np.abs(f(x)).max()  # bounds the terms both sums add
-    for got, expected in zip(sums, totals, strict=True):
-        assert abs(got - expected) <= 1e-14 * size
+    assert _nested_totals(f(x), h)[0] == integrate(f, a, b)
+    for cells in (QUAD_CELLS, 1024):  # integrate's cells, and the profit rule's on RingModel's nodes
+        x, h = _quadrature_points(a, b, cells)
+        sums = (_simpson_weights(h, cells) * f(x)).sum(axis=-1)
+        size = (b - a) * np.abs(f(x)).max()  # bounds the terms both sums add
+        for got, expected in zip(sums, _nested_totals(f(x), h), strict=True):
+            assert abs(got - expected) <= 1e-14 * size
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 1.1, 1.5, 2.5, 3.5, 5.5, 7.5, 12.0])
