@@ -17,7 +17,7 @@ from oracles import (
     unsorted_ring_welfare,
 )
 from sybilgames import ring
-from sybilgames.core import SYBIL_TOL, count_verdict
+from sybilgames.core import SYBIL_TOL, SybilCost, SybilStrategy, count_verdict, merged_payoff, sybil_payoff
 from sybilgames.errors import DomainError, NumericError, SingularScaleError
 from sybilgames.numerics import QUAD_CELLS, QUAD_TOL, integrate
 from sybilgames.ring import (
@@ -33,6 +33,7 @@ from sybilgames.ring import (
     expected_order_stat,
     opt_ring_search,
     ring_transfer,
+    second_price_game,
     truncated_exponential_values,
     uniform_values,
 )
@@ -73,6 +74,36 @@ def test_nan_parameters_are_rejected(build):
     # NaN compares false both ways: a guard written as x < 0 let it through to a NumericError or a NaN cdf
     with pytest.raises(DomainError):
         build()
+
+
+def test_second_price_reserve():
+    # a bid below the reserve wins nothing; a winner whose rivals all bid under the reserve pays the reserve
+    assert second_price_game(4.0, v_h=5.0, reserve=3.0).phi_values(2.0, 1.0) == 0.0
+    game = second_price_game(4.0, v_h=5.0, reserve=2.0)
+    assert game.phi_values([4.0, 4.0, 2.0], [1.0, 3.0, 0.0]).tolist() == [2.0, 1.0, 2.0]
+
+
+def test_second_price_game_ties_lose():
+    game = second_price_game(0.8)
+    assert game.phi_values([0.5, 0.5, 0.6], [0.5, 0.4, 0.5]).tolist() == [0.0, 0.8 - 0.4, 0.8 - 0.5]
+    # two own identities on the same top bid tie with each other, so both lose
+    assert sybil_payoff(game, SybilCost.zero(), SybilStrategy([0.6, 0.6]), [0.3]) == 0.0
+
+
+def test_second_price_duplicating_own_bid_never_helps():
+    # a second identity's bid either loses or, at or above the first, ties it or raises the first's price
+    rng = np.random.default_rng(123)
+    for _ in range(2_000):
+        values = rng.random(4)
+        i = int(rng.integers(4))
+        game = second_price_game(float(values[i]))
+        foreign = [float(x) for j, x in enumerate(values) if j != i]
+        truthful = SybilStrategy([float(values[i])])
+        base = sybil_payoff(game, SybilCost.zero(), truthful, foreign)
+        assert base == merged_payoff(game, truthful, foreign)
+        for extra in (float(values[i]), float(rng.uniform(1e-9, 1.0))):
+            split = SybilStrategy([float(values[i]), extra])
+            assert sybil_payoff(game, SybilCost.zero(), split, foreign) <= base + 1e-12
 
 
 def test_transfer_uniform_closed_form():
@@ -926,3 +957,40 @@ def test_every_ring_is_truthful_and_the_quantile_scan_agrees(name, n, theta, res
         (row,) = opt_ring_search(dist, n, [theta], reserve=reserve).rows
     assert row.truthful_ok
     assert quantile_scan_truthful(RingModel(dist, [constant_share_config(theta, n, reserve)]), dist, n, reserve).tolist() == [True]
+
+
+@pytest.mark.parametrize(
+    "dist, n, reserve",
+    [(beta22_values(), 3, 0.0), (UNIFORM, 3, 0.2), (SHIFTED_BETA22, 2, 0.25)],
+    ids=["beta22-F0-at-the-first-node", "uniform-F-positive-at-r", "stretched-beta-F0-over-many-nodes"],
+)
+def test_transfer_sums_from_the_ic_ratio_equal_the_sums_over_the_derived_schedules(dist, n, reserve):
+    # T - r is affine in A = J/F^e, so the profit contracts each count's A; the same node rule over the transfer
+    # derived from A, r at the held nodes (27 of them on the stretched Beta), gives the same totals (worst 2.8e-14,
+    # stretched Beta m = 4, from the contracted form's cancellation)
+    model = RingModel(dist, [constant_share_config(t, n, reserve) for t in (0.0, 0.35, 1.0)])
+    counts = [1, 2, 4]
+    profits = model.expected_profit(counts)
+    v, F, f, dxds = model.grid[::2], model._F[::2], model._f[::2], model._dxds[::2]
+    P = np.where(F ** (n - 1) > 0.0, F ** (n - 1) * f * dxds, 0.0)
+    rule_P = ring._simpson_weights(2.0 * model._h, MODEL_CELLS // 2) * P
+    for j, m in enumerate(counts):
+        k = n + m - 1
+        t, _ = model._transfer(k)
+        g = np.array([[cfg.g(k)] for cfg in model.cfgs])
+        expected = ring._row_sums(v - t + (m * n - 1) * g * (t - reserve), rule_P)[:, 0]
+        assert np.all(np.abs(profits[:, j] - expected) <= 1e-13 * np.abs(expected)), m
+
+
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+def test_a_bid_finds_its_cell_through_the_node_maps_closed_form_inverse(dist):
+    # s = B^-1((w - a)/(v_h - a)) puts each bid in the node cell that holds it, up to the inverse's rounding, and
+    # the Hermite interpolant reads back the node values at the nodes themselves
+    for reserve in (0.0, 0.3):
+        model = RingModel(DISTRIBUTIONS[dist](), constant_share_config(0.5, 3, reserve))
+        nodes = model.grid[::2]
+        bids = np.random.default_rng(5).uniform(reserve, nodes[-1], 1_000)
+        i, _ = model._basis(bids)
+        assert np.all((nodes[i] <= bids + 1e-12) & (bids <= nodes[i + 1] + 1e-12))
+        t, _ = model._transfer(3)
+        assert np.abs(model.transfer(nodes) - t[0]).max() <= 1e-15
