@@ -77,7 +77,7 @@ def cumulative_simpson(y, h: float) -> np.ndarray:
 _STRIDES = slice(1, None, 2), slice(2, None, 4), slice(4, None, 8), slice(8, -1, 8)
 
 
-def _simpson_weights(h: float, cells: int = QUAD_CELLS) -> np.ndarray:
+def _simpson_weights(h: float, cells: int) -> np.ndarray:
     """(3, 2 cells + 1) weights of integrate's rule on ``cells`` cells (a multiple of 4) at spacing
     h: the sum of row 0 (1, 2) times the samples is the fine (coarse, coarser) total of
     ``_nested_totals``, to rounding.

@@ -278,9 +278,8 @@ class RingModel:
     integrals on one interleaved grid of 2 MODEL_CELLS + 1 points, uniform in s on
     [0, 1] (cell nodes at even indices, midpoints at odd ones) and mapped onto [a, v_h]
     by x = a + (v_h - a)(3 s^2 - 2 s^3), so the nodes crowd both ends; a is the
-    reserve, or where F = 0 above it the last F = 0 node of MODEL_CELLS even cells on
-    [reserve, v_h], so that a density that starts at a (or a jump there) meets no
-    cell.  Integrals over x take the integrand times dx/ds = 6 (v_h - a) s (1 - s).
+    reserve, or the support's start, the quantile at 0, where that lies above the
+    reserve, so that a density that starts there (or a jump there) meets no cell.  Integrals over x take the integrand times dx/ds = 6 (v_h - a) s (1 - s).
     A transfer is T = ((k-1)(v - A) + l r)/e (``_by_parts``) with A = J/F^e, J the
     running integral of F^e from one F^e sampling, so Simpson's positive weights keep
     0 <= A <= v - r and r <= T <= v.  The first node, and every node whose F^e is not a
@@ -315,8 +314,7 @@ class RingModel:
         r, b = self.reserve, dist.v_h
         if not r < b:
             raise DomainError(f"reserve {r} leaves no values below v_h = {b}")
-        even = np.linspace(r, b, MODEL_CELLS + 1)  # F is nondecreasing: its F = 0 nodes come first
-        a = even[max(int(np.count_nonzero(np.asarray(dist.cdf(even)) <= 0.0)) - 1, 0)]
+        a = max(r, float(dist.quantile(0.0)))  # where F becomes positive, if that lies above the reserve
         s = np.linspace(0.0, 1.0, 2 * MODEL_CELLS + 1)
         self.grid = a + (b - a) * _GRADING.cdf(s)
         self.grid[-1] = b

@@ -228,12 +228,12 @@ def loser_schedule_expected_profit(model, counts):
     each interpolated at those points: the transfer against the rule's weights times
     F^(n-1) f and the loser schedule against them times f, plus the m loser shares
     F(r) m g L(r) of the values below the reserve."""
-    from sybilgames.numerics import _quadrature_points, _simpson_weights
+    from sybilgames.numerics import QUAD_CELLS, _quadrature_points, _simpson_weights
 
     r, n = model.reserve, model.n
     x, h = _quadrature_points(r, model.dist.v_h)
     F, f = model.dist.cdf(x), model.dist.pdf(x)
-    rule = _simpson_weights(h)[0]
+    rule = _simpson_weights(h, QUAD_CELLS)[0]
     rule_P = rule * np.where(F ** (n - 1) > 0.0, F ** (n - 1) * f, 0.0)
     bids = np.broadcast_to(x, (len(model.cfgs), x.size))
     out = np.empty((len(model.cfgs), len(counts)))
