@@ -14,10 +14,15 @@ permutation per run), then draws one ``runs``-long uniform vector; run r keeps
 its allocation when its uniform is below n / 2^(n-1).  A single mechanism run
 is run 0 of a one-run batch, so the same seed, declarations and run count give
 the same transcript.
+
+``run_monte_carlo`` shuffles its index table in place (``permuted`` with
+``out=`` draws what a shuffled copy would), and a slice's value walks only the
+density segments each of its intervals overlaps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,13 +75,21 @@ class PiecewiseMeasure:
         return PiecewiseMeasure(numbers[0::2], numbers[1::2])
 
     def interval_value(self, lo: float, hi: float) -> float:
+        """Mass on [lo, hi], summed over the segments it overlaps, left to right.
+
+        The walk starts at the segment holding ``lo`` and stops at the first one
+        starting at or past ``hi``; every segment it skips overlaps by at most 0,
+        so the sum is the one over all segments, term for term."""
         if hi <= lo:
             return 0.0
+        bps, dens = self.breakpoints, self.densities
         total = 0.0
-        for d, b1, b2 in zip(self.densities, self.breakpoints, self.breakpoints[1:]):
-            overlap = min(hi, b2) - max(lo, b1)
+        k = max(bisect_right(bps, lo) - 1, 0)
+        while k < len(dens) and bps[k] < hi:
+            overlap = min(hi, bps[k + 1]) - max(lo, bps[k])
             if overlap > 0.0:
-                total += d * overlap
+                total += dens[k] * overlap
+            k += 1
         return total
 
 
@@ -228,7 +241,8 @@ def run_monte_carlo(declared: Sequence[PiecewiseMeasure], runs: int, seed: int) 
     n = len(declared)
     partition = tuple(exact_partition(declared))
     rng = np.random.Generator(np.random.PCG64(seed))
-    assignments = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (runs, 1)), axis=1)
+    assignments = np.tile(np.arange(n, dtype=np.int64), (runs, 1))
+    rng.permuted(assignments, axis=1, out=assignments)  # in place: the same draws as a shuffled copy
     coins = rng.random(runs) < coin_probability(n)
     return Transcript(tuple(declared), partition, assignments, coins)
 

@@ -1,9 +1,10 @@
 """Command-line driver for every experiment in the package.
 
 Each subcommand writes one CSV artifact ('.' decimals, comma separator, a
-'#'-prefixed comment line recording the full configuration).  Only ``cake``
-draws from the --seed flag; the other subcommands draw nothing and only record
-the seed in that line.  Identical configurations produce byte-identical files.
+'#'-prefixed comment line recording the full configuration) as UTF-8 bytes, to
+the --out file or to stdout's byte stream, which carry the same bytes.  Only
+``cake`` draws from the --seed flag; the other subcommands draw nothing and only
+record the seed in that line.  Identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 usage, 2 invariant violation, 3 numeric failure.
 """
 
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .cake import PiecewiseMeasure, measure_value, run_monte_carlo
+from .cake import PiecewiseMeasure, Transcript, measure_value, run_monte_carlo
 from .commitment import (
     CommitmentInstance,
     cfmm_commitment_instance,
@@ -56,28 +57,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_rows(rows) -> list[str]:
-    """A small table's rows as one newline-terminated chunk, its whole CSV body."""
-    return ["".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)]
+def _format_rows(rows) -> list[bytes]:
+    """A small table's rows as one newline-terminated bytes chunk, its whole CSV body."""
+    return ["".join(",".join(_fmt(v) for v in row) + "\n" for row in rows).encode()]
 
 
 def _emit_csv(
-    out: Optional[str], subcommand: str, params: dict, header: Sequence[str], body: Iterable[str]
+    out: Optional[str], subcommand: str, params: dict, header: Sequence[str], body: Iterable[bytes]
 ) -> None:
     """Write the '#' config line and the header, then stream the body to ``out`` or stdout.
 
-    ``body`` yields chunks of whole rows, each row ending in a newline; they are
-    written as they come, so a long body (the cake transcript, rendered
-    ``CAKE_BLOCK_RUNS`` runs at a time) is never held as one string.  Opening
-    ``out`` is the last thing that can fail: a handler does everything that can
-    raise before it calls this, and its body only renders prepared rows or tails.
+    ``body`` yields bytes chunks of whole rows, each row ending in a newline; they
+    are written as they come, so a long body (the cake transcript, rendered
+    ``CAKE_BLOCK_RUNS`` runs at a time) is never held as one string.  The config
+    line and the header are encoded as UTF-8 once.  On stdout, pending text is
+    flushed and the bytes go to ``sys.stdout.buffer``.  Opening ``out`` is the
+    last thing that can fail: a handler does everything that can raise before it
+    calls this, and its body only renders prepared rows or tails.
     """
     config = " ".join(
         [f"artifact={ARTIFACT}", f"subcommand={subcommand}"]
         + [f"{key}={_fmt(val)}" for key, val in sorted(params.items())]
     )
-    with (open(out, "w", newline="\n") if out is not None else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write(f"# {config}\n{','.join(header)}\n")
+    head = f"# {config}\n{','.join(header)}\n".encode()
+    if out is None:
+        sys.stdout.flush()
+    with (open(out, "wb") if out is not None else contextlib.nullcontext(sys.stdout.buffer)) as fh:
+        fh.write(head)
         fh.writelines(body)
 
 
@@ -231,29 +237,33 @@ def _load_measures(path: str) -> list[PiecewiseMeasure]:
     return measures
 
 
-def _cake_body(tails: np.ndarray, codes: np.ndarray) -> Iterator[str]:
-    """The transcript rows, ``CAKE_BLOCK_RUNS`` runs per chunk.
+def _cake_body(tails: np.ndarray, transcript: Transcript) -> Iterator[bytes]:
+    """The transcript rows as bytes, ``CAKE_BLOCK_RUNS`` runs per chunk.
 
     ``tails[i, k]`` is the ",identity,value,coin\\n" end of identity i's row when its code
-    is k, as NUL-padded bytes, and ``codes[r, i]`` is that code in run r.  A block is one
-    (run, tail) record array, its run labels ASCII digits NUL-padded to the last label's
-    width; its bytes less every NUL are the block's text, with no string per run or row.
+    is k, as NUL-padded bytes: k is its slice index in a kept run and n in a burned one.
+    Each block forms its own codes from the transcript.  A block is one (run, tail)
+    record array, its run labels ASCII digits NUL-padded to the last label's width; its
+    bytes less every NUL are the block's text, with no string per run or row.
     """
-    runs, n = codes.shape
+    runs, n = transcript.runs, transcript.n
     width = len(str(runs - 1))
     ends = np.zeros(tails.size, dtype=[("run", f"S{width}"), ("tail", tails.dtype)])
     ends["tail"] = tails.ravel()
+    offsets = np.arange(n) * tails.shape[1]
     for start in range(0, runs, CAKE_BLOCK_RUNS):
-        block = codes[start : start + CAKE_BLOCK_RUNS]
+        rows = slice(start, start + CAKE_BLOCK_RUNS)
+        block = np.where(transcript.coins[rows, None], transcript.assignments[rows], n)
+        block += offsets
         labels = np.arange(start, start + len(block))
         digits = np.zeros((len(block), width), dtype=np.uint8)
         for k in range(width):  # the 10^k digit; labels run upward, so those below 10^k (NUL there) lead the block
             labels, digit = np.divmod(labels, 10)
             lead = max(0, 10**k - start) if k else 0
             digits[lead:, width - 1 - k] = digit[lead:] + ord("0")
-        records = ends.take(block + np.arange(n) * tails.shape[1])  # fancy indexing copies records 5x slower
+        records = ends.take(block)  # fancy indexing copies records 5x slower
         records["run"] = digits.view(f"S{width}")
-        yield records.tobytes().translate(None, b"\0").decode("ascii")
+        yield records.tobytes().translate(None, b"\0")
 
 
 def _run_cake(args) -> None:
@@ -273,9 +283,8 @@ def _run_cake(args) -> None:
         ],
         dtype="S",
     )
-    codes = np.where(transcript.coins[:, None], transcript.assignments, n)
     params = dict(n=n, samples=args.samples, seed=args.seed, measures=args.measures or "uniform")
-    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], _cake_body(tails, codes))
+    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], _cake_body(tails, transcript))
 
 
 def _run_ring(args) -> None:

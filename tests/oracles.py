@@ -339,3 +339,15 @@ def random_measure(rng: np.random.Generator, max_segments: int = 6):
     densities = rng.random(m) + 0.05
     mass = float(np.sum(densities * np.diff(breakpoints)))
     return PiecewiseMeasure(breakpoints, densities / mass)
+
+
+def all_segments_interval_value(mu, lo: float, hi: float) -> float:
+    """Mass of a piecewise measure on [lo, hi]: every segment's positive overlap, added left to right."""
+    if hi <= lo:
+        return 0.0
+    total = 0.0
+    for d, b1, b2 in zip(mu.densities, mu.breakpoints, mu.breakpoints[1:]):
+        overlap = min(hi, b2) - max(lo, b1)
+        if overlap > 0.0:
+            total += d * overlap
+    return total

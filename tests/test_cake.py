@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_measure
+from oracles import all_segments_interval_value, random_measure
 from sybilgames.cake import (
     COIN_BURNED,
     COIN_KEPT,
     EMPTY_SLICE,
+    MERGE_EPS,
     PiecewiseMeasure,
     Slice,
     check_fairness,
@@ -20,10 +21,34 @@ from sybilgames.cake import (
     run_monte_carlo,
     sybil_deviation_value,
 )
+from sybilgames.cli import CAKE_BLOCK_RUNS
 from sybilgames.errors import DomainError, MalformedSliceError, StatisticalPowerError
 
 UNIFORM = PiecewiseMeasure.uniform()
 LEFT_HEAVY = PiecewiseMeasure((0.0, 0.5, 1.0), (2.0, 0.0))
+
+
+@st.composite
+def measures(draw, max_segments: int = 12) -> PiecewiseMeasure:
+    """Piecewise-constant densities with 1 to ``max_segments`` segments, zero densities allowed."""
+    m = draw(st.integers(1, max_segments))
+    inner = draw(
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=m - 1, max_size=m - 1, unique=True)
+    )
+    breakpoints = [0.0] + sorted(inner) + [1.0]
+    densities = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 20.0)), min_size=m, max_size=m))
+    widths = [b2 - b1 for b1, b2 in zip(breakpoints, breakpoints[1:])]
+    widest = widths.index(max(widths))  # at least 1/m wide: a positive density there keeps the mass from 0
+    densities[widest] = densities[widest] or 1.0
+    mass = sum(d * w for d, w in zip(densities, widths))
+    return PiecewiseMeasure(breakpoints, [d / mass for d in densities])
+
+
+def left_fold(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def test_measure_validation():
@@ -62,6 +87,31 @@ def test_measure_value_adds_slice_values_as_a_left_fold():
     left = ((0.0 + values[0]) + values[1]) + values[2]
     assert math.fsum(values) != left
     assert measure_value(UNIFORM, s) == left
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=measures(), data=st.data())
+def test_interval_value_walk_equals_the_all_segments_sum_bit_for_bit(mu, data):
+    bps = mu.breakpoints
+    point = st.one_of(
+        st.sampled_from(bps),  # ends exactly on a breakpoint
+        st.floats(-MERGE_EPS, 1.0 + MERGE_EPS),  # anywhere, reaching just outside [0, 1]
+        st.sampled_from(bps).map(lambda b: b + MERGE_EPS) | st.sampled_from(bps).map(lambda b: b - MERGE_EPS),
+    )
+    drawn = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=20))
+    fixed = [(a, b) for a in bps for b in bps]  # every breakpoint pair, empty ones (b <= a) included
+    fixed += [(-MERGE_EPS, 1.0 + MERGE_EPS), (-MERGE_EPS, 0.0), (1.0, 1.0 + MERGE_EPS), (0.5, 0.5), (0.7, 0.2)]
+    for lo, hi in drawn + fixed:
+        assert mu.interval_value(lo, hi) == all_segments_interval_value(mu, lo, hi), (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(declared=st.lists(measures(), min_size=1, max_size=4))
+def test_partition_slice_values_equal_the_all_segments_sums_bit_for_bit(declared):
+    for s in exact_partition(declared):
+        for mu in declared:
+            reference = left_fold(all_segments_interval_value(mu, lo, hi) for lo, hi in s.intervals)
+            assert measure_value(mu, s) == reference
 
 
 def test_exact_partition_single_player_gets_everything():
@@ -153,6 +203,21 @@ def test_keep_rate_within_four_standard_errors(n):
     assert abs(transcript.coins.mean() - p) <= 4.0 * se
 
 
+@pytest.mark.parametrize(
+    "n, runs, seed",
+    [(1, 1, 0), (1, 7, 5), (3, 1, 11), (2, 2 * CAKE_BLOCK_RUNS + 3, 2), (4, 5_000, 7), (6, 1_001, 123)],
+)
+def test_transcript_follows_the_randomness_contract(n, runs, seed):
+    # every permutation from one permuted call over a fresh (runs, n) table, then one uniform vector
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assignments = rng.permuted(np.tile(np.arange(n), (runs, 1)), axis=1)
+    coins = rng.random(runs) < n / 2 ** (n - 1)
+    transcript = run_monte_carlo([UNIFORM] * n, runs, seed)
+    assert transcript.assignments.dtype == np.int64 and transcript.assignments.shape == (runs, n)
+    assert np.array_equal(transcript.assignments, assignments)
+    assert np.array_equal(transcript.coins, coins)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_run_mechanism_is_run_zero_of_a_one_run_batch(seed):
@@ -198,6 +263,35 @@ def test_sybil_deviation_value_formula():
     assert sybil_deviation_value(2, 3) == 0.125
     assert sybil_deviation_value(1, 3) == 0.125
     assert sybil_deviation_value(3, 3) == pytest.approx(0.09375)
+
+
+def exact_expected_value(true: PiecewiseMeasure, partition) -> float:
+    """An identity's exact expected true value: kept with n/2^(n-1), then each slice with 1/n."""
+    n = len(partition)
+    return coin_probability(n) * sum(measure_value(true, s) for s in partition) / n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_each_identity_expects_keep_over_n_whatever_it_declared(data):
+    n = data.draw(st.integers(1, 6))
+    declared = data.draw(st.lists(measures(), min_size=n, max_size=n))
+    true = data.draw(st.lists(measures(), min_size=n, max_size=n))
+    partition = exact_partition(declared)
+    for mu in true:
+        assert exact_expected_value(mu, partition) == pytest.approx(coin_probability(n) / n, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_k_identities_against_y_others_expect_the_split_value(data):
+    k = data.draw(st.integers(1, 6))
+    y = data.draw(st.integers(0, 6 - k))
+    declared = data.draw(st.lists(measures(), min_size=k + y, max_size=k + y))
+    true = data.draw(measures())  # one owner behind all k identities
+    partition = exact_partition(declared)
+    total = k * exact_expected_value(true, partition)
+    assert total == pytest.approx(sybil_deviation_value(k, y), abs=1e-12)
 
 
 def test_sybil_deviation_weakly_dominated_with_tie_only_at_two():

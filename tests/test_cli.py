@@ -136,6 +136,21 @@ def first_difference(got: str, expected: str):
     return next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b), None)
 
 
+def record_cake_chunks(monkeypatch) -> list:
+    """Patch ``cli._cake_body`` to keep every bytes chunk it yields; returns the list they go into."""
+    chunks = []
+    render = cli._cake_body
+
+    def recording(tails, transcript):
+        for chunk in render(tails, transcript):
+            assert isinstance(chunk, bytes)
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(cli, "_cake_body", recording)
+    return chunks
+
+
 def test_cake_body_matches_per_cell_rendering(tmp_path):
     measures = tmp_path / "measures.txt"
     measures.write_text(THREE_MEASURES)
@@ -152,9 +167,7 @@ def test_cake_body_matches_per_cell_rendering(tmp_path):
 def test_cake_blocks_match_per_cell_rendering(tmp_path, monkeypatch, measures):
     # two full blocks and a partial third: run labels and tails line up across block edges
     runs = 2 * cli.CAKE_BLOCK_RUNS + 3
-    chunks = []
-    render = cli._cake_body
-    monkeypatch.setattr(cli, "_cake_body", lambda tails, codes: (chunks.append(c) or c for c in render(tails, codes)))
+    chunks = record_cake_chunks(monkeypatch)
     out = tmp_path / "cake.csv"
     argv = ["cake", "--samples", str(runs), "--seed", "5", "--out", str(out)]
     if measures is None:
@@ -167,24 +180,22 @@ def test_cake_blocks_match_per_cell_rendering(tmp_path, monkeypatch, measures):
         declared = cli._load_measures(str(path))
     assert run_cli(argv) == 0
     body = out.read_text().split("\n", 2)[2]
-    assert [chunk.count("\n") for chunk in chunks] == [3 * cli.CAKE_BLOCK_RUNS] * 2 + [3 * 3]
-    assert first_difference("".join(chunks), body) is None
+    assert [chunk.count(b"\n") for chunk in chunks] == [3 * cli.CAKE_BLOCK_RUNS] * 2 + [3 * 3]
+    assert first_difference(b"".join(chunks).decode("ascii"), body) is None
     assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 5))) is None
 
 
 @pytest.mark.parametrize("runs", [1, 10, 11, 10**4 + 3])
 def test_cake_label_widths_match_per_cell_rendering(tmp_path, monkeypatch, runs):
     # labels are NUL-padded to the width of the last one: 1 and 2 digits, and 9,999 -> 10,000 inside a block
-    chunks = []
-    render = cli._cake_body
-    monkeypatch.setattr(cli, "_cake_body", lambda tails, codes: (chunks.append(c) or c for c in render(tails, codes)))
+    chunks = record_cake_chunks(monkeypatch)
     measures = tmp_path / "measures.txt"
     measures.write_text(THREE_MEASURES)
     out = tmp_path / "cake.csv"
     assert run_cli(["cake", "--measures", str(measures), "--samples", str(runs), "--seed", "3", "--out", str(out)]) == 0
     body = out.read_text().split("\n", 2)[2]
-    assert len(chunks) == -(-runs // cli.CAKE_BLOCK_RUNS) and "".join(chunks) == body
-    assert not any("\0" in chunk for chunk in chunks)
+    assert len(chunks) == -(-runs // cli.CAKE_BLOCK_RUNS) and b"".join(chunks).decode("ascii") == body
+    assert not any(b"\0" in chunk for chunk in chunks)
     if runs > 10**4:
         assert len(chunks) > 2 and 10**4 % cli.CAKE_BLOCK_RUNS != 0  # the width change is no block edge
     declared = cli._load_measures(str(measures))
@@ -207,6 +218,38 @@ def test_stdout_matches_out_file_byte_for_byte(tmp_path, capsysbinary, argv):
     assert run_cli(argv) == 0
     printed = capsysbinary.readouterr().out
     assert first_difference(printed.decode(), out.read_text()) is None and printed == out.read_bytes()
+
+
+def test_non_ascii_measures_path_writes_the_same_utf8_bytes_to_out_and_stdout(tmp_path, capsysbinary):
+    measures = tmp_path / "mesures-é.txt"
+    measures.write_text(THREE_MEASURES)
+    out = tmp_path / "cake.csv"
+    argv = ["cake", "--measures", str(measures), "--samples", "50", "--seed", "4"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert run_cli(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed == out.read_bytes()
+    assert f" measures={measures} ".encode("utf-8") in printed.split(b"\n", 1)[0]
+
+
+def test_text_printed_around_a_csv_on_stdout_keeps_its_place(tmp_path):
+    # the CSV bytes go to sys.stdout.buffer on a real pipe: text written before them stays before
+    out = tmp_path / "cake.csv"
+    argv = ["cake", "--n", "3", "--samples", "20", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    script = (
+        "import sys\n"
+        "from sybilgames import cli\n"
+        "print('before')\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('after')\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(sybilgames.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"before\n" + out.read_bytes() + b"after\n"
 
 
 def test_failed_cake_writes_nothing(tmp_path, capsys):
