@@ -71,15 +71,21 @@ def _emit_csv(
     are written as they come, so a long body (the cake transcript, rendered
     ``CAKE_BLOCK_RUNS`` runs at a time) is never held as one string.  The config
     line and the header are encoded as UTF-8 once.  On stdout, pending text is
-    flushed and the bytes go to ``sys.stdout.buffer``.  Opening ``out`` is the
-    last thing that can fail: a handler does everything that can raise before it
-    calls this, and its body only renders prepared rows or tails.
+    flushed and the bytes go to ``sys.stdout.buffer``; a stdout with no buffer
+    (an ``io.StringIO`` under ``contextlib.redirect_stdout``) gets them decoded
+    as text.  Opening ``out`` is the last thing that can fail: a handler does
+    everything that can raise before it calls this, and its body only renders
+    prepared rows or tails.
     """
     config = " ".join(
         [f"artifact={ARTIFACT}", f"subcommand={subcommand}"]
         + [f"{key}={_fmt(val)}" for key, val in sorted(params.items())]
     )
     head = f"# {config}\n{','.join(header)}\n".encode()
+    if out is None and not hasattr(sys.stdout, "buffer"):
+        sys.stdout.write(head.decode())
+        sys.stdout.writelines(chunk.decode() for chunk in body)  # whole rows: no character is split
+        return
     if out is None:
         sys.stdout.flush()
     with (open(out, "wb") if out is not None else contextlib.nullcontext(sys.stdout.buffer)) as fh:

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CONTINUOUS, ActionSpace, AggregativeGame, CountVerdict, SybilCost, count_verdict
-from .equilibrium import concave_prorata_equilibrium
 from .errors import DomainError
 
 SCP_MARGIN_TOL = 1e-12
@@ -118,19 +117,30 @@ def cfmm_curve(reserve_a: float, reserve_b: float, ext_price: float):
 
 def cfmm_arbitrage_oracle(reserve_a: float, reserve_b: float, ext_price: float) -> EqPayoffOracle:
     """Equilibrium payoffs of batched arbitrage: the trades of all n arbitrageurs
-    are pooled pro rata, so each earns its share of f(total trade)."""
-    f, fprime = cfmm_curve(reserve_a, reserve_b, ext_price)
+    are pooled pro rata, so each earns its share of f(total trade).
+
+    With a, b the reserves and p the price, the pro-rata first-order condition
+    (n-1) f(q) + q f'(q) = 0 on the total trade q is the quadratic
+    n p q^2 + B q - C = 0, B = 2 n p a - (n-1) b, C = n a (b - p a) > 0 (b/a > p),
+    whose positive root is taken in the form that does not cancel:
+    2C/(B + sqrt(D)) for B >= 0, (sqrt(D) - B)/(2 n p) otherwise, D = B^2 + 4 n p C.
+    Each arbitrageur earns f(q)/n.
+    """
+    f, _ = cfmm_curve(reserve_a, reserve_b, ext_price)
     if not reserve_b / reserve_a > ext_price:
         warnings.warn("no arbitrage at these reserves and price; payoffs are zero")
         return EqPayoffOracle(lambda n: 0.0)
-    cache: dict[int, float] = {}
 
-    def payoff(n: int) -> float:
-        if n not in cache:
-            cache[n] = concave_prorata_equilibrium(f, n, fprime).per_player_payoff
-        return cache[n]
+    return EqPayoffOracle(lambda n: f(_batched_trade(n, reserve_a, reserve_b, ext_price)) / n)
 
-    return EqPayoffOracle(payoff)
+
+def _batched_trade(n: int, a: float, b: float, p: float) -> float:
+    """The total trade q of n batched arbitrageurs: the positive root of n p q^2 + B q - C,
+    B = 2 n p a - (n-1) b, C = n a (b - p a), in the form in which its two terms do not cancel."""
+    B = 2.0 * n * p * a - (n - 1) * b
+    C = n * a * (b - p * a)
+    root = math.sqrt(B * B + 4.0 * n * p * C)
+    return 2.0 * C / (B + root) if B >= 0.0 else (root - B) / (2.0 * n * p)
 
 
 def exponential_commitment_instance() -> CommitmentInstance:

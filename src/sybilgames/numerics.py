@@ -12,8 +12,11 @@ bound of the three totals (``_observed_error``) must be at most QUAD_TOL times a
 The same rule as three rows of weights on the samples of a given number of cells
 (``_simpson_weights``) serves integrands linear in parameters, such as
 ``RingModel.expected_profit``'s on the model's nodes.  ``ring_transfer`` climbs nested
-levels of the rule up to QUAD_CELLS cells, reusing each level's samples
-(``_finer_samples``), and stops at the first level the bound certifies.
+levels of the rule up to QUAD_CELLS cells, reusing each level's samples and sampling only
+the new midpoints (``_finer_samples``), and stops at the first level the bound certifies.
+On 1-D samples (``integrate`` on one integrand, every level of ``ring_transfer``) the
+totals and the bound are Python floats: the same IEEE arithmetic as numpy scalars, without
+their cost per operation.
 
 Root finding is bisection-only on purpose: the payoff curves handled here are
 frequently piecewise and derivative-based methods misbehave at kinks.
@@ -98,30 +101,51 @@ def _quadrature_points(a: float, b: float, cells: int = QUAD_CELLS):
     """(x, h): the 2 cells + 1 points of composite Simpson on ``cells`` cells of [a, b]
     (integrate's, by default), equal to ``np.linspace(a, b, 2 cells + 1)`` bit for bit,
     and their spacing h.  A spacing that underflows to 0 raises :class:`NumericError`."""
-    h = (b - a) / (2 * cells)
-    if h == 0.0:
-        raise NumericError(f"integral on [{a}, {b}] unresolved: the step (b - a)/{2 * cells} underflows to 0")
-    x = _RAMP[: 2 * cells + 1] * h  # np.linspace's own steps
-    x += a
+    h = _step(a, b, cells)
+    x = _points(_RAMP[: 2 * cells + 1], h, a)
     x[-1] = b
     return x, h
 
 
+def _step(a: float, b: float, cells: int) -> float:
+    """The spacing (b - a)/(2 cells) of ``cells`` Simpson cells on [a, b]; :class:`NumericError` when it
+    underflows to 0."""
+    h = (b - a) / (2 * cells)
+    if h == 0.0:
+        raise NumericError(f"integral on [{a}, {b}] unresolved: the step (b - a)/{2 * cells} underflows to 0")
+    return h
+
+
+def _points(ramp: np.ndarray, h: float, a: float) -> np.ndarray:
+    """ramp h + a, np.linspace's own steps; a = 0 adds nothing, since x + 0.0 == x."""
+    x = ramp * h
+    if a:
+        x += a
+    return x
+
+
 def _finer_samples(f, y, a: float, b: float):
     """(samples, h) of a vectorised f on the ``_quadrature_points`` of [a, b] with twice y's cells:
-    y on the even points (a halved step keeps them bit for bit) and f called on the odd ones only."""
+    y on the even points (a halved step keeps them bit for bit) and f called on the new midpoints
+    only, built as the odd points alone (the same floats as the full array's odd entries)."""
     cells = len(y) - 1
-    x, h = _quadrature_points(a, b, cells)
+    h = _step(a, b, cells)
     out = np.empty(2 * cells + 1)
-    out[::2], out[1::2] = y, f(x[1::2])
+    out[::2], out[1::2] = y, f(_points(_RAMP[1 : 2 * cells : 2], h, a))
     return out, h
 
 
 def _nested_totals(y: np.ndarray, h: float):
     """(fine, coarse, coarser) composite-Simpson totals along the last axis of samples y (length
-    8c + 1) at spacing h, 2h and 4h, from pairwise sums of the ``_STRIDES`` slices and the ends."""
-    odd, two, four, eight = [np.add.reduce(y[..., s], -1) for s in _STRIDES]
-    ends = y[..., 0] + y[..., -1]
+    8c + 1) at spacing h, 2h and 4h, from pairwise sums of the ``_STRIDES`` slices and the ends.
+    1-D samples give Python floats: the same IEEE arithmetic as on numpy scalars, at a fraction of
+    the cost per operation."""
+    if y.ndim == 1:
+        odd, two, four, eight = [float(np.add.reduce(y[s])) for s in _STRIDES]
+        ends = float(y[0]) + float(y[-1])
+    else:
+        odd, two, four, eight = [np.add.reduce(y[..., s], -1) for s in _STRIDES]
+        ends = y[..., 0] + y[..., -1]
     return (
         h / 3.0 * (ends + 4.0 * odd + 2.0 * (two + four + eight)),
         2.0 * h / 3.0 * (ends + 4.0 * two + 2.0 * (four + eight)),
@@ -134,28 +158,29 @@ def _observed_error(fine, coarse, coarser):
     d2 = |coarse - coarser| and rho = d2/d1 (2^p for an error C H^p): 2 d1/(min(rho, 16) - 1) when
     rho > 2, else 2 max(d1, d2).  The 2 covers rho's drift before the asymptotic regime (fractional
     powers at an end); a NaN total gives a NaN bound, which fails every test.  Arrays of totals
-    give one bound per element."""
+    give one bound per element, floats one float."""
     d1, d2 = abs(fine - coarse), abs(coarse - coarser)
     if isinstance(d1, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):  # the d1 = 0 elements take d1
             ordered = np.where(d1 > 0.0, 2.0 * d1 / (np.minimum(d2, 16.0 * d1) / d1 - 1.0), d1)
         return np.where(d2 > 2.0 * d1, ordered, 2.0 * np.maximum(d1, d2))
-    # scalars: ring_transfer's test at every level of every bid, a third of a tables pass slower on the array path
+    # floats: ring_transfer's test at every level of every bid
     if d2 > 2.0 * d1:
         return 2.0 * d1 / (min(d2, 16.0 * d1) / d1 - 1.0) if d1 else d1  # rho capped before it can overflow
-    return 2.0 * np.maximum(d1, d2)
+    return 2.0 * (max(d1, d2) if d2 == d2 else d2)  # max keeps a NaN d1 but not a NaN d2
 
 
 def _check_resolved(totals, scale, a: float, b: float) -> None:
     """Raise :class:`NumericError` unless every row's observed-order bound on the fine total of
     the nested ``totals`` (``_observed_error``) is at most QUAD_TOL times its scale (so a NaN
-    fails); the error names the first unresolved row of an array."""
+    fails); the error names the first unresolved row of an array.  Float totals are one row."""
     error = _observed_error(*totals)
     unresolved = ~np.less_equal(error, QUAD_TOL * scale)
     if unresolved.any():
         row = tuple(int(i) for i in np.argwhere(unresolved)[0])
         where = f" in row {row[0] if len(row) == 1 else row}" if row else ""
-        raise NumericError(f"integral on [{a}, {b}] unresolved{where}: error estimate {error[row]:.3g}")
+        estimate = np.asarray(error)[row]
+        raise NumericError(f"integral on [{a}, {b}] unresolved{where}: error estimate {estimate:.3g}")
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
@@ -191,7 +216,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     # |f| = f on nonnegative samples; a NaN fails the test and takes the |f| path
     scale = fine if y.min() >= 0.0 else _nested_totals(np.abs(y), h)[0]
     _check_resolved(totals, scale, a, b)
-    return float(fine) if fine.ndim == 0 else fine
+    return fine
 
 
 def bisect_root(

@@ -192,7 +192,8 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     J = integral_r^v F(u)^e du (``_by_parts``), so only the cdf is sampled, never the
     density.  J takes composite Simpson on nested levels of TRANSFER_FIRST_CELLS, twice as
     many, ..., QUAD_CELLS cells on [reserve, v], sampling F^e only at each level's new
-    midpoints, and returns at the first level whose observed-order bound on J's error
+    midpoints (built alone, not as a level's full point array), with each level's totals and
+    test on Python floats.  It returns at the first level whose observed-order bound on J's error
     (``_observed_error``) is at most 1e-10 of S = v F(v)^e - r F(r)^e - J, the by-parts
     integral_r^v u d(F^e); at the last level ``_check_resolved`` applies the same test and
     raises ``NumericError``, as on a NaN, negative or cancelled S.  Dividing by F(v)^e keeps
@@ -210,18 +211,19 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
     e = n - 1 + l
     sample = lambda u: np.asarray(dist.cdf(u), dtype=float) ** e  # F^e
     x, h = _quadrature_points(r, v, TRANSFER_FIRST_CELLS)
-    y = sample(x)  # y[0] = F(r)^e, y[-1] = F(v)^e
-    if v * y[-1] < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
+    y = sample(x)
+    Fr, Fv = float(y[0]), float(y[-1])  # F(r)^e and F(v)^e, kept by every finer level
+    if v * Fv < _TINY:  # F(v)^e is the divisor, v F(v)^e S's largest term
         raise SingularScaleError("v F(v)^(n-1+l) underflows at the evaluation point")
     while True:
         totals = _nested_totals(y, h)
-        S = v * y[-1] - r * y[0] - totals[0]
+        S = v * Fv - r * Fr - totals[0]
         if len(y) > 2 * QUAD_CELLS:  # the last level: resolved, or raise
             _check_resolved(totals, S, r, v)
         elif not _observed_error(*totals) <= QUAD_TOL * S:
             y, h = _finer_samples(sample, y, r, v)
             continue
-        return float(_by_parts(v, totals[0] / y[-1], r, n, l))
+        return float(_by_parts(v, totals[0] / Fv, r, n, l))
 
 
 def _by_parts(v, A, r, k, l):

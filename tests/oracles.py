@@ -325,6 +325,68 @@ def fine_ring_transfer(
     return float(((n - 1) / e * (v * y[-1] - boundary - J) + reserve_term + boundary) / y[-1])
 
 
+def level_loop_ring_transfer(v: float, cfg, dist, first_cells: int = 256, max_cells: int = 4096, tol: float = 1e-10):
+    """``ring.ring_transfer``'s level loop as first written, the reference its leaner loop must
+    match bit for bit: J = integral_r^v F^e on composite Simpson of ``first_cells``, twice as many,
+    ... ``max_cells`` cells, each level's full point array built (np.linspace's steps) and F^e
+    sampled on its odd points; totals on numpy scalars; the first level whose observed-order bound
+    on J is at most ``tol`` of S = v F(v)^e - r F(r)^e - J returns, and the last one raises the
+    same ``NumericError`` as the package."""
+    from sybilgames.errors import DomainError, NumericError, SingularScaleError
+
+    r = cfg.reserve
+    if v < r:
+        raise DomainError("transfer is defined for bids at or above the reserve")
+    if v == r:
+        return r
+    n = cfg.n
+    l = cfg.share_exponent(n)
+    e = n - 1 + l
+    sample = lambda u: np.asarray(dist.cdf(u), dtype=float) ** e
+
+    def points(cells):
+        h = (v - r) / (2 * cells)
+        if h == 0.0:
+            raise NumericError(f"integral on [{r}, {v}] unresolved: the step (b - a)/{2 * cells} underflows to 0")
+        x = np.arange(2 * cells + 1, dtype=float) * h
+        x += r
+        x[-1] = v
+        return x, h
+
+    def totals(y, h):
+        strides = slice(1, None, 2), slice(2, None, 4), slice(4, None, 8), slice(8, -1, 8)
+        odd, two, four, eight = [np.add.reduce(y[s]) for s in strides]
+        ends = y[0] + y[-1]
+        return (
+            h / 3.0 * (ends + 4.0 * odd + 2.0 * (two + four + eight)),
+            2.0 * h / 3.0 * (ends + 4.0 * two + 2.0 * (four + eight)),
+            4.0 * h / 3.0 * (ends + 4.0 * four + 2.0 * eight),
+        )
+
+    def bound(fine, coarse, coarser):
+        d1, d2 = abs(fine - coarse), abs(coarse - coarser)
+        if d2 > 2.0 * d1:
+            return 2.0 * d1 / (min(d2, 16.0 * d1) / d1 - 1.0) if d1 else d1
+        return 2.0 * np.maximum(d1, d2)
+
+    x, h = points(first_cells)
+    y = sample(x)
+    if v * y[-1] < np.finfo(float).tiny:
+        raise SingularScaleError("v F(v)^(n-1+l) underflows at the evaluation point")
+    while True:
+        fine, coarse, coarser = totals(y, h)
+        error = bound(fine, coarse, coarser)
+        if not error <= tol * (v * y[-1] - r * y[0] - fine):
+            if len(y) > 2 * max_cells:
+                raise NumericError(f"integral on [{r}, {v}] unresolved: error estimate {error:.3g}")
+            x, h = points(len(y) - 1)
+            finer = np.empty(2 * len(y) - 1)
+            finer[::2], finer[1::2] = y, sample(x[1::2])
+            y = finer
+            continue
+        return float(((n - 1) * (v - fine / y[-1]) + l * r) / (n - 1 + l))
+
+
 def central_diff(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

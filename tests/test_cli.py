@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -230,6 +232,23 @@ def test_non_ascii_measures_path_writes_the_same_utf8_bytes_to_out_and_stdout(tm
     printed = capsysbinary.readouterr().out
     assert printed == out.read_bytes()
     assert f" measures={measures} ".encode("utf-8") in printed.split(b"\n", 1)[0]
+
+
+@pytest.mark.parametrize("subcommand", ["rdm", "cake"])
+def test_a_stdout_without_a_buffer_gets_the_csv_as_text(tmp_path, subcommand):
+    # contextlib.redirect_stdout to an io.StringIO: no sys.stdout.buffer to write bytes to
+    measures = tmp_path / "mesures-é.txt"
+    measures.write_text(THREE_MEASURES)
+    argv = {
+        "rdm": ["rdm", "--n-max", "3"],
+        "cake": ["cake", "--measures", str(measures), "--samples", "30", "--seed", "2"],
+    }[subcommand]
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cli(argv) == 0
+    assert printed.getvalue() == out.read_bytes().decode("utf-8")
 
 
 def test_text_printed_around_a_csv_on_stdout_keeps_its_place(tmp_path):

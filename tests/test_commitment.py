@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 import warnings
 
@@ -16,7 +18,8 @@ from sybilgames.commitment import (
     trivial_commitment_instance,
 )
 from sybilgames.core import SybilCost
-from sybilgames.commitment import CommitmentInstance, EqPayoffOracle
+from sybilgames.commitment import CommitmentInstance, EqPayoffOracle, _batched_trade
+from sybilgames.equilibrium import concave_prorata_equilibrium
 from sybilgames.errors import DomainError, NumericError
 from sybilgames.rdm import max_sybilproof_reward
 
@@ -160,12 +163,59 @@ def test_nan_parameters_are_rejected(build):
         build()
 
 
-def test_cfmm_solo_arbitrage_closed_form():
-    ra, rb, price = 100.0, 100.0, 0.5
+@pytest.mark.parametrize("ra, rb, price", [(100.0, 100.0, 0.5), (1.0, 3.0, 2.0), (3e4, 7.0, 1e-4)])
+def test_cfmm_solo_arbitrage_closed_form(ra, rb, price):
+    # a lone arbitrageur trades to sqrt(a b/p) - a and keeps (sqrt(b) - sqrt(p a))^2
     oracle = cfmm_arbitrage_oracle(ra, rb, price)
-    t_star = math.sqrt(ra * rb / price) - ra
-    f, _ = cfmm_curve(ra, rb, price)
-    assert oracle.payoff(1) == pytest.approx(f(t_star), abs=1e-8)
+    solo = (math.sqrt(rb) - math.sqrt(price * ra)) ** 2
+    assert oracle.payoff(1) == pytest.approx(solo, rel=1e-14)
+
+
+def decimal_batched_trade(n, a, b, p):
+    """(q, f(q)/n, B) of the batched-arbitrage quadratic n p q^2 + B q - C in 50 digits, by the textbook
+    root (-B + sqrt(B^2 + 4 n p C))/(2 n p): 50 digits outlast its cancellation on this grid."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, p = map(decimal.Decimal, (a, b, p))
+        B = 2 * n * p * a - (n - 1) * b
+        C = n * a * (b - p * a)
+        q = ((B * B + 4 * n * p * C).sqrt() - B) / (2 * n * p)
+        return q, (b * q / (a + q) - p * q) / n, B
+
+
+# b/(a p): 1 + 2^-20 (q far below a, where the form u - a with u = a + q would cancel), then both signs of B
+CFMM_RATIOS = (1.0 + 2.0**-20, 1.25, 2.0, 3.0, 64.0, 1e6)
+CFMM_GRID = list(itertools.product((0.75, 100.0, 3e4, 0.7), (0.5, 0.375, 2.0, 0.3), CFMM_RATIOS))  # (a, p, b/(a p))
+
+
+def test_cfmm_closed_form_is_the_root_of_the_first_order_condition():
+    signs = set()
+    for a, p, ratio in CFMM_GRID:
+        b = a * p * ratio
+        f, fprime = cfmm_curve(a, b, p)
+        oracle = cfmm_arbitrage_oracle(a, b, p)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            # C = n a (b - p a) takes p a rounded: its error relative to b - p a, 0 where p a is exact
+            rounding = abs(decimal.Decimal(p) * decimal.Decimal(a) - decimal.Decimal(p * a)) / (
+                decimal.Decimal(b) - decimal.Decimal(p) * decimal.Decimal(a)
+            )
+        for n in range(1, 61):
+            q = _batched_trade(n, a, b, p)
+            exact_q, exact_payoff, B = decimal_batched_trade(n, a, b, p)
+            signs.add(B > 0)
+            tol = decimal.Decimal(1e-14) + 2 * rounding
+            assert abs(decimal.Decimal(q) - exact_q) <= tol * exact_q, (a, p, ratio, n)
+            payoff = oracle.payoff(n)
+            assert payoff == f(q) / n
+            # f(q) = b q/(a + q) - p q loses the digits its two terms share, and q f'(q)/f(q) = 1 - n
+            digits_lost = b * q / (a + q) / f(q)
+            tol = decimal.Decimal(2e-15 * digits_lost) + 2 * n * rounding
+            assert abs(decimal.Decimal(payoff) - exact_payoff) <= tol * exact_payoff, (a, p, ratio, n)
+            if ratio > 1.0 + 2.0**-20:
+                # bisection's absolute stopping tests leave the 1 + 2^-20 curves unresolved
+                assert payoff == pytest.approx(concave_prorata_equilibrium(f, n, fprime).per_player_payoff, rel=1e-10)
+    assert signs == {True, False}
 
 
 def test_cfmm_welfare_decreases_with_more_arbitrageurs():

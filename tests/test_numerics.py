@@ -13,6 +13,7 @@ from sybilgames.numerics import (
     QUAD_TOL,
     bisect_root,
     cumulative_simpson,
+    _check_resolved,
     _finer_samples,
     first_max,
     grid_argmax,
@@ -122,6 +123,7 @@ def test_observed_error_covers_the_true_error_on_every_nested_level(a, v):
 def test_observed_error_of_a_nan_total_fails_every_test():
     for totals in [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)]:
         assert np.isnan(_observed_error(*map(np.float64, totals)))
+        assert math.isnan(_observed_error(*map(float, totals)))  # the 1-D path's Python floats
     assert _observed_error(1.0, 1.0, 1.0) == 0.0
     assert _observed_error(1.0, 1.0, 2.0) == 0.0  # d1 = 0 < d2: order above 4, capped at 16
     assert _observed_error(1.0, 1.0 + 1e-8, 1.0 + 17e-8) == pytest.approx(2e-8 / (16.0 - 1.0))  # rho = 16
@@ -132,6 +134,18 @@ def test_observed_error_of_a_nan_total_fails_every_test():
     )
     scalar = [_observed_error(*map(np.float64, row)) for row in rows]
     assert np.array_equal(_observed_error(*rows.T), scalar, equal_nan=True)
+
+
+def test_check_resolved_raises_the_same_error_on_floats_and_numpy_scalars():
+    # 1-D totals are Python floats; the message prints the estimate as it did on numpy scalars
+    for totals in [(1.0, 1.0 + 1e-6, 1.0 + 3e-6), (np.nan, 1.0, 1.0), (1.0, 1.0, np.nan)]:
+        messages = []
+        for kind in (float, np.float64):
+            with pytest.raises(NumericError, match=r"^integral on \[0.0, 1.0\] unresolved: error estimate") as raised:
+                _check_resolved(tuple(map(kind, totals)), kind(1.0), 0.0, 1.0)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+    _check_resolved((1.0, 1.0, 1.0), 1.0, 0.0, 1.0)  # a zero bound passes
 
 
 def test_integrate_raises_when_the_step_underflows():

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -10,6 +12,7 @@ from oracles import (
     envelope_expected_profit,
     fine_ring_transfer,
     fubini_expected_profit,
+    level_loop_ring_transfer,
     loser_schedule_expected_profit,
     quantile_scan_truthful,
     sampled_expected_profit,
@@ -208,6 +211,61 @@ def test_transfer_matches_a_fine_by_parts_oracle(dist, n):
             for v in (reserve + (1.0 - reserve) * f for f in fractions):
                 expected = fine_ring_transfer(v, n, theta, dist, reserve)
                 assert ring_transfer(v, cfg, values) == pytest.approx(expected, rel=1e-10)
+
+
+def transfer_outcome(transfer, v, cfg, dist):
+    """transfer(v, cfg, dist), or the type and message of what it raised."""
+    try:
+        return transfer(v, cfg, dist)
+    except (DomainError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+def test_transfer_equals_the_first_level_loop_bit_for_bit_on_the_probe_grid():
+    # the probe grid of ROADMAP item 1: 3 distributions x n in {2, 3, 4, 6} x r in {0, 0.2, 0.5} x 21 theta x
+    # v - r = (1 - r) {1/2048, 1/256, 1/32, 0.1, 0.25, 0.5, 0.75, 1}, then steep truncated exponentials above a
+    # reserve, where no probe bid climbs; the loop on floats and midpoints returns every value, and raises every
+    # error, of the loop on numpy scalars and full point arrays
+    fractions = (1 / 2048, 1 / 256, 1 / 32, 0.1, 0.25, 0.5, 0.75, 1.0)
+    probe = [
+        (make(), constant_share_config(i / 20, n, r), r + (1.0 - r) * fraction)
+        for make in DISTRIBUTIONS.values()
+        for n, r, i, fraction in itertools.product((2, 3, 4, 6), (0.0, 0.2, 0.5), range(21), fractions)
+    ]
+    steep = [
+        (truncated_exponential_values(rate), constant_share_config(theta, n, r), v)
+        for rate, r, (n, theta), v in itertools.product((20.0, 50.0), (0.05, 0.2), ((2, 0.5), (6, 1.0)), (0.5, 1.0))
+    ]
+    raised, deepest, climbed_above_reserve = 0, 0, 0
+    for dist, cfg, v in probe + steep:
+        sampled = []  # the number of points of each cdf call
+        counted = dataclasses.replace(dist, cdf=lambda u, cdf=dist.cdf: sampled.append(np.size(u)) or cdf(u))
+        got = transfer_outcome(ring_transfer, v, cfg, counted)
+        expected = transfer_outcome(level_loop_ring_transfer, v, cfg, dist)
+        assert (type(got), got) == (type(expected), expected), (dist.name, cfg.n, cfg.reserve, v)
+        cells = (sum(sampled) - 1) // 2  # the first level's 2 cells + 1 points, then each level's midpoints
+        if isinstance(got, tuple):
+            raised += 1
+            assert got[0] is NumericError and cells == QUAD_CELLS
+        else:
+            deepest += cells == QUAD_CELLS
+            climbed_above_reserve += cfg.reserve > 0.0 and cells > ring.TRANSFER_FIRST_CELLS
+    assert raised == 58  # ROADMAP item 1's count on the probe grid: the e just above 1 failures
+    assert deepest > 0 and climbed_above_reserve > 0
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_order_integrals_on_floats_equal_their_row_axis_calls_bit_for_bit(dist, n):
+    # a cdf returning two equal rows sends the same integrands through integrate's row axis
+    rows = dataclasses.replace(dist, cdf=lambda u: np.stack([dist.cdf(u)] * 2))
+    for one, two in [
+        (expected_order_gap(dist, n), expected_order_gap(rows, n)),
+        (expected_order_stat(dist, n, 1), expected_order_stat(rows, n, 1)),
+        (expected_order_stat(dist, n, 2), expected_order_stat(rows, n, 2)),
+    ]:
+        assert type(one) is float and two.shape == (2,)
+        assert two.tolist() == [one, one]
 
 
 @pytest.mark.parametrize("rate, v", [(5.0, 0.9), (50.0, 0.1)])
