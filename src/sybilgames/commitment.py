@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,8 +104,8 @@ def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:
 
 def cfmm_curve(reserve_a: float, reserve_b: float, ext_price: float):
     """Net arbitrage proceeds f(t) = g(t) - price * t against a constant-product pool."""
-    if not (reserve_a > 0.0 and reserve_b > 0.0 and ext_price > 0.0):  # also a NaN parameter
-        raise DomainError("reserves and external price must be positive")
+    if not all(0.0 < x < math.inf for x in (reserve_a, reserve_b, ext_price)):  # also a NaN parameter
+        raise DomainError("reserves and external price must be positive and finite")
 
     def f(t: float) -> float:
         return reserve_b * t / (reserve_a + t) - ext_price * t
@@ -121,24 +122,25 @@ def cfmm_arbitrage_oracle(reserve_a: float, reserve_b: float, ext_price: float) 
 
     With a, b the reserves and p the price, the pro-rata first-order condition
     (n-1) f(q) + q f'(q) = 0 on the total trade q is the quadratic
-    n p q^2 + B q - C = 0, B = 2 n p a - (n-1) b, C = n a (b - p a) > 0 (b/a > p),
-    whose positive root is taken in the form that does not cancel:
-    2C/(B + sqrt(D)) for B >= 0, (sqrt(D) - B)/(2 n p) otherwise, D = B^2 + 4 n p C.
+    n p q^2 + B q - C = 0, B = 2 n p a - (n-1) b, C = n a (b - p a) > 0 (b > p a, with b - p a
+    rounded once from its exact value), whose positive root is taken in the form that does not
+    cancel: 2C/(B + sqrt(D)) for B >= 0, (sqrt(D) - B)/(2 n p) otherwise, D = B^2 + 4 n p C.
     Each arbitrageur earns f(q)/n.
     """
     f, _ = cfmm_curve(reserve_a, reserve_b, ext_price)
-    if not reserve_b / reserve_a > ext_price:
+    excess = float(Fraction(reserve_b) - Fraction(ext_price) * Fraction(reserve_a))  # b - p a
+    if not excess > 0.0:
         warnings.warn("no arbitrage at these reserves and price; payoffs are zero")
         return EqPayoffOracle(lambda n: 0.0)
 
-    return EqPayoffOracle(lambda n: f(_batched_trade(n, reserve_a, reserve_b, ext_price)) / n)
+    return EqPayoffOracle(lambda n: f(_batched_trade(n, reserve_a, reserve_b, ext_price, excess)) / n)
 
 
-def _batched_trade(n: int, a: float, b: float, p: float) -> float:
+def _batched_trade(n: int, a: float, b: float, p: float, excess: float) -> float:
     """The total trade q of n batched arbitrageurs: the positive root of n p q^2 + B q - C,
-    B = 2 n p a - (n-1) b, C = n a (b - p a), in the form in which its two terms do not cancel."""
+    B = 2 n p a - (n-1) b, C = n a excess (excess = b - p a), in the form that does not cancel."""
     B = 2.0 * n * p * a - (n - 1) * b
-    C = n * a * (b - p * a)
+    C = n * a * excess
     root = math.sqrt(B * B + 4.0 * n * p * C)
     return 2.0 * C / (B + root) if B >= 0.0 else (root - B) / (2.0 * n * p)
 

@@ -1,10 +1,10 @@
 """Shared numeric kernels: composite Simpson quadrature, bisection, grid argmax.
 
 Every integral in the package goes through one composite-Simpson rule:
-:func:`cumulative_simpson` for running integrals of sampled schedules and
-:func:`integrate` for checked definite integrals of vectorised integrands
-(QUAD_CELLS = 4096 cells, error tolerance QUAD_TOL relative to the integral
-of |f|).  :func:`integrate` needs only totals: ``_nested_totals`` forms the rule's
+:func:`cumulative_simpson` for running integrals at ``RingModel``'s nodes (a bid between
+nodes adds one Simpson cell from the node below) and :func:`integrate` for checked definite
+integrals of vectorised integrands (QUAD_CELLS = 4096 cells, error tolerance QUAD_TOL
+relative to the integral of |f|).  :func:`integrate` needs only totals: ``_nested_totals`` forms the rule's
 totals on every sample, every 2nd and every 4th from strided pairwise sums instead of
 running sums, the fine one equal to ``cumulative_simpson``'s last entry to rounding.
 One error test judges every checked integral (``_check_resolved``): the observed-order

@@ -17,16 +17,16 @@ composite-Simpson rule of :mod:`sybilgames.numerics`: ``ring_transfer`` climbs n
 levels of 256, 512, ..., 4096 cells on [r, v] and returns at the first whose
 observed-order bound on J's error is at most 1e-10 of integral_r^v u d(F^e) = v F(v)^e -
 r F(r)^e - J, or raises ``NumericError``; RingModel takes J as ``cumulative_simpson`` of
-F^e dx/ds on its grid, uniform in s and graded toward both ends in x.  Other single
-integrals (of the cdf alone, for order statistics) go through the checked ``integrate``
-(4096 cells, raising ``NumericError`` when the same bound exceeds 1e-10 of the integral
-of |integrand|), loser schedules through ``cumulative_simpson``, and registration-stage
-profits through the same rule's weights on RingModel's own nodes, under its error test
-with the integral itself as the scale, as one weighted integral of the transfer alone:
-swapping the order of integration turns the loser shares into one more weight on it, and
-since T is affine in A, that integral contracts A without building the transfer.  Between
-grid nodes RingModel interpolates each schedule with a cubic Hermite in s whose transfer
-slopes are T' dx/ds.
+F^e dx/ds on its grid, uniform in s and graded toward both ends in x, and at a bid between
+nodes adds one Simpson cell from the node below.  Other single integrals (of the cdf alone,
+for order statistics) go through the checked ``integrate`` (4096 cells, raising
+``NumericError`` when the same bound exceeds 1e-10 of the integral of |integrand|), and
+registration-stage profits through the same rule's weights on RingModel's own nodes, under
+its error test with the integral itself as the scale, as one weighted integral of the
+transfer alone: swapping the order of integration turns the loser shares into one more
+weight on it, and since T is affine in A, that integral contracts A without building the
+transfer.  A member's loser shares at one bid integrate T - r against the top rival
+value's cdf by parts in closed form, so no schedule is interpolated.
 
 Because the ring center only observes the registered count, every schedule is
 indexed by k; a member registering m identities faces the (n+m-1)-report
@@ -232,36 +232,23 @@ def _by_parts(v, A, r, k, l):
     return ((k - 1) * (v - A) + l * r) / (k - 1 + l)
 
 
-def _hermite_weights(t):
-    """Cubic Hermite basis (h00, h10, h01, h11) at the cell fraction t."""
-    t2 = t * t
-    t3 = t2 * t
-    return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + t, 3.0 * t2 - 2.0 * t3, t3 - t2
-
-
-def _hermite(weights, y0, m0, y1, m1):
-    """Cubic Hermite value from basis weights, the cell's end values y and end slopes m
-    (scaled by the cell width)."""
-    h00, h10, h01, h11 = weights
-    return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
-
-
-def _subdivide(y: np.ndarray, slopes: np.ndarray, per: int) -> np.ndarray:
-    """Rows of node values y with the Hermite values at fractions 1/per, ..., (per-1)/per
-    of every node cell in between, by strided slices with scalar weights."""
-    out = np.empty(y.shape[:-1] + (per * (y.shape[-1] - 1) + 1,))
-    out[..., ::per] = y
-    ends = y[..., :-1], slopes[..., :-1], y[..., 1:], slopes[..., 1:]
-    for j in range(1, per):
-        out[..., j::per] = _hermite(_hermite_weights(j / per), *ends)
-    return out
-
-
 def _row_sums(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(configs, 3) sums of each row of a against the 3 rows of weights: the fine one as
     elementwise products summed per row, so a config's row does not depend on the others,
     and the two error rows by matrix product."""
     return np.column_stack([(a * weights[0]).sum(axis=-1), a @ weights[1:].T])
+
+
+def _row_powers(F, e: np.ndarray) -> np.ndarray:
+    """F^e row by row over a (configs, 1) column e, each row an array (a numpy scalar's ** is libm's) to one
+    float power: numpy's power rounds by its loop's memory layout, so no row may depend on the other configs."""
+    F = np.atleast_1d(F)
+    return np.concatenate([F[min(c, len(F) - 1)][None] ** power for c, power in enumerate(e[:, 0].tolist())])
+
+
+def _column(c, x) -> np.ndarray:
+    """A per-config array as a column that broadcasts against bids x with the config axis in front."""
+    return np.reshape(c, (-1,) + (1,) * (x.ndim - 1))
 
 
 def _identity_counts(m, least: int = 1) -> np.ndarray:
@@ -276,26 +263,22 @@ def _identity_counts(m, least: int = 1) -> np.ndarray:
 class RingModel:
     """Dense-grid evaluation kernel for one distribution and one or more rings.
 
-    Transfer schedules and loser-share integrals are running composite-Simpson
-    integrals on one interleaved grid of 2 MODEL_CELLS + 1 points, uniform in s on
-    [0, 1] (cell nodes at even indices, midpoints at odd ones) and mapped onto [a, v_h]
-    by x = a + (v_h - a)(3 s^2 - 2 s^3), so the nodes crowd both ends; a is the
-    reserve, or the support's start, the quantile at 0, where that lies above the
-    reserve, so that a density that starts there (or a jump there) meets no cell.  Integrals over x take the integrand times dx/ds = 6 (v_h - a) s (1 - s).
+    Transfer schedules are running composite-Simpson integrals on one interleaved grid
+    of 2 MODEL_CELLS + 1 points, uniform in s on [0, 1] (cell nodes at even indices,
+    midpoints at odd ones) and mapped onto [a, v_h] by x = a + (v_h - a)(3 s^2 - 2 s^3),
+    so the nodes crowd both ends; a is the reserve, or the support's start, the quantile
+    at 0, where that lies above the reserve, so that a density that starts there (or a
+    jump there) meets no cell.  Integrals over x take the integrand times dx/ds = 6 (v_h - a) s (1 - s).
     A transfer is T = ((k-1)(v - A) + l r)/e (``_by_parts``) with A = J/F^e, J the
     running integral of F^e from one F^e sampling, so Simpson's positive weights keep
     0 <= A <= v - r and r <= T <= v.  The first node, and every node whose F^e is not a
-    normal float, holds T = r by taking A = v - r there.  Between nodes both schedules
-    are cubic Hermite interpolants in s whose node slopes are the IC condition's
-    T' = (k-1) f/F A, 0 where T = r is held, and the loser schedule's
-    -(T - r)(n-1) F^(n-2) f, each times dx/ds (so 0 at s = 0).  Evaluation needs no
-    interval search or linear solve: a bid's s inverts the map in closed form, so
-    member payoffs cost O(1) after setup.  Each count caches its IC ratio A at the
-    nodes (``_ratio``), and ``payoff`` the schedules it builds from it, since a member
-    running m identities faces the (n+m-1)-report schedule.  The registration-stage
-    profit samples no integrand and builds no schedule: it is one Simpson rule on the
-    nodes whose weights times F^(n-1) f dx/ds are contracted with each count's A.  Only
-    ``payoff``, ``transfer`` and the search's certificate build transfer schedules
+    normal float, holds T = r by taking A = v - r there.  Each count caches A at the
+    nodes (``_ratio``).  A bid's s inverts the node map in closed form, and J there is the
+    node below's plus one Simpson cell in s (``_cell``), so a bid costs O(1), samples only
+    the cdf, and on a node reads that node; ``payoff`` takes the loser shares in closed
+    form.  The registration-stage profit samples no integrand and builds no schedule: it
+    is one Simpson rule on the nodes whose weights times F^(n-1) f dx/ds are contracted
+    with each count's A.  Only the search's certificate builds node transfer values
     (``_transfer``).  Identity counts are integers >= 1.
 
     Built from one RingConfig, results carry no config axis.  Built from a
@@ -324,11 +307,8 @@ class RingModel:
         self._dxds = (b - a) * _GRADING.pdf(s)
         self._F = np.asarray(dist.cdf(self.grid), dtype=float)
         self._f = np.asarray(dist.pdf(self.grid), dtype=float)
-        # f/F dx/ds times the node spacing, 0 where F = 0: the scaled IC slope T' dx/ds is (k-1) A times it
-        F, f = self._F[::2], 2.0 * self._h * self._dxds[::2] * self._f[::2]
-        self._hazard = np.divide(f, F, out=np.zeros_like(F), where=F > 0.0)
         self._ratios: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._schedules: dict[int, tuple[np.ndarray, ...]] = {}
+        self._G: Optional[np.ndarray] = None  # running integral of F^(n-1) dx/ds at the nodes, built by payoff
 
     def _share_exponents(self, k: int) -> np.ndarray:
         """(configs, 1) column of l(k), checking every g(k) for budget balance."""
@@ -351,30 +331,44 @@ class RingModel:
             self._ratios[k] = A, held
         return self._ratios[k]
 
-    def _transfer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node values and node-spacing-scaled s-slopes of the k-report transfer, derived
-        from its cached ``_ratio``: two (configs, nodes) arrays, r and 0 at the held nodes."""
+    def _transfer(self, k: int) -> np.ndarray:
+        """(configs, nodes) node values of the k-report transfer from its cached ``_ratio``, r at the held nodes."""
         A, held = self._ratio(k)
         t = _by_parts(self.grid[::2], A, self.reserve, k, self._share_exponents(k))
-        return np.where(held, self.reserve, t), np.where(held, 0.0, (k - 1) * self._hazard * A)
+        return np.where(held, self.reserve, t)
 
-    def _schedule(self, k: int) -> tuple[np.ndarray, ...]:
-        """Node values and node-spacing-scaled s-slopes of the k-report transfer and of
-        the loser schedule: four (configs, nodes) arrays."""
-        if k not in self._schedules:
-            r, h = self.reserve, self._h
-            weight = (self.n - 1) * self._F ** (self.n - 2) * self._f * self._dxds  # the top rival value's density in s
-            t, mt = self._transfer(k)
-            shares = cumulative_simpson((_subdivide(t, mt, 2) - r) * weight, h)
-            self._schedules[k] = (t, mt, shares[:, -1:] - shares, -2.0 * h * (t - r) * weight[::2])
-        return self._schedules[k]
-
-    def _basis(self, w):
-        """Node cell index and Hermite weights in s of bids w, clipped to [a, v_h], where T = r below a."""
+    def _basis(self, x):
+        """Node cell index and coordinate s of bids x in [a, v_h]: s = B^-1((x - a)/(v_h - a)) inverts the node map."""
         a, b = self.grid[0], self.grid[-1]
-        s = _GRADING.quantile((np.clip(w, a, b) - a) / (b - a)) * MODEL_CELLS
-        i = np.minimum(s.astype(np.intp), MODEL_CELLS - 1)
-        return i, _hermite_weights(s - i)
+        s = _GRADING.quantile((x - a) / (b - a))
+        return np.minimum((s * MODEL_CELLS).astype(np.intp), MODEL_CELLS - 1), s
+
+    def _cell(self, w):
+        """One Simpson cell in s from the node below each bid w, clipped to [a, v_h], to the bid: (x, i, F,
+        weights), the clipped bids, the node's index, and F and the rule's weights (1, 4, 1) times dx/ds
+        times the cell's width over 6 at the node, the midpoint and x, so the cell's integral of F^p dx/ds
+        is the sum of weights F^p.  Only the cdf is sampled."""
+        a, b = self.grid[0], self.grid[-1]
+        x = np.clip(w, a, b)
+        i, s = self._basis(x)
+        node = 2.0 * self._h * i
+        mid = 0.5 * (node + s)
+        F = self._F[2 * i], self.dist.cdf(a + (b - a) * _GRADING.cdf(mid)), self.dist.cdf(x)
+        dxds = self._dxds[2 * i], 4.0 * (b - a) * _GRADING.pdf(mid), (b - a) * _GRADING.pdf(s)
+        return x, i, [np.asarray(Fj, dtype=float) for Fj in F], [(s - node) / 6.0 * d for d in dxds]
+
+    def _bid_transfer(self, k: int, cell):
+        """(T, A) of the k-report transfer at the bids of ``_cell``: A = J/F(x)^e, J the node below's (0 where
+        it is held) plus the cell.  At a, and where F(x)^e is not a normal float, T = r is held with A = x - r."""
+        A, held = self._ratio(k)
+        x, i, F, weights = cell
+        l = self._share_exponents(k)
+        Fe = [_row_powers(Fj, k - 1 + l) for Fj in F]
+        rows = _column(np.arange(len(self.cfgs)), x)
+        J = np.where(held[rows, i], 0.0, A[rows, i] * Fe[0]) + sum(wj * y for wj, y in zip(weights, Fe))
+        hold = (Fe[2] < _TINY) | (x <= self.grid[0])
+        A = np.where(hold, x - self.reserve, J / np.where(hold, 1.0, Fe[2]))
+        return np.where(hold, self.reserve, _by_parts(x, A, self.reserve, k, _column(l, x))), A
 
     def _lead(self, *arrays):
         """Float arrays with the config axis in front: a single-config model's inputs
@@ -383,55 +377,58 @@ class RingModel:
         ndim = max(a.ndim for a in arrays)
         return [a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in arrays]
 
-    def _evaluate(self, w, *schedules):
-        """Every (values, slopes) schedule pair at bids w, which carry the config axis."""
-        i, weights = self._basis(w)
-        rows = np.arange(len(self.cfgs)).reshape((-1,) + (1,) * (w.ndim - 1))
-        pairs = zip(schedules[::2], schedules[1::2])
-        return [_hermite(weights, y[rows, i], m[rows, i], y[rows, i + 1], m[rows, i + 1]) for y, m in pairs]
-
     def _strip(self, out: np.ndarray):
         out = out[0] if self._single else out
         return float(out) if out.ndim == 0 else out
 
     def transfer(self, v, k: Optional[int] = None):
-        """Interpolated transfer at the k-report schedule (defaults to n), v clipped to [reserve, v_h].
+        """Transfer at the k-report schedule (defaults to n), v clipped to [reserve, v_h].
         k is one integer >= 2, as ``payoff`` checks m; otherwise :class:`DomainError`."""
         k = self.n if k is None else k
         if np.ndim(k) != 0:
             raise DomainError(f"transfer takes one report count, got {k!r}")
-        t, mt = self._transfer(int(_identity_counts(k, least=2)[0]))
+        k = int(_identity_counts(k, least=2)[0])
         (v,) = self._lead(v)
-        (out,) = self._evaluate(v, t, mt)
-        return self._strip(out)
-
-    def _member_payoff(self, m: int, w, v, tw, lw, cdf_w):
-        """Payoff of bidding w at value v with m identities, from the transfer tw and loser share lw at w."""
-        gamma = np.array([cfg.g(self.n + m - 1) for cfg in self.cfgs]).reshape((-1,) + (1,) * (tw.ndim - 1))
-        r = self.reserve
-        win_prob = cdf_w ** (self.n - 1)
-        win = (v - tw + (m - 1) * gamma * (tw - r)) * win_prob
-        return np.where((win_prob > 0.0) & (w >= r), win, 0.0) + m * gamma * lw
+        return self._strip(self._bid_transfer(k, self._cell(v))[0])
 
     def payoff(self, w, v, m: int = 1):
         """Expected payoff of a member with valuation v bidding w and running m identities.
 
         The m-1 extra identities register and bid at the reserve; all identities
         collect the loser share g(n+m-1) when a rival wins, and the winner nets
-        back its own extras' shares.  w and v broadcast as arrays; scalar input
-        to a single-config model gives a float.
+        back its own extras' shares.  With k = n+m-1, g = g(k), x = max(w, r) clipped to
+        [a, v_h], P = F(x)^(n-1), p = m-1+l and G(x) = integral_x^v_h F^(n-1) (one more running
+        integral plus the bid's cell, built by the first call), T - r = (k-1)/e (x - r - A)
+        integrated against d(F^(n-1)) from x up, twice by parts, gives the loser shares L:
+
+            payoff = [w >= r] (v - T + (m-1) g (T - r)) P + m g L,
+            L = (k-1)/e [(v_h - r) - (x - r) P - G + (n-1)/p (A(v_h) - A(x) P - G)],
+
+        with m g (n-1)/p one ratio, 1 at m = 1 and 0 where g = 0, so a subnormal g cannot
+        overflow it.  w and v broadcast as arrays; scalar input to a single-config model gives
+        a float.
         """
         if np.ndim(m) != 0:
             raise DomainError(f"payoff takes one identity count, got {m!r}")
         m = int(_identity_counts(m)[0])
+        n, r, k = self.n, self.reserve, self.n + m - 1
         w, v = self._lead(w, v)
-        tw, lw = self._evaluate(w, *self._schedule(self.n + m - 1))
-        return self._strip(self._member_payoff(m, w, v, tw, lw, self.dist.cdf(w)))
+        cell = x, i, F, weights = self._cell(w)
+        T, A = self._bid_transfer(k, cell)
+        if self._G is None:
+            self._G = cumulative_simpson(self._F ** (n - 1) * self._dxds, self._h)
+        P = F[2] ** (n - 1)
+        G = self._G[-1] - (self._G[i] + sum(wj * Fj ** (n - 1) for wj, Fj in zip(weights, F)))
+        g = _column(np.array([cfg.g(k) for cfg in self.cfgs]), x)
+        l, top = _column(self._share_exponents(k), x), _column(self._ratio(k)[0][:, -1], x)  # A(v_h) = J(v_h)
+        ratio = np.divide(m * g * (n - 1), m - 1 + l, out=np.zeros_like(g), where=g > 0.0)
+        loser = (k - 1) / (k - 1 + l) * (m * g * ((self.dist.v_h - r) - (x - r) * P - G) + ratio * (top - A * P - G))
+        return self._strip(np.where(w >= r, (v - T + (m - 1) * g * (T - r)) * P, 0.0) + loser)
 
     def expected_profit(self, m: Union[int, Sequence[int]] = 1):
         """Registration-stage expected payoff of running m identities, truthful bidding:
         the integral over [0, v_h] of ``payoff(x, x, m)`` times the density.  With
-        k = n+m-1, g = g(k) and the loser schedule L(x) = integral_x^v_h (T_k - r)(n-1)
+        k = n+m-1, g = g(k) and the loser shares L(x) = integral_x^v_h (T_k - r)(n-1)
         F^(n-2) f, swapping the order of integration gives integral_r^v_h L f + F(r) L(r)
         = integral_r^v_h (T_k - r)(n-1) F^(n-1) f, the below-reserve shares included, so
 
@@ -595,11 +592,11 @@ def opt_ring_search(
     baseline = expected_order_gap(dist, n)
     profits = model.expected_profit(range(1, RING_MAX_IDENTITIES + 1))
     # dU/dw at w = v, F^(n-2) |F T' - f ((n-1) v + l r - e T)|, at the nodes whose neighbours lie past F = 0
-    t, l = model._transfer(n)[0], model._share_exponents(n)
+    t, l = model._transfer(n), model._share_exponents(n)
     a = int(np.count_nonzero(model._F[::2] <= 0.0)) + 1
     x = model.grid[::2]
     v, F, f = (nodes[a:MODEL_CELLS] for nodes in (x, model._F[::2], model._f[::2]))
-    # the nodes' central difference over their own spacing, not the Hermite slopes, which solve the ODE
+    # the nodes' central difference over their own spacing
     slope = (t[:, a + 1 :] - t[:, a - 1 : -2]) / (x[a + 1 :] - x[a - 1 : -2])
     gap = F ** (n - 2) * np.abs(F * slope - f * ((n - 1) * v + l * reserve - (n - 1 + l) * t[:, a:-1]))
     truthful_gap = gap.max(axis=1, initial=0.0)

@@ -222,28 +222,27 @@ def fubini_expected_profit(model, counts):
     return integrate(integrand, r, model.dist.v_h)
 
 
-def loser_schedule_expected_profit(model, counts):
-    """(configs, counts) registration-stage profits, the fine Simpson total on ``integrate``'s
-    points, in the loser-schedule form, over every schedule ``model._schedule`` builds,
-    each interpolated at those points: the transfer against the rule's weights times
-    F^(n-1) f and the loser schedule against them times f, plus the m loser shares
-    F(r) m g L(r) of the values below the reserve."""
-    from sybilgames.numerics import QUAD_CELLS, _quadrature_points, _simpson_weights
+def definition_member_payoff(w: float, v: float, m: int, cfg, dist, cells: int = 2048) -> float:
+    """Payoff of a ring member with valuation v bidding w and running m identities, from the
+    definition and ``ring_transfer`` alone: with k = n + m - 1, g = g(k) and T the k-report IC
+    transfer (``ring_transfer`` under ``RingConfig(g, r, n=k)``), the win part
+    [w >= r] (v - T(w) + (m-1) g (T(w) - r)) F(w)^(n-1) plus m g times the loser shares, a
+    ``cells``-cell trapezoid of (T - r)(n-1) F^(n-2) f on [max(w, r), v_h]."""
+    from sybilgames.ring import RingConfig, ring_transfer
 
-    r, n = model.reserve, model.n
-    x, h = _quadrature_points(r, model.dist.v_h)
-    F, f = model.dist.cdf(x), model.dist.pdf(x)
-    rule = _simpson_weights(h, QUAD_CELLS)[0]
-    rule_P = rule * np.where(F ** (n - 1) > 0.0, F ** (n - 1) * f, 0.0)
-    bids = np.broadcast_to(x, (len(model.cfgs), x.size))
-    out = np.empty((len(model.cfgs), len(counts)))
-    for j, count in enumerate(counts):
-        T, loser = model._evaluate(bids, *model._schedule(n + count - 1))
-        gamma = np.array([cfg.g(n + count - 1) for cfg in model.cfgs])
-        L = loser @ (rule * f) + model.dist.cdf(r) * loser[:, 0]
-        paid = (count - 1) * gamma * r * rule_P.sum() + (1.0 - (count - 1) * gamma) * (T @ rule_P)
-        out[:, j] = rule_P @ x - paid + count * gamma * L
-    return out
+    n, r = cfg.n, cfg.reserve
+    k = n + m - 1
+    g = cfg.g(k)
+    report = RingConfig(cfg.g, r, n=k)
+    F_w = float(dist.cdf(w))
+    win = 0.0
+    if w >= r and F_w > 0.0:
+        T = ring_transfer(w, report, dist)
+        win = (v - T + (m - 1) * g * (T - r)) * F_w ** (n - 1)
+    y = np.linspace(max(w, r), dist.v_h, cells + 1)
+    T = np.array([ring_transfer(float(u), report, dist) for u in y])
+    shares = (T - r) * (n - 1) * dist.cdf(y) ** (n - 2) * dist.pdf(y)
+    return win + m * g * (y[1] - y[0]) * (shares.sum() - 0.5 * (shares[0] + shares[-1]))
 
 
 def envelope_expected_profit(model, cells: int = 200_000) -> np.ndarray:
@@ -413,3 +412,4 @@ def all_segments_interval_value(mu, lo: float, hi: float) -> float:
         if overlap > 0.0:
             total += d * overlap
     return total
+

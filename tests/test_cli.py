@@ -402,6 +402,8 @@ def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
     [
         ["fig", "--which", "fig2", "--price", "nan"],
         ["commit", "--instance", "cfmm", "--reserve-a", "nan"],
+        ["fig", "--which", "fig2", "--reserve-b", "inf"],
+        ["commit", "--instance", "cfmm", "--reserve-b", "inf"],
         ["verify", "--c", "nan"],
         ["commit", "--c", "nan"],
         ["commit", "--alpha", "nan"],
@@ -409,7 +411,7 @@ def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
     ],
 )
 def test_nan_parameters_are_invalid(tmp_path, capsys, argv):
-    # argparse reads "nan" as a float; it must not run as "no arbitrage" or fail as a numeric error
+    # argparse reads "nan" and "inf" as floats; they must not run as "no arbitrage" or fail as a numeric error
     out = tmp_path / "out.csv"
     assert run_cli(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("invalid parameter:")

@@ -154,11 +154,15 @@ def test_cournot_oracle_rejects_dead_market():
         lambda: cfmm_curve(100.0, 100.0, math.nan),
         lambda: trivial_commitment_instance(math.nan),
         lambda: rmax_commitment_instance(math.nan, 0.1),
+        lambda: cfmm_arbitrage_oracle(math.inf, 100.0, 0.5),
+        lambda: cfmm_arbitrage_oracle(100.0, math.inf, 0.5),
+        lambda: cfmm_arbitrage_oracle(100.0, 100.0, math.inf),
     ],
-    ids=["alpha", "c_prod", "reserve_b", "price", "trivial_c", "rmax_R"],
+    ids=["alpha", "c_prod", "reserve_b", "price", "trivial_c", "rmax_R", "inf_reserve_a", "inf_reserve_b", "inf_price"],
 )
 def test_nan_parameters_are_rejected(build):
-    # NaN compares false both ways: a guard written as x <= 0 would let it through
+    # NaN compares false both ways: a guard written as x <= 0 would let it through; an infinite
+    # reserve or price has no exact b - p a and made the batched trade NaN
     with pytest.raises(DomainError):
         build()
 
@@ -183,8 +187,9 @@ def decimal_batched_trade(n, a, b, p):
         return q, (b * q / (a + q) - p * q) / n, B
 
 
-# b/(a p): 1 + 2^-20 (q far below a, where the form u - a with u = a + q would cancel), then both signs of B
-CFMM_RATIOS = (1.0 + 2.0**-20, 1.25, 2.0, 3.0, 64.0, 1e6)
+# b/(a p): 1 + 1e-10 (b - p a near p a's rounding, which a rounded p a put into q 1e-6 relative), 1 + 2^-20 (q far
+# below a, where the form u - a with u = a + q would cancel), then both signs of B
+CFMM_RATIOS = (1.0 + 1e-10, 1.0 + 2.0**-20, 1.25, 2.0, 3.0, 64.0, 1e6)
 CFMM_GRID = list(itertools.product((0.75, 100.0, 3e4, 0.7), (0.5, 0.375, 2.0, 0.3), CFMM_RATIOS))  # (a, p, b/(a p))
 
 
@@ -195,25 +200,21 @@ def test_cfmm_closed_form_is_the_root_of_the_first_order_condition():
         f, fprime = cfmm_curve(a, b, p)
         oracle = cfmm_arbitrage_oracle(a, b, p)
         with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            # C = n a (b - p a) takes p a rounded: its error relative to b - p a, 0 where p a is exact
-            rounding = abs(decimal.Decimal(p) * decimal.Decimal(a) - decimal.Decimal(p * a)) / (
-                decimal.Decimal(b) - decimal.Decimal(p) * decimal.Decimal(a)
-            )
+            ctx.prec = 50  # holds p a exactly, so b - p a is rounded once
+            excess = float(decimal.Decimal(b) - decimal.Decimal(p) * decimal.Decimal(a))
         for n in range(1, 61):
-            q = _batched_trade(n, a, b, p)
+            q = _batched_trade(n, a, b, p, excess)
             exact_q, exact_payoff, B = decimal_batched_trade(n, a, b, p)
             signs.add(B > 0)
-            tol = decimal.Decimal(1e-14) + 2 * rounding
-            assert abs(decimal.Decimal(q) - exact_q) <= tol * exact_q, (a, p, ratio, n)
+            assert abs(decimal.Decimal(q) - exact_q) <= decimal.Decimal(1e-14) * exact_q, (a, p, ratio, n)
             payoff = oracle.payoff(n)
             assert payoff == f(q) / n
             # f(q) = b q/(a + q) - p q loses the digits its two terms share, and q f'(q)/f(q) = 1 - n
             digits_lost = b * q / (a + q) / f(q)
-            tol = decimal.Decimal(2e-15 * digits_lost) + 2 * n * rounding
+            tol = decimal.Decimal(2e-15 * digits_lost)
             assert abs(decimal.Decimal(payoff) - exact_payoff) <= tol * exact_payoff, (a, p, ratio, n)
             if ratio > 1.0 + 2.0**-20:
-                # bisection's absolute stopping tests leave the 1 + 2^-20 curves unresolved
+                # bisection's absolute stopping tests leave the curves at 1 + 2^-20 and below unresolved
                 assert payoff == pytest.approx(concave_prorata_equilibrium(f, n, fprime).per_player_payoff, rel=1e-10)
     assert signs == {True, False}
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     central_diff,
+    definition_member_payoff,
     envelope_expected_profit,
     fine_ring_transfer,
     fubini_expected_profit,
     level_loop_ring_transfer,
-    loser_schedule_expected_profit,
     quantile_scan_truthful,
     sampled_expected_profit,
     trapezoid_ring_transfer,
@@ -190,12 +190,12 @@ def test_transfer_never_evaluates_the_density():
 
 @pytest.mark.parametrize("reserve", [0.0, 0.3])
 def test_model_transfer_node_values_read_no_density(reserve):
-    # both transfers are one by-parts formula in F^e: only the Hermite slopes read f
+    # both transfers are one by-parts formula in F^e: the node values read no f
     true = beta22_values()
     wrong = ValueDistribution("beta22-wrong-pdf", true.cdf, lambda x: np.full(np.shape(x), 7.0), 1.0, true.quantile)
     cfgs = [constant_share_config(theta, 3, reserve) for theta in (0.0, 0.5, 1.0)]
     for k in (2, 3, 5):
-        assert np.array_equal(RingModel(wrong, cfgs)._transfer(k)[0], RingModel(true, cfgs)._transfer(k)[0])
+        assert np.array_equal(RingModel(wrong, cfgs)._transfer(k), RingModel(true, cfgs)._transfer(k))
 
 
 @pytest.mark.parametrize("dist", ["uniform", "beta22", "truncexp"])
@@ -342,7 +342,7 @@ def test_model_transfers_start_at_the_reserve_rise_and_stay_between_it_and_the_b
     # by parts, r <= T <= v follows from Simpson's positive weights; the density form put the first node
     # at up to 3.3 times the bid (beta22, n = 8, k = 11, theta = 0)
     model = RingModel(DISTRIBUTIONS[name](), constant_share_config(theta, n, reserve))
-    t, v = model._transfer(n + extra)[0][0], model.grid[::2]
+    t, v = model._transfer(n + extra)[0], model.grid[::2]
     assert t[0] == reserve
     assert np.all(t >= reserve * (1.0 - 1e-12)) and np.all(t <= v * (1.0 + 1e-12))
     assert np.all(np.diff(t) >= -1e-12 * v[1:])
@@ -370,38 +370,10 @@ def test_transfer_quadrature_matches_a_fine_trapezoid_off_the_uniform_rows(dist,
             assert ring_transfer(v, cfg, values) == pytest.approx(expected, rel=1e-9)
 
 
-# (n, m, theta) whose transfer integrand F^e = u^(k-1+theta) on uniform values is a whole power of degree at most 3
-UNIFORM_SCHEDULES = [(2, 1, 0.0), (2, 1, 1.0), (3, 1, 0.0), (3, 1, 1.0), (3, 2, 0.0)]
-
-
-@pytest.mark.parametrize("n, m, theta", UNIFORM_SCHEDULES)
-def test_hermite_node_slopes_equal_the_closed_form_on_uniform_values(n, m, theta):
-    # uniform: T(v) = (k-1) v/(k+theta), so T' = (k-1)/(k+theta); the Hermite slopes in s are T' dx/ds times the
-    # node spacing 1/MODEL_CELLS, with x = 3 s^2 - 2 s^3 and dx/ds = 6 s (1 - s), so 0 at both ends.  In s the
-    # integrand F^e dx/ds ~ s^(2e+1) is no cubic, so A, and with it both slopes, carries Simpson's error: 37.5 % at
-    # node 1 for e = 3 (the rule's 44 h^8 for the exact 32 h^8 of s^7 on the first cell), falling as the node index i
-    # to the -4th (at most 0.58 i^-4, at i = 9) down to rounding, 3.8e-12 past node 512.  Every interior node is checked
-    # against the closed form within max(i^-4, 1e-11) relative
-    model = RingModel(UNIFORM, constant_share_config(theta, n))
-    k = n + m - 1
-    t, t_slopes, _, loser_slopes = model._schedule(k)
-    s = np.linspace(0.0, 1.0, MODEL_CELLS + 1)
-    scale = 6.0 * s * (1.0 - s) / MODEL_CELLS
-    nodes = model.grid[::2]
-    assert float(UNIFORM.cdf(nodes[0])) == 0.0
-    assert t_slopes[0, 0] == t_slopes[0, -1] == loser_slopes[0, 0] == loser_slopes[0, -1] == 0.0
-    inner = slice(1, -1)
-    bound = np.maximum(np.arange(1.0, MODEL_CELLS) ** -4.0, 1e-11)
-    closed = scale[inner] * (k - 1) / (k + theta)
-    assert np.all(np.abs(t_slopes[0, inner] - closed) <= bound * closed)
-    # the loser schedule's slope -(T - r)(n-1) F^(n-2) f dx/ds, with T, F and f in closed form
-    closed = -scale[inner] * (k - 1) * nodes[inner] / (k + theta) * (n - 1) * nodes[inner] ** (n - 2)
-    assert np.all(np.abs(loser_slopes[0, inner] - closed) <= bound * np.abs(closed))
-
-
 @pytest.mark.parametrize("dist", [beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
-# n = 2: the loser weight is F^0, and the transfer's F^e is F^1 at theta = 0 and F^2 at theta = 1, where numpy's **
-# may swap in a copy or a square for a single config's exponent but not for a joint model's column of exponents
+# n = 2: the transfer's F^e is F^1 at theta = 0 and F^2 at theta = 1, where numpy's ** may swap in a copy or a
+# square for a single config's exponent but not for a joint model's column of exponents; a bid's F^e rounds by
+# the power loop's memory layout, so payoff and transfer raise it row by row
 @pytest.mark.parametrize("n, reserve", [(3, 0.05), (2, 0.05), (3, 0.0)])
 def test_a_model_over_several_configs_equals_single_config_models_row_by_row(dist, n, reserve):
     cfgs = [constant_share_config(theta, n, reserve=reserve) for theta in (0.0, 0.35, 0.7, 1.0)]
@@ -453,15 +425,16 @@ def test_member_payoff_on_arrays_matches_scalar_calls():
         assert array_payoffs.tolist() == scalar_payoffs
 
 
-def test_member_payoff_closed_form_uniform_three():
-    theta = 0.15
+@pytest.mark.parametrize("theta", [0.0, 5e-324, 2.2e-313, 0.15, 1.0])
+def test_member_payoff_closed_form_uniform_three(theta):
+    # the subnormal thetas: m g (n-1)/p is formed as one ratio, so (n-1)/p cannot overflow on the way
     model = RingModel(UNIFORM, constant_share_config(theta, 3))
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         for v in (0.3, 0.7, 0.95):
             closed = (v**3 * (1.0 + m * theta) + (2.0 * m * theta / 3.0) * (1.0 - v**3)) / (
                 m + 2.0 + theta
             )
-            assert model.payoff(v, v, m) == pytest.approx(closed, abs=1e-9)
+            assert model.payoff(v, v, m) == pytest.approx(closed, abs=1e-12)
 
 
 def test_truthful_bidding_is_optimal_on_a_refined_grid():
@@ -670,9 +643,9 @@ def test_profits_from_node_weights_agree_with_the_sampled_integrand(dist, n):
     for reserve in (0.0, 0.05, 0.3):
         model = RingModel(values, [constant_share_config(theta, n, reserve) for theta in np.linspace(0.0, 1.0, 21)])
         profits = model.expected_profit(counts)
-        assert not model._schedules  # the profits read transfer schedules only
-        # the same integrand with the transfer's Hermite interpolant on integrate's points, and the literal
-        # integrand, loser schedule and below-reserve mass included, are other discretizations of the same
+        assert model._G is None  # the profits build none of the member payoff's integrals
+        # the same integrand with the transfer at integrate's points, and the literal integrand, loser
+        # shares and below-reserve mass included, are other discretizations of the same
         # integral than the profit's node rule (worst 2.7e-12, beta22 n = 6 r = 0)
         fubini = fubini_expected_profit(model, counts)
         assert np.all(np.abs(profits - fubini) <= 1e-11 * np.abs(fubini))
@@ -701,43 +674,81 @@ def test_one_identity_profit_satisfies_the_envelope_identity(dist, n):
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
 @pytest.mark.parametrize("n", [2, 3, 6])
 @pytest.mark.parametrize("reserve", [0.0, 0.05])
-def test_profits_from_folded_loser_weights_equal_the_loser_schedule_dot_products(dist, n, reserve):
-    # the profits fold no loser weights: the loser shares enter as one more weight on the transfer, which
-    # equals the loser schedule's integral only up to the quadrature, so the explicit loser-schedule form
-    # that payoff reads, on integrate's points, agrees to the accuracy the profit claims (worst 2.7e-12,
-    # beta22 n = 6 r = 0) and gives the same verdicts
+def test_profits_equal_the_member_payoffs_on_the_models_own_nodes(dist, n, reserve):
+    # the profits fold no loser shares: swapping the order of integration makes them one more weight on the
+    # transfer, which equals the payoff's closed-form loser shares integrated against f only up to the
+    # quadrature, so the nodes' own Simpson rule over payoff(x, x, m) f dx/ds, plus the mass F(r) below the
+    # reserve at a bid below it, agrees to the accuracy the profit claims and gives the same verdicts
     counts = [1, 2, 3, 4]
     model = RingModel(DISTRIBUTIONS[dist](), [constant_share_config(t, n, reserve) for t in (0.0, 0.35, 0.7, 1.0)])
     profits = model.expected_profit(counts)
-    assert not model._schedules  # the profits read transfer schedules only
-    explicit = loser_schedule_expected_profit(model, counts)
+    nodes = model.grid[None, ::2]
+    rule = ring._simpson_weights(2.0 * model._h, MODEL_CELLS // 2)[0] * model._f[::2] * model._dxds[::2]
+    below = float(model.dist.cdf(reserve))
+    explicit = np.stack(
+        [model.payoff(nodes, nodes, m) @ rule + below * model.payoff(reserve - 1.0, reserve - 1.0, m) for m in counts],
+        axis=-1,
+    )
     assert np.all(np.abs(profits - explicit) <= QUAD_TOL * np.abs(explicit))
     assert np.array_equal(_sybilproof(profits), _sybilproof(explicit))
 
 
-def test_payoff_still_builds_the_loser_schedule_of_its_count(monkeypatch):
+def test_payoff_reads_the_ratio_of_its_count_and_builds_no_transfer_values(monkeypatch):
     built, exact = [], RingModel._transfer
     monkeypatch.setattr(RingModel, "_transfer", lambda self, k: built.append(k) or exact(self, k))
     model = RingModel(UNIFORM, constant_share_config(0.5, 3))
     model.expected_profit([1, 2])
-    assert sorted(model._ratios) == [3, 4] and built == []  # the profits contract A = J/F^e alone
-    model.payoff(0.5, 0.5, 2)
-    assert list(model._schedules) == [4] and built == [4]
-    # the search builds the n-report transfer schedule its certificate reads, and no other
+    assert sorted(model._ratios) == [3, 4] and built == [] and model._G is None  # the profits contract A = J/F^e alone
+    model.payoff(0.5, 0.5, 3)
+    assert sorted(model._ratios) == [3, 4, 5] and built == [] and model._G is not None
+    survival = model._G
+    model.payoff(0.5, 0.5, 1)
+    assert model._G is survival  # built once per model
+    # the search builds the n-report transfer node values its certificate reads, and no other
     built.clear()
     opt_ring_search(UNIFORM, 3, reserve=0.2)
     assert built == [3]
 
 
 @pytest.mark.parametrize("k", [None, 4])
-def test_model_transfer_reads_the_transfer_schedule_alone(k):
+def test_model_transfer_reads_the_ratio_of_its_count_alone(monkeypatch, k):
     model = RingModel(beta22_values(), [constant_share_config(t, 3) for t in (0.0, 0.5, 1.0)])
-    bids = np.linspace(0.0, 1.0, 13)[None]  # one row of bids for every config
-    out = model.transfer(bids, k)
-    assert not model._schedules  # no loser schedule is built for the transfer
-    t, mt = model._schedule(k or 3)[:2]
-    (expected,) = model._evaluate(model._lead(bids)[0], t, mt)
-    assert np.array_equal(out, expected)
+    nodes = model.grid[::2]
+    expected = model._transfer(k or 3)
+    monkeypatch.setattr(RingModel, "_transfer", lambda self, k: pytest.fail("transfer built node transfer values"))
+    model._ratios.clear()
+    out = model.transfer(nodes[None], k)
+    assert sorted(model._ratios) == [k or 3] and model._G is None  # no loser-share integral for the transfer
+    assert np.abs(out - expected).max() <= 1e-15  # a bid on a node reads that node
+
+
+@pytest.mark.parametrize("reserve", [0.0, 0.2])
+def test_payoff_and_transfer_sample_only_the_cdf_after_construction(reserve):
+    def no_pdf(x):
+        raise AssertionError("the density was evaluated after construction")
+
+    true = beta22_values()
+    cfgs = [constant_share_config(theta, 3, reserve) for theta in (0.0, 0.5, 1.0)]
+    model, expected = RingModel(true, cfgs), RingModel(true, cfgs)
+    model.dist = dataclasses.replace(true, pdf=no_pdf)
+    bids = np.linspace(0.0, 1.0, 11)[None]
+    for m in (1, 2, 4):
+        assert np.array_equal(model.payoff(bids, 0.6, m), expected.payoff(bids, 0.6, m))
+    assert np.array_equal(model.transfer(bids, 5), expected.transfer(bids, 5))
+
+
+@pytest.mark.parametrize("dist", [beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
+@pytest.mark.parametrize("reserve", [0.0, 0.2])
+def test_member_payoff_matches_its_definition_on_ring_transfer(dist, reserve):
+    # the oracle shares no formula with the closed-form loser shares: ring_transfer at the bid and on a
+    # 2,048-cell trapezoid of the loser shares, whose own h^2 error dominates (worst 5.5e-8, over these bids
+    # at n = 3, theta = 0.5; 1.4e-8 at 4,096 cells). n = 2, r = 0, theta <= 0.3 is avoided: ring_transfer
+    # raises near F = 0 there
+    cfg = constant_share_config(0.5, 3, reserve)
+    model = RingModel(dist, cfg)
+    for m in (1, 2, 4):
+        for w, v in ((0.1, 0.3), (0.5, 0.5), (0.8, 0.6)):
+            assert abs(model.payoff(w, v, m) - definition_member_payoff(w, v, m, cfg, dist)) <= 1e-7, (m, w, v)
 
 
 def test_a_share_past_the_configs_checked_counts_is_checked_when_its_transfer_is_built():
@@ -931,13 +942,9 @@ def test_truthful_ok_agrees_with_the_quantile_scan_oracle(dist, n, reserve):
 @SCAN_NS
 @SCAN_RESERVES
 def test_a_transfer_scaled_by_one_percent_fails_the_certificate_and_the_oracle(monkeypatch, dist, n, reserve):
-    exact = RingModel._transfer
-
-    def scaled(self, k):
-        t, mt = exact(self, k)
-        return 1.01 * t, 1.01 * mt
-
-    monkeypatch.setattr(RingModel, "_transfer", scaled)
+    # every transfer returns through _by_parts: the certificate's node values and the payoff's winner transfer
+    exact = ring._by_parts
+    monkeypatch.setattr(ring, "_by_parts", lambda *args: 1.01 * exact(*args))
     thetas = np.linspace(0.0, 1.0, 21).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no theta passes, so the search falls back
@@ -952,7 +959,8 @@ def test_the_search_scans_no_member_payoff(monkeypatch):
         raise AssertionError("the search evaluated a member payoff")
 
     monkeypatch.setattr(RingModel, "payoff", forbidden)
-    monkeypatch.setattr(RingModel, "_schedule", forbidden)
+    monkeypatch.setattr(RingModel, "transfer", forbidden)
+    monkeypatch.setattr(RingModel, "_cell", forbidden)  # no bid between the nodes is read
     monkeypatch.setattr(ring, "grid_argmax", forbidden, raising=False)
     result = opt_ring_search(UNIFORM, 2, reserve=0.2)
     assert result.best_theta == 0.4 and all(row.truthful_ok for row in result.rows)
@@ -1040,7 +1048,7 @@ def test_profit_contraction_of_A_equals_the_node_rule_over_the_derived_transfer(
     rule_P = ring._simpson_weights(2.0 * model._h, MODEL_CELLS // 2) * P
     for j, m in enumerate(counts):
         k = n + m - 1
-        t, _ = model._transfer(k)
+        t = model._transfer(k)
         g = np.array([[cfg.g(k)] for cfg in model.cfgs])
         expected = ring._row_sums(v - t + (m * n - 1) * g * (t - reserve), rule_P)[:, 0]
         assert np.all(np.abs(profits[:, j] - expected) <= 1e-13 * np.abs(expected)), m
@@ -1049,12 +1057,12 @@ def test_profit_contraction_of_A_equals_the_node_rule_over_the_derived_transfer(
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
 def test_a_bid_finds_its_cell_through_the_node_maps_closed_form_inverse(dist):
     # s = B^-1((w - a)/(v_h - a)) puts each bid in the node cell that holds it, up to the inverse's rounding, and
-    # the Hermite interpolant reads back the node values at the nodes themselves
+    # the cell step from the node below adds nothing at the nodes themselves, which read back their node values
     for reserve in (0.0, 0.3):
         model = RingModel(DISTRIBUTIONS[dist](), constant_share_config(0.5, 3, reserve))
         nodes = model.grid[::2]
         bids = np.random.default_rng(5).uniform(reserve, nodes[-1], 1_000)
-        i, _ = model._basis(bids)
+        i, s = model._basis(bids)
         assert np.all((nodes[i] <= bids + 1e-12) & (bids <= nodes[i + 1] + 1e-12))
-        t, _ = model._transfer(3)
-        assert np.abs(model.transfer(nodes) - t[0]).max() <= 1e-15
+        assert np.all((i <= s * MODEL_CELLS) & (s * MODEL_CELLS <= i + 1))
+        assert np.abs(model.transfer(nodes) - model._transfer(3)[0]).max() <= 1e-15
