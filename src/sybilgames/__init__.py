@@ -27,8 +27,6 @@ from .core import (
 from .equilibrium import (
     DiscreteMixedEquilibrium,
     SymmetricEquilibrium,
-    best_response_reward_game,
-    concave_prorata_equilibrium,
     price_of_anarchy,
     reward_game_mixed_equilibrium,
     reward_game_pure_equilibrium,
@@ -42,8 +40,6 @@ __all__ = [
     "SybilStrategy",
     "SybilVerdict",
     "SymmetricEquilibrium",
-    "best_response_reward_game",
-    "concave_prorata_equilibrium",
     "headcount_reward_game",
     "merged_payoff",
     "price_of_anarchy",

@@ -28,15 +28,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MalformedSliceError, StatisticalPowerError
+from .errors import DomainError, MalformedSliceError
 from .numerics import _left_sum
 
 MERGE_EPS = 1e-15
-FAIRNESS_MIN_RUNS = 10_000  # fewest transcript runs check_fairness accepts
-FAIRNESS_Z = 3.0  # standard errors check_fairness allows its estimates
-
-COIN_KEPT = "kept"
-COIN_BURNED = "burned"
 
 
 @dataclass(frozen=True)
@@ -127,23 +122,6 @@ class Slice:
         return sum(hi - lo for lo, hi in self.intervals)
 
 
-EMPTY_SLICE = Slice(())
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """One slice per reported identity; a burned coin empties every slice."""
-
-    slices: tuple[Slice, ...]
-    coin: str
-
-    def __post_init__(self):
-        if self.coin not in (COIN_KEPT, COIN_BURNED):
-            raise DomainError(f"unknown coin outcome {self.coin!r}")
-        if self.coin == COIN_BURNED and any(not s.empty for s in self.slices):
-            raise DomainError("a burned allocation must hand out empty slices")
-
-
 def measure_value(mu: PiecewiseMeasure, s: Slice) -> float:
     """Exact value of a slice under a piecewise-constant measure: its intervals' values
     added in order from 0.0 (``_left_sum``), so every Python version writes the same bytes."""
@@ -187,15 +165,6 @@ def coin_probability(n: int) -> float:
     if n < 1:
         raise DomainError("need n >= 1")
     return n / 2.0 ** (n - 1)
-
-
-def run_mechanism(declared: Sequence[PiecewiseMeasure], seed: int) -> Allocation:
-    """One mechanism run: run 0 of a one-run :func:`run_monte_carlo` batch."""
-    transcript = run_monte_carlo(declared, 1, seed)
-    if transcript.coins[0]:
-        slices = tuple(transcript.partition[j] for j in transcript.assignments[0])
-        return Allocation(slices, COIN_KEPT)
-    return Allocation(tuple(EMPTY_SLICE for _ in range(transcript.n)), COIN_BURNED)
 
 
 def expected_truthful_value(n: int) -> float:
@@ -245,52 +214,3 @@ def run_monte_carlo(declared: Sequence[PiecewiseMeasure], runs: int, seed: int) 
     rng.permuted(assignments, axis=1, out=assignments)  # in place: the same draws as a shuffled copy
     coins = rng.random(runs) < coin_probability(n)
     return Transcript(tuple(declared), partition, assignments, coins)
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    envy_free_in_expectation: bool
-    alpha_proportional: float
-    non_wasteful: bool
-    own_value_means: tuple[float, ...]
-
-
-def check_fairness(transcript: Transcript, true_measures: Sequence[PiecewiseMeasure]) -> FairnessReport:
-    """Estimate the fairness guarantees from a Monte Carlo transcript of at least
-    ``FAIRNESS_MIN_RUNS`` runs (fewer raise :class:`StatisticalPowerError`).
-
-    ``alpha_proportional`` is the largest alpha every player's empirical mean own
-    value still clears after a ``FAIRNESS_Z``-sigma allowance; envy-freeness compares
-    each pair's own-vs-other value difference against ``FAIRNESS_Z`` paired standard
-    errors; ``non_wasteful`` requires every run to hand out slices covering the cake.
-    """
-    if transcript.runs < FAIRNESS_MIN_RUNS:
-        raise StatisticalPowerError(
-            f"need at least {FAIRNESS_MIN_RUNS} runs for fairness estimates, got {transcript.runs}"
-        )
-    n = transcript.n
-    if len(true_measures) != n:
-        raise DomainError("need one true measure per identity")
-    values = np.array(
-        [[measure_value(true_measures[i], transcript.partition[j]) for j in range(n)] for i in range(n)]
-    )
-    coins = transcript.coins.astype(float)
-    runs = transcript.runs
-    own = np.empty((runs, n))
-    for i in range(n):
-        own[:, i] = coins * values[i, transcript.assignments[:, i]]
-    own_means = own.mean(axis=0)
-    own_se = own.std(axis=0, ddof=1) / np.sqrt(runs)
-    alpha = float(np.min(own_means - FAIRNESS_Z * own_se))
-    envy_free = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            diff = own[:, i] - coins * values[i, transcript.assignments[:, j]]
-            se = diff.std(ddof=1) / np.sqrt(runs)
-            if diff.mean() < -FAIRNESS_Z * se - 1e-12:
-                envy_free = False
-    covered = abs(sum(s.length for s in transcript.partition) - 1.0) <= 1e-9
-    non_wasteful = bool(transcript.coins.all()) and covered
-    return FairnessReport(envy_free, alpha, non_wasteful, tuple(float(m) for m in own_means))

@@ -179,11 +179,6 @@ class SybilCost:
             raise DomainError("identity cost must be nonnegative")
         return SybilCost(cost=lambda x, y: c * x)
 
-    @staticmethod
-    def prohibitive() -> "SybilCost":
-        """Free single identity, infinitely costly extras: collapses to the base game."""
-        return SybilCost(cost=lambda x, y: 0.0 if x <= 1 else math.inf)
-
     def __call__(self, x: float, y: float) -> float:
         value = self.cost(x, y)
         if value < 0.0:
@@ -259,8 +254,8 @@ class SybilVerdict:
     A counterexample carries the first strictly profitable split (refined on
     continuous spaces) in ``mine``, ``foreign`` and ``gain``.  A proof carries
     the best deviation it found, with ``gain <= tol``; ``mine`` stays None and
-    ``gain`` -inf when a budget excluded every split.  ``candidates`` counts the
-    grid multisets scanned (over-budget ones too), up to and including a
+    ``gain`` -inf when every split's gain is -inf (a cost infinite for x >= 2).
+    ``candidates`` counts the grid multisets scanned, up to and including a
     counterexample's hit.
     """
 
@@ -352,27 +347,14 @@ def _multiset_blocks(values: np.ndarray, m: int):
         yield np.concatenate(pending, axis=1).T
 
 
-def _grid_gains(
-    game: AggregativeGame,
-    cost: SybilCost,
-    actions: np.ndarray,
-    profile: tuple[float, ...],
-    limit: Optional[float],
-) -> np.ndarray:
+def _grid_gains(game: AggregativeGame, cost: SybilCost, actions: np.ndarray, profile: tuple[float, ...]) -> np.ndarray:
     """``sybil_payoff - merged_payoff`` of every row of the (k, m) array ``actions``.
 
     The same float operations run in the same order as in the scalar payoffs, so
-    each entry equals the scalar gain bit for bit; rows whose sum exceeds
-    ``limit`` get -inf, and phi is not called on them.  A block costs m + 1
+    each entry equals the scalar gain bit for bit.  A block costs m + 1
     :meth:`~AggregativeGame.phi_values` calls of length k: one per identity
     column and one for the merged comparator.
     """
-    if limit is not None:
-        keep = ~(_left_sum(actions.T) > limit)
-        gains = np.full(len(actions), -math.inf)
-        if keep.any():
-            gains[keep] = _grid_gains(game, cost, actions[keep], profile, None)
-        return gains
     m = actions.shape[1]
     columns = list(actions.T)
     merged = game.merge_values(columns)
@@ -392,7 +374,6 @@ def verify_sybilproof(
     foreign_profiles: Sequence[Sequence[float]],
     tol: float = SYBIL_TOL,
     search_upper: Optional[float] = None,
-    budget: Optional[float] = None,
 ) -> SybilVerdict:
     """Exhaustively search multi-identity deviations against each foreign profile.
 
@@ -402,8 +383,7 @@ def verify_sybilproof(
     given, then fewest identities, then sorted action tuples in lexicographic
     order.  Continuous grids get local refinement around the returned candidate
     (``REFINE_ROUNDS`` rounds, a tenth of the step each); on a proof, around
-    each profile's best one.  Splits whose action total exceeds ``budget`` are
-    skipped.
+    each profile's best one.
 
     Each identity count is scanned in blocks of ``VERIFY_CHUNK`` (4,096) to
     ``VERIFY_CHUNK + VERIFY_PIECE`` (20,480) candidates from
@@ -416,7 +396,7 @@ def verify_sybilproof(
     never count as profitable or best (the first maximum wins), and the
     verdict names the same split as a scalar loop over the same order would.
     A foreign profile against which every scanned gain is NaN raises
-    :class:`NumericError`; a budget that excludes every split (gains of -inf)
+    :class:`NumericError`; a cost infinite for every x >= 2 (gains of -inf)
     still gives a proof with no best deviation.
     """
     if max_identities < 2:
@@ -426,7 +406,6 @@ def verify_sybilproof(
     if not grid.size:
         raise ConfigurationError("search grid contains no positive actions")
     _check_actions(game, grid.tolist(), "own", positive=True)
-    limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
     candidates = 0
 
     def verdict(proof, actions, profile, gain):
@@ -444,12 +423,12 @@ def verify_sybilproof(
         scanned_a_number = False
         for m in range(2, max_identities + 1):
             for actions in _multiset_blocks(grid, m):
-                gains = _grid_gains(game, cost, actions, profile, limit)
+                gains = _grid_gains(game, cost, actions, profile)
                 hits = np.flatnonzero(gains > tol)
                 if hits.size:
                     i = int(hits[0])
                     candidates += i + 1
-                    gain, mine = _refine(game, cost, tuple(actions[i].tolist()), float(gains[i]), profile, limit)
+                    gain, mine = _refine(game, cost, tuple(actions[i].tolist()), float(gains[i]), profile)
                     return verdict(False, mine, profile, gain)
                 candidates += len(actions)
                 if np.isnan(gains).all():
@@ -461,7 +440,7 @@ def verify_sybilproof(
         if not scanned_a_number:
             raise NumericError(f"every split's gain is NaN against foreign profile {profile}")
         if best_actions is not None and game.space.kind == CONTINUOUS:
-            best_gain, best_actions = _refine(game, cost, best_actions, best_gain, profile, limit)
+            best_gain, best_actions = _refine(game, cost, best_actions, best_gain, profile)
             if best_gain > tol:
                 return verdict(False, best_actions, profile, best_gain)
         if best_gain > top_gain:
@@ -512,7 +491,7 @@ def reward_share_game(
     return prorata_game(lambda s: R - c * s, space, name="reward-share")
 
 
-def _refine(game, cost, actions, gain, profile, limit):
+def _refine(game, cost, actions, gain, profile):
     """Coordinate-wise local refinement of a candidate deviation on continuous spaces.
 
     Each round rescans every identity's action in turn with one
@@ -532,7 +511,7 @@ def _refine(game, cost, actions, gain, profile, limit):
                 rows = np.sort(np.column_stack([np.tile(rest, (len(a), 1)), a]), axis=1)
                 gains = np.full(len(a), -math.inf)
                 positive = a > 0.0
-                gains[positive] = _grid_gains(game, cost, rows[positive], profile, limit)
+                gains[positive] = _grid_gains(game, cost, rows[positive], profile)
                 return gains
 
             a, gain = refine_argmax(gains_at, space.lower, hi, actions[j], gain, step, 1)

@@ -2,17 +2,16 @@
 
 Covers the closed-form symmetric equilibrium of the reward-sharing game, its integer-action
 mixed equilibrium (two adjacent actions, indifference solved by bisection, expected payoffs
-from the reward-share game's own phi weighted by binomial probabilities), the concave
-pro-rata first-order condition, a refined grid best response that validates closed forms
-(one response per row of an array of others' aggregates, so a whole table takes one call),
-and a grid price-of-anarchy estimate.
+from the reward-share game's own phi weighted by binomial probabilities), a refined grid
+best response that validates closed forms (one response per row of an array of others'
+aggregates, so a whole table takes one call), and a grid price-of-anarchy estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,10 +36,6 @@ class SymmetricEquilibrium:
         if abs(self.welfare - expected) > 1e-9 * max(1.0, abs(expected)):
             raise DomainError("welfare must equal n times the per-player payoff")
 
-    @property
-    def aggregate_action(self) -> float:
-        return self.n * self.per_player_action
-
 
 @dataclass(frozen=True)
 class DiscreteMixedEquilibrium:
@@ -63,19 +58,6 @@ class DiscreteMixedEquilibrium:
     @property
     def interior(self) -> bool:
         return 0.0 < self.p < 1.0
-
-
-def best_response_reward_game(R: float, c: float, y: float) -> float:
-    """Best response in the game paying R * own/(own+others) - c * own.
-
-    At y == 0 the payoff has no maximiser on x > 0 (any positive action takes
-    the whole reward), so the response is defined as 0 there.
-    """
-    if c <= 0.0:
-        raise DomainError("identity cost must be positive")
-    if R <= 0.0 or y < 0.0:
-        raise DomainError("need R > 0 and y >= 0")
-    return max(0.0, math.sqrt(R * y / c) - y)
 
 
 def reward_game_pure_equilibrium(R: float, c: float, n: int) -> SymmetricEquilibrium:
@@ -149,37 +131,6 @@ def reward_game_mixed_equilibrium(R: float, c: float, n: int) -> DiscreteMixedEq
         if mixed_deviation_gain(candidate, R, c) <= 1e-9:
             return candidate
     raise NumericError("no equilibrium found on the floor/ceil support")
-
-
-def concave_prorata_equilibrium(
-    f: Callable[[float], float], n: int, fprime: Callable[[float], float]
-) -> SymmetricEquilibrium:
-    """Symmetric equilibrium of the pro-rata game with curve f and its derivative fprime.
-
-    The aggregate action solves (n-1) f(q) + q f'(q) = 0, found by bracket
-    expansion plus bisection.
-    """
-    if n < 1:
-        raise DomainError("need n >= 1")
-
-    def condition(q: float) -> float:
-        return (n - 1) * f(q) + q * fprime(q)
-
-    hi = 1.0
-    while condition(hi) > 0.0 and hi < 1e12:
-        hi *= 2.0
-    if condition(hi) > 0.0:
-        raise NumericError("no interior equilibrium: first-order condition stays positive")
-    lo = hi
-    while lo > hi * 1e-15:
-        lo /= 2.0
-        if condition(lo) > 0.0:
-            break
-    else:
-        raise NumericError("no interior equilibrium: first-order condition never positive")
-    q = bisect_root(condition, lo, hi)
-    payoff = f(q) / n
-    return SymmetricEquilibrium(q / n, payoff, n, f(q))
 
 
 def grid_best_response(game: AggregativeGame, y):

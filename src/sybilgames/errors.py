@@ -25,9 +25,5 @@ class MalformedSliceError(DomainError):
     """A slice has overlapping or out-of-range intervals."""
 
 
-class StatisticalPowerError(DomainError):
-    """A Monte Carlo transcript is too small for the requested estimate."""
-
-
 class InvariantViolation(RuntimeError):
     """A runtime self-check failed; results must not be trusted."""

@@ -9,15 +9,15 @@ a violation is a gain above the tolerance, the witness the first failing y with 
 Also here: the tent-shaped pro-rata curves whose equilibrium welfare approaches R
 when the player count is common knowledge (the symmetric equilibrium in closed
 form, on the descending branch or at the kink, and every player count of a table
-validated by one batched grid best response), the unique dominant-strategy
-pro-rata curve, and the lottery variant for a non-divisible item.
+validated by one batched grid best response), and the unique dominant-strategy
+pro-rata curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -53,15 +53,6 @@ def rmax_mechanism(R: float) -> RewardMechanism:
 
 def constant_mechanism(R: float) -> RewardMechanism:
     return RewardMechanism(r=lambda n: R, R=R)
-
-
-def rdm_payoff(mech: RewardMechanism, x: int, y: int, c: float) -> float:
-    """Payoff of a player reporting x identities against y others: x r(x+y)/(x+y) - c x."""
-    if x < 0 or y < 0:
-        raise DomainError("identity counts must be nonnegative")
-    if x == 0:
-        return 0.0
-    return x * mech.r(x + y) / (x + y) - c * x
 
 
 def check_reward_sybilproof(
@@ -105,9 +96,6 @@ class DominantProrataCurve:
     def __call__(self, x: float) -> float:
         return (self.R * math.e / self.K) * x * math.exp(-x / self.K)
 
-    def derivative(self, x: float) -> float:
-        return (self.R * math.e / self.K) * math.exp(-x / self.K) * (1.0 - x / self.K)
-
     def welfare(self, n: int) -> float:
         """Equilibrium welfare with n players, f(nK) = R n e^(1-n)."""
         return self(n * self.K)
@@ -139,11 +127,6 @@ class TentFunction:
         """The curve at x, elementwise on an array; a float gives a float."""
         value = np.where(x <= self.peak, self.R * x / self.peak, self.R * (self.K - x) / self.epsilon)
         return value if np.ndim(x) else float(value)
-
-    def slope(self, x: float) -> float:
-        if x == self.peak:
-            raise DomainError("slope is undefined at the peak")
-        return self.R / self.peak if x < self.peak else -self.R / self.epsilon
 
 
 def tent_game(tent: TentFunction, grid_step: Optional[float] = None) -> AggregativeGame:
@@ -182,23 +165,3 @@ def tent_equilibria(tent: TentFunction, ns: Iterable[int]) -> list[SymmetricEqui
     if off.any():
         raise NumericError(f"tent equilibrium for n = {ns[int(np.argmax(off))]} failed the best-response validation")
     return eqs
-
-
-def nondivisible_lottery(n: int, seed_or_rng: Union[int, np.random.Generator]) -> Optional[int]:
-    """Allocate a non-divisible item to each of n reporters with probability 1/2^(n-1).
-
-    A single PCG64 uniform draw is stratified into n winner bins of width
-    1/2^(n-1) each; the remaining mass burns the item (returns None).
-    """
-    if n < 1:
-        raise DomainError("need n >= 1")
-    u = np.random.default_rng(seed_or_rng).random()
-    slot = int(u * 2.0 ** (n - 1))
-    return slot if slot < n else None
-
-
-def lottery_expected_value(n: int, R: float) -> float:
-    """Per-identity expected value of the non-divisible lottery, R / 2^(n-1)."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    return R / 2.0 ** (n - 1)

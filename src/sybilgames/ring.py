@@ -1,4 +1,4 @@
-"""Second-price auctions and budget-balanced bidding rings for cartel members
+"""Budget-balanced bidding rings in a second-price auction, for cartel members
 whose valuations are i.i.d. draws from a known distribution.
 
 A ring is a pair (T, g): the member reporting the highest bid wins the auction,
@@ -18,14 +18,14 @@ levels of 256, 512, ..., 4096 cells on [r, v] and returns at the first whose
 observed-order bound on J's error is at most 1e-10 of integral_r^v u d(F^e) = v F(v)^e -
 r F(r)^e - J, or raises ``NumericError``; RingModel takes J as ``cumulative_simpson`` of
 F^e dx/ds on its grid, uniform in s and graded toward both ends in x, and at a bid between
-nodes adds one Simpson cell from the node below.  Other single integrals (of the cdf alone,
-for order statistics) go through the checked ``integrate`` (4096 cells, raising
-``NumericError`` when the same bound exceeds 1e-10 of the integral of |integrand|), and
-registration-stage profits through the same rule's weights on RingModel's own nodes, under
-its error test with the integral itself as the scale, as one weighted integral of the
-transfer alone: swapping the order of integration turns the loser shares into one more
-weight on it, and since T is affine in A, that integral contracts A without building the
-transfer.  A member's loser shares at one bid integrate T - r against the top rival
+nodes adds one Simpson cell from the node below.  Other single integrals of the cdf alone
+(the order-statistic gap, the efficient ring's share) go through the checked ``integrate``
+(4096 cells, raising ``NumericError`` when the same bound exceeds 1e-10 of the integral of
+|integrand|), and registration-stage profits through the same rule's weights on RingModel's
+own nodes, under its error test with the integral itself as the scale, as one weighted
+integral of the transfer alone: swapping the order of integration turns the loser shares
+into one more weight on it, and since T is affine in A, that integral contracts A without
+building the transfer.  A member's loser shares at one bid integrate T - r against the top rival
 value's cdf by parts in closed form, so no schedule is interpolated.
 
 Because the ring center only observes the registered count, every schedule is
@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CONTINUOUS, MERGE_MAX, SYBIL_TOL, ActionSpace, AggregativeGame, count_verdict
+from .core import SYBIL_TOL, count_verdict
 from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import QUAD_CELLS, QUAD_TOL, _check_resolved, _finer_samples, _nested_totals, _observed_error
 from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, integrate
@@ -156,7 +156,7 @@ class RingConfig:
         if k < 2:
             return 0.0
         share = self.g(k)
-        if share < -1e-12 or share > 1.0 / (k - 1) + 1e-12:
+        if not -1e-12 <= share <= 1.0 / (k - 1) + 1e-12:  # also a NaN share
             raise DomainError(f"budget balance needs 0 <= g({k}) <= 1/{k - 1}, got {share}")
         return (k - 1) * share
 
@@ -166,22 +166,6 @@ def constant_share_config(theta: float, n: int, reserve: float = 0.0) -> RingCon
     if not 0.0 <= theta <= 1.0:
         raise DomainError("theta must lie in [0, 1]")
     return RingConfig(g=lambda k: theta / (k - 1), reserve=reserve, n=n)
-
-
-def second_price_game(valuation: float, v_h: float = 1.0, reserve: float = 0.0, grid_step: float = 0.05):
-    """Aggregative adapter for a sealed second-price auction from one bidder's seat.
-
-    The others' aggregate is their top bid, and duplicated own bids fold by max,
-    since only the highest of a player's bids can ever matter.  Ties lose, which
-    is the conservative convention for an atomless value distribution.
-    """
-    def phi(b: np.ndarray, others_top: np.ndarray) -> np.ndarray:
-        wins = (b != 0.0) & (b > others_top) & (b >= reserve)
-        with np.errstate(all="ignore"):
-            return np.where(wins, valuation - np.where(reserve > others_top, reserve, others_top), 0.0)
-
-    space = ActionSpace(CONTINUOUS, 0.0, v_h, grid_step)
-    return AggregativeGame(phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price")
 
 
 def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
@@ -474,21 +458,6 @@ class RingModel:
         return self._strip(totals[0] if np.ndim(m) else totals[0][:, 0])
 
 
-def _order_survival(dist: ValueDistribution, n: int, which: int):
-    """u -> P(v(which) > u) for n i.i.d. draws from one cdf sample F: 1 - F^n for the highest
-    (which=1), 1 - F^(n-1) (n - (n-1) F) for the second highest (which=2)."""
-    below = (lambda F: F**n) if which == 1 else (lambda F: F ** (n - 1) * (n - (n - 1) * F))
-    return lambda u: 1.0 - below(np.asarray(dist.cdf(u), dtype=float))
-
-
-def expected_order_stat(dist: ValueDistribution, n: int, which: int) -> float:
-    """E of the highest (which=1) or second-highest (which=2) of n i.i.d. draws on [0, v_h]:
-    the integral of its survival function (``_order_survival``), so only the cdf is sampled."""
-    if n < 1 or which not in (1, 2) or (which == 2 and n < 2):
-        raise DomainError("order statistic out of range")
-    return integrate(_order_survival(dist, n, which), 0.0, dist.v_h)
-
-
 def expected_order_gap(dist: ValueDistribution, n: int) -> float:
     """E[v(1) - v(2)] of n >= 2 i.i.d. draws on [0, v_h], the searched rings' baseline: the
     integral of the survival functions' difference n F^(n-1) (1 - F), one cdf sample per point."""
@@ -502,28 +471,17 @@ def expected_order_gap(dist: ValueDistribution, n: int) -> float:
     return integrate(gap, 0.0, dist.v_h)
 
 
-def efficient_ring_loser_share(
-    n: int,
-    dist: ValueDistribution,
-    reserve: float = 0.0,
-    top_value: Optional[float] = None,
-) -> float:
+def efficient_ring_loser_share(n: int, dist: ValueDistribution, reserve: float = 0.0) -> float:
     """Per-loser transfer of the fully efficient ring: E[(v(2) - r)+]/n, the integral of
-    P(v(2) > u) over [r, v_h] (``_order_survival``) over n.
-
-    ``top_value`` switches to the variant conditioned on the highest valuation,
-    E[(v(2) - r)+ | v(1) = top_value]/n = (T - r)/n with T the theta = 0 ``ring_transfer``
-    at top_value, which is E[max(v(2), r) | v(1) = top_value].  Only the cdf is sampled.
-    """
+    P(v(2) > u) = 1 - F^(n-1) (n - (n-1) F) over [r, v_h] over n; only the cdf is sampled."""
     if n < 2:
         raise DomainError("need n >= 2")
-    r = reserve
-    if top_value is None:
-        return max(0.0, integrate(_order_survival(dist, n, 2), r, dist.v_h)) / n
-    t = top_value
-    if t <= r or float(dist.cdf(t)) <= 0.0:  # no second value lies between the reserve and the top
-        return 0.0
-    return max(0.0, ring_transfer(t, constant_share_config(0.0, n, r), dist) - r) / n
+
+    def survival(u):
+        F = np.asarray(dist.cdf(u), dtype=float)
+        return 1.0 - F ** (n - 1) * (n - (n - 1) * F)
+
+    return max(0.0, integrate(survival, reserve, dist.v_h)) / n
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Independent oracles used by the tests: brute-force search, quadrature, and
-finite differences that deliberately avoid the package's own numeric kernels."""
+finite differences that deliberately avoid the package's own numeric kernels;
+and, at the end, the reference solvers and fixtures that only the tests use."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from sybilgames.errors import DomainError, NumericError
 
 
 def golden_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 300) -> float:
@@ -112,13 +116,13 @@ def midpoint_quad(f, a: float, b: float, n: int = 20001) -> float:
     return float(np.sum([f(float(m)) for m in mids]) * (b - a) / n)
 
 
-def first_profitable_split(game, cost, max_identities, profiles, tol, budget=None):
+def first_profitable_split(game, cost, max_identities, profiles, tol):
     """Scalar split search: (profitable, actions, profile, gain, multisets scanned).
 
     One ``sybil_payoff - merged_payoff`` call per grid multiset, in the order
     profiles, identity count, then ``combinations_with_replacement``.  The first
     gain above ``tol`` is returned; otherwise the first largest gain (NaN never
-    wins), or ``(False, None, None, -inf, count)`` when a budget excluded all.
+    wins), or ``(False, None, None, -inf, count)`` when every gain is -inf.
     """
     from sybilgames.core import SybilStrategy, merged_payoff, sybil_payoff
 
@@ -130,8 +134,6 @@ def first_profitable_split(game, cost, max_identities, profiles, tol, budget=Non
         for m in range(2, max_identities + 1):
             for actions in itertools.combinations_with_replacement(grid, m):
                 scanned += 1
-                if budget is not None and sum(actions) > budget + 1e-12 * max(1.0, budget):
-                    continue
                 mine = SybilStrategy(actions)
                 gain = sybil_payoff(game, cost, mine, profile) - merged_payoff(game, mine, profile, cost)
                 if gain > tol:
@@ -331,7 +333,7 @@ def level_loop_ring_transfer(v: float, cfg, dist, first_cells: int = 256, max_ce
     sampled on its odd points; totals on numpy scalars; the first level whose observed-order bound
     on J is at most ``tol`` of S = v F(v)^e - r F(r)^e - J returns, and the last one raises the
     same ``NumericError`` as the package."""
-    from sybilgames.errors import DomainError, NumericError, SingularScaleError
+    from sybilgames.errors import SingularScaleError
 
     r = cfg.reserve
     if v < r:
@@ -413,3 +415,123 @@ def all_segments_interval_value(mu, lo: float, hi: float) -> float:
             total += d * overlap
     return total
 
+
+def best_response_reward_game(R: float, c: float, y: float) -> float:
+    """Best response in the game paying R * own/(own+others) - c * own.
+
+    At y == 0 the payoff has no maximiser on x > 0 (any positive action takes
+    the whole reward), so the response is defined as 0 there.
+    """
+    if c <= 0.0:
+        raise DomainError("identity cost must be positive")
+    if R <= 0.0 or y < 0.0:
+        raise DomainError("need R > 0 and y >= 0")
+    return max(0.0, math.sqrt(R * y / c) - y)
+
+
+def concave_prorata_equilibrium(f, n: int, fprime):
+    """Symmetric equilibrium of the pro-rata game with curve f and its derivative fprime.
+
+    The aggregate action solves (n-1) f(q) + q f'(q) = 0, found by bracket
+    expansion plus bisection.
+    """
+    from sybilgames.equilibrium import SymmetricEquilibrium
+    from sybilgames.numerics import bisect_root
+
+    if n < 1:
+        raise DomainError("need n >= 1")
+
+    def condition(q: float) -> float:
+        return (n - 1) * f(q) + q * fprime(q)
+
+    hi = 1.0
+    while condition(hi) > 0.0 and hi < 1e12:
+        hi *= 2.0
+    if condition(hi) > 0.0:
+        raise NumericError("no interior equilibrium: first-order condition stays positive")
+    lo = hi
+    while lo > hi * 1e-15:
+        lo /= 2.0
+        if condition(lo) > 0.0:
+            break
+    else:
+        raise NumericError("no interior equilibrium: first-order condition never positive")
+    q = bisect_root(condition, lo, hi)
+    return SymmetricEquilibrium(q / n, f(q) / n, n, f(q))
+
+
+def second_price_game(valuation: float, v_h: float = 1.0, reserve: float = 0.0, grid_step: float = 0.05):
+    """Aggregative adapter for a sealed second-price auction from one bidder's seat.
+
+    The others' aggregate is their top bid, and duplicated own bids fold by max,
+    since only the highest of a player's bids can ever matter.  Ties lose, which
+    is the conservative convention for an atomless value distribution.
+    """
+    from sybilgames.core import CONTINUOUS, MERGE_MAX, ActionSpace, AggregativeGame
+
+    def phi(b: np.ndarray, others_top: np.ndarray) -> np.ndarray:
+        wins = (b != 0.0) & (b > others_top) & (b >= reserve)
+        with np.errstate(all="ignore"):
+            return np.where(wins, valuation - np.where(reserve > others_top, reserve, others_top), 0.0)
+
+    space = ActionSpace(CONTINUOUS, 0.0, v_h, grid_step)
+    return AggregativeGame(phi=phi, space=space, aggregation=MERGE_MAX, merge=MERGE_MAX, name="second-price")
+
+
+FAIRNESS_MIN_RUNS = 10_000  # fewest transcript runs check_fairness accepts
+FAIRNESS_Z = 3.0  # standard errors check_fairness allows its estimates
+
+
+class StatisticalPowerError(DomainError):
+    """A Monte Carlo transcript is too small for the requested estimate."""
+
+
+@dataclass(frozen=True)
+class FairnessReport:
+    envy_free_in_expectation: bool
+    alpha_proportional: float
+    non_wasteful: bool
+    own_value_means: tuple[float, ...]
+
+
+def check_fairness(transcript, true_measures) -> FairnessReport:
+    """Estimate the fairness guarantees from a cake Monte Carlo transcript of at least
+    ``FAIRNESS_MIN_RUNS`` runs (fewer raise :class:`StatisticalPowerError`).
+
+    ``alpha_proportional`` is the largest alpha every player's empirical mean own
+    value still clears after a ``FAIRNESS_Z``-sigma allowance; envy-freeness compares
+    each pair's own-vs-other value difference against ``FAIRNESS_Z`` paired standard
+    errors; ``non_wasteful`` requires every run to hand out slices covering the cake.
+    """
+    from sybilgames.cake import measure_value
+
+    if transcript.runs < FAIRNESS_MIN_RUNS:
+        raise StatisticalPowerError(
+            f"need at least {FAIRNESS_MIN_RUNS} runs for fairness estimates, got {transcript.runs}"
+        )
+    n = transcript.n
+    if len(true_measures) != n:
+        raise DomainError("need one true measure per identity")
+    values = np.array(
+        [[measure_value(true_measures[i], transcript.partition[j]) for j in range(n)] for i in range(n)]
+    )
+    coins = transcript.coins.astype(float)
+    runs = transcript.runs
+    own = np.empty((runs, n))
+    for i in range(n):
+        own[:, i] = coins * values[i, transcript.assignments[:, i]]
+    own_means = own.mean(axis=0)
+    own_se = own.std(axis=0, ddof=1) / np.sqrt(runs)
+    alpha = float(np.min(own_means - FAIRNESS_Z * own_se))
+    envy_free = True
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            diff = own[:, i] - coins * values[i, transcript.assignments[:, j]]
+            se = diff.std(ddof=1) / np.sqrt(runs)
+            if diff.mean() < -FAIRNESS_Z * se - 1e-12:
+                envy_free = False
+    covered = abs(sum(s.length for s in transcript.partition) - 1.0) <= 1e-9
+    non_wasteful = bool(transcript.coins.all()) and covered
+    return FairnessReport(envy_free, alpha, non_wasteful, tuple(float(m) for m in own_means))

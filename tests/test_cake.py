@@ -4,25 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_segments_interval_value, random_measure
+from oracles import StatisticalPowerError, all_segments_interval_value, check_fairness, random_measure
+from sybilgames import cli
 from sybilgames.cake import (
-    COIN_BURNED,
-    COIN_KEPT,
-    EMPTY_SLICE,
     MERGE_EPS,
     PiecewiseMeasure,
     Slice,
-    check_fairness,
     coin_probability,
     exact_partition,
     expected_truthful_value,
     measure_value,
-    run_mechanism,
     run_monte_carlo,
     sybil_deviation_value,
 )
 from sybilgames.cli import CAKE_BLOCK_RUNS
-from sybilgames.errors import DomainError, MalformedSliceError, StatisticalPowerError
+from sybilgames.errors import DomainError, MalformedSliceError
 
 UNIFORM = PiecewiseMeasure.uniform()
 LEFT_HEAVY = PiecewiseMeasure((0.0, 0.5, 1.0), (2.0, 0.0))
@@ -77,7 +73,7 @@ def test_slice_canonical_form():
     s = Slice([(0.6, 0.9), (0.0, 0.3), (0.3, 0.5)])
     assert s.intervals == ((0.0, 0.5), (0.6, 0.9))
     assert s.length == pytest.approx(0.8)
-    assert EMPTY_SLICE.empty and EMPTY_SLICE.length == 0.0
+    assert Slice(()).empty and Slice(()).length == 0.0
 
 
 def test_measure_value_adds_slice_values_as_a_left_fold():
@@ -149,33 +145,42 @@ def test_coin_probability_values():
     assert coin_probability(4) == 0.5
 
 
+def _own_slice(transcript, i: int) -> Slice:
+    """Identity i's slice in run 0; a single mechanism run is a one-run batch."""
+    return transcript.partition[transcript.assignments[0, i]]
+
+
 def test_run_mechanism_single_player():
-    alloc = run_mechanism([UNIFORM], seed=0)
-    assert alloc.coin == COIN_KEPT
-    assert measure_value(UNIFORM, alloc.slices[0]) == pytest.approx(1.0, abs=1e-12)
+    run = run_monte_carlo([UNIFORM], 1, seed=0)
+    assert run.coins[0]
+    assert measure_value(UNIFORM, _own_slice(run, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_mechanism_two_players_always_allocates():
     for seed in range(25):
-        alloc = run_mechanism([UNIFORM, LEFT_HEAVY], seed=seed)
-        assert alloc.coin == COIN_KEPT
-        assert measure_value(UNIFORM, alloc.slices[0]) == pytest.approx(0.5, abs=1e-12)
+        run = run_monte_carlo([UNIFORM, LEFT_HEAVY], 1, seed=seed)
+        assert run.coins[0]
+        assert measure_value(UNIFORM, _own_slice(run, 0)) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_run_mechanism_burn_hands_out_empty_slices():
-    seed = next(
-        s for s in range(200) if run_mechanism([UNIFORM] * 4, seed=s).coin == COIN_BURNED
-    )
-    alloc = run_mechanism([UNIFORM] * 4, seed=seed)
-    assert all(s.empty for s in alloc.slices)
+def test_run_mechanism_burn_hands_out_empty_slices(tmp_path):
+    # a burned run's rows in the cake artifact carry value 0.0 and coin 0 for every identity
+    runs, seed = 200, 4
+    out = tmp_path / "cake.csv"
+    assert cli.main(["cake", "--n", "4", "--samples", str(runs), "--seed", str(seed), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    burned = np.flatnonzero(~run_monte_carlo([UNIFORM] * 4, runs, seed).coins)
+    assert burned.size > 0
+    assert sorted({int(r[0]) for r in rows if r[3] == "0"}) == burned.tolist()
+    assert all(r[2] == "0.0" for r in rows if r[3] == "0")
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_run_mechanism_deterministic_in_seed(seed):
-    a = run_mechanism([UNIFORM, LEFT_HEAVY, UNIFORM], seed=seed)
-    b = run_mechanism([UNIFORM, LEFT_HEAVY, UNIFORM], seed=seed)
-    assert a == b
+    a = run_monte_carlo([UNIFORM, LEFT_HEAVY, UNIFORM], 1, seed)
+    b = run_monte_carlo([UNIFORM, LEFT_HEAVY, UNIFORM], 1, seed)
+    assert np.array_equal(a.assignments, b.assignments) and np.array_equal(a.coins, b.coins)
 
 
 def test_allocation_frequency_matches_coin():
@@ -221,12 +226,11 @@ def test_transcript_follows_the_randomness_contract(n, runs, seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_run_mechanism_is_run_zero_of_a_one_run_batch(seed):
+    # the permutations come first, row by row, so a one-run batch hands out run 0's slices of any longer batch
     declared = [UNIFORM, LEFT_HEAVY, UNIFORM, LEFT_HEAVY]
-    alloc = run_mechanism(declared, seed)
-    transcript = run_monte_carlo(declared, 1, seed)
-    assert alloc.coin == (COIN_KEPT if transcript.coins[0] else COIN_BURNED)
-    if transcript.coins[0]:
-        assert alloc.slices == tuple(transcript.partition[j] for j in transcript.assignments[0])
+    single, batch = run_monte_carlo(declared, 1, seed), run_monte_carlo(declared, 7, seed)
+    assert single.partition == batch.partition
+    assert [_own_slice(single, i) for i in range(4)] == [_own_slice(batch, i) for i in range(4)]
 
 
 def test_expected_truthful_value_formula():

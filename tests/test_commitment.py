@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
+from oracles import concave_prorata_equilibrium
 from sybilgames.commitment import (
     cfmm_arbitrage_oracle,
-    cfmm_commitment_instance,
     cfmm_curve,
     commitment_welfare_cap,
     cournot_commitment_instance,
@@ -19,7 +19,6 @@ from sybilgames.commitment import (
 )
 from sybilgames.core import SybilCost
 from sybilgames.commitment import CommitmentInstance, EqPayoffOracle, _batched_trade
-from sybilgames.equilibrium import concave_prorata_equilibrium
 from sybilgames.errors import DomainError, NumericError
 from sybilgames.rdm import max_sybilproof_reward
 
@@ -97,7 +96,7 @@ def test_scp_check_needs_a_deviation_to_check():
 def test_prohibitive_cost_makes_any_instance_scp():
     inst = CommitmentInstance(
         oracle=EqPayoffOracle(payoff=lambda n: 1.0 / n),
-        cost=SybilCost.prohibitive(),
+        cost=SybilCost(cost=lambda x, y: 0.0 if x <= 1 else math.inf),
     )
     assert scp_check(inst, foreign_max=10).proof
 

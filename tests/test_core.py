@@ -1,13 +1,11 @@
-import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import first_profitable_split, identity_count_loop, scalar_refine
+from oracles import first_profitable_split, identity_count_loop, scalar_refine, second_price_game
 from sybilgames import core
 from sybilgames.core import (
     ActionSpace,
@@ -29,7 +27,14 @@ from sybilgames.core import (
 )
 from sybilgames.commitment import cournot_game
 from sybilgames.errors import ConfigurationError, DomainError, NumericError, UnsupportedOperationError
-from sybilgames.ring import second_price_game
+
+
+def identity_budget(base: SybilCost, most: int) -> SybilCost:
+    """``base`` up to ``most`` identities and infinite beyond, so every larger split gains -inf."""
+    return SybilCost(cost=lambda x, y: base(x, y) if x <= most else math.inf)
+
+
+PROHIBITIVE = identity_budget(SybilCost.zero(), 1)  # a free single identity and infinitely costly extras
 
 
 def test_action_space_validation():
@@ -87,8 +92,6 @@ def test_merged_payoff_prorata_sum():
 
 
 def test_merged_payoff_auction_max_merge():
-    from sybilgames.ring import second_price_game
-
     game = second_price_game(valuation=0.8)
     # merging two bids keeps only the highest one
     merged = merged_payoff(game, SybilStrategy([0.5, 0.7]), [0.4])
@@ -172,7 +175,7 @@ def test_refined_continuous_counterexample_recomputes_and_beats_the_grid():
 
 def test_prohibitive_cost_turns_every_game_proof():
     for game in (headcount_reward_game(10.0), reward_share_game(10.0, 1.0, grid_step=0.5)):
-        verdict = verify_sybilproof(game, SybilCost.prohibitive(), 3, [[1.0], []])
+        verdict = verify_sybilproof(game, PROHIBITIVE, 3, [[1.0], []])
         assert verdict.proof
 
 
@@ -194,9 +197,9 @@ def test_a_search_bound_below_the_action_space_is_a_configuration_error(upper):
 
 def test_budget_restricts_deviations():
     game = headcount_reward_game(10.0)
-    verdict = verify_sybilproof(game, SybilCost.zero(), 2, [[1, 1, 1]], budget=1.0)
-    assert verdict.proof  # the profitable two-head deviation is over budget
-    # no split was within budget, so the proof names no deviation
+    verdict = verify_sybilproof(game, PROHIBITIVE, 2, [[1, 1, 1]])
+    assert verdict.proof  # the profitable two-head deviation is over the identity budget
+    # every split's gain is -inf, so the proof names no deviation
     assert (verdict.mine, verdict.foreign, verdict.gain, verdict.candidates) == (None, None, -math.inf, 1)
 
 
@@ -292,7 +295,7 @@ def test_prorata_merging_neutrality(parts, foreign, c):
 @given(x1=st.integers(1, 8), x2=st.integers(1, 8), y=st.integers(0, 8))
 def test_cost_monotone_in_own_identities(x1, x2, y):
     lo, hi = min(x1, x2), max(x1, x2)
-    for cost in (SybilCost.zero(), SybilCost.linear(0.25), SybilCost.prohibitive()):
+    for cost in (SybilCost.zero(), SybilCost.linear(0.25), PROHIBITIVE):
         assert cost(lo, y) <= cost(hi, y)
 
 
@@ -320,7 +323,7 @@ def _scalar_nan_below(x, y):
 
 
 NAN_GAME = AggregativeGame(phi=_nan_below, space=ActionSpace(CONTINUOUS, 0.0, 2.0, 0.1), name="nan-below")
-# every split pays and more pays more, so refinement presses against a budget
+# every split pays and more pays more, so refinement climbs past the first grid split
 SQRT_GAME = AggregativeGame(phi=lambda x, y: np.sqrt(x), space=ActionSpace(CONTINUOUS, 0.0, 1.0, 0.1), name="sqrt")
 
 
@@ -339,53 +342,53 @@ TOP_HEAVY = AggregativeGame(
     name="top-heavy",
 )
 ORACLE_CASES = {
-    "prorata": (reward_share_game(10.0, 1.0, grid_step=0.5), SybilCost.zero(), 3, [[2.5, 2.5], [1.0]], None),
-    "prorata-linear-budget": (reward_share_game(10.0, 1.0, grid_step=0.5), SybilCost.linear(0.1), 3, [[2.5]], 3.0),
-    "cournot": (cournot_game(1.0, grid_step=0.05), SybilCost.zero(), 3, [[1.0 / 3.0]], None),
-    "cournot-linear-budget": (cournot_game(1.0, grid_step=0.05), SybilCost.linear(0.01), 2, [[0.2, 0.3]], 0.5),
-    "headcount": (headcount_reward_game(10.0), SybilCost.linear(0.1), 3, [[1, 1, 1]], None),
-    "headcount-over-budget": (headcount_reward_game(10.0), SybilCost.zero(), 3, [[1, 1, 1]], 1.0),
-    "second-price": (second_price_game(0.8, grid_step=0.1), SybilCost.zero(), 3, [[0.4], []], None),
-    "nan-proof": (NAN_GAME, SybilCost.zero(), 2, [[1.0, 1.0]], None),
-    "nan-counterexample": (NAN_GAME, SybilCost.zero(), 3, [[1.0, 1.0], [0.5]], None),
-    "chunk-boundary": (TOP_HEAVY, SybilCost.zero(), 2, [[1.0]], None),
-    "reward-share-c0": (
-        reward_share_game(10.0, 0.0, upper=2.0, grid_step=0.1), SybilCost.zero(), 3, [[0.5, 0.7]], None
+    "prorata": (reward_share_game(10.0, 1.0, grid_step=0.5), SybilCost.zero(), 3, [[2.5, 2.5], [1.0]]),
+    "prorata-linear-budget": (
+        reward_share_game(10.0, 1.0, grid_step=0.5), identity_budget(SybilCost.linear(0.1), 2), 3, [[2.5]]
     ),
-    "reward-share-c0.5": (reward_share_game(1.0, 0.5, grid_step=0.1), SybilCost.linear(0.01), 3, [[0.3]], None),
-    "cournot-0.01-foreign-0.05": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.05]], None),
-    "cournot-0.01-foreign-0.95": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.95]], None),
+    "cournot": (cournot_game(1.0, grid_step=0.05), SybilCost.zero(), 3, [[1.0 / 3.0]]),
+    "cournot-linear-budget": (
+        cournot_game(1.0, grid_step=0.05), identity_budget(SybilCost.linear(0.01), 2), 3, [[0.2, 0.3]]
+    ),
+    "headcount": (headcount_reward_game(10.0), SybilCost.linear(0.1), 3, [[1, 1, 1]]),
+    "headcount-over-budget": (headcount_reward_game(10.0), PROHIBITIVE, 3, [[1, 1, 1]]),
+    "second-price": (second_price_game(0.8, grid_step=0.1), SybilCost.zero(), 3, [[0.4], []]),
+    "nan-proof": (NAN_GAME, SybilCost.zero(), 2, [[1.0, 1.0]]),
+    "nan-counterexample": (NAN_GAME, SybilCost.zero(), 3, [[1.0, 1.0], [0.5]]),
+    "chunk-boundary": (TOP_HEAVY, SybilCost.zero(), 2, [[1.0]]),
+    "reward-share-c0": (reward_share_game(10.0, 0.0, upper=2.0, grid_step=0.1), SybilCost.zero(), 3, [[0.5, 0.7]]),
+    "reward-share-c0.5": (reward_share_game(1.0, 0.5, grid_step=0.1), SybilCost.linear(0.01), 3, [[0.3]]),
+    "cournot-0.01-foreign-0.05": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.05]]),
+    "cournot-0.01-foreign-0.95": (cournot_game(1.0, grid_step=0.01), SybilCost.zero(), 2, [[0.95]]),
     # a phi of two floats, mapped over the arrays by np.vectorize
     "prorata-scalar-phi": (
         AggregativeGame(np.vectorize(_scalar_prorata, otypes=[float]), ActionSpace(CONTINUOUS, 0.0, 5.0, 0.5)),
-        SybilCost.zero(), 3, [[1.0, 2.0]], None,
+        SybilCost.zero(), 3, [[1.0, 2.0]],
     ),
-    "refined-to-budget": (SQRT_GAME, SybilCost.zero(), 2, [[0.5]], 0.25),
+    "sqrt-refined": (SQRT_GAME, SybilCost.zero(), 2, [[0.5]]),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
 def test_verifier_pick_and_verdict_equal_the_scalar_oracle(case, monkeypatch):
-    game, cost, max_identities, profiles, budget = case
-    profitable, actions, profile, gain, scanned = first_profitable_split(
-        game, cost, max_identities, profiles, SYBIL_TOL, budget
-    )
+    game, cost, max_identities, profiles = case
+    profitable, actions, profile, gain, scanned = first_profitable_split(game, cost, max_identities, profiles, SYBIL_TOL)
     picks = []
 
-    def unrefined(game, cost, actions, gain, profile, limit):
+    def unrefined(game, cost, actions, gain, profile):
         picks.append((actions, profile))
         return gain, actions
 
     with monkeypatch.context() as patch:
         patch.setattr(core, "_refine", unrefined)
-        pick = verify_sybilproof(game, cost, max_identities, profiles, budget=budget)
+        pick = verify_sybilproof(game, cost, max_identities, profiles)
     assert (not pick.proof, pick.mine and pick.mine.actions, pick.foreign, pick.gain, pick.candidates) == (
         profitable, actions, profile, gain, scanned,
     )
     if profitable:
         assert picks[-1] == (actions, profile)
 
-    verdict = verify_sybilproof(game, cost, max_identities, profiles, budget=budget)
+    verdict = verify_sybilproof(game, cost, max_identities, profiles)
     assert (verdict.proof, verdict.candidates) == (pick.proof, scanned)
     if verdict.mine is None:
         assert verdict.gain == -math.inf
@@ -397,11 +400,7 @@ def test_verifier_pick_and_verdict_equal_the_scalar_oracle(case, monkeypatch):
     if game.space.kind == INTEGER:
         assert verdict == pick
     elif profitable or len(profiles) == 1:  # the refined split is the oracle's pick, refined
-        limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
-
         def gain_of(actions, profile):
-            if limit is not None and functools.reduce(operator.add, actions, 0.0) > limit:
-                return -math.inf
             mine = SybilStrategy(actions)
             return sybil_payoff(game, cost, mine, profile) - merged_payoff(game, mine, profile, cost)
 
@@ -412,20 +411,17 @@ def test_verifier_pick_and_verdict_equal_the_scalar_oracle(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
 def test_grid_gains_equal_scalar_gains_bit_for_bit(case):
-    game, cost, max_identities, profiles, budget = case
+    game, cost, max_identities, profiles = case
     grid = [float(a) for a in game.space.grid() if a > 0.0]
-    limit = None if budget is None else budget + 1e-12 * max(1.0, budget)
     for profile in profiles:
         profile = tuple(float(a) for a in profile)
         for m in range(2, max_identities + 1):
             rows = list(itertools.combinations_with_replacement(grid, m))
             expected = [
-                -math.inf if limit is not None and sum(a) > limit
-                else sybil_payoff(game, cost, SybilStrategy(a), profile)
-                - merged_payoff(game, SybilStrategy(a), profile, cost)
+                sybil_payoff(game, cost, SybilStrategy(a), profile) - merged_payoff(game, SybilStrategy(a), profile, cost)
                 for a in rows
             ]
-            got = core._grid_gains(game, cost, np.array(rows), profile, limit)
+            got = core._grid_gains(game, cost, np.array(rows), profile)
             np.testing.assert_array_equal(got, np.array(expected))
 
 
@@ -451,8 +447,7 @@ def test_a_scalar_phi_under_vectorize_gives_its_array_twins_verdict(
     assert (got.proof, got.gain, got.candidates) == (False, gain, candidates)
 
 
-@pytest.mark.parametrize("budget", [None, 6.0])
-def test_a_grid_gains_block_costs_m_plus_one_phi_calls(budget):
+def test_a_grid_gains_block_costs_m_plus_one_phi_calls():
     base = reward_share_game(10.0, 1.0, grid_step=0.5)
     shapes = []
 
@@ -464,9 +459,8 @@ def test_a_grid_gains_block_costs_m_plus_one_phi_calls(budget):
     grid = [float(a) for a in game.space.grid() if a > 0.0]
     rows = np.array(list(itertools.combinations_with_replacement(grid, 3)))
     shapes.clear()
-    gains = core._grid_gains(game, SybilCost.zero(), rows, (2.5, 2.5), budget)
-    kept = len(rows) if budget is None else int(np.count_nonzero(gains > -math.inf))
-    assert 0 < kept <= len(rows) and shapes == [(kept,)] * 4
+    core._grid_gains(game, SybilCost.zero(), rows, (2.5, 2.5))
+    assert shapes == [(len(rows),)] * 4
 
 
 @pytest.mark.parametrize("aggregation", [MERGE_SUM, MERGE_MAX])

@@ -4,12 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import grid_search_max, per_point_welfare_optimum
+from oracles import (
+    best_response_reward_game,
+    concave_prorata_equilibrium,
+    grid_search_max,
+    per_point_welfare_optimum,
+    second_price_game,
+)
 from sybilgames.commitment import cournot_game
 from sybilgames.core import CONTINUOUS, ActionSpace, AggregativeGame, prorata_game, reward_share_game
 from sybilgames.equilibrium import (
-    best_response_reward_game,
-    concave_prorata_equilibrium,
     grid_best_response,
     grid_welfare_optimum,
     mixed_deviation_gain,
@@ -20,7 +24,6 @@ from sybilgames.equilibrium import (
 )
 from sybilgames.errors import DomainError, NumericError
 from sybilgames.rdm import TentFunction, tent_game
-from sybilgames.ring import second_price_game
 
 
 def test_best_response_closed_form_vs_grid_oracle():
@@ -130,7 +133,7 @@ def test_concave_prorata_root_residual():
     R, n = 10.0, 5
     f = lambda q: R - q
     eq = concave_prorata_equilibrium(f, n, fprime=lambda q: -1.0)
-    q = eq.aggregate_action
+    q = eq.n * eq.per_player_action
     assert abs((n - 1) * f(q) + q * (-1.0)) < 1e-9
 
 
@@ -138,10 +141,10 @@ def test_concave_prorata_single_player_calculus():
     R = 10.0
     f = lambda q: q * math.exp(1.0 - q) * R
     eq = concave_prorata_equilibrium(f, 1, fprime=lambda q: (1.0 - q) * math.exp(1.0 - q) * R)
-    assert eq.aggregate_action == pytest.approx(1.0, abs=1e-9)
+    assert eq.per_player_action == pytest.approx(1.0, abs=1e-9)
     assert eq.per_player_payoff == pytest.approx(R, abs=1e-9)
     oracle = grid_search_max(f, 0.0, 5.0, 1e-4)
-    assert eq.aggregate_action == pytest.approx(oracle, abs=1e-3)
+    assert eq.per_player_action == pytest.approx(oracle, abs=1e-3)
 
 
 def test_concave_prorata_no_interior_equilibrium():

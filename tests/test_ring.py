@@ -16,6 +16,7 @@ from oracles import (
     level_loop_ring_transfer,
     quantile_scan_truthful,
     sampled_expected_profit,
+    second_price_game,
     trapezoid_ring_transfer,
     unsorted_ring_welfare,
 )
@@ -33,10 +34,8 @@ from sybilgames.ring import (
     constant_share_config,
     efficient_ring_loser_share,
     expected_order_gap,
-    expected_order_stat,
     opt_ring_search,
     ring_transfer,
-    second_price_game,
     truncated_exponential_values,
     uniform_values,
 )
@@ -257,15 +256,11 @@ def test_transfer_equals_the_first_level_loop_bit_for_bit_on_the_probe_grid():
 @pytest.mark.parametrize("dist", [UNIFORM, beta22_values(), truncated_exponential_values()], ids=lambda d: d.name)
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_order_integrals_on_floats_equal_their_row_axis_calls_bit_for_bit(dist, n):
-    # a cdf returning two equal rows sends the same integrands through integrate's row axis
+    # a cdf returning two equal rows sends the same integrand through integrate's row axis
     rows = dataclasses.replace(dist, cdf=lambda u: np.stack([dist.cdf(u)] * 2))
-    for one, two in [
-        (expected_order_gap(dist, n), expected_order_gap(rows, n)),
-        (expected_order_stat(dist, n, 1), expected_order_stat(rows, n, 1)),
-        (expected_order_stat(dist, n, 2), expected_order_stat(rows, n, 2)),
-    ]:
-        assert type(one) is float and two.shape == (2,)
-        assert two.tolist() == [one, one]
+    one, two = expected_order_gap(dist, n), expected_order_gap(rows, n)
+    assert type(one) is float and two.shape == (2,)
+    assert two.tolist() == [one, one]
 
 
 @pytest.mark.parametrize("rate, v", [(5.0, 0.9), (50.0, 0.1)])
@@ -460,15 +455,14 @@ def test_first_order_stationarity_at_truthful_bid():
 
 
 def test_expected_order_stats_uniform():
+    # E[v(1)] - E[v(2)] = n/(n+1) - (n-1)/(n+1) for n uniforms
     for n in range(2, 7):
-        assert expected_order_stat(UNIFORM, n, 1) == pytest.approx(n / (n + 1.0), abs=1e-9)
-        assert expected_order_stat(UNIFORM, n, 2) == pytest.approx((n - 1.0) / (n + 1.0), abs=1e-9)
+        assert expected_order_gap(UNIFORM, n) == pytest.approx(1.0 / (n + 1.0), abs=1e-9)
 
 
 def test_beta22_ring_baseline_is_27_over_140():
-    # the theta = 0 baseline of `ring --dist beta22 --n 3`: E[v(1) - v(2)] for three Beta(2, 2) draws
-    beta22 = beta22_values()
-    baseline = expected_order_stat(beta22, 3, 1) - expected_order_stat(beta22, 3, 2)
+    # the baseline column of `ring --dist beta22 --n 3`: E[v(1) - v(2)] for three Beta(2, 2) draws
+    baseline = opt_ring_search(beta22_values(), 3, thetas=[0.0]).baseline
     assert abs(baseline - 27.0 / 140.0) <= 2e-15
 
 
@@ -502,35 +496,13 @@ def test_order_statistics_and_efficient_shares_never_evaluate_the_density():
 
     for true in (UNIFORM, beta22_values()):
         dist = ValueDistribution("no-pdf", true.cdf, no_pdf, 1.0, true.quantile)
-        for which in (1, 2):
-            assert expected_order_stat(dist, 4, which) == expected_order_stat(true, 4, which)
         assert expected_order_gap(dist, 4) == expected_order_gap(true, 4)
         assert efficient_ring_loser_share(4, dist, 0.2) == efficient_ring_loser_share(4, true, 0.2)
-        assert efficient_ring_loser_share(4, dist, 0.2, 0.7) == efficient_ring_loser_share(4, true, 0.2, 0.7)
-
-
-def test_conditional_efficient_share_matches_the_density_form():
-    # E[(v(2) - r)+ | v(1) = t] = integral_r^t (u - r)(n-1) F^(n-2) f du / F(t)^(n-1), the pdf form it replaced
-    beta = beta22_values()
-    for n, r, t in ((2, 0.0, 0.6), (3, 0.2, 0.9), (5, 0.1, 0.45)):
-        dense = integrate(lambda u: (u - r) * (n - 1) * beta.cdf(u) ** (n - 2) * beta.pdf(u), r, t)
-        expected = dense / float(beta.cdf(t)) ** (n - 1) / n
-        assert efficient_ring_loser_share(n, beta, r, t) == pytest.approx(expected, rel=1e-9)
 
 
 def test_efficient_share_uniform_values():
     assert efficient_ring_loser_share(3, UNIFORM) == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert efficient_ring_loser_share(4, UNIFORM, reserve=1.0) == 0.0
-    # conditional variant: E[v(2) | v(1) = t] = (n-1) t / n for uniforms
-    assert efficient_ring_loser_share(3, UNIFORM, top_value=0.9) == pytest.approx(
-        (2.0 / 3.0) * 0.9 / 3.0, abs=1e-9
-    )
-
-
-def test_efficient_share_is_zero_when_the_top_value_is_below_the_reserve():
-    assert efficient_ring_loser_share(3, UNIFORM, reserve=0.5, top_value=0.3) == 0.0
-    assert efficient_ring_loser_share(3, UNIFORM, reserve=0.5, top_value=0.5) == 0.0
-    assert efficient_ring_loser_share(3, UNIFORM, reserve=0.5, top_value=0.9) > 0.0
 
 
 def test_doubling_the_efficient_share_pays_off():
@@ -772,6 +744,15 @@ def test_a_config_is_checked_at_construction_only_at_its_own_count():
         RingModel(UNIFORM, cfg).transfer(0.5, 4)
     with pytest.raises(DomainError, match=r"g\(3\)"):
         RingConfig(g=lambda k: 0.0 if k == 4 else 0.6, n=3)
+
+
+def test_a_nan_share_is_not_budget_balanced():
+    # NaN compares false both ways, so only a two-sided range test that it must pass rejects it
+    with pytest.raises(DomainError, match=r"g\(3\) <= 1/2, got nan"):
+        RingConfig(g=lambda k: math.nan, n=3)
+    cfg = RingConfig(g=lambda k: 0.25 if k == 3 else math.nan, n=3)
+    with pytest.raises(DomainError, match=r"g\(4\) <= 1/3, got nan"):
+        RingModel(UNIFORM, cfg).transfer(0.5, 4)
 
 
 def test_a_profit_unresolved_on_the_quadrature_grid_names_its_config_and_count_row():
