@@ -30,7 +30,7 @@ from .commitment import (
     trivial_commitment_instance,
 )
 from .core import SybilCost, headcount_reward_game, reward_share_game, verify_sybilproof
-from .equilibrium import grid_welfare_optimum, reward_game_pure_equilibrium
+from .equilibrium import _anarchy_ratio, grid_welfare_optimum, reward_game_pure_equilibrium
 from .errors import ConfigurationError, DomainError, InvariantViolation, NumericError
 from .rdm import TentFunction, dominant_strategy_prorata, max_sybilproof_reward, tent_equilibria
 from .ring import DISTRIBUTIONS, opt_ring_search
@@ -352,7 +352,7 @@ def _run_poa(args) -> None:
     for n in range(2, args.n_max + 1):
         eq = reward_game_pure_equilibrium(args.R, args.c, n)
         w_opt = grid_welfare_optimum(game, n)
-        rows.append((n, eq.welfare, w_opt, w_opt / eq.welfare))
+        rows.append((n, eq.welfare, w_opt, _anarchy_ratio(w_opt, eq.welfare)))
     params = dict(R=args.R, c=args.c, n_max=args.n_max, grid_step=args.grid_step, seed=args.seed)
     _emit_csv(args.out, "poa", params, ["n", "eq_welfare", "w_opt", "poa"], _format_rows(rows))
 

@@ -155,6 +155,11 @@ def grid_welfare_optimum(game: AggregativeGame, n: int) -> float:
 
 def price_of_anarchy(game: AggregativeGame, n: int, eq_welfare: float) -> float:
     """Ratio of the grid welfare optimum to the given equilibrium welfare."""
+    return _anarchy_ratio(grid_welfare_optimum(game, n), eq_welfare)
+
+
+def _anarchy_ratio(w_opt: float, eq_welfare: float) -> float:
+    """w_opt / eq_welfare; :class:`DomainError` for nonpositive equilibrium welfare."""
     if eq_welfare <= 0.0:
         raise DomainError("price of anarchy is undefined for nonpositive equilibrium welfare")
-    return grid_welfare_optimum(game, n) / eq_welfare
+    return w_opt / eq_welfare

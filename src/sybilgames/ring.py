@@ -39,7 +39,10 @@ one-identity profit, so member welfare needs no sampling.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -210,6 +213,18 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
         return float(_by_parts(v, totals[0] / Fv, r, n, l))
 
 
+@functools.cache
+def _helper():
+    """The one worker thread that builds every second missing IC ratio of ``RingModel.expected_profit``,
+    started on first use and kept for the process; concurrent.futures is imported here, so importing the
+    package does not pay for it.  A forked child drops it and starts its own: it has no copy of the thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=_helper.cache_clear)
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="sybilgames-ratio")
+
+
 def _by_parts(v, A, r, k, l):
     """The k-report IC transfer ((k-1)(v - A) + l r)/(k-1+l) at bids v from A = J/F(v)^e,
     J = integral_r^v F^e; broadcasts."""
@@ -257,7 +272,9 @@ class RingModel:
     running integral of F^e from one F^e sampling, so Simpson's positive weights keep
     0 <= A <= v - r and r <= T <= v.  The first node, and every node whose F^e is not a
     normal float, holds T = r by taking A = v - r there.  Each count caches A at the
-    nodes (``_ratio``).  A bid's s inverts the node map in closed form, and J there is the
+    nodes (``_ratio``); ``expected_profit`` builds the counts it lacks on the calling thread
+    and one helper thread, equal to the serial build bit for bit, so every g must be safe to
+    call from another thread.  A bid's s inverts the node map in closed form, and J there is the
     node below's plus one Simpson cell in s (``_cell``), so a bid costs O(1), samples only
     the cdf, and on a node reads that node; ``payoff`` takes the loser shares in closed
     form.  The registration-stage profit samples no integrand and builds no schedule: it
@@ -302,7 +319,9 @@ class RingModel:
         """(A, held), two (configs, nodes) arrays: the k-report IC ratio A = J/F^e at the nodes,
         J the running Simpson integral of F^e dx/ds in s, and the nodes that hold T = r, the
         first (J = 0) and every one whose F^e is not a normal float, where A = v - r instead.
-        The first build checks every g(k) for budget balance."""
+        The first build checks every g(k) for budget balance.  ``expected_profit`` also runs it
+        on its helper thread (``_ratios_of``); a build reads only the model's arrays and g and
+        writes only its own arrays, so it is the same bit for bit on either thread."""
         if k not in self._ratios:
             y = self._F ** (k - 1 + self._share_exponents(k))  # F^e on the whole grid
             divisor = y[:, ::2].copy()
@@ -314,6 +333,29 @@ class RingModel:
             np.copyto(A, self.grid[::2] - self.reserve, where=held)
             self._ratios[k] = A, held
         return self._ratios[k]
+
+    def _ratios_of(self, ks) -> None:
+        """Build the ``_ratio`` of each report count in ks that is not cached: the 1st, 3rd, ...
+        missing count on the calling thread, the 2nd, 4th, ... on the one helper thread
+        (``_helper``), each by the unchanged ``_ratio``, so every array equals the serial
+        build's bit for bit.  Every missing count's g(k) is checked for budget balance before
+        any build, and the builds are awaited in count order, so the error raised is the one
+        the serial builds raise first; the helper runs in a copy of the caller's context, so
+        numpy's errstate (a context variable) there is the caller's.  No build outlives the call."""
+        missing = [k for k in dict.fromkeys(ks) if k not in self._ratios]
+        for k in missing:
+            self._share_exponents(k)
+        context = contextvars.copy_context()
+        helped = {k: _helper().submit(context.run, self._ratio, k) for k in missing[1::2]}
+        try:
+            for k in missing:
+                if k in helped:
+                    helped[k].result()
+                else:
+                    self._ratio(k)
+        finally:
+            for build in helped.values():
+                build.exception()  # waits; an error past the first raised is dropped, as serial builds never reach it
 
     def _transfer(self, k: int) -> np.ndarray:
         """(configs, nodes) node values of the k-report transfer from its cached ``_ratio``, r at the held nodes."""
@@ -425,7 +467,9 @@ class RingModel:
         The nodes' Simpson rule in s (``_simpson_weights`` on MODEL_CELLS/2 cells) gives the
         three nested totals of the integrand times dx/ds.  T - r = (k-1)/e (v - r - A) is
         affine in the IC ratio A = J/F^e, so with the rule's weights times F^(n-1) f dx/ds
-        contracted with v - r once per call and with each count's cached A (``_ratio``), the
+        contracted with v - r once per call and with each count's cached A (``_ratio``, the
+        missing counts built on the calling thread and one helper thread by ``_ratios_of``,
+        bit for bit as the serial build, so g must be safe to call from another thread), the
         totals are V - (1 - (m n - 1) g)(k-1)/e (V - A): no transfer schedule is built.  A
         row's fine total is elementwise products summed along one row, so it equals the
         single-config model's row bit for bit; the two coarser totals, which only feed the
@@ -443,6 +487,7 @@ class RingModel:
         P = np.where(win_prob > 0.0, win_prob * self._f[::2] * self._dxds[::2], 0.0)
         rule_P = _simpson_weights(2.0 * self._h, MODEL_CELLS // 2) * P
         V, held_P = rule_P @ (v - r), rule_P[0] * (v - r)
+        self._ratios_of((n + counts - 1).tolist())
         out = np.empty((len(self.cfgs), len(counts), 3))
         held_error = np.empty((len(self.cfgs), len(counts)))
         for j, count in enumerate(counts.tolist()):
@@ -473,9 +518,12 @@ def expected_order_gap(dist: ValueDistribution, n: int) -> float:
 
 def efficient_ring_loser_share(n: int, dist: ValueDistribution, reserve: float = 0.0) -> float:
     """Per-loser transfer of the fully efficient ring: E[(v(2) - r)+]/n, the integral of
-    P(v(2) > u) = 1 - F^(n-1) (n - (n-1) F) over [r, v_h] over n; only the cdf is sampled."""
+    P(v(2) > u) = 1 - F^(n-1) (n - (n-1) F) over [r, v_h] over n, and 0 for a reserve at or above
+    v_h, which no value exceeds; only the cdf is sampled."""
     if n < 2:
         raise DomainError("need n >= 2")
+    if reserve >= dist.v_h:
+        return 0.0
 
     def survival(u):
         F = np.asarray(dist.cdf(u), dtype=float)

@@ -558,6 +558,14 @@ def test_invalid_parameter_exits_one(tmp_path):
     assert run_cli(["poa", "--c", "0", "--n-max", "3", "--out", str(tmp_path / "p.csv")]) == 1
 
 
+def test_poa_with_an_underflowing_equilibrium_welfare_is_an_invalid_parameter(tmp_path, capsys):
+    # R/n rounds to 0.0 at n = 2; the row's ratio goes through price_of_anarchy's welfare check, not a bare divide
+    assert run_cli(["poa", "--R", "5e-324", "--n-max", "3", "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "invalid parameter: price of anarchy is undefined for nonpositive equilibrium welfare\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_unwritable_output_exits_one(tmp_path):
     assert run_cli(["poa", "--n-max", "3", "--out", str(tmp_path / "no" / "dir.csv")]) == 1
 

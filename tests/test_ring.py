@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -502,7 +506,7 @@ def test_order_statistics_and_efficient_shares_never_evaluate_the_density():
 
 def test_efficient_share_uniform_values():
     assert efficient_ring_loser_share(3, UNIFORM) == pytest.approx(1.0 / 6.0, abs=1e-9)
-    assert efficient_ring_loser_share(4, UNIFORM, reserve=1.0) == 0.0
+    assert efficient_ring_loser_share(4, UNIFORM, reserve=1.0) == efficient_ring_loser_share(3, UNIFORM, 1.5) == 0.0
 
 
 def test_doubling_the_efficient_share_pays_off():
@@ -753,6 +757,92 @@ def test_a_nan_share_is_not_budget_balanced():
     cfg = RingConfig(g=lambda k: 0.25 if k == 3 else math.nan, n=3)
     with pytest.raises(DomainError, match=r"g\(4\) <= 1/3, got nan"):
         RingModel(UNIFORM, cfg).transfer(0.5, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", ["uniform", "beta22", "truncexp"])
+def test_ratios_built_on_two_threads_equal_one_count_builds_bit_for_bit(name, n):
+    # the 1st and 3rd missing counts are built on the calling thread, the 2nd and 4th on the helper thread
+    cfgs = [constant_share_config(t, n) for t in np.linspace(0.0, 1.0, 21)]
+    model, serial = RingModel(DISTRIBUTIONS[name](), cfgs), RingModel(DISTRIBUTIONS[name](), cfgs)
+    profits = model.expected_profit(range(1, 5))
+    for m in range(1, 5):
+        assert profits[:, m - 1].tolist() == serial.expected_profit(m).tolist()
+    assert sorted(model._ratios) == sorted(serial._ratios) == list(range(n, n + 4))
+    for k, (A, held) in serial._ratios.items():
+        assert A.tobytes() == model._ratios[k][0].tobytes() and np.array_equal(held, model._ratios[k][1])
+
+
+def test_every_missing_count_is_checked_for_budget_balance_before_any_ratio_is_built():
+    # g breaks budget balance at n + 1, which the calling thread builds, and at n + 2, which the helper builds
+    cfg = RingConfig(g=lambda k: 1.0 if k in (4, 5) else 0.25, n=3)
+    model = RingModel(UNIFORM, cfg)
+    with pytest.raises(DomainError, match=r"budget balance needs 0 <= g\(4\) <= 1/3, got 1.0"):
+        model.expected_profit(range(1, 5))
+    assert model._ratios == {}
+
+
+def test_repeated_searches_start_no_further_threads():
+    opt_ring_search(beta22_values(), 3)
+    started = threading.active_count()
+    for _ in range(3):
+        opt_ring_search(beta22_values(), 3)
+        assert threading.active_count() == started
+    assert [t.name.startswith("sybilgames-ratio") for t in threading.enumerate()].count(True) == 1
+
+
+def test_concurrent_callers_share_the_helper_and_get_the_serial_profits():
+    # six callers on two cores, one model shared by all and one of their own each, under a short switch interval
+    cfgs = [constant_share_config(t, 3) for t in (0.0, 0.4, 0.8)]
+    expected = np.stack([RingModel(beta22_values(), cfgs).expected_profit(m) for m in range(1, 5)], axis=-1)
+    shared, results = RingModel(beta22_values(), cfgs), []
+
+    def call():
+        for model in (shared, RingModel(beta22_values(), cfgs), RingModel(beta22_values(), cfgs)):
+            results.append((model, model.expected_profit(range(1, 5))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and len(results) == 18
+    for model, profits in results:
+        assert sorted(model._ratios) == [3, 4, 5, 6] and profits.tobytes() == expected.tobytes()
+
+
+def test_the_helper_builds_under_the_callers_errstate():
+    # k = 51's F^e underflows on beta22's first nodes (see the held-node tests below), k = 3's does not; as the
+    # 2nd missing count, 51 is built on the helper thread, so only the caller's errstate there can raise
+    with np.errstate(under="raise"):
+        RingModel(beta22_values(), constant_share_config(0.5, 3)).expected_profit([1, 1])
+        model = RingModel(beta22_values(), constant_share_config(0.5, 3))
+        with pytest.raises(FloatingPointError, match="underflow"):
+            model.expected_profit([1, 49])
+    assert list(model._ratios) == [3]
+    assert np.isfinite(model.expected_profit([1, 49])).all()  # the default errstate ignores the underflow
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_ratios_on_its_own_helper():
+    model = RingModel(UNIFORM, constant_share_config(0.5, 3))
+    expected = RingModel(UNIFORM, constant_share_config(0.5, 3)).expected_profit([1, 2]).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a multi-threaded process
+        pid = os.fork()
+    if pid == 0:  # the child has no copy of the parent's helper thread; a wait on it would hang until the alarm
+        signal.alarm(30)
+        try:
+            os._exit(0 if model.expected_profit([1, 2]).tolist() == expected else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_a_profit_unresolved_on_the_quadrature_grid_names_its_config_and_count_row():
