@@ -22,6 +22,7 @@ density segments each of its intervals overlaps.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -164,21 +165,21 @@ def coin_probability(n: int) -> float:
     """Probability the allocation is kept rather than burned: n / 2^(n-1)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    return n / 2.0 ** (n - 1)
+    return math.ldexp(n, 1 - n)
 
 
 def expected_truthful_value(n: int) -> float:
     """Expected slice value of a truthful identity among n reports: 1 / 2^(n-1)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    return 1.0 / 2.0 ** (n - 1)
+    return math.ldexp(1.0, 1 - n)
 
 
 def sybil_deviation_value(k: int, y: int) -> float:
     """Expected total value of reporting k identities against y honest ones: k / 2^(y+k-1)."""
     if k < 1 or y < 0:
         raise DomainError("need k >= 1 and y >= 0")
-    return k / 2.0 ** (y + k - 1)
+    return math.ldexp(k, 1 - y - k)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CONTINUOUS, ActionSpace, AggregativeGame, CountVerdict, SybilCost, count_verdict
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 SCP_MARGIN_TOL = 1e-12
 
@@ -75,7 +75,7 @@ def commitment_welfare_cap(n: int, R: float, c: float) -> float:
     commitment-proof bounded games with linear identity cost c."""
     if n < 2:
         raise DomainError("need n >= 2")
-    return (n - 1) * R / 2.0 ** (n - 2) + c * n * n / 2.0
+    return math.ldexp((n - 1) * R, 2 - n) + c * n * n / 2.0
 
 
 def cournot_game(beta: float, upper: Optional[float] = None, grid_step: float = 0.01) -> AggregativeGame:
@@ -125,7 +125,8 @@ def cfmm_arbitrage_oracle(reserve_a: float, reserve_b: float, ext_price: float) 
     n p q^2 + B q - C = 0, B = 2 n p a - (n-1) b, C = n a (b - p a) > 0 (b > p a, with b - p a
     rounded once from its exact value), whose positive root is taken in the form that does not
     cancel: 2C/(B + sqrt(D)) for B >= 0, (sqrt(D) - B)/(2 n p) otherwise, D = B^2 + 4 n p C.
-    Each arbitrageur earns f(q)/n.
+    Each arbitrageur earns f(q)/n; a payoff that does not come out finite (B^2 overflows once b
+    is above about 1e154) raises NumericError.
     """
     f, _ = cfmm_curve(reserve_a, reserve_b, ext_price)
     excess = float(Fraction(reserve_b) - Fraction(ext_price) * Fraction(reserve_a))  # b - p a
@@ -133,7 +134,16 @@ def cfmm_arbitrage_oracle(reserve_a: float, reserve_b: float, ext_price: float) 
         warnings.warn("no arbitrage at these reserves and price; payoffs are zero")
         return EqPayoffOracle(lambda n: 0.0)
 
-    return EqPayoffOracle(lambda n: f(_batched_trade(n, reserve_a, reserve_b, ext_price, excess)) / n)
+    def payoff(n: int) -> float:
+        value = f(_batched_trade(n, reserve_a, reserve_b, ext_price, excess)) / n
+        if not math.isfinite(value):
+            raise NumericError(
+                f"batched arbitrage payoff at n = {n} is {value} "
+                f"at reserves {reserve_a!r}, {reserve_b!r} and price {ext_price!r}"
+            )
+        return value
+
+    return EqPayoffOracle(payoff)
 
 
 def _batched_trade(n: int, a: float, b: float, p: float, excess: float) -> float:
@@ -186,5 +196,5 @@ def rmax_commitment_instance(R: float, identity_cost: float) -> CommitmentInstan
     positive cost makes single reporting strictly dominant."""
     if not R > 0.0:  # also a NaN R
         raise DomainError("need R > 0")
-    oracle = EqPayoffOracle(lambda n: R / 2.0 ** (n - 1))
+    oracle = EqPayoffOracle(lambda n: math.ldexp(R, 1 - n))
     return CommitmentInstance(oracle=oracle, cost=SybilCost.linear(identity_cost))

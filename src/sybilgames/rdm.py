@@ -44,7 +44,7 @@ def max_sybilproof_reward(n: int, R: float) -> float:
         raise DomainError("need n >= 1")
     if R < 0.0:
         raise DomainError("need R >= 0")
-    return n * R / 2.0 ** (n - 1)
+    return math.ldexp(n * R, 1 - n)
 
 
 def rmax_mechanism(R: float) -> RewardMechanism:

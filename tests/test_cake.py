@@ -143,6 +143,9 @@ def test_coin_probability_values():
     assert coin_probability(1) == 1.0
     assert coin_probability(2) == 1.0
     assert coin_probability(4) == 0.5
+    # past n = 1024, 2.0 ** (n - 1) overflows; the probability is the exact ratio rounded once
+    assert coin_probability(1025) == 1025 / 2**1024
+    assert coin_probability(1100) == 0.0
 
 
 def _own_slice(transcript, i: int) -> Slice:
@@ -236,6 +239,8 @@ def test_run_mechanism_is_run_zero_of_a_one_run_batch(seed):
 def test_expected_truthful_value_formula():
     assert expected_truthful_value(1) == 1.0
     assert expected_truthful_value(3) == 0.25
+    assert expected_truthful_value(1025) == 2.0**-1024
+    assert expected_truthful_value(1100) == 0.0
     with pytest.raises(DomainError):
         expected_truthful_value(0)
 
@@ -267,6 +272,8 @@ def test_sybil_deviation_value_formula():
     assert sybil_deviation_value(2, 3) == 0.125
     assert sybil_deviation_value(1, 3) == 0.125
     assert sybil_deviation_value(3, 3) == pytest.approx(0.09375)
+    assert sybil_deviation_value(2, 1023) == 2 / 2**1024
+    assert sybil_deviation_value(1100, 0) == 0.0
 
 
 def exact_expected_value(true: PiecewiseMeasure, partition) -> float:

@@ -49,6 +49,9 @@ def test_rdm_reference_row(tmp_path):
     assert float(by_n[2][2]) == pytest.approx(20.0 / math.e)
     # eps = K/100, so n eps <= K on every row: the welfare is the kink's, exactly R
     assert [r[3] for r in rows] == ["10.0"] * 12
+    # 2.0 ** (n - 1) overflowed past n = 1024; the cap now underflows to 0.0
+    assert run_cli(["rdm", "--R", "10", "--n-max", "1100", "--out", str(out)]) == 0
+    assert read_rows(out)[2][-1][:2] == ["1100", "0.0"]
 
 
 def test_welfare_tables_run_one_batched_validation(tmp_path, monkeypatch):
@@ -207,9 +210,11 @@ def test_cake_label_widths_match_per_cell_rendering(tmp_path, monkeypatch, runs)
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cake", "--n", "3", "--samples", str(cli.CAKE_BLOCK_RUNS + 5), "--seed", "2"],
+        # five blocks, the last one partial, with the 9,999 -> 10,000 label width change inside one
+        ["cake", "--n", "2", "--samples", "10005", "--seed", "2"],
         ["rdm", "--R", "10", "--n-max", "5"],
         ["verify", "--game", "prorata", "--foreign", "2.5,2.5", "--foreign", "1,3"],
+        ["ring", "--dist", "truncexp", "--n", "3", "--theta-grid", "5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -307,6 +312,9 @@ def test_commit_verdict_column_is_scp_checks_per_row_verdict(tmp_path, argv, ins
     out = tmp_path / "commit.csv"
     assert run_cli(["commit", *argv, "--out", str(out)]) == 0
     column = [row[3] for row in read_rows(out)[2]]
+    # a lone player keeps one identity, and each crowd of k >= 2 players' equilibrium is beaten by committing k
+    crowds = ["scp"] + [f"counterexample(foreign={k - 1};x={k})" for k in range(2, 11)]
+    assert column == {"cournot": crowds, "cfmm": crowds, "exp": ["scp"] * 10, "trivial": ["scp"] * 10}[argv[1]]
     inst = inst()
     full = scp_check(inst, foreign_max=9, x_max=32)
     assert column == [
@@ -325,7 +333,7 @@ def test_poa_sweep(tmp_path):
     _, _, rows = read_rows(out)
     for row in rows:
         n = int(row[0])
-        assert float(row[1]) == pytest.approx(10.0 / n)
+        assert float(row[1]) == 10.0 / n  # the closed form: 10/5 prints as 2.0, not 1.9999999999999996
         assert float(row[3]) == pytest.approx(n, rel=0.05)
 
 
@@ -564,6 +572,16 @@ def test_poa_with_an_underflowing_equilibrium_welfare_is_an_invalid_parameter(tm
     err = capsys.readouterr().err
     assert err == "invalid parameter: price of anarchy is undefined for nonpositive equilibrium welfare\n"
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["fig", "--which", "fig2"], ["commit", "--instance", "cfmm"]])
+def test_a_non_finite_arbitrage_payoff_is_a_numeric_failure(tmp_path, capsys, argv):
+    # B^2 overflows at b = 1e200: fig2 wrote nan rows with exit 0, and commit named no cause
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--reserve-b", "1e200", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: batched arbitrage payoff at n = 2 is nan at reserves 100.0, 1e+200 and price 0.5\n"
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_one(tmp_path):

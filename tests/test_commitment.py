@@ -119,6 +119,11 @@ def test_welfare_cap_values():
     assert commitment_welfare_cap(2, 10.0, 0.0) == 10.0
     assert commitment_welfare_cap(5, 10.0, 0.0) == 5.0
     assert commitment_welfare_cap(3, 10.0, 2.0) == pytest.approx(10.0 + 9.0)
+    # 2.0 ** (n - 2) overflows past n = 1025: the reward term is the exact ratio rounded once, or 0.0
+    assert commitment_welfare_cap(1025, 10.0, 0.0) == 10240 / 2**1023
+    assert commitment_welfare_cap(1100, 10.0, 0.5) == 0.5 * 1100 * 1100 / 2.0
+    shrunk = rmax_commitment_instance(10.0, 0.0).oracle
+    assert shrunk.payoff(1025) == 10 / 2**1024 and shrunk.payoff(1100) == 0.0
     with pytest.raises(DomainError):
         commitment_welfare_cap(1, 10.0, 0.0)
 
@@ -216,6 +221,16 @@ def test_cfmm_closed_form_is_the_root_of_the_first_order_condition():
                 # bisection's absolute stopping tests leave the curves at 1 + 2^-20 and below unresolved
                 assert payoff == pytest.approx(concave_prorata_equilibrium(f, n, fprime).per_player_payoff, rel=1e-10)
     assert signs == {True, False}
+
+
+@pytest.mark.parametrize("rb, n", [(1e200, 2), (1e200, 11), (1e300, 1)])
+def test_a_non_finite_arbitrage_payoff_raises_naming_its_count_and_reserves(rb, n):
+    # B^2 overflows above b of about 1e154, and f(q) itself at b = 1e300: the payoff came out NaN or inf
+    oracle = cfmm_arbitrage_oracle(100.0, rb, 0.5)
+    with pytest.raises(NumericError) as raised:
+        oracle.payoff(n)
+    message = str(raised.value)
+    assert f"payoff at n = {n} is " in message and message.endswith(f"at reserves 100.0, {rb!r} and price 0.5")
 
 
 def test_cfmm_welfare_decreases_with_more_arbitrageurs():

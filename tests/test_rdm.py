@@ -23,6 +23,9 @@ def test_max_sybilproof_reward_values():
     assert max_sybilproof_reward(1, 10.0) == 10.0
     assert max_sybilproof_reward(3, 10.0) == 7.5
     assert max_sybilproof_reward(4, 10.0) == 5.0
+    # 2.0 ** (n - 1) overflows past n = 1024: the cap is the exact ratio rounded once, 0.0 once it underflows
+    assert max_sybilproof_reward(1025, 10.0) == 10250 / 2**1024
+    assert max_sybilproof_reward(1100, 10.0) == 0.0
 
 
 def test_pie_shrinking_recursion_exact():

@@ -155,22 +155,24 @@ def test_transfer_of_a_tiny_bid_above_the_underflow_keeps_its_digits():
 
 
 def test_transfer_share_exponent_closed_form():
-    # uniform with constant share theta: T(v) = (n-1) v / (n + theta)
-    cases = [(3, 0.5, v) for v in (0.2, 0.6, 1.0)] + [(6, 1.0, 0.05), (6, 0.5, 0.1)]
+    # uniform with constant share theta: T(v) = (n-1) v / (n + theta); at n = 2, theta = 0.5 the fractional
+    # power of F^e makes these transfers climb to 2,048 Simpson cells
+    cases = [(3, 0.5, v) for v in (0.2, 0.6, 0.7, 1.0)] + [(6, 1.0, 0.05), (6, 0.5, 0.1), (2, 0.5, 0.05), (2, 0.5, 0.7)]
     for n, theta, v in cases:
         cfg = constant_share_config(theta, n)
-        assert ring_transfer(v, cfg, UNIFORM) == pytest.approx((n - 1) * v / (n + theta), abs=1e-9)
+        closed = (n - 1) * v / (n + theta)
+        assert abs(ring_transfer(v, cfg, UNIFORM) - closed) <= 1e-10 * closed, (n, theta, v)
 
 
 @pytest.mark.parametrize("reserve", [0.2, 0.5])
 @pytest.mark.parametrize("n", [2, 3, 6])
-@pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+@pytest.mark.parametrize("theta", [0.0, 0.35, 0.5, 1.0])
 def test_transfer_uniform_closed_form_with_a_reserve(reserve, n, theta):
     # uniform, e = n - 1 + theta, l = theta, the losers sharing T - r:
     # T(v) = [(n-1)/(e+1) (v^(e+1) - r^(e+1)) + theta r/e (v^e - r^e) + r^(e+1)] / v^e
     cfg = constant_share_config(theta, n, reserve=reserve)
     e, r = n - 1 + theta, reserve
-    for v in (r + 1e-3, 0.5 * (r + 1.0), 0.9, 1.0):
+    for v in (r + 1e-3, 0.5 * (r + 1.0), 0.7, 0.9, 1.0):
         reserve_term = theta * r / e * (v**e - r**e)
         closed = ((n - 1) / (e + 1) * (v ** (e + 1) - r ** (e + 1)) + reserve_term + r ** (e + 1)) / v**e
         assert ring_transfer(v, cfg, UNIFORM) == pytest.approx(closed, rel=1e-9)
@@ -278,14 +280,16 @@ def test_steep_truncexp_transfers_raise_or_resolve(rate, v):
     assert transfer == pytest.approx(expected, rel=1e-10)
 
 
-def test_transfer_raises_on_an_unresolved_integral():
-    # a steep truncated exponential: the estimated error is about 2.5e-9 of the integral
+@pytest.mark.parametrize("rate", [5.0, 200.0])
+def test_transfer_raises_on_an_unresolved_integral(rate):
+    # steep truncated exponentials: at rate 200 the estimated error is about 2.5e-9 of the integral, and at
+    # rate 5 the observed-order bound does not certify it
     with pytest.raises(NumericError, match="unresolved"):
-        ring_transfer(0.9, constant_share_config(0.35, 2), truncated_exponential_values(200.0))
+        ring_transfer(0.9, constant_share_config(0.35, 2), truncated_exponential_values(rate))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
-@pytest.mark.parametrize("theta", [0.0, 0.35, 1.0])
+@pytest.mark.parametrize("theta", [0.0, 0.35, 0.5, 1.0])
 def test_truncexp_transfer_near_zero_is_the_uniform_limit(n, theta):
     # F(u) = u (1 - u/2 + ...)/mass, so T(v) -> (n-1) v/(n+theta) to relative O(v); the cdf's
     # expm1 keeps the digits that 1 - exp(-u) loses as u -> 0
@@ -429,11 +433,12 @@ def test_member_payoff_closed_form_uniform_three(theta):
     # the subnormal thetas: m g (n-1)/p is formed as one ratio, so (n-1)/p cannot overflow on the way
     model = RingModel(UNIFORM, constant_share_config(theta, 3))
     for m in (1, 2, 3, 4):
-        for v in (0.3, 0.7, 0.95):
+        for v in (0.0, 0.3, 0.7, 0.95, 1.0):
             closed = (v**3 * (1.0 + m * theta) + (2.0 * m * theta / 3.0) * (1.0 - v**3)) / (
                 m + 2.0 + theta
             )
-            assert model.payoff(v, v, m) == pytest.approx(closed, abs=1e-12)
+            payoff = model.payoff(v, v, m)
+            assert type(payoff) is float and abs(payoff - closed) <= 1e-12, (m, v)
 
 
 def test_truthful_bidding_is_optimal_on_a_refined_grid():
@@ -547,6 +552,19 @@ def test_opt_ring_search_finds_profitable_proof_ring(reserve):
     assert last.theta == 1.0 and not last.sybilproof_ok  # the efficient ring is attackable
     for row in result.rows:
         assert row.truthful_ok
+
+
+@pytest.mark.parametrize(
+    "n, reserve, best, welfare",
+    [(3, 0.0, 0.15, 3.0 * (1.0 + 3.0 * 0.15) / (4.0 * (3.0 + 0.15))), (2, 0.2, 0.4, 0.3785403437885542)],
+)
+def test_the_uniform_search_picks_its_recorded_theta_and_welfare(n, reserve, best, welfare):
+    # without a reserve the welfare is n profit(1) = 3 (1 + 3 theta) / (4 (3 + theta)) at n = 3; under the
+    # reserve the value is the one recorded when the IC certificate first passed every row
+    result = opt_ring_search(UNIFORM, n, reserve=reserve)
+    assert abs(result.best_theta - best) <= 1e-12
+    assert abs(result.best_welfare - welfare) <= 1e-10
+    assert all(row.truthful_ok for row in result.rows)
 
 
 @pytest.mark.parametrize(
@@ -970,7 +988,7 @@ def test_a_large_count_profit_holds_its_underflowing_nodes_at_the_reserve_with_n
     model = RingModel(DISTRIBUTIONS[name](), [constant_share_config(t, n) for t in thetas])
     profit = model.expected_profit(m)
     held = model._ratio(n + m - 1)[1]
-    assert np.all(np.isfinite(profit)) and held[:, 1:].any()
+    assert profit.shape == thetas.shape and np.all(np.isfinite(profit)) and held[:, 1:].any()
     x = model.grid[2 * int(held.sum(axis=1).max())]
     bound = (1.0 + (m * n - 1) * thetas / (n + m - 2)) * x * float(model.dist.cdf(x)) ** n / n
     assert np.all(bound < QUAD_TOL * np.abs(profit))
@@ -1067,6 +1085,19 @@ def test_the_certificate_passes_every_theta_on_the_stretched_beta_with_a_reserve
     assert result.best_theta == 0.2
 
 
+@pytest.mark.parametrize(
+    "dist, n, reserve",
+    [(d, 3, r) for d in (UNIFORM, beta22_values(), truncated_exponential_values()) for r in (0.0, 0.2)]
+    + [(SHIFTED_BETA22, 2, 0.25)],
+    ids=lambda p: getattr(p, "name", None),
+)
+def test_the_searched_zero_share_welfare_is_n_one_config_profits_bit_for_bit(dist, n, reserve):
+    # the fallback reports the theta = 0 ring from a one-config model, so the searched row must equal it
+    result = opt_ring_search(dist, n, reserve=reserve)
+    zero = n * RingModel(dist, constant_share_config(0.0, n, reserve)).expected_profit(1)
+    assert result.rows[0].theta == 0.0 and result.rows[0].welfare == zero
+
+
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
 @pytest.mark.parametrize("n, m_max", [(2, 40), (3, 40)])
 def test_expected_profit_resolves_many_identities_on_the_search_grid(dist, n, m_max):
@@ -1074,7 +1105,8 @@ def test_expected_profit_resolves_many_identities_on_the_search_grid(dist, n, m_
     # m = 8 (truncexp) at n = 2, and from m = 27 for truncexp at n = 3; the even grid's profit from m = 17
     # (uniform) and m = 14 (truncexp) at n = 2
     model = RingModel(DISTRIBUTIONS[dist](), [constant_share_config(t, n) for t in np.linspace(0.0, 1.0, 21)])
-    assert np.all(np.isfinite(model.expected_profit(range(1, m_max + 1))))
+    profits = model.expected_profit(range(1, m_max + 1))
+    assert profits.shape == (21, m_max) and np.all(np.isfinite(profits))
 
 
 @pytest.mark.parametrize("name, n, theta, reserve", [("uniform", 3, 0.15, 0.5), ("beta22", 2, 5.161386351913141e-134, 0.0)])
