@@ -2,9 +2,11 @@
 
 Each subcommand writes one CSV artifact ('.' decimals, comma separator, a
 '#'-prefixed comment line recording the full configuration) as UTF-8 bytes, to
-the --out file or to stdout's byte stream, which carry the same bytes.  Only
-``cake`` draws from the --seed flag; the other subcommands draw nothing and only
-record the seed in that line.  Identical configurations produce byte-identical files.
+the --out file or to stdout's byte stream, which carry the same bytes.  A
+subcommand's handler only builds its table (config parameters, header, body);
+:func:`main` alone writes it, adding ``seed`` to every config line.  Only ``cake``
+draws from the --seed flag; the other subcommands draw nothing and only record it.
+Identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 usage, 2 invariant violation, 3 numeric failure.
 """
 
@@ -36,6 +38,8 @@ from .rdm import TentFunction, dominant_strategy_prorata, max_sybilproof_reward,
 from .ring import DISTRIBUTIONS, opt_ring_search
 
 ARTIFACT = f"sybilgames/{__version__}"
+#: What a handler returns and :func:`main` writes: the config parameters bar ``seed``, the header and the body.
+_Table = tuple[dict, list[str], Iterable[bytes]]
 #: Monte Carlo runs rendered per body chunk of `cake`; bounds the text held at once and keeps a block in cache.
 CAKE_BLOCK_RUNS = 2**11
 
@@ -73,8 +77,8 @@ def _emit_csv(
     line and the header are encoded as UTF-8 once.  On stdout, pending text is
     flushed and the bytes go to ``sys.stdout.buffer``; a stdout with no buffer
     (an ``io.StringIO`` under ``contextlib.redirect_stdout``) gets them decoded
-    as text.  Opening ``out`` is the last thing that can fail: a handler does
-    everything that can raise before it calls this, and its body only renders
+    as text.  :func:`main` is the only caller, once the handler has returned, so
+    opening ``out`` is the last thing that can fail: the body only renders
     prepared rows or tails.
     """
     config = " ".join(
@@ -176,7 +180,7 @@ def _parse_profile(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad foreign profile {text!r}") from exc
 
 
-def _run_verify(args) -> None:
+def _run_verify(args) -> _Table:
     cost = SybilCost.linear(args.c)
     if args.game == "headcount":
         game = headcount_reward_game(args.R)
@@ -205,30 +209,21 @@ def _run_verify(args) -> None:
     params = dict(
         game=args.game, R=args.R, c=args.c, beta=args.beta, max_identities=args.max_identities,
         grid_step=game.space.grid_step, upper=args.upper,
-        profiles=";".join("|".join(repr(a) for a in p) for p in profiles), seed=args.seed,
+        profiles=";".join("|".join(repr(a) for a in p) for p in profiles),
     )
-    _emit_csv(
-        args.out, "verify", params, ["game", "foreign", "verdict", "mine", "gain"], _format_rows(rows)
-    )
+    return params, ["game", "foreign", "verdict", "mine", "gain"], _format_rows(rows)
 
 
-def _welfare_rows(args) -> tuple[float, list]:
-    """Tent half-width and the (n, r_max, dsic welfare, tent welfare) rows of `rdm` and `fig1`."""
+def _run_rdm(args) -> _Table:
+    """The (n, r_max, dsic welfare, tent welfare) table, which `fig --which fig1` shows under its own header."""
     eps = args.eps if args.eps is not None else args.K / 100.0
     curve = dominant_strategy_prorata(args.R, args.K)
     equilibria = tent_equilibria(TentFunction(args.R, args.K, eps), range(2, args.n_max + 1))
     # a lone player plays the tent's peak and keeps the whole curve value
     tent = [args.R] + [eq.welfare for eq in equilibria]
     rows = [(n, max_sybilproof_reward(n, args.R), curve.welfare(n), tent[n - 1]) for n in range(1, args.n_max + 1)]
-    return eps, rows
-
-
-def _run_rdm(args) -> None:
-    eps, rows = _welfare_rows(args)
-    params = dict(R=args.R, K=args.K, eps=eps, n_max=args.n_max, seed=args.seed)
-    _emit_csv(
-        args.out, "rdm", params, ["n", "r_max", "welfare_dsic", "welfare_tent"], _format_rows(rows)
-    )
+    params = dict(R=args.R, K=args.K, eps=eps, n_max=args.n_max)
+    return params, ["n", "r_max", "welfare_dsic", "welfare_tent"], _format_rows(rows)
 
 
 def _load_measures(path: str) -> list[PiecewiseMeasure]:
@@ -272,7 +267,7 @@ def _cake_body(tails: np.ndarray, transcript: Transcript) -> Iterator[bytes]:
         yield records.tobytes().translate(None, b"\0")
 
 
-def _run_cake(args) -> None:
+def _run_cake(args) -> _Table:
     if args.measures is not None:
         declared = _load_measures(args.measures)
     else:
@@ -289,11 +284,11 @@ def _run_cake(args) -> None:
         ],
         dtype="S",
     )
-    params = dict(n=n, samples=args.samples, seed=args.seed, measures=args.measures or "uniform")
-    _emit_csv(args.out, "cake", params, ["run", "identity", "value", "coin"], _cake_body(tails, transcript))
+    params = dict(n=n, samples=args.samples, measures=args.measures or "uniform")
+    return params, ["run", "identity", "value", "coin"], _cake_body(tails, transcript)
 
 
-def _run_ring(args) -> None:
+def _run_ring(args) -> _Table:
     dist = DISTRIBUTIONS[args.dist]()
     if args.theta_grid < 1:  # np.linspace would reject a negative count in its own words
         raise DomainError("need at least one theta")
@@ -303,13 +298,8 @@ def _run_ring(args) -> None:
         (row.theta, row.truthful_ok, row.sybilproof_ok, row.welfare, row.baseline)
         for row in result.rows
     ]
-    params = dict(
-        dist=args.dist, n=args.n, theta_grid=args.theta_grid, seed=args.seed, best_theta=result.best_theta,
-    )
-    _emit_csv(
-        args.out, "ring", params, ["theta", "truthful_ok", "sybilproof_ok", "welfare", "baseline"],
-        _format_rows(rows),
-    )
+    params = dict(dist=args.dist, n=args.n, theta_grid=args.theta_grid, best_theta=result.best_theta)
+    return params, ["theta", "truthful_ok", "sybilproof_ok", "welfare", "baseline"], _format_rows(rows)
 
 
 def _commit_instance(args) -> CommitmentInstance:
@@ -319,8 +309,6 @@ def _commit_instance(args) -> CommitmentInstance:
         return cfmm_commitment_instance(args.reserve_a, args.reserve_b, args.price, identity_cost=args.c)
     if args.instance == "exp":
         return exponential_commitment_instance()
-    if not args.c > 0.0:
-        raise UsageError("the trivial instance needs --c > 0")
     return trivial_commitment_instance(args.c)
 
 
@@ -329,7 +317,7 @@ def _payoff_rows(inst: CommitmentInstance, n_max: int) -> list:
     return [(n, inst.oracle.payoff(n), 2.0 * inst.oracle.payoff(n + 1)) for n in range(1, n_max + 1)]
 
 
-def _run_commit(args) -> None:
+def _run_commit(args) -> _Table:
     inst = _commit_instance(args)
     verdict = scp_check(inst, max(args.n_max, 1) - 1, args.x_max)  # row n is foreign count n - 1
     rows = [
@@ -337,44 +325,30 @@ def _run_commit(args) -> None:
         for (n, eq_payoff, commit2), bad in zip(_payoff_rows(inst, args.n_max), verdict.gains > verdict.tol)
     ]
     params = dict(
-        instance=args.instance, c=args.c, n_max=args.n_max, x_max=args.x_max, seed=args.seed,
-        alpha=args.alpha, c_prod=args.c_prod,
-        reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price,
+        instance=args.instance, c=args.c, n_max=args.n_max, x_max=args.x_max, alpha=args.alpha,
+        c_prod=args.c_prod, reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price,
     )
-    _emit_csv(
-        args.out, "commit", params, ["n", "eq_payoff", "commit2_payoff", "scp_verdict"], _format_rows(rows)
-    )
+    return params, ["n", "eq_payoff", "commit2_payoff", "scp_verdict"], _format_rows(rows)
 
 
-def _run_poa(args) -> None:
+def _run_poa(args) -> _Table:
     game = reward_share_game(args.R, args.c, grid_step=args.grid_step)
     rows = []
     for n in range(2, args.n_max + 1):
         eq = reward_game_pure_equilibrium(args.R, args.c, n)
         w_opt = grid_welfare_optimum(game, n)
         rows.append((n, eq.welfare, w_opt, _anarchy_ratio(w_opt, eq.welfare)))
-    params = dict(R=args.R, c=args.c, n_max=args.n_max, grid_step=args.grid_step, seed=args.seed)
-    _emit_csv(args.out, "poa", params, ["n", "eq_welfare", "w_opt", "poa"], _format_rows(rows))
+    params = dict(R=args.R, c=args.c, n_max=args.n_max, grid_step=args.grid_step)
+    return params, ["n", "eq_welfare", "w_opt", "poa"], _format_rows(rows)
 
 
-def _run_fig(args) -> None:
+def _run_fig(args) -> _Table:
     if args.which == "fig1":
-        eps, rows = _welfare_rows(args)
-        params = dict(which="fig1", R=args.R, K=args.K, eps=eps, n_max=args.n_max, seed=args.seed)
-        _emit_csv(
-            args.out, "fig", params, ["n", "rmax_welfare", "dsic_welfare", "tent_welfare"],
-            _format_rows(rows),
-        )
-        return
+        params, _, body = _run_rdm(args)
+        return dict(params, which="fig1"), ["n", "rmax_welfare", "dsic_welfare", "tent_welfare"], body
     inst = cfmm_commitment_instance(args.reserve_a, args.reserve_b, args.price)
-    rows = _payoff_rows(inst, args.n_max)
-    params = dict(
-        which="fig2", reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price,
-        n_max=args.n_max, seed=args.seed,
-    )
-    _emit_csv(
-        args.out, "fig", params, ["n", "eq_payoff", "sybil_commit_payoff"], _format_rows(rows)
-    )
+    params = dict(which="fig2", reserve_a=args.reserve_a, reserve_b=args.reserve_b, price=args.price, n_max=args.n_max)
+    return params, ["n", "eq_payoff", "sybil_commit_payoff"], _format_rows(_payoff_rows(inst, args.n_max))
 
 
 _HANDLERS = {
@@ -394,7 +368,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.subcommand is None:
             raise UsageError("a subcommand is required")
-        _HANDLERS[args.subcommand](args)
+        params, header, body = _HANDLERS[args.subcommand](args)
+        _emit_csv(args.out, args.subcommand, dict(params, seed=args.seed), header, body)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

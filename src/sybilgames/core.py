@@ -177,6 +177,8 @@ class SybilCost:
     def linear(c: float) -> "SybilCost":
         if not c >= 0.0:  # also a NaN cost
             raise DomainError("identity cost must be nonnegative")
+        if c == math.inf:  # every gain would be inf - inf; a custom SybilCost expresses prohibitive extras
+            raise DomainError("identity cost must be finite")
         return SybilCost(cost=lambda x, y: c * x)
 
     def __call__(self, x: float, y: float) -> float:
@@ -470,6 +472,8 @@ def headcount_reward_game(R: float) -> AggregativeGame:
     Actions live on {0, 1} and duplicates fold by ``max``: a single player can
     only ever present one head, so merging several unit reports yields one.
     """
+    if not math.isfinite(R):
+        raise DomainError(f"headcount reward R = {R} must be finite")
 
     def phi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -129,9 +129,8 @@ class TentFunction:
         return value if np.ndim(x) else float(value)
 
 
-def tent_game(tent: TentFunction, grid_step: Optional[float] = None) -> AggregativeGame:
-    step = grid_step if grid_step is not None else tent.K / 400.0
-    space = ActionSpace(CONTINUOUS, 0.0, tent.K, step)
+def tent_game(tent: TentFunction) -> AggregativeGame:
+    space = ActionSpace(CONTINUOUS, 0.0, tent.K, tent.K / 400.0)
     return prorata_game(tent, space, name="tent")
 
 

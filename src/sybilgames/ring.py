@@ -483,7 +483,7 @@ class RingModel:
         counts = _identity_counts(m)
         r, n, v = self.reserve, self.n, self.grid[::2]
         win_prob = self._F[::2] ** (n - 1)
-        # (fine, coarse, coarser) rows, masked as _member_payoff masks it
+        # (fine, coarse, coarser) rows; nodes where F^(n-1) = 0 contribute 0
         P = np.where(win_prob > 0.0, win_prob * self._f[::2] * self._dxds[::2], 0.0)
         rule_P = _simpson_weights(2.0 * self._h, MODEL_CELLS // 2) * P
         V, held_P = rule_P @ (v - r), rule_P[0] * (v - r)

@@ -215,8 +215,12 @@ def test_cake_label_widths_match_per_cell_rendering(tmp_path, monkeypatch, runs)
         ["rdm", "--R", "10", "--n-max", "5"],
         ["verify", "--game", "prorata", "--foreign", "2.5,2.5", "--foreign", "1,3"],
         ["ring", "--dist", "truncexp", "--n", "3", "--theta-grid", "5"],
+        ["poa", "--n-max", "4"],
+        ["commit", "--instance", "cfmm", "--n-max", "4"],
+        ["fig", "--which", "fig1", "--n-max", "4"],
+        ["fig", "--which", "fig2", "--n-max", "4"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: argv[2] if argv[0] == "fig" else argv[0],
 )
 def test_stdout_matches_out_file_byte_for_byte(tmp_path, capsysbinary, argv):
     out = tmp_path / "artifact.csv"
@@ -416,6 +420,11 @@ def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
         ["commit", "--c", "nan"],
         ["commit", "--alpha", "nan"],
         ["rdm", "--R", "nan"],
+        ["verify", "--c", "inf"],
+        ["commit", "--c", "inf"],
+        ["commit", "--instance", "trivial", "--c", "inf"],
+        ["verify", "--R", "nan"],
+        ["verify", "--R", "inf"],
     ],
 )
 def test_nan_parameters_are_invalid(tmp_path, capsys, argv):
