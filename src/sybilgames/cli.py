@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
+import stat
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -80,21 +82,43 @@ def _emit_csv(
     as text.  :func:`main` is the only caller, once the handler has returned, so
     opening ``out`` is the last thing that can fail: the body only renders
     prepared rows or tails.
+
+    A regular ``out`` file is rewritten in place, not truncated first (freeing a
+    large old file's blocks costs more than writing over them): a ``# incomplete``
+    line as long as the config line goes first, then the header and the body, then
+    the file is cut at the end of what was written, and the config line is written
+    over the placeholder last.  So an interrupted write leaves a file with no config
+    line, and no old bytes past the new ones once the cut has run.  Any other
+    ``out`` (``/dev/null``, a pipe) is written straight through, like stdout.
     """
     config = " ".join(
         [f"artifact={ARTIFACT}", f"subcommand={subcommand}"]
         + [f"{key}={_fmt(val)}" for key, val in sorted(params.items())]
     )
-    head = f"# {config}\n{','.join(header)}\n".encode()
+    top = f"# {config}\n".encode()
+    head = f"{','.join(header)}\n".encode()
     if out is None and not hasattr(sys.stdout, "buffer"):
-        sys.stdout.write(head.decode())
+        sys.stdout.write((top + head).decode())
         sys.stdout.writelines(chunk.decode() for chunk in body)  # whole rows: no character is split
         return
     if out is None:
         sys.stdout.flush()
-    with (open(out, "wb") if out is not None else contextlib.nullcontext(sys.stdout.buffer)) as fh:
-        fh.write(head)
-        fh.writelines(body)
+        target = contextlib.nullcontext(sys.stdout.buffer)
+    else:  # no O_TRUNC: a regular file is written over, then cut
+        target = open(os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb")
+    with target as fh:
+        if out is None or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.write(top + head)
+            fh.writelines(body)
+            return
+        fh.write(b"# incomplete".ljust(len(top) - 1) + b"\n")
+        try:
+            fh.write(head)
+            fh.writelines(body)
+        finally:
+            fh.truncate()
+        fh.seek(0)
+        fh.write(top)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -246,24 +270,35 @@ def _cake_body(tails: np.ndarray, transcript: Transcript) -> Iterator[bytes]:
     Each block forms its own codes from the transcript.  A block is one (run, tail)
     record array, its run labels ASCII digits NUL-padded to the last label's width; its
     bytes less every NUL are the block's text, with no string per run or row.
+
+    The labels are slices of per-digit cycles built once per transcript: cycle k holds
+    the ten ASCII digits, each repeated 10^k times, so the 10^k digits of runs
+    start..start+m-1 are ``cycle_k[start % 10^(k+1):][:m]``.  A cycle needs no more
+    than one period plus a block, nor more than one byte per run.
     """
     runs, n = transcript.runs, transcript.n
     width = len(str(runs - 1))
     ends = np.zeros(tails.size, dtype=[("run", f"S{width}"), ("tail", tails.dtype)])
     ends["tail"] = tails.ravel()
     offsets = np.arange(n) * tails.shape[1]
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    cycles = []
+    for k in range(width):
+        length = min(10 ** (k + 1) + CAKE_BLOCK_RUNS, runs)
+        cycles.append(np.repeat(np.resize(ascii_digits, -(-length // 10**k)), 10**k)[:length])
+    digits = np.empty((CAKE_BLOCK_RUNS, width), dtype=np.uint8)
     for start in range(0, runs, CAKE_BLOCK_RUNS):
         rows = slice(start, start + CAKE_BLOCK_RUNS)
         block = np.where(transcript.coins[rows, None], transcript.assignments[rows], n)
         block += offsets
-        labels = np.arange(start, start + len(block))
-        digits = np.zeros((len(block), width), dtype=np.uint8)
-        for k in range(width):  # the 10^k digit; labels run upward, so those below 10^k (NUL there) lead the block
-            labels, digit = np.divmod(labels, 10)
-            lead = max(0, 10**k - start) if k else 0
-            digits[lead:, width - 1 - k] = digit[lead:] + ord("0")
+        m = len(block)
+        for k, cycle in enumerate(cycles):
+            phase = start % 10 ** (k + 1)
+            digits[:m, width - 1 - k] = cycle[phase : phase + m]
+            # labels run upward, so those below 10^k (NUL in this column) lead the block
+            digits[: max(0, 10**k - start) if k else 0, width - 1 - k] = 0
         records = ends.take(block)  # fancy indexing copies records 5x slower
-        records["run"] = digits.view(f"S{width}")
+        records["run"] = digits[:m].view(f"S{width}")
         yield records.tobytes().translate(None, b"\0")
 
 

@@ -92,7 +92,9 @@ def cournot_game(beta: float, upper: Optional[float] = None, grid_step: float = 
 
 def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:
     """Equilibrium payoffs of the linear Cournot market: beta^2/(n+1)^2 each."""
-    if not c_prod < alpha:  # also a NaN parameter
+    if not (math.isfinite(alpha) and math.isfinite(c_prod)):  # NaN or infinite
+        raise DomainError("demand intercept and production cost must be finite")
+    if not c_prod < alpha:
         raise DomainError("production cost at or above the demand intercept kills the market")
     beta = alpha - c_prod
 

@@ -34,16 +34,16 @@ class RewardMechanism:
     R: float
 
     def __post_init__(self):
-        if self.R < 0.0:
-            raise DomainError("reward cap must be nonnegative")
+        if not 0.0 <= self.R < math.inf:  # also a NaN cap
+            raise DomainError("reward cap must be nonnegative and finite")
 
 
 def max_sybilproof_reward(n: int, R: float) -> float:
     """Largest total reward a proof mechanism may pay out to n identities: n R / 2^(n-1)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    if R < 0.0:
-        raise DomainError("need R >= 0")
+    if not 0.0 <= R < math.inf:  # also a NaN R
+        raise DomainError("need 0 <= R < inf")
     return math.ldexp(n * R, 1 - n)
 
 
@@ -90,8 +90,8 @@ class DominantProrataCurve:
     K: float
 
     def __post_init__(self):
-        if not (self.R > 0.0 and self.K > 0.0):  # also a NaN parameter
-            raise DomainError("need R > 0 and K > 0")
+        if not (0.0 < self.R < math.inf and self.K > 0.0):  # also a NaN parameter
+            raise DomainError("need 0 < R < inf and K > 0")
 
     def __call__(self, x: float) -> float:
         return (self.R * math.e / self.K) * x * math.exp(-x / self.K)
@@ -114,8 +114,8 @@ class TentFunction:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.R > 0.0 and self.K > 0.0):  # also a NaN parameter
-            raise DomainError("need R > 0 and K > 0")
+        if not (0.0 < self.R < math.inf and self.K > 0.0):  # also a NaN parameter
+            raise DomainError("need 0 < R < inf and K > 0")
         if not 0.0 < self.epsilon < self.K:
             raise DomainError("epsilon must lie strictly between 0 and K")
 

@@ -1,10 +1,13 @@
 import contextlib
+import errno
 import io
 import itertools
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -293,6 +296,97 @@ def test_failed_cake_writes_nothing(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "short, long",
+    [
+        (["cake", "--n", "3", "--samples", "100", "--seed", "2"], ["cake", "--n", "3", "--samples", "5000", "--seed", "2"]),
+        (["rdm", "--n-max", "3"], ["rdm", "--n-max", "40"]),
+    ],
+    ids=["cake", "rdm"],
+)
+@pytest.mark.parametrize("shrink", [True, False], ids=["shrink", "grow"])
+def test_rewriting_an_artifact_in_place_gives_stdouts_bytes(tmp_path, capsysbinary, short, long, shrink):
+    out = tmp_path / "artifact.csv"
+    first, second = (long, short) if shrink else (short, long)
+    assert run_cli(first + ["--out", str(out)]) == 0
+    inode = out.stat().st_ino
+    assert run_cli(second + ["--out", str(out)]) == 0
+    assert out.stat().st_ino == inode  # written over, not replaced
+    assert run_cli(second) == 0
+    assert out.read_bytes() == capsysbinary.readouterr().out
+
+
+def test_out_to_a_device_is_written_straight_through(capsys):
+    # no seek and no truncate on a file that is not regular
+    assert run_cli(["rdm", "--n-max", "3", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_out_to_a_pipe_carries_stdouts_bytes(tmp_path, capsysbinary):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    argv = ["cake", "--n", "2", "--samples", str(cli.CAKE_BLOCK_RUNS + 5), "--seed", "3"]
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code = run_cli(argv + ["--out", str(fifo)])
+    finally:
+        reader.join(timeout=60)
+    assert code == 0 and not reader.is_alive()
+    assert run_cli(argv) == 0
+    assert received == [capsysbinary.readouterr().out]
+
+
+def test_an_interrupted_write_leaves_no_config_line_and_no_stale_tail(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "cake.csv"
+    argv = ["cake", "--n", "3", "--samples", str(3 * cli.CAKE_BLOCK_RUNS), "--seed", "1", "--out", str(out)]
+    assert run_cli(argv) == 0
+    old = out.read_bytes()
+    config = old.split(b"\n", 1)[0]
+    written = []
+    render = cli._cake_body
+
+    def failing(tails, transcript):
+        written.append(next(render(tails, transcript)))
+        yield written[0]
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_cake_body", failing)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "cannot write output: [Errno 28] No space left on device\n"
+    placeholder, header, rest = out.read_bytes().split(b"\n", 2)
+    assert b"artifact=" not in placeholder and placeholder.rstrip() == b"# incomplete"
+    assert len(placeholder) == len(config)
+    assert header == b"run,identity,value,coin" and rest == written[0]  # cut where the write stopped
+    assert len(rest) < len(old.split(b"\n", 2)[2])
+
+
+def test_a_read_only_artifact_is_left_as_it_was(tmp_path, capsys):
+    out = tmp_path / "rdm.csv"
+    assert run_cli(["rdm", "--n-max", "3", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        pytest.skip("this user may write a read-only file")
+    assert run_cli(["rdm", "--n-max", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output:")
+    assert out.read_bytes() == before
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_artifact_gets_the_default_mode_less_the_umask(tmp_path, umask):
+    out = tmp_path / "rdm.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli(["rdm", "--n-max", "3", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
 def test_commit_cournot_counterexample_column(tmp_path):
     out = tmp_path / "commit.csv"
     assert run_cli(["commit", "--instance", "cournot", "--c", "0", "--n-max", "10", "--out", str(out)]) == 0
@@ -425,6 +519,10 @@ def test_ring_theta_grid_below_one_is_invalid(tmp_path, capsys, count):
         ["commit", "--instance", "trivial", "--c", "inf"],
         ["verify", "--R", "nan"],
         ["verify", "--R", "inf"],
+        ["rdm", "--R", "inf"],
+        ["fig", "--which", "fig1", "--R", "inf"],
+        ["commit", "--alpha", "inf"],
+        ["commit", "--c-prod=-inf"],
     ],
 )
 def test_nan_parameters_are_invalid(tmp_path, capsys, argv):

@@ -161,8 +161,13 @@ def test_cournot_oracle_rejects_dead_market():
         lambda: cfmm_arbitrage_oracle(math.inf, 100.0, 0.5),
         lambda: cfmm_arbitrage_oracle(100.0, math.inf, 0.5),
         lambda: cfmm_arbitrage_oracle(100.0, 100.0, math.inf),
+        lambda: cournot_oracle(math.inf, 0.0),
+        lambda: cournot_oracle(1.0, -math.inf),
     ],
-    ids=["alpha", "c_prod", "reserve_b", "price", "trivial_c", "rmax_R", "inf_reserve_a", "inf_reserve_b", "inf_price"],
+    ids=[
+        "alpha", "c_prod", "reserve_b", "price", "trivial_c", "rmax_R", "inf_reserve_a", "inf_reserve_b", "inf_price",
+        "inf_alpha", "minus_inf_c_prod",
+    ],
 )
 def test_nan_parameters_are_rejected(build):
     # NaN compares false both ways: a guard written as x <= 0 would let it through; an infinite

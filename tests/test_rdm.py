@@ -217,6 +217,23 @@ def test_reward_cap_violation_is_reported():
         check_reward_sybilproof(mech)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda R: max_sybilproof_reward(2, R),
+        lambda R: RewardMechanism(r=lambda n: 1.0, R=R),
+        lambda R: dominant_strategy_prorata(R, 1.0),
+        lambda R: TentFunction(R, 1.0, 0.1),
+    ],
+    ids=["max_sybilproof_reward", "RewardMechanism", "dominant_strategy_prorata", "TentFunction"],
+)
+def test_a_reward_cap_that_is_not_finite_is_rejected(build, R):
+    # an infinite R made the tent game's payoffs inf - inf, a numeric failure instead of a bad parameter
+    with pytest.raises(DomainError):
+        build(R)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
 def test_a_schedule_outside_the_class_raises_naming_its_value(bad):
     # NaN compares false both ways: it must not slip past the membership test as a proof
