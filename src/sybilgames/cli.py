@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import contextvars
 import functools
 import os
 import stat
@@ -36,6 +37,7 @@ from .commitment import (
 from .core import SybilCost, headcount_reward_game, reward_share_game, verify_sybilproof
 from .equilibrium import _anarchy_ratio, grid_welfare_optimum, reward_game_pure_equilibrium
 from .errors import ConfigurationError, DomainError, InvariantViolation, NumericError
+from .numerics import _helper
 from .rdm import TentFunction, dominant_strategy_prorata, max_sybilproof_reward, tent_equilibria
 from .ring import DISTRIBUTIONS, opt_ring_search
 
@@ -263,18 +265,30 @@ def _load_measures(path: str) -> list[PiecewiseMeasure]:
 
 
 def _cake_body(tails: np.ndarray, transcript: Transcript) -> Iterator[bytes]:
-    """The transcript rows as bytes, ``CAKE_BLOCK_RUNS`` runs per chunk.
+    """The transcript rows as bytes, ``CAKE_BLOCK_RUNS`` runs per chunk, rendered on two threads.
 
     ``tails[i, k]`` is the ",identity,value,coin\\n" end of identity i's row when its code
     is k, as NUL-padded bytes: k is its slice index in a kept run and n in a burned one.
     Each block forms its own codes from the transcript.  A block is one (run, tail)
     record array, its run labels ASCII digits NUL-padded to the last label's width; its
-    bytes less every NUL are the block's text, with no string per run or row.
+    bytes less every NUL (a numpy compress of the records viewed as ``uint8``) are the
+    block's text, with no string per run or row.
 
     The labels are slices of per-digit cycles built once per transcript: cycle k holds
     the ten ASCII digits, each repeated 10^k times, so the 10^k digits of runs
     start..start+m-1 are ``cycle_k[start % 10^(k+1):][:m]``.  A cycle needs no more
     than one period plus a block, nor more than one byte per run.
+
+    The 1st, 3rd, ... block is rendered on the calling thread and the 2nd, 4th, ... on the
+    package's one helper thread (``numerics._helper``), which is handed the next one as
+    soon as the caller takes the last; numpy drops the GIL for most of a render, and the
+    caller's write of a chunk drops it too, so the two overlap.  A render reads only the
+    transcript, the tails and the cycles and writes only its own arrays, so each chunk is
+    the same bytes on either thread; chunks are yielded in run order, so an error is
+    raised in block order, the one a serial render raises first.  The helper runs in a
+    copy of the caller's context (numpy's errstate), and a block still in flight when the
+    body ends, fails or is closed early is waited on: no render outlives the body.  A
+    body of one block never starts the helper.
     """
     runs, n = transcript.runs, transcript.n
     width = len(str(runs - 1))
@@ -286,20 +300,39 @@ def _cake_body(tails: np.ndarray, transcript: Transcript) -> Iterator[bytes]:
     for k in range(width):
         length = min(10 ** (k + 1) + CAKE_BLOCK_RUNS, runs)
         cycles.append(np.repeat(np.resize(ascii_digits, -(-length // 10**k)), 10**k)[:length])
-    digits = np.empty((CAKE_BLOCK_RUNS, width), dtype=np.uint8)
-    for start in range(0, runs, CAKE_BLOCK_RUNS):
+
+    def render(start: int) -> bytes:
         rows = slice(start, start + CAKE_BLOCK_RUNS)
         block = np.where(transcript.coins[rows, None], transcript.assignments[rows], n)
         block += offsets
         m = len(block)
+        digits = np.empty((m, width), dtype=np.uint8)
         for k, cycle in enumerate(cycles):
             phase = start % 10 ** (k + 1)
-            digits[:m, width - 1 - k] = cycle[phase : phase + m]
+            digits[:, width - 1 - k] = cycle[phase : phase + m]
             # labels run upward, so those below 10^k (NUL in this column) lead the block
             digits[: max(0, 10**k - start) if k else 0, width - 1 - k] = 0
         records = ends.take(block)  # fancy indexing copies records 5x slower
-        records["run"] = digits[:m].view(f"S{width}")
-        yield records.tobytes().translate(None, b"\0")
+        records["run"] = digits.view(f"S{width}")
+        text = records.view(np.uint8)
+        return text[text != 0].tobytes()
+
+    starts = range(0, runs, CAKE_BLOCK_RUNS)
+    helped = starts[1::2]
+    if helped:
+        submit = functools.partial(_helper().submit, contextvars.copy_context().run, render)
+        pending = submit(helped[0])
+    try:
+        for j, start in enumerate(starts[::2]):
+            yield render(start)
+            if j < len(helped):
+                chunk = pending.result()
+                if j + 1 < len(helped):
+                    pending = submit(helped[j + 1])
+                yield chunk
+    finally:
+        if helped:
+            pending.exception()  # waits; an error past the first raised is dropped, as a serial render never reaches it
 
 
 def _run_cake(args) -> _Table:

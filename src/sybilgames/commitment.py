@@ -97,6 +97,8 @@ def cournot_oracle(alpha: float, c_prod: float) -> EqPayoffOracle:
     if not c_prod < alpha:
         raise DomainError("production cost at or above the demand intercept kills the market")
     beta = alpha - c_prod
+    if not math.isfinite(beta * beta):
+        raise DomainError(f"demand intercept net of production cost {beta!r} overflows when squared")
 
     def payoff(n: int) -> float:
         return beta * beta / (n + 1) ** 2

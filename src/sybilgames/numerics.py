@@ -39,6 +39,8 @@ error check applied to each row.  Every row reproduces the 1-D call bit for bit.
 
 from __future__ import annotations
 
+import functools
+import os
 from typing import Callable
 
 import numpy as np
@@ -50,6 +52,19 @@ QUAD_TOL = 1e-10
 BISECT_MAX_ITER = 200
 BISECT_RESIDUAL = 1e-12
 _RAMP = np.arange(2 * QUAD_CELLS + 1, dtype=float)  # integrate's sample indices 0, 1, ..., 2 QUAD_CELLS
+
+
+@functools.cache
+def _helper():
+    """The package's one worker thread, shared by ``RingModel``'s IC ratio builds and the CLI's cake
+    body rendering: started on first use and kept for the process; concurrent.futures is imported here,
+    so importing the package does not pay for it.  A forked child drops it and starts its own: it has no
+    copy of the thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=_helper.cache_clear)
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="sybilgames-helper")
 
 
 def _left_sum(values):

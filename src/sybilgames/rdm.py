@@ -39,12 +39,16 @@ class RewardMechanism:
 
 
 def max_sybilproof_reward(n: int, R: float) -> float:
-    """Largest total reward a proof mechanism may pay out to n identities: n R / 2^(n-1)."""
+    """Largest total reward a proof mechanism may pay out to n identities: n R / 2^(n-1).
+
+    n is multiplied into R's mantissa, not into R, so no n R overflows: the value is at most
+    R, and its bits are those of ``ldexp(n * R, 1 - n)`` wherever that product is finite."""
     if n < 1:
         raise DomainError("need n >= 1")
     if not 0.0 <= R < math.inf:  # also a NaN R
         raise DomainError("need 0 <= R < inf")
-    return math.ldexp(n * R, 1 - n)
+    mantissa, exponent = math.frexp(R)
+    return math.ldexp(n * mantissa, exponent + 1 - n)
 
 
 def rmax_mechanism(R: float) -> RewardMechanism:
@@ -97,8 +101,12 @@ class DominantProrataCurve:
         return (self.R * math.e / self.K) * x * math.exp(-x / self.K)
 
     def welfare(self, n: int) -> float:
-        """Equilibrium welfare with n players, f(nK) = R n e^(1-n)."""
-        return self(n * self.K)
+        """Equilibrium welfare with n players, f(nK) = R n e^(1-n); raises :class:`NumericError`
+        when its evaluation overflows (R e does past R = DBL_MAX/e)."""
+        welfare = self(n * self.K)
+        if not math.isfinite(welfare):
+            raise NumericError(f"dominant-strategy welfare at n = {n} is {welfare} for R = {self.R!r}")
+        return welfare
 
 
 def dominant_strategy_prorata(R: float, K: float) -> DominantProrataCurve:

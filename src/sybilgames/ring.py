@@ -40,9 +40,7 @@ one-identity profit, so member welfare needs no sampling.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -52,7 +50,7 @@ import numpy as np
 from .core import SYBIL_TOL, count_verdict
 from .errors import DomainError, InvariantViolation, SingularScaleError
 from .numerics import QUAD_CELLS, QUAD_TOL, _check_resolved, _finer_samples, _nested_totals, _observed_error
-from .numerics import _quadrature_points, _simpson_weights, cumulative_simpson, integrate
+from .numerics import _helper, _quadrature_points, _simpson_weights, cumulative_simpson, integrate
 
 MODEL_CELLS = 2048  # composite-Simpson cells of RingModel's precomputed grid
 RING_MAX_IDENTITIES = 4  # most identities opt_ring_search's splitting check registers
@@ -213,18 +211,6 @@ def ring_transfer(v: float, cfg: RingConfig, dist: ValueDistribution) -> float:
         return float(_by_parts(v, totals[0] / Fv, r, n, l))
 
 
-@functools.cache
-def _helper():
-    """The one worker thread that builds every second missing IC ratio of ``RingModel.expected_profit``,
-    started on first use and kept for the process; concurrent.futures is imported here, so importing the
-    package does not pay for it.  A forked child drops it and starts its own: it has no copy of the thread."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    if hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_helper.cache_clear)
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="sybilgames-ratio")
-
-
 def _by_parts(v, A, r, k, l):
     """The k-report IC transfer ((k-1)(v - A) + l r)/(k-1+l) at bids v from A = J/F(v)^e,
     J = integral_r^v F^e; broadcasts."""
@@ -336,8 +322,8 @@ class RingModel:
 
     def _ratios_of(self, ks) -> None:
         """Build the ``_ratio`` of each report count in ks that is not cached: the 1st, 3rd, ...
-        missing count on the calling thread, the 2nd, 4th, ... on the one helper thread
-        (``_helper``), each by the unchanged ``_ratio``, so every array equals the serial
+        missing count on the calling thread, the 2nd, 4th, ... on the package's one helper thread
+        (``numerics._helper``), each by the unchanged ``_ratio``, so every array equals the serial
         build's bit for bit.  Every missing count's g(k) is checked for budget balance before
         any build, and the builds are awaited in count order, so the error raised is the one
         the serial builds raise first; the helper runs in a copy of the caller's context, so

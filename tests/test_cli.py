@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import itertools
@@ -8,8 +9,10 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sybilgames
@@ -208,6 +211,150 @@ def test_cake_label_widths_match_per_cell_rendering(tmp_path, monkeypatch, runs)
         assert len(chunks) > 2 and 10**4 % cli.CAKE_BLOCK_RUNS != 0  # the width change is no block edge
     declared = cli._load_measures(str(measures))
     assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 3))) is None
+
+
+def record_helper_blocks(monkeypatch) -> list:
+    """Patch the CLI's view of the helper to note the first run of every block handed to it; returns that list."""
+    starts, helper = [], cli._helper
+
+    class Recording:
+        def submit(self, fn, *args):
+            starts.append(args[-1])
+            return helper().submit(fn, *args)
+
+    monkeypatch.setattr(cli, "_helper", Recording)
+    return starts
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_blocks_alternate_between_the_caller_and_the_helper(tmp_path, monkeypatch, blocks):
+    # a lone block, an even and an odd count: the 2nd block (and no other) goes to the helper
+    runs = (blocks - 1) * cli.CAKE_BLOCK_RUNS + (3 if blocks == 3 else cli.CAKE_BLOCK_RUNS)
+    chunks, helped = record_cake_chunks(monkeypatch), record_helper_blocks(monkeypatch)
+    measures = tmp_path / "measures.txt"
+    measures.write_text(THREE_MEASURES)
+    out = tmp_path / "cake.csv"
+    assert run_cli(["cake", "--measures", str(measures), "--samples", str(runs), "--seed", "4", "--out", str(out)]) == 0
+    assert helped == ([cli.CAKE_BLOCK_RUNS] if blocks > 1 else [])  # a lone block never starts the helper
+    assert len(chunks) == blocks and not any(b"\0" in chunk for chunk in chunks)
+    body = out.read_text().split("\n", 2)[2]
+    assert b"".join(chunks).decode("ascii") == body
+    declared = cli._load_measures(str(measures))
+    assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 4))) is None
+
+
+def test_a_label_width_change_inside_a_helper_block_matches_per_cell_rendering(tmp_path, monkeypatch):
+    # 3,000-run blocks put runs 9,999 and 10,000 in the 4th block, which the helper renders
+    monkeypatch.setattr(cli, "CAKE_BLOCK_RUNS", 3000)
+    runs = 10**4 + 3
+    chunks, helped = record_cake_chunks(monkeypatch), record_helper_blocks(monkeypatch)
+    measures = tmp_path / "measures.txt"
+    measures.write_text(THREE_MEASURES)
+    out = tmp_path / "cake.csv"
+    assert run_cli(["cake", "--measures", str(measures), "--samples", str(runs), "--seed", "6", "--out", str(out)]) == 0
+    assert helped == [3000, 9000] and len(chunks) == 4 and not any(b"\0" in chunk for chunk in chunks)
+    assert chunks[3].startswith(b"9000,0,") and b"\n9999,2," in chunks[3] and b"\n10000,0," in chunks[3]
+    body = out.read_text().split("\n", 2)[2]
+    declared = cli._load_measures(str(measures))
+    assert first_difference(body, per_cell_body(declared, run_monte_carlo(declared, runs, 6))) is None
+
+
+class BlockRows(np.ndarray):
+    """Assignments that note the first run of every block slice read from them in ``seen``, sleep
+    ``delay`` s before reading the 2nd block (the helper's first) and raise :class:`NumericError`
+    at a block whose first run is in ``failing``."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            if key.start == cli.CAKE_BLOCK_RUNS:
+                time.sleep(self.delay)
+            self.seen.append(key.start)
+            if key.start in self.failing:
+                raise NumericError(f"block at run {key.start} failed on {threading.current_thread().name}")
+        return np.asarray(self)[key]
+
+
+def watched(transcript, seen: list, failing=(), delay=0.0):
+    """The transcript with ``BlockRows`` assignments that note block starts in ``seen``."""
+    rows = transcript.assignments.view(BlockRows)
+    rows.seen, rows.failing, rows.delay = seen, frozenset(failing), delay
+    return dataclasses.replace(transcript, assignments=rows)
+
+
+def watch_cake_blocks(monkeypatch, failing=()) -> list:
+    """Give `cake` ``BlockRows`` assignments; returns their ``seen`` list."""
+    seen, draw = [], cli.run_monte_carlo
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda *args: watched(draw(*args), seen, failing))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "failing, first, thread, rendered",
+    [
+        ([1], 1, "sybilgames-helper_0", [0, 1]),
+        ([1, 2], 1, "sybilgames-helper_0", [0, 1]),  # the caller's block after it is never rendered
+        ([2, 3], 2, "MainThread", [0, 1, 2, 3]),  # the helper's block in flight is waited on
+    ],
+    ids=["helper", "helper-then-caller", "caller-then-helper"],
+)
+def test_a_failing_block_raises_in_block_order_and_leaves_no_config_line(
+    tmp_path, monkeypatch, capsys, failing, first, thread, rendered
+):
+    size = cli.CAKE_BLOCK_RUNS
+    seen = watch_cake_blocks(monkeypatch, failing=[k * size for k in failing])
+    chunks = record_cake_chunks(monkeypatch)
+    out = tmp_path / "cake.csv"
+    assert run_cli(["cake", "--n", "3", "--samples", str(5 * size), "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: block at run {first * size} failed on {thread}\n"
+    assert sorted(seen) == [k * size for k in rendered]
+    placeholder, header, rest = out.read_bytes().split(b"\n", 2)
+    assert placeholder.rstrip() == b"# incomplete" and header == b"run,identity,value,coin"
+    assert len(chunks) == first and rest == b"".join(chunks)  # every block before the first failure
+
+
+def test_a_body_closed_early_waits_for_the_helpers_block():
+    # the helper's first block sleeps before it renders; close() must not return until it has
+    seen = []
+    transcript = run_monte_carlo([PiecewiseMeasure.uniform()] * 2, 4 * cli.CAKE_BLOCK_RUNS, 1)
+    tails = np.array([[b",0,0.5,1\n", b",0,0.5,1\n", b",0,0.0,0\n"], [b",1,0.5,1\n", b",1,0.5,1\n", b",1,0.0,0\n"]])
+    body = cli._cake_body(tails, watched(transcript, seen, delay=0.2))
+    assert next(body).startswith(b"0,0,")
+    body.close()
+    assert sorted(seen) == [0, cli.CAKE_BLOCK_RUNS]
+
+
+def test_concurrent_cake_and_ring_runs_write_their_serial_bytes_and_share_one_helper(tmp_path):
+    # six callers on two cores, cake bodies and ring ratio builds all handed to the one helper, under a short switch interval
+    configs = [
+        ["cake", "--n", "3", "--samples", str(4 * cli.CAKE_BLOCK_RUNS + 7), "--seed", "2"],
+        ["cake", "--n", "2", "--samples", str(3 * cli.CAKE_BLOCK_RUNS), "--seed", "9"],
+        ["ring", "--dist", "beta22", "--n", "3", "--theta-grid", "5"],
+    ]
+    expected = []
+    for k, argv in enumerate(configs):
+        assert run_cli(argv + ["--out", str(tmp_path / f"serial-{k}.csv")]) == 0
+        expected.append((tmp_path / f"serial-{k}.csv").read_bytes())
+    codes = {}
+
+    def call(caller):
+        argv = configs[caller % len(configs)]
+        for rep in range(2):
+            codes[caller, rep] = cli.main(argv + ["--out", str(tmp_path / f"{caller}-{rep}.csv")])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(caller,)) for caller in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and set(codes.values()) == {0} and len(codes) == 12
+    for caller, rep in codes:
+        assert (tmp_path / f"{caller}-{rep}.csv").read_bytes() == expected[caller % len(configs)]
+    assert [t.name.startswith("sybilgames-helper") for t in threading.enumerate()].count(True) == 1
 
 
 @pytest.mark.parametrize(
@@ -688,6 +835,25 @@ def test_a_non_finite_arbitrage_payoff_is_a_numeric_failure(tmp_path, capsys, ar
     assert run_cli(argv + ["--reserve-b", "1e200", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: batched arbitrage payoff at n = 2 is nan at reserves 100.0, 1e+200 and price 0.5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["rdm"], ["fig", "--which", "fig1"]])
+def test_a_reward_whose_welfare_overflows_is_a_numeric_failure(tmp_path, capsys, argv):
+    # R e overflows at R = 1e308: the rows carried inf welfare (and inf caps from n = 2) with exit 0
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--R", "1e308", "--n-max", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric failure: dominant-strategy welfare at n = 1 is inf for R = 1e+308\n"
+    assert not out.exists()
+
+
+def test_a_cournot_intercept_whose_square_overflows_is_invalid(tmp_path, capsys):
+    # beta^2 overflowed to inf, and the commitment search failed on inf - inf with exit 3
+    out = tmp_path / "out.csv"
+    assert run_cli(["commit", "--instance", "cournot", "--alpha", "1e200", "--n-max", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid parameter: demand intercept net of production cost 1e+200 overflows when squared\n"
+    )
     assert not out.exists()
 
 

@@ -149,6 +149,16 @@ def test_cournot_oracle_rejects_dead_market():
         cournot_oracle(1.0, 1.5)
 
 
+def test_cournot_oracle_rejects_an_intercept_whose_square_overflows():
+    # beta^2/(n+1)^2 is inf past |beta| ~ 1.34e154, and the commitment search then meets inf - inf
+    for alpha, c_prod in [(1e200, 0.0), (1e154, -1e155), (2e154, 0.0)]:
+        with pytest.raises(DomainError, match="overflows when squared"):
+            cournot_oracle(alpha, c_prod)
+    # the formula is kept, so a square just below the overflow is the same payoff as before
+    beta = 1.3e154
+    assert cournot_oracle(beta, 0.0).payoff(3) == beta * beta / 16
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def test_max_sybilproof_reward_values():
     # 2.0 ** (n - 1) overflows past n = 1024: the cap is the exact ratio rounded once, 0.0 once it underflows
     assert max_sybilproof_reward(1025, 10.0) == 10250 / 2**1024
     assert max_sybilproof_reward(1100, 10.0) == 0.0
+
+
+def test_max_sybilproof_reward_is_finite_at_the_largest_rewards():
+    # n R overflowed from n = 2 at R = 1e308; the cap is at most R, so it stays finite
+    assert max_sybilproof_reward(2, 1e308) == 1e308
+    assert max_sybilproof_reward(3, 1e308) == 7.5e307
+    assert max_sybilproof_reward(4, sys.float_info.max) == sys.float_info.max / 2.0
+    # wherever n R is finite, the bits are those of ldexp(n R, 1 - n), subnormal caps included
+    for n in [*range(1, 40), *range(1020, 1080)]:
+        for R in (10.0, 0.3, 7e-5, 123.456, 1e300):
+            assert max_sybilproof_reward(n, R).hex() == math.ldexp(n * R, 1 - n).hex()
 
 
 def test_pie_shrinking_recursion_exact():
@@ -80,6 +92,14 @@ def test_any_upward_perturbation_of_the_cap_schedule_is_rejected(n0):
             check_reward_sybilproof(bumped)
     else:
         assert not check_reward_sybilproof(bumped).proof
+
+
+def test_dominant_prorata_welfare_that_overflows_is_a_numeric_failure():
+    # R e overflows past R = DBL_MAX/e, so the welfare at n = 1 is inf although R n e^(1-n) = R is finite
+    curve = dominant_strategy_prorata(1e308, 1.0)
+    with pytest.raises(NumericError, match=r"^dominant-strategy welfare at n = 1 is inf for R = 1e\+308$"):
+        curve.welfare(1)
+    assert dominant_strategy_prorata(1e300, 1.0).welfare(3) == pytest.approx(3e300 * math.exp(-2.0), rel=1e-15)
 
 
 def test_dominant_prorata_peak_and_welfare():

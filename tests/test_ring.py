@@ -806,7 +806,7 @@ def test_repeated_searches_start_no_further_threads():
     for _ in range(3):
         opt_ring_search(beta22_values(), 3)
         assert threading.active_count() == started
-    assert [t.name.startswith("sybilgames-ratio") for t in threading.enumerate()].count(True) == 1
+    assert [t.name.startswith("sybilgames-helper") for t in threading.enumerate()].count(True) == 1
 
 
 def test_concurrent_callers_share_the_helper_and_get_the_serial_profits():
